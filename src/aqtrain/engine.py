@@ -1,14 +1,23 @@
-"""Trotterized adiabatic and real-time evolution of qubit-register states.
+"""Adiabatic and real-time evolution of qubit-register states.
 
-Two Hamiltonian representations share one interface.  A pair of
-:class:`~aqtrain.pauli.PauliPolynomial` objects whose driver is a transverse
-field (identity and single-qubit X terms) and whose target is diagonal
-evolves by an exact split step: the diagonal factor is a single phase pass
-(all Z-terms commute, so there is no splitting error inside the group) and
-the X factor is a product of independent single-qubit rotations.  A pair of
-dense Hermitian matrices evolves by per-step eigendecomposition, which has
-no Trotter error at all and therefore doubles as the reference
-implementation for convergence tests.
+Two Hamiltonian representations share one interface, and the anneal picks
+its propagator from the representation and ``substeps_per_step``:
+
+- A pair of :class:`~aqtrain.pauli.PauliPolynomial` objects, whose driver is
+  a transverse field (identity and single-qubit X terms) and whose target is
+  diagonal, evolves by default through a first-order split step.  The
+  diagonal factor is one phase pass (all Z-terms commute, so there is no
+  splitting error inside the group) and the X factor is a product of
+  independent single-qubit rotations; ``substeps_per_step`` refines it.
+- The same pair with ``substeps_per_step=None`` evolves exactly, without
+  splitting: each step applies ``exp(-i H dt)`` through a Lanczos
+  (Krylov) expansion, :func:`expm_krylov`, on a matrix-free operator built
+  from X flips and the target diagonal.  No matrix is formed.
+- A pair of dense Hermitian matrices evolves by per-step
+  eigendecomposition.  It has no Trotter error either, and is the
+  reference implementation for convergence tests.  On the matrix-method
+  anneals (32 x 32, thousands of short steps) ``eigh`` outruns a Krylov
+  step on ``M @ v``, so dense pairs keep it.
 
 Step times follow the pre-step convention: step ``k`` of ``n`` applies
 ``exp(-i H_A(t_k) dt)`` with ``t_k = k * dt``, i.e. the Hamiltonian is
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -77,17 +86,22 @@ def _hamiltonian_qubits(h: Hamiltonian) -> int:
 class AnnealSpec:
     """An interpolation H_A(t) = (1 - s(t)) * driver + s(t) * target.
 
-    Both Hamiltonians must use the same representation: either two
-    PauliPolynomials (driver restricted to identity/single-X terms and a
-    diagonal target, evolved by the exact split step) or two dense
-    Hermitian matrices (evolved by per-step eigendecomposition).
+    Both Hamiltonians must use the same representation, which selects the
+    propagator:
+
+    - two PauliPolynomials (driver restricted to identity/single-X terms,
+      diagonal target): the split step, ``substeps_per_step`` times per
+      step, or, with ``substeps_per_step=None``, the exact matrix-free
+      Krylov step of :func:`expm_krylov`;
+    - two dense Hermitian matrices: per-step eigendecomposition, which is
+      exact, so ``substeps_per_step`` must be 1 or ``None``.
     """
 
     driver: Hamiltonian
     target: Hamiltonian
     schedule: LinearSchedule
     n_steps: int = 10
-    substeps_per_step: int = 1
+    substeps_per_step: Optional[int] = 1
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -99,8 +113,13 @@ class AnnealSpec:
             raise ValueError("driver and target act on different registers")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.substeps_per_step < 1:
+        if self.substeps_per_step is not None and self.substeps_per_step < 1:
             raise ValueError("substeps_per_step must be at least 1")
+        if self.is_dense() and self.substeps_per_step not in (1, None):
+            raise ValueError(
+                "dense Hamiltonians evolve by exact per-step eigendecomposition, "
+                "which has no substeps; use substeps_per_step=1 or None"
+            )
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
         s0 = self.schedule(0.0)
@@ -147,14 +166,19 @@ def _split_driver_parts(driver: PauliPolynomial) -> tuple[float, np.ndarray]:
             x_coeffs[term.factors[0][0]] = term.coefficient.real
         else:
             raise ValueError(
-                "split-step driver must contain only identity and single-qubit X terms"
+                "PauliPolynomial driver must contain only identity and single-qubit X terms"
             )
     return constant, x_coeffs
 
 
+def _qubit_view(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
+    """A little-endian amplitude array with ``qubit`` as the middle axis."""
+    return amps.reshape(2 ** (num_qubits - qubit - 1), 2, 2**qubit)
+
+
 def _apply_x_rotation(amps: np.ndarray, num_qubits: int, qubit: int, angle: float):
     """In-place exp(-i * angle * X_qubit) on a little-endian amplitude array."""
-    view = amps.reshape(2 ** (num_qubits - qubit - 1), 2, 2**qubit)
+    view = _qubit_view(amps, num_qubits, qubit)
     lower = view[:, 0, :].copy()
     upper = view[:, 1, :]
     cos, sin = math.cos(angle), math.sin(angle)
@@ -168,6 +192,68 @@ def self_adjoint(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if np.max(np.abs(matrix - matrix.conj().T)) > tol:
         raise ValueError("matrix is not Hermitian")
     return matrix
+
+
+def expm_krylov(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    dt: float,
+    v: np.ndarray,
+    tol: float = 1e-12,
+    max_iter: int = 100,
+) -> np.ndarray:
+    """``exp(-i H dt) v`` for a Hermitian ``H`` given only as ``matvec(x) = H x``.
+
+    Lanczos iteration with full reorthogonalisation builds an orthonormal
+    Krylov basis V_m and the tridiagonal projection T_m = V_m^* H V_m, then
+    returns ``|v| V_m exp(-i T_m dt) e_1`` (Park & Light, J. Chem. Phys. 85,
+    1986; Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997).  It stops when
+    the a-posteriori error estimate ``beta_{m+1} |[exp(-i T_m dt) e_1]_m|``,
+    relative to ``|v|``, is at most ``tol``.  A happy breakdown (``v`` lies
+    in an invariant subspace, e.g. is an eigenvector) makes ``beta_{m+1}``
+    vanish, so the loop returns there, as it does once the basis spans the
+    whole space.  Raises ``RuntimeError`` if ``max_iter`` iterations do not
+    converge.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    v = np.asarray(v, dtype=complex)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return v.copy()
+    dim = v.size
+    # row-stacked basis: (V.conj() @ w) @ V runs as two contiguous gemv calls
+    basis = np.empty((min(max_iter, dim) + 1, dim), dtype=complex)
+    basis[0] = v / norm
+    alphas, betas = [], []
+    for m in range(min(max_iter, dim)):
+        w = np.asarray(matvec(basis[m]), dtype=complex)
+        alphas.append(float(np.vdot(basis[m], w).real))
+        w = w - alphas[-1] * basis[m]
+        if m:
+            w -= betas[-1] * basis[m - 1]
+        w -= (basis[: m + 1].conj() @ w) @ basis[: m + 1]
+        beta = float(np.linalg.norm(w))
+        energies, vectors = np.linalg.eigh(
+            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        )
+        coeffs = vectors @ (np.exp(-1j * dt * energies) * vectors[0])
+        if beta * abs(coeffs[-1]) <= tol or m + 1 == dim:
+            return norm * (coeffs @ basis[: m + 1])
+        betas.append(beta)
+        basis[m + 1] = w / beta
+    raise RuntimeError(
+        f"Krylov propagator did not reach tol={tol:g} in {max_iter} iterations"
+    )
+
+
+def _apply_x_sum(amps: np.ndarray, num_qubits: int, x_coeffs: np.ndarray) -> np.ndarray:
+    """``sum_q x_q X_q amps``, each X_q an axis flip of the qubit view."""
+    out = np.zeros_like(amps)
+    for qubit in np.nonzero(x_coeffs)[0]:
+        _qubit_view(out, num_qubits, qubit)[...] += (
+            x_coeffs[qubit] * _qubit_view(amps, num_qubits, qubit)[:, ::-1, :]
+        )
+    return out
 
 
 def _dense_step(matrix: np.ndarray, dt: float, amps: np.ndarray) -> np.ndarray:
@@ -203,8 +289,20 @@ def evolve_adiabatic(spec: AnnealSpec, initial: StateVector) -> EvolutionResult:
 
     constant, x_coeffs = _split_driver_parts(spec.driver)
     if not spec.target.is_diagonal():
-        raise ValueError("split-step target must be diagonal (identity/Z terms only)")
+        raise ValueError("PauliPolynomial target must be diagonal (identity/Z terms only)")
     diagonal = spec.target.diagonal()
+
+    if spec.substeps_per_step is None:
+        for k, s in enumerate(fractions):
+
+            def matvec(v, s=s):
+                driven = constant * v + _apply_x_sum(v, spec.num_qubits, x_coeffs)
+                return (1.0 - s) * driven + s * (diagonal * v)
+
+            amps = expm_krylov(matvec, dt, amps)
+            _maybe_snapshot(snapshots, spec, k, amps)
+        return EvolutionResult(snapshots[-1][1], snapshots)
+
     rotated = np.nonzero(x_coeffs)[0]
     sub_dt = dt / spec.substeps_per_step
     for k, s in enumerate(fractions):

@@ -459,21 +459,20 @@ def _paulispin_spec(effective: dict):
     return poly, variable, table, spec
 
 
-def _dense_nn_anneal(hamiltonian, num_qubits: int, effective: dict) -> StateVector:
-    """Anneal the compiled diagonal Hamiltonian with the full-matrix stepper.
+def _nn_anneal(hamiltonian, num_qubits: int, effective: dict) -> StateVector:
+    """Anneal the compiled diagonal Hamiltonian by exact Krylov stepping.
 
     The coarse schedules used for the network runs (10 steps) need the exact
     per-step exponential of the whole interpolated Hamiltonian; splitting the
     driver and target factors at that step count visibly distorts the final
     populations.
     """
-    target = np.diag(hamiltonian.diagonal()).astype(complex)
-    driver = transverse_driver(num_qubits).to_matrix()
     spec = AnnealSpec(
-        driver=driver,
-        target=target,
+        driver=transverse_driver(num_qubits),
+        target=hamiltonian,
         schedule=LinearSchedule(effective["t_final"]),
         n_steps=effective["n_steps"],
+        substeps_per_step=None,
         snapshot_stride=effective["n_steps"],
     )
     return evolve_adiabatic(spec, StateVector.uniform(num_qubits)).final
@@ -656,7 +655,7 @@ def _run_nn_toy(effective, out: Path, cfg_hash: str):
     model = toy_two_layer_model()
     table = model_encoding_table(model, "spin-pm1")
     hamiltonian = compile_hamiltonian(build_loss(model, dataset, effective["loss"]), table)
-    state = _dense_nn_anneal(hamiltonian, table.total_qubits, effective)
+    state = _nn_anneal(hamiltonian, table.total_qubits, effective)
 
     probe = np.vstack([dataset.features, grid_probe(effective["grid_probe_side"])])
     classes = group_degenerate(model, table, state, probe, hamiltonian)
@@ -705,7 +704,7 @@ def _run_nn_binary(effective, out: Path, cfg_hash: str):
     model = binary_pixel_model()
     table = model_encoding_table(model, "binary01")
     hamiltonian = compile_hamiltonian(build_loss(model, train, effective["loss"]), table)
-    state = _dense_nn_anneal(hamiltonian, table.total_qubits, effective)
+    state = _nn_anneal(hamiltonian, table.total_qubits, effective)
 
     classes = group_degenerate(model, table, state, pixel_images().features, hamiltonian)
     weightspace = enumerate_weightspace(model, table, train, test, effective["loss"])
@@ -822,7 +821,7 @@ def _run_accuracy_curves(effective, out: Path, cfg_hash: str):
     model = binary_pixel_model()
     table = model_encoding_table(model, "binary01")
     hamiltonian = compile_hamiltonian(build_loss(model, train, "linear-binary"), table)
-    state = _dense_nn_anneal(hamiltonian, table.total_qubits, effective)
+    state = _nn_anneal(hamiltonian, table.total_qubits, effective)
     weightspace = enumerate_weightspace(model, table, train, test, "linear-binary")
 
     _, q_train, q_test = sample_pool(

@@ -57,6 +57,10 @@ def emit(request):
             # the reporter writes to the captured file descriptor; lift capture
             with capture.global_and_fixture_disabled():
                 reporter.ensure_newline()
+                # under -q the progress dots carry no path, so ensure_newline
+                # leaves them open; break the line after them
+                if reporter._tw.width_of_current_line:
+                    reporter.line("")
                 reporter.write_line(text)
         else:
             print(text)

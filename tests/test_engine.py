@@ -1,8 +1,9 @@
 """Tests for Trotterized adiabatic and real-time evolution.
 
 The dense per-step path exponentiates the full interpolated Hamiltonian and
-has no splitting error, so it is the oracle for the split-step path; both
-are additionally checked against a step-by-step reference coded here.
+has no splitting error, so it is the oracle for the split-step and Krylov
+paths; all are additionally checked against a step-by-step reference coded
+here.
 """
 
 import math
@@ -17,6 +18,7 @@ from aqtrain.engine import (
     LinearSchedule,
     evolve_adiabatic,
     evolve_real_time,
+    expm_krylov,
     instantaneous_spectrum,
     measure_histogram,
     sample_outcomes,
@@ -109,6 +111,14 @@ class TestAnnealSpecValidation:
                 transverse_driver(2), PauliPolynomial.zero(2), LinearSchedule(1.0), **kwargs
             )
 
+    def test_dense_pair_rejects_substeps(self):
+        # eigendecomposition is exact; a substep count would be silently ignored
+        h = random_hermitian(4, seed=1)
+        with pytest.raises(ValueError, match="substeps"):
+            AnnealSpec(h, h, LinearSchedule(1.0), substeps_per_step=4)
+        for substeps in (1, None):
+            AnnealSpec(h, h, LinearSchedule(1.0), substeps_per_step=substeps)
+
     def test_pre_step_times(self):
         spec = AnnealSpec(
             transverse_driver(2), PauliPolynomial.zero(2), LinearSchedule(10.0), n_steps=10
@@ -117,7 +127,8 @@ class TestAnnealSpecValidation:
 
 
 class TestSplitEvolution:
-    def test_uniform_stationary_under_pure_driver(self):
+    @pytest.mark.parametrize("substeps", [1, None])
+    def test_uniform_stationary_under_pure_driver(self, substeps):
         # with a zero target the anneal only ever applies the driver factor,
         # and the uniform state is its eigenvector with eigenvalue zero
         spec = AnnealSpec(
@@ -125,6 +136,7 @@ class TestSplitEvolution:
             PauliPolynomial.zero(4),
             LinearSchedule(10.0),
             n_steps=10,
+            substeps_per_step=substeps,
             snapshot_stride=3,
         )
         uniform = StateVector.uniform(4)
@@ -163,13 +175,39 @@ class TestSplitEvolution:
         assert all(b < a for a, b in zip(infidelities, infidelities[1:]))
         assert infidelities[-1] < 1e-4
 
-    def test_norm_drift_stays_tiny_over_thousand_steps(self):
+    @pytest.mark.parametrize("substeps", [1, None])
+    def test_norm_drift_stays_tiny_over_thousand_steps(self, substeps):
         target, _ = quartic_target(5)
         spec = AnnealSpec(
-            transverse_driver(5), target, LinearSchedule(10.0), n_steps=1000, snapshot_stride=1000
+            transverse_driver(5),
+            target,
+            LinearSchedule(10.0),
+            n_steps=1000,
+            substeps_per_step=substeps,
+            snapshot_stride=1000,
         )
         final = evolve_adiabatic(spec, StateVector.uniform(5)).final
         assert abs(final.norm() - 1.0) < 1e-9
+
+    def test_exact_path_matches_dense_reference_on_coarse_steps(self):
+        # two steps with |H dt| >= 20 each: far beyond any splitting, and
+        # long enough that the Lanczos expansion runs 15+ iterations
+        target, _ = quartic_target(6, strength=20.0)
+        driver = transverse_driver(6)
+        state = random_state(6, seed=7)
+        t_final, n_steps = 12.0, 2
+        dt = t_final / n_steps
+        for s in np.arange(n_steps) / n_steps:
+            h = (1.0 - s) * driver.to_matrix() + s * target.to_matrix()
+            assert np.max(np.abs(np.linalg.eigvalsh(h))) * dt >= 20.0
+        reference = reference_anneal(
+            driver.to_matrix(), target.to_matrix(), t_final, n_steps, state.amplitudes.astype(complex)
+        )
+        spec = AnnealSpec(
+            driver, target, LinearSchedule(t_final), n_steps=n_steps, substeps_per_step=None
+        )
+        final = evolve_adiabatic(spec, state).final
+        assert np.max(np.abs(final.amplitudes - reference)) < 1e-10
 
     def test_rejects_non_diagonal_target(self):
         bad_target = pauli_x(3, 1)
@@ -208,6 +246,36 @@ class TestSplitEvolution:
             overlaps.append(final.probabilities()[ground_index])
         assert all(b >= a for a, b in zip(overlaps, overlaps[1:]))
         assert overlaps[-1] > 0.9
+
+
+class TestKrylovPropagator:
+    def test_matches_eigendecomposition(self):
+        h = random_hermitian(64, seed=21)
+        v = random_state(6, seed=22).amplitudes.astype(complex)
+        dt = 0.7
+        energies, vectors = np.linalg.eigh(h)
+        expected = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ v))
+        result = expm_krylov(lambda x: h @ x, dt, v)
+        assert np.max(np.abs(result - expected)) < 1e-10
+
+    def test_eigenvector_needs_one_iteration(self):
+        h = random_hermitian(32, seed=23)
+        energies, vectors = np.linalg.eigh(h)
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return h @ x
+
+        result = expm_krylov(matvec, 2.5, vectors[:, 3])
+        assert len(calls) == 1
+        assert np.allclose(result, np.exp(-2.5j * energies[3]) * vectors[:, 3], atol=1e-12)
+
+    def test_raises_when_max_iter_is_too_small(self):
+        h = random_hermitian(64, seed=24)
+        v = random_state(6, seed=25).amplitudes.astype(complex)
+        with pytest.raises(RuntimeError, match="did not reach"):
+            expm_krylov(lambda x: h @ x, 1.0, v, max_iter=3)
 
 
 class TestDenseEvolution:

@@ -48,10 +48,9 @@ from .matrix_method import (
     momentum_to_position,
 )
 from .nn import (
+    PROBABILITY_DECIMALS,
     accuracy_vs_runs,
     binary_pixel_model,
-    build_loss,
-    compile_hamiltonian,
     enumerate_weightspace,
     grid_probe,
     group_degenerate,
@@ -60,6 +59,7 @@ from .nn import (
     term_stats,
     toy_two_layer_model,
 )
+from .pauli import PauliPolynomial
 from .state import StateVector
 from .varpoly import VarPolynomial, parse_polynomial
 
@@ -449,17 +449,18 @@ def _paulispin_spec(effective: dict):
     variable = sorted(poly.variables)[0]
     num_qubits = effective["num_qubits"]
     table = EncodingTable.single_fractional(variable, num_qubits)
+    objective = poly.evaluate(table.decode_columns())
     spec = AnnealSpec(
         driver=transverse_driver(num_qubits),
-        target=poly.substitute_encodings(table),
+        target=PauliPolynomial.from_diagonal(objective),
         schedule=LinearSchedule(effective["t_final"]) if "t_final" in effective else LinearSchedule(1.0),
         n_steps=effective.get("n_steps", 1),
         snapshot_stride=max(1, effective.get("n_steps", 1)),
     )
-    return poly, variable, table, spec
+    return objective, variable, table, spec
 
 
-def _nn_anneal(hamiltonian, num_qubits: int, effective: dict) -> StateVector:
+def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> StateVector:
     """Anneal the compiled diagonal Hamiltonian by exact Krylov stepping.
 
     The coarse schedules used for the network runs (10 steps) need the exact
@@ -468,14 +469,14 @@ def _nn_anneal(hamiltonian, num_qubits: int, effective: dict) -> StateVector:
     populations.
     """
     spec = AnnealSpec(
-        driver=transverse_driver(num_qubits),
+        driver=transverse_driver(hamiltonian.num_qubits),
         target=hamiltonian,
         schedule=LinearSchedule(effective["t_final"]),
         n_steps=effective["n_steps"],
         substeps_per_step=None,
         snapshot_stride=effective["n_steps"],
     )
-    return evolve_adiabatic(spec, StateVector.uniform(num_qubits)).final
+    return evolve_adiabatic(spec, StateVector.uniform(hamiltonian.num_qubits)).final
 
 
 def _well_masses(w: np.ndarray, density: np.ndarray) -> tuple:
@@ -608,7 +609,7 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
 
 
 def _run_anneal_paulispin(effective, out: Path, cfg_hash: str):
-    poly, variable, table, spec = _paulispin_spec(effective)
+    objective, variable, table, spec = _paulispin_spec(effective)
     result = evolve_adiabatic(spec, StateVector.uniform(effective["num_qubits"]))
     probabilities = result.final.probabilities()
     values = table.decode_columns()[variable]
@@ -632,14 +633,13 @@ def _run_anneal_paulispin(effective, out: Path, cfg_hash: str):
         },
     )
     top = int(np.argmax(probabilities))
-    centers = np.sort(values)
-    objective = np.array([poly.evaluate({variable: float(v)}) for v in centers])
     headline = {
         "top_bin_w": float(values[top]),
         "top_bin_probability": float(probabilities[top]),
         "top_bitstring": report_bitstring(top, effective["num_qubits"]),
         "bin_width": 0.5 ** effective["num_qubits"],
-        "objective_minimum_w": float(centers[int(np.argmin(objective))]),
+        # argmin over ascending w, so ties go to the smallest w
+        "objective_minimum_w": float(values[order[np.argmin(objective[order])]]),
     }
     return headline, ["histogram.json"]
 
@@ -654,13 +654,13 @@ def _run_nn_toy(effective, out: Path, cfg_hash: str):
     dataset = _toy_dataset(effective)
     model = toy_two_layer_model()
     table = model_encoding_table(model, "spin-pm1")
-    hamiltonian = compile_hamiltonian(build_loss(model, dataset, effective["loss"]), table)
-    state = _nn_anneal(hamiltonian, table.total_qubits, effective)
+    weightspace = enumerate_weightspace(model, table, dataset, dataset, effective["loss"])
+    hamiltonian = PauliPolynomial.from_diagonal(weightspace.losses)
+    state = _nn_anneal(hamiltonian, effective)
 
     probe = np.vstack([dataset.features, grid_probe(effective["grid_probe_side"])])
-    classes = group_degenerate(model, table, state, probe, hamiltonian)
-    weightspace = enumerate_weightspace(model, table, dataset, dataset, effective["loss"])
-    stats = term_stats(model, dataset, effective["loss"], table)
+    classes = group_degenerate(model, table, state, probe, weightspace.losses)
+    stats = term_stats(model, dataset, hamiltonian)
 
     _write_dataset(
         out / "dataset.csv",
@@ -703,14 +703,14 @@ def _run_nn_binary(effective, out: Path, cfg_hash: str):
     train, test = balanced_pixel_split(effective["split_seed"])
     model = binary_pixel_model()
     table = model_encoding_table(model, "binary01")
-    hamiltonian = compile_hamiltonian(build_loss(model, train, effective["loss"]), table)
-    state = _nn_anneal(hamiltonian, table.total_qubits, effective)
-
-    classes = group_degenerate(model, table, state, pixel_images().features, hamiltonian)
     weightspace = enumerate_weightspace(model, table, train, test, effective["loss"])
-    stats = term_stats(model, train, effective["loss"], table)
+    hamiltonian = PauliPolynomial.from_diagonal(weightspace.losses)
+    state = _nn_anneal(hamiltonian, effective)
+
+    classes = group_degenerate(model, table, state, pixel_images().features, weightspace.losses)
+    stats = term_stats(model, train, hamiltonian)
     probabilities = state.probabilities()
-    top_state = int(np.argmax(probabilities))
+    top_state = int(np.argmax(np.round(probabilities, PROBABILITY_DECIMALS)))
 
     header = {"experiment": "nn-binary", "config_hash": cfg_hash, "split_seed": effective["split_seed"]}
     _write_dataset(out / "train.csv", train, header)
@@ -820,9 +820,8 @@ def _run_accuracy_curves(effective, out: Path, cfg_hash: str):
     train, test = balanced_pixel_split(effective["split_seed"])
     model = binary_pixel_model()
     table = model_encoding_table(model, "binary01")
-    hamiltonian = compile_hamiltonian(build_loss(model, train, "linear-binary"), table)
-    state = _nn_anneal(hamiltonian, table.total_qubits, effective)
     weightspace = enumerate_weightspace(model, table, train, test, "linear-binary")
+    state = _nn_anneal(PauliPolynomial.from_diagonal(weightspace.losses), effective)
 
     _, q_train, q_test = sample_pool(
         state, weightspace, effective["pool"], effective["seed"]

@@ -9,9 +9,9 @@ dataset gives the loss as a single :class:`VarPolynomial`, ready to encode
 into a diagonal Hamiltonian whose ground state is the trained network.
 
 The numeric forward pass is implemented independently of the symbolic one
-(vectorized over weight configurations and inputs), so exhaustive weight
-enumeration doubles as the ground-truth oracle for everything the
-compilation path produces.
+(vectorized over weight configurations and inputs).  Runs compile the
+Hamiltonian from the enumerated losses (``PauliPolynomial.from_diagonal``);
+the symbolic path is the paper's construction and the oracle for it.
 """
 
 from __future__ import annotations
@@ -324,7 +324,11 @@ def build_loss(model: ModelSpec, dataset: Dataset, kind: str) -> VarPolynomial:
 
 
 def compile_hamiltonian(loss: VarPolynomial, table: EncodingTable) -> PauliPolynomial:
-    """Encode each weight variable, yielding the diagonal target Hamiltonian."""
+    """Encode each weight variable, yielding the diagonal target Hamiltonian.
+
+    This is the paper's construction; runs compile the same operator from
+    the enumerated losses, and this path is the oracle for its coefficients.
+    """
     missing = loss.variables - set(table.names)
     if missing:
         raise ValueError(f"no encoding for variables {sorted(missing)}")
@@ -495,6 +499,9 @@ def enumerate_weightspace(
 #: the probe up to float noise.
 PREDICTION_DECIMALS = 9
 
+#: Rounding of probabilities before ranking, so symmetric partners tie by index.
+PROBABILITY_DECIMALS = 12
+
 
 @dataclass(frozen=True)
 class DegeneracyClass:
@@ -521,43 +528,39 @@ def group_degenerate(
     table: EncodingTable,
     state: StateVector,
     probe_features,
-    hamiltonian: PauliPolynomial,
+    energies,
 ) -> list[DegeneracyClass]:
     """Group basis states by the prediction function they induce.
 
-    Classes are sorted by total probability (ties by representative index);
-    the representative is the lowest basis index in the class and the
-    energy is its diagonal Hamiltonian entry.
+    Classes are sorted by total probability at PROBABILITY_DECIMALS (ties by
+    representative index); the representative is the lowest basis index in
+    the class and the energy is its entry of ``energies``, the enumerated loss.
     """
     n = table.total_qubits
     if n > ENUMERATION_QUBIT_CAP:
         raise ValueError(f"degeneracy grouping supports at most {ENUMERATION_QUBIT_CAP} qubits")
     if state.num_qubits != n:
         raise ValueError("state register does not match the encoding table")
-    probs = state.probabilities()
-    diag = hamiltonian.diagonal()
     outputs = forward_configs(model, table.decode_columns(), probe_features)
-    outputs = outputs.reshape(2**n, -1)
     # +0.0 maps -0.0 to 0.0 so byte-level keys are canonical
-    rounded = np.round(outputs, PREDICTION_DECIMALS) + 0.0
-    members: dict[bytes, list[int]] = {}
-    for index in range(2**n):
-        members.setdefault(rounded[index].tobytes(), []).append(index)
-    classes = []
-    for key, indices in members.items():
-        representative = min(indices)
-        classes.append(
-            DegeneracyClass(
-                representative_index=representative,
-                bitstring=report_bitstring(representative, n),
-                weights=table.decode_index(representative),
-                probability=float(sum(probs[i] for i in indices)),
-                energy=float(diag[representative]),
-                degeneracy=len(indices),
-                prediction_hash=hashlib.sha256(key).hexdigest()[:16],
-            )
+    rounded = np.round(outputs.reshape(2**n, -1), PREDICTION_DECIMALS) + 0.0
+    _, first, inverse, counts = np.unique(
+        rounded, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    totals = np.bincount(inverse.ravel(), weights=state.probabilities())
+    classes = [
+        DegeneracyClass(
+            representative_index=representative,
+            bitstring=report_bitstring(representative, n),
+            weights=table.decode_index(representative),
+            probability=float(total),
+            energy=float(energies[representative]),
+            degeneracy=count,
+            prediction_hash=hashlib.sha256(rounded[representative].tobytes()).hexdigest()[:16],
         )
-    classes.sort(key=lambda c: (-c.probability, c.representative_index))
+        for representative, total, count in zip(first.tolist(), totals, counts.tolist())
+    ]
+    classes.sort(key=lambda c: (-round(c.probability, PROBABILITY_DECIMALS), c.representative_index))
     return classes
 
 
@@ -643,10 +646,8 @@ class TermStats:
         )
 
 
-def term_stats(
-    model: ModelSpec, dataset: Dataset, loss_kind: str, table: EncodingTable
-) -> TermStats:
-    """Measure per-sample network size and Hamiltonian size.
+def term_stats(model: ModelSpec, dataset: Dataset, hamiltonian: PauliPolynomial) -> TermStats:
+    """Measure per-sample network size and the size of the run's Hamiltonian.
 
     The per-sample output polynomial stays below M**(d**L) monomials (M the
     widest fan-in, d the largest activation degree, L the layer count); the
@@ -659,7 +660,6 @@ def term_stats(
         output = symbolic_forward(model, features)[0]
         network_terms = max(network_terms, output.term_count)
         network_degree = max(network_degree, output.degree)
-    hamiltonian = compile_hamiltonian(build_loss(model, dataset, loss_kind), table)
     fan_in = max(layer.fan_in for layer in model.layers)
     degree = max(layer.activation.polynomial_degree(layer.fan_in) for layer in model.layers)
     return TermStats(
@@ -667,5 +667,5 @@ def term_stats(
         network_degree=network_degree,
         hamiltonian_term_count=hamiltonian.num_terms,
         generic_bound=fan_in ** (degree ** len(model.layers)),
-        diagonal_bound=2**table.total_qubits,
+        diagonal_bound=2**hamiltonian.num_qubits,
     )

@@ -15,7 +15,7 @@ Sign conventions (fixed package-wide):
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -175,8 +175,19 @@ class PauliPolynomial:
         return poly
 
     @classmethod
-    def from_strings(cls, num_qubits: int, strings: Iterable[PauliString]) -> "PauliPolynomial":
-        return cls(num_qubits, strings)
+    def from_diagonal(cls, values) -> "PauliPolynomial":
+        """Z-string expansion of a real diagonal; the inverse of :meth:`diagonal`.
+
+        The Z-string on ``zmask`` gets the Walsh-Hadamard transform of
+        ``values`` at ``zmask``, divided by ``len(values)``.
+        """
+        values = np.asarray(values, dtype=float)
+        dim = values.size
+        if values.ndim != 1 or dim < 2 or dim & (dim - 1):
+            raise ValueError("diagonal must be a vector whose length is a power of two")
+        n = dim.bit_length() - 1
+        patterns = (tuple((q, "Z") for q in range(n) if m >> q & 1) for m in range(dim))
+        return cls(n, dict(zip(patterns, _walsh_hadamard(values) / dim)))
 
     def _accumulate_string(self, term: PauliString):
         if term.max_qubit() >= self.num_qubits:
@@ -301,21 +312,16 @@ class PauliPolynomial:
     def diagonal(self) -> np.ndarray:
         """Diagonal of an I/Z-only polynomial as a real vector.
 
-        Each Z-string contributes ``coeff * (-1)**parity(index & zmask)``;
-        a single vectorized pass per term.
+        Each Z-string contributes ``coeff * (-1)**parity(index & zmask)``:
+        the Walsh-Hadamard transform of the coefficients indexed by Z-mask.
         """
         if not self.is_diagonal():
             raise ValueError("polynomial has X/Y factors and is not diagonal")
-        dim = 2**self.num_qubits
-        indices = np.arange(dim, dtype=np.uint64)
-        diag = np.zeros(dim, dtype=complex)
+        coeffs = np.zeros(2**self.num_qubits, dtype=complex)
         for pattern, coeff in self._terms.items():
-            zmask = 0
-            for qubit, _ in pattern:
-                zmask |= 1 << qubit
-            signs = 1.0 - 2.0 * _parity(indices & np.uint64(zmask))
-            diag += coeff * signs
-        residual = np.max(np.abs(diag.imag)) if dim else 0.0
+            coeffs[sum(1 << qubit for qubit, _ in pattern)] = coeff
+        diag = _walsh_hadamard(coeffs)
+        residual = np.max(np.abs(diag.imag))
         if residual > 1e-9:
             raise ValueError("diagonal polynomial has non-real spectrum")
         return diag.real
@@ -385,6 +391,15 @@ class PauliPolynomial:
     @classmethod
     def from_json(cls, text: str) -> "PauliPolynomial":
         return cls.from_json_dict(json.loads(text))
+
+
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalised transform ``out[k] = sum_i (-1)**parity(i & k) * values[i]``."""
+    out = np.array(values)
+    for q in range(out.size.bit_length() - 1):
+        pairs = out.reshape(-1, 2, 1 << q)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    return out
 
 
 def _parity(values: np.ndarray) -> np.ndarray:

@@ -21,11 +21,6 @@ def basis_bits(index: int, num_qubits: int) -> tuple[int, ...]:
     return tuple((index >> q) & 1 for q in range(num_qubits))
 
 
-def index_of_bits(bits) -> int:
-    """Inverse of :func:`basis_bits`."""
-    return sum(int(b) << q for q, b in enumerate(bits))
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A normalized pure state; treated as immutable after construction."""

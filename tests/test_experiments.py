@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aqtrain import cli
+from aqtrain import cli, nn
 from aqtrain.experiments import (
     EXPERIMENT_KINDS,
     SCHEMAS,
@@ -20,6 +20,7 @@ from aqtrain.experiments import (
     run_experiment,
     validate_config,
 )
+from aqtrain.varpoly import VarPolynomial
 
 #: smallest config per kind that still exercises the full runner
 SMALL = {
@@ -262,6 +263,18 @@ class TestRunners:
         atomic_write_text(target, "second\n")
         assert target.read_text() == "second\n"
         assert not (tmp_path / "file.csv.tmp").exists()
+
+
+def test_runs_compile_from_enumerated_losses(monkeypatch, tmp_path):
+    # the symbolic compiler is a test oracle only; no run may reach it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run compiled symbolically")
+
+    monkeypatch.setattr(nn, "build_loss", refuse)
+    monkeypatch.setattr(VarPolynomial, "substitute_encodings", refuse)
+    for kind in ("nn-toy", "nn-binary", "anneal-paulispin"):
+        headline = run_experiment(SMALL[kind], tmp_path / kind).summary["headline"]
+        assert headline.get("term_bounds_ok", True) is True
 
 
 class TestCli:

@@ -34,6 +34,7 @@ from aqtrain.nn import (
     theta_polynomial,
     toy_two_layer_model,
 )
+from aqtrain.pauli import PauliPolynomial
 from aqtrain.state import StateVector
 from aqtrain.varpoly import VarPolynomial
 
@@ -221,6 +222,10 @@ class TestCompileHamiltonian:
         assert hamiltonian.is_diagonal()
         enumerated = enumerate_weightspace(model, table, data, data, "mse")
         assert np.max(np.abs(hamiltonian.diagonal() - enumerated.losses)) <= 1e-9
+        # the symbolic compiler is the oracle for the coefficients a run uses
+        compiled = PauliPolynomial.from_diagonal(enumerated.losses)
+        assert hamiltonian.allclose(compiled, 1e-9)
+        assert hamiltonian.num_terms == compiled.num_terms
 
     def test_binary_diagonal_matches_enumeration(self):
         model, table, train, test = _binary_setup()
@@ -228,6 +233,9 @@ class TestCompileHamiltonian:
         enumerated = enumerate_weightspace(model, table, train, test, "linear-binary")
         assert hamiltonian.diagonal().shape == (1024,)
         assert np.max(np.abs(hamiltonian.diagonal() - enumerated.losses)) <= 1e-9
+        compiled = PauliPolynomial.from_diagonal(enumerated.losses)
+        assert hamiltonian.allclose(compiled, 1e-9)
+        assert hamiltonian.num_terms == compiled.num_terms
 
     def test_constant_loss_is_identity_multiple(self):
         table = EncodingTable.uniform(["w"], kind="spin-pm1")
@@ -325,9 +333,9 @@ class TestEnumerateWeightspace:
 class TestGroupDegenerate:
     def test_uniform_state_probabilities_match_degeneracy(self):
         model, table, data = _toy_setup(n=100)
-        hamiltonian = compile_hamiltonian(build_loss(model, data, "mse"), table)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
         probe = np.vstack([data.features, grid_probe()])
-        classes = group_degenerate(model, table, StateVector.uniform(6), probe, hamiltonian)
+        classes = group_degenerate(model, table, StateVector.uniform(6), probe, losses)
         assert sum(c.degeneracy for c in classes) == 64
         for cls in classes:
             assert cls.probability == pytest.approx(cls.degeneracy / 64)
@@ -335,12 +343,12 @@ class TestGroupDegenerate:
 
     def test_sign_flip_partners_share_a_class(self):
         model, table, data = _toy_setup(n=100)
-        hamiltonian = compile_hamiltonian(build_loss(model, data, "mse"), table)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
         probe = grid_probe(side=11)
         for index in (0, 9, 33):
             partner = index ^ 0b000011  # flip w1_11 and w1_12 together
-            one = group_degenerate(model, table, StateVector.basis(6, index), probe, hamiltonian)
-            two = group_degenerate(model, table, StateVector.basis(6, partner), probe, hamiltonian)
+            one = group_degenerate(model, table, StateVector.basis(6, index), probe, losses)
+            two = group_degenerate(model, table, StateVector.basis(6, partner), probe, losses)
             top_one = max(one, key=lambda c: c.probability)
             top_two = max(two, key=lambda c: c.probability)
             assert top_one.prediction_hash == top_two.prediction_hash
@@ -348,9 +356,9 @@ class TestGroupDegenerate:
 
     def test_classes_sorted_by_probability(self):
         model, table, data = _toy_setup(n=100)
-        hamiltonian = compile_hamiltonian(build_loss(model, data, "mse"), table)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
         state = StateVector.basis(6, 7)
-        classes = group_degenerate(model, table, state, grid_probe(side=5), hamiltonian)
+        classes = group_degenerate(model, table, state, grid_probe(side=5), losses)
         probs = [c.probability for c in classes]
         assert probs == sorted(probs, reverse=True)
         assert isinstance(classes[0], DegeneracyClass)
@@ -360,11 +368,23 @@ class TestGroupDegenerate:
 
         assert classes[0].bitstring == report_bitstring(classes[0].representative_index, 6)
 
+    def test_near_ties_rank_by_representative_index(self):
+        # equal probabilities up to rounding noise must not reorder classes
+        model, table, data = _toy_setup(n=20)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
+        amplitudes = np.zeros(64)
+        amplitudes[[0, 1]] = np.sqrt(0.5)
+        amplitudes[1] = np.nextafter(amplitudes[1], 1.0)  # index 1 wins by ~1e-16
+        classes = group_degenerate(model, table, StateVector(amplitudes), grid_probe(5), losses)
+        first, second = classes[:2]
+        assert (first.representative_index, second.representative_index) == (0, 1)
+        assert 0 < second.probability - first.probability < 1e-15
+
     def test_register_mismatch_rejected(self):
         model, table, data = _toy_setup(n=20)
-        hamiltonian = compile_hamiltonian(build_loss(model, data, "mse"), table)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
         with pytest.raises(ValueError):
-            group_degenerate(model, table, StateVector.uniform(5), grid_probe(5), hamiltonian)
+            group_degenerate(model, table, StateVector.uniform(5), grid_probe(5), losses)
 
 
 class TestSamplePool:
@@ -436,7 +456,8 @@ class TestAccuracyVsRuns:
 class TestTermStats:
     def test_toy_counts_and_bounds(self):
         model, table, data = _toy_setup(n=50)
-        stats = term_stats(model, data, "mse", table)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
+        stats = term_stats(model, data, PauliPolynomial.from_diagonal(losses))
         assert stats.network_term_count == 7
         assert stats.network_degree == 3
         assert stats.generic_bound == 16  # fan-in 2, degree 2, two layers
@@ -444,8 +465,9 @@ class TestTermStats:
         assert stats.within_bounds
 
     def test_binary_counts_and_bounds(self):
-        model, table, train, _ = _binary_setup()
-        stats = term_stats(model, train, "linear-binary", table)
+        model, table, train, test = _binary_setup()
+        losses = enumerate_weightspace(model, table, train, test, "linear-binary").losses
+        stats = term_stats(model, train, PauliPolynomial.from_diagonal(losses))
         assert stats.network_degree <= 10
         assert stats.hamiltonian_term_count <= 1024
         assert stats.generic_bound == 4**16

@@ -189,6 +189,32 @@ class TestPauliPolynomial:
             pauli_z(13, 0).to_matrix()
 
 
+class TestFromDiagonal:
+    def test_round_trip_both_directions(self):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=64)
+        poly = PauliPolynomial.from_diagonal(values)
+        assert poly.num_qubits == 6 and poly.is_diagonal()
+        assert np.max(np.abs(poly.diagonal() - values)) <= 1e-12
+        terms = [(complex(rng.normal()), {q: "Z" for q in range(6) if rng.random() < 0.5}) for _ in range(8)]
+        z_poly = PauliPolynomial(6, [PauliString(c, f) for c, f in terms])
+        back = PauliPolynomial.from_diagonal(z_poly.diagonal())
+        assert back.allclose(z_poly, 1e-12) and back.num_terms == z_poly.num_terms
+
+    def test_coefficient_is_normalized_trace(self):
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=8)
+        poly = PauliPolynomial.from_diagonal(values)
+        for factors in ({}, {0: "Z"}, {1: "Z", 2: "Z"}, {0: "Z", 1: "Z", 2: "Z"}):
+            z_diag = np.diag(dense_reference(3, [(1.0, factors)])).real
+            assert poly.coefficient(factors) == pytest.approx(np.mean(z_diag * values), abs=1e-14)
+
+    def test_rejects_bad_shapes(self):
+        for bad in (np.ones(3), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="power of two"):
+                PauliPolynomial.from_diagonal(bad)
+
+
 class TestBinaryProjector:
     def test_matrix_forms(self):
         t = binary_projector(1, 0, +1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aqtrain.encodings import Binary01, EncodingTable, FractionalBinary, SpinPM1
+from aqtrain.pauli import PauliPolynomial
 from aqtrain.varpoly import VarPolynomial, parse_polynomial
 
 
@@ -139,6 +140,15 @@ class TestSubstituteEncodings:
         table = EncodingTable.uniform(["w"], "binary01")
         with pytest.raises(KeyError, match="u"):
             VarPolynomial.variable("u").substitute_encodings(table)
+
+    def test_paulispin_target_matches_enumerated_objective(self):
+        # the anneal-paulispin target compiles the objective on every basis
+        # state; the symbolic substitution is its oracle
+        table = EncodingTable.single_fractional("w", 7)
+        poly = parse_polynomial("18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573") * 50.0
+        compiled = PauliPolynomial.from_diagonal(poly.evaluate(table.decode_columns()))
+        oracle = poly.substitute_encodings(table)
+        assert compiled.allclose(oracle, 1e-9) and compiled.num_terms == oracle.num_terms
 
     def test_compiled_operator_is_diagonal(self):
         table = EncodingTable.single_fractional("w", 3)

@@ -12,6 +12,12 @@ The numeric forward pass is implemented independently of the symbolic one
 (vectorized over weight configurations and inputs).  Runs compile the
 Hamiltonian from the enumerated losses (``PauliPolynomial.from_diagonal``);
 the symbolic path is the paper's construction and the oracle for it.
+
+The per-sample term counts behind the paper's M**(d**L) bound come from one
+symbolic pass with the inputs as variables too: evaluating at a sample is a
+ring homomorphism R[w, x] -> R[w], so that polynomial's coefficients,
+evaluated with numpy on every sample, give each per-sample polynomial
+(:func:`per_sample_terms`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .datasets import Dataset
 from .encodings import EncodingTable, report_bitstring
 from .pauli import PauliPolynomial
 from .state import StateVector
-from .varpoly import VarPolynomial
+from .varpoly import DROP_TOLERANCE, VarPolynomial
 
 ENUMERATION_QUBIT_CAP = 20
 
@@ -284,7 +290,11 @@ def symbolic_forward(model: ModelSpec, x) -> list[VarPolynomial]:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.input_dim,):
         raise ValueError(f"input must have shape ({model.input_dim},), got {x.shape}")
-    values = [VarPolynomial.constant(float(v)) for v in x]
+    return _propagate(model, [VarPolynomial.constant(float(v)) for v in x])
+
+
+def _propagate(model: ModelSpec, values: list[VarPolynomial]) -> list[VarPolynomial]:
+    """Output polynomials of the layer stack for input polynomials ``values``."""
     for layer in model.layers:
         outputs = []
         for row, bias in zip(layer.weights, layer.biases):
@@ -484,7 +494,7 @@ def enumerate_weightspace(
         )
     columns = table.decode_columns()
     train_out = forward_configs(model, columns, train.features)
-    test_out = forward_configs(model, columns, test.features)
+    test_out = train_out if test is train else forward_configs(model, columns, test.features)
     return WeightspaceTable(
         losses=_numeric_loss(train_out, train.labels, loss_kind),
         train_accuracy=_accuracy_matrix(train_out, train.labels),
@@ -646,25 +656,74 @@ class TermStats:
         )
 
 
+def per_sample_terms(model: ModelSpec, features) -> tuple[np.ndarray, np.ndarray]:
+    """Term count and degree of ``symbolic_forward(model, x)[0]`` for each row x.
+
+    One symbolic pass builds the first output as a polynomial P(w, x) in the
+    weights and the input variables ``x_0, x_1, ...``.  Evaluating at x0 is a
+    ring homomorphism R[w, x] -> R[w], and the forward pass (the step-majority
+    expansion included) uses only ring operations, so P(w, x0) is, in exact
+    arithmetic, the per-sample polynomial.  Its coefficient on a weight monomial is the sum of
+    ``coeff * prod_j x0_j**e_j`` over P's terms with that weight part; a
+    monomial counts when that sum reaches ``DROP_TOLERANCE``, the cut
+    ``VarPolynomial`` prunes with.  The zero polynomial has degree 0.
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    if features.shape[1] != model.input_dim:
+        raise ValueError(f"features must have {model.input_dim} columns")
+    inputs = [f"x_{j}" for j in range(model.input_dim)]
+    clash = sorted(set(inputs) & set(model.variable_names))
+    if clash:
+        raise ValueError(f"model variables {clash} clash with the reserved input names")
+    network = _propagate(model, [VarPolynomial.variable(name) for name in inputs])[0]
+
+    position = {name: j for j, name in enumerate(inputs)}
+    monomial_column: dict[tuple, int] = {}
+    monomial_degree: list[int] = []
+    term_column = np.zeros(network.term_count, dtype=int)
+    exponents = np.zeros((network.term_count, len(inputs)), dtype=int)
+    coefficients = np.zeros(network.term_count)
+    for t, (key, coeff) in enumerate(network.items()):
+        weight_part = []
+        for name, exponent in key:
+            if name in position:
+                exponents[t, position[name]] = exponent
+            else:
+                weight_part.append((name, exponent))
+        weight_part = tuple(weight_part)
+        if weight_part not in monomial_column:
+            monomial_column[weight_part] = len(monomial_degree)
+            monomial_degree.append(sum(e for _, e in weight_part))
+        term_column[t] = monomial_column[weight_part]
+        coefficients[t] = coeff
+
+    # (samples, terms) values of coeff * prod_j x_j**e_j, summed per weight monomial
+    values = coefficients * np.prod(features[:, None, :] ** exponents, axis=2)
+    per_monomial = np.zeros((features.shape[0], len(monomial_degree)))
+    np.add.at(per_monomial, (slice(None), term_column), values)
+    survives = np.abs(per_monomial) >= DROP_TOLERANCE
+    counts = survives.sum(axis=1)
+    degrees = np.max(np.where(survives, monomial_degree, 0), axis=1, initial=0)
+    return counts, degrees
+
+
 def term_stats(model: ModelSpec, dataset: Dataset, hamiltonian: PauliPolynomial) -> TermStats:
     """Measure per-sample network size and the size of the run's Hamiltonian.
 
     The per-sample output polynomial stays below M**(d**L) monomials (M the
     widest fan-in, d the largest activation degree, L the layer count); the
     compiled diagonal Hamiltonian stays below one term per Z-pattern,
-    2**num_qubits.
+    2**num_qubits.  The network is expanded symbolically once, with the
+    inputs as variables, and its coefficients are evaluated on every sample
+    (:func:`per_sample_terms`); the reported figures are the largest term
+    count and degree over the samples.
     """
-    network_terms = 0
-    network_degree = 0
-    for features in dataset.features:
-        output = symbolic_forward(model, features)[0]
-        network_terms = max(network_terms, output.term_count)
-        network_degree = max(network_degree, output.degree)
+    counts, degrees = per_sample_terms(model, dataset.features)
     fan_in = max(layer.fan_in for layer in model.layers)
     degree = max(layer.activation.polynomial_degree(layer.fan_in) for layer in model.layers)
     return TermStats(
-        network_term_count=network_terms,
-        network_degree=network_degree,
+        network_term_count=int(counts.max(initial=0)),
+        network_degree=int(degrees.max(initial=0)),
         hamiltonian_term_count=hamiltonian.num_terms,
         generic_bound=fan_in ** (degree ** len(model.layers)),
         diagonal_bound=2**hamiltonian.num_qubits,

@@ -27,6 +27,7 @@ from aqtrain.nn import (
     grid_probe,
     group_degenerate,
     model_encoding_table,
+    per_sample_terms,
     predict,
     sample_pool,
     symbolic_forward,
@@ -322,6 +323,26 @@ class TestEnumerateWeightspace:
         tp = np.sum((outputs == 1.0) & (train.labels == 1), axis=1)
         assert np.array_equal(result.losses, (fp - tp).astype(float))
 
+    def test_test_set_that_is_the_train_set_is_forwarded_once(self, monkeypatch):
+        import aqtrain.nn as nn_module
+
+        calls = []
+        original = nn_module.forward_configs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nn_module, "forward_configs", counting)
+        model, table, data = _toy_setup(n=40)
+        shared = enumerate_weightspace(model, table, data, data, "mse")
+        assert len(calls) == 1
+        copy = circle_dataset(40, seed=0)
+        separate = enumerate_weightspace(model, table, data, copy, "mse")
+        assert len(calls) == 3
+        assert np.array_equal(shared.test_accuracy, separate.test_accuracy)
+        assert np.array_equal(shared.losses, separate.losses)
+
     def test_register_cap(self):
         model = toy_two_layer_model()
         table = EncodingTable.uniform([f"v{i}" for i in range(21)], kind="binary01")
@@ -472,3 +493,76 @@ class TestTermStats:
         assert stats.hamiltonian_term_count <= 1024
         assert stats.generic_bound == 4**16
         assert stats.within_bounds
+
+
+def _per_sample_oracle(model, features):
+    outputs = [symbolic_forward(model, x)[0] for x in features]
+    return [o.term_count for o in outputs], [o.degree for o in outputs]
+
+
+class TestPerSampleTerms:
+    """The one-pass evaluation against one symbolic forward pass per row."""
+
+    EDGE_ROWS = ((0.0, 0.0), (0.0, 0.5), (0.3, 0.0), (1.0, -1.0), (1e-7, 1e-7), (1e-13, 0.4))
+
+    def _assert_rows_match(self, model, features):
+        counts, degrees = per_sample_terms(model, features)
+        expected_counts, expected_degrees = _per_sample_oracle(model, features)
+        assert counts.tolist() == expected_counts
+        assert degrees.tolist() == expected_degrees
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("make", [circle_dataset, band_dataset], ids=["circle", "band"])
+    def test_toy_rows_match_symbolic_forward(self, make, seed):
+        self._assert_rows_match(toy_two_layer_model(), make(200, seed).features)
+
+    def test_pixel_images_match_symbolic_forward(self):
+        images = pixel_images().features
+        assert len(images) == 16
+        for image in images:
+            self._assert_rows_match(binary_pixel_model(), image[None, :])
+        self._assert_rows_match(binary_pixel_model(), images)
+
+    def test_edge_rows_match_symbolic_forward(self):
+        features = np.array(self.EDGE_ROWS)
+        self._assert_rows_match(toy_two_layer_model(), features)
+        counts, degrees = per_sample_terms(toy_two_layer_model(), features)
+        # an all-zero input leaves only the constant bias
+        assert (counts[0], degrees[0]) == (1, 0)
+
+    def test_zero_polynomial_has_no_terms_and_degree_zero(self):
+        layer = LayerSpec(weights=(("a", "b"),), biases=(0.0,), activation=Identity())
+        model = ModelSpec(input_dim=2, layers=(layer,))
+        counts, degrees = per_sample_terms(model, [(0.0, 0.0), (2.0, 0.0)])
+        assert counts.tolist() == [0, 1]
+        assert degrees.tolist() == [0, 1]
+
+    def test_multiplications_do_not_grow_with_the_sample_count(self, monkeypatch):
+        model, table, _ = _toy_setup(n=10)
+        hamiltonian = PauliPolynomial.identity(table.total_qubits, 1.0)
+        original = VarPolynomial.__mul__
+        calls = []
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(VarPolynomial, "__mul__", counting)
+        counts = []
+        for n in (10, 1000):
+            calls.clear()
+            term_stats(model, circle_dataset(n, seed=0), hamiltonian)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+    def test_weight_named_like_an_input_is_rejected(self):
+        layer = LayerSpec(weights=(("x_0", "w"),), biases=(0.0,), activation=Square())
+        model = ModelSpec(input_dim=2, layers=(layer,))
+        data = circle_dataset(5, seed=0)
+        with pytest.raises(ValueError, match="x_0"):
+            term_stats(model, data, PauliPolynomial.identity(2, 1.0))
+
+    def test_feature_width_validated(self):
+        with pytest.raises(ValueError):
+            per_sample_terms(toy_two_layer_model(), np.zeros((3, 3)))

@@ -7,13 +7,18 @@ keeps the signed linear form, so the relaxed objective is differentiable
 end to end; gradients are hand-derived (the architecture family is fixed,
 so no autodiff machinery is warranted).
 
-Runs are vectorized: a pool of trainings is one batched optimization whose
-per-run slices coincide with individual runs, because every contraction
-uses a fixed einsum order independent of the batch size.
+Runs are vectorized: a pool of trainings is one batched optimization.
+Activations are held as (..., units, samples); a layer fed by the feature
+matrix every run shares is one 2-D GEMM over the stacked weight rows of all
+runs, and deeper layers are stacked matrix products.  Each run's slice is
+bit-equal to training that run alone: BLAS does not promise this across
+batch sizes, so the tests check it, on pools small enough and large enough
+(257 runs) to cross the GEMM's row blocking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +78,8 @@ class RelaxedModel:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    positive = u >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-u[positive]))
-    exp_u = np.exp(u[~positive])
-    out[~positive] = exp_u / (1.0 + exp_u)
-    return out
+    # equals 1 / (1 + exp(-u)) in exact arithmetic; never overflows, needs no mask
+    return 0.5 + 0.5 * np.tanh(0.5 * u)
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:
@@ -87,11 +88,26 @@ def _signs(labels: np.ndarray) -> np.ndarray:
     return np.where(labels == 1, -1.0, 1.0)
 
 
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right``, where a 2-D ``right`` is shared by every run.
+
+    A shared operand is applied as one 2-D GEMM over the (runs * rows, inner)
+    stack of ``left`` instead of one small product per run.
+    """
+    if right.ndim > 2:
+        return left @ right
+    rows = left.reshape(math.prod(left.shape[:-1]), left.shape[-1]) @ right
+    return rows.reshape(left.shape[:-1] + right.shape[-1:])
+
+
 def _forward(relaxed: RelaxedModel, matrices, features):
-    """Layer outputs for batched weights; returns all activations."""
-    activations = [np.broadcast_to(features, matrices[0].shape[:-2] + features.shape)]
+    """Layer activations for batched weights, each shaped (..., units, samples).
+
+    The first entry is the (fan_in, samples) feature matrix every run shares.
+    """
+    activations = [features.T]
     for layer, weight in zip(relaxed.model.layers, matrices):
-        pre = np.einsum("...ij,...aj->...ai", weight, activations[-1])
+        pre = _product(weight, activations[-1])
         activations.append(_sigmoid(relaxed.steepness * (pre - 0.5 * layer.fan_in)))
     return activations
 
@@ -104,8 +120,8 @@ def relaxed_loss(relaxed: RelaxedModel, dataset: Dataset, weights) -> float | np
     weights = np.asarray(weights, dtype=float)
     matrices = relaxed.split(weights)
     signs = _signs(dataset.labels)
-    outputs = _forward(relaxed, matrices, dataset.features)[-1][..., 0]
-    data_term = np.einsum("...a,a->...", outputs, signs)
+    outputs = _forward(relaxed, matrices, dataset.features)[-1][..., 0, :]
+    data_term = outputs @ signs
     penalty = relaxed.penalty * np.sum(weights**2 * (weights - 1.0) ** 2, axis=-1)
     total = data_term + penalty
     return float(total) if total.ndim == 0 else total
@@ -113,25 +129,26 @@ def relaxed_loss(relaxed: RelaxedModel, dataset: Dataset, weights) -> float | np
 
 def gradient(relaxed: RelaxedModel, dataset: Dataset, weights) -> np.ndarray:
     """Hand-derived gradient of :func:`relaxed_loss` in the flat layout."""
+    return _gradient(relaxed, dataset.features, _signs(dataset.labels), weights)
+
+
+def _gradient(relaxed: RelaxedModel, features, signs: np.ndarray, weights) -> np.ndarray:
+    """:func:`gradient` for labels already checked and turned into signs."""
     weights = np.asarray(weights, dtype=float)
     matrices = relaxed.split(weights)
-    signs = _signs(dataset.labels)
-    activations = _forward(relaxed, matrices, dataset.features)
-    # d loss / d output, then walk the layers backwards
-    delta = np.broadcast_to(
-        signs[:, None], activations[-1].shape[:-2] + (signs.size, 1)
-    ).astype(float)
-    blocks = [None] * len(matrices)
-    for position in range(len(matrices) - 1, -1, -1):
-        z = activations[position + 1]
-        dz = delta * relaxed.steepness * z * (1.0 - z)
-        blocks[position] = np.einsum("...ai,...aj->...ij", dz, activations[position])
-        if position > 0:
-            delta = np.einsum("...ij,...ai->...aj", matrices[position], dz)
-    flat = np.concatenate(
-        [b.reshape(b.shape[:-2] + (-1,)) for b in blocks], axis=-1
-    )
+    # non-finite weights are reported by the check below, not by numpy warnings
     with np.errstate(invalid="ignore", over="ignore"):
+        activations = _forward(relaxed, matrices, features)
+        # d loss / d output is the sign of each sample; walk the layers backwards
+        delta = signs
+        blocks = [None] * len(matrices)
+        for position in range(len(matrices) - 1, -1, -1):
+            z = activations[position + 1]
+            dz = delta * relaxed.steepness * z * (1.0 - z)
+            blocks[position] = _product(dz, activations[position].swapaxes(-1, -2))
+            if position > 0:
+                delta = matrices[position].swapaxes(-1, -2) @ dz
+        flat = np.concatenate([b.reshape(b.shape[:-2] + (-1,)) for b in blocks], axis=-1)
         flat += relaxed.penalty * (4.0 * weights**3 - 6.0 * weights**2 + 2.0 * weights)
     if not np.all(np.isfinite(flat)):
         raise RuntimeError(
@@ -205,6 +222,7 @@ def train_pool(
         raise ValueError("need at least one seed")
     if n_steps < 1:
         raise ValueError("need at least one step")
+    signs = _signs(dataset.labels)
     weights = np.stack(
         [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
     )
@@ -216,7 +234,7 @@ def train_pool(
         epsilon=epsilon,
     )
     for _ in range(n_steps):
-        grads = gradient(relaxed, dataset, weights)
+        grads = _gradient(relaxed, dataset.features, signs, weights)
         state, weights = adam_step(state, weights, grads)
     binary = np.where(weights >= 0.5, 1.0, 0.0)
     return [

@@ -223,6 +223,17 @@ QUBIT_CAPS = {
     "mass-scan": ("dense matrix cap", matrix_method.QUBIT_CAP),
 }
 
+#: (runs, steps) parameters of the classical training pool per kind.  The
+#: batched relaxed-Adam pool on the pixel split measured about 1.2 us per
+#: run-step plus 12 us per run, and 1.5 kB of peak memory per run (2 cores,
+#: OpenBLAS), so the caps below bound the training near 60 s and 150 MB
+CLASSICAL_POOL_PARAMETERS = {
+    "classical-pool": ("n_runs", "n_steps"),
+    "accuracy-curves": ("pool", "train_steps"),
+}
+CLASSICAL_RUN_CAP = 100_000
+CLASSICAL_RUN_STEP_BUDGET = 50_000_000
+
 _POSITIVE_FLOATS = {
     "mass",
     "scale",
@@ -317,10 +328,11 @@ def validate_config(config) -> ValidationReport:
     """Check a config against its kind's schema without running anything.
 
     Fills in defaults (reported in notes), rejects unknown keys, enforces
-    value ranges and register caps, and returns the effective config whose
-    canonical JSON defines the config hash.  For the matrix-method kinds the
-    effective config lists only the potential parameters the chosen
-    potential uses; setting one it ignores is an error.
+    value ranges, register caps and the classical training caps, and
+    returns the effective config whose canonical JSON defines the config
+    hash.  For the matrix-method kinds the effective config lists only the
+    potential parameters the chosen potential uses; setting one it ignores
+    is an error.
     """
     notes: list = []
     errors: list = []
@@ -363,6 +375,20 @@ def validate_config(config) -> ValidationReport:
         if effective["num_qubits"] > limit:
             errors.append(
                 f"num_qubits = {effective['num_qubits']} exceeds the {label} of {limit}"
+            )
+    pool = CLASSICAL_POOL_PARAMETERS.get(kind)
+    if pool and all(isinstance(effective[name], int) for name in pool):
+        runs_name, steps_name = pool
+        runs, steps = effective[runs_name], effective[steps_name]
+        if runs > CLASSICAL_RUN_CAP:
+            errors.append(
+                f"{runs_name} = {runs} exceeds the classical memory cap of "
+                f"{CLASSICAL_RUN_CAP} runs"
+            )
+        if runs * steps > CLASSICAL_RUN_STEP_BUDGET:
+            errors.append(
+                f"{runs_name} * {steps_name} = {runs * steps} exceeds the classical "
+                f"time budget of {CLASSICAL_RUN_STEP_BUDGET} run-steps"
             )
     if kind in ("anneal-paulispin", "spectrum") and isinstance(effective["potential"], str):
         if effective["potential"] != "quartic":
@@ -658,8 +684,15 @@ def _run_nn_toy(effective, out: Path, cfg_hash: str):
     hamiltonian = PauliPolynomial.from_diagonal(weightspace.losses)
     state = _nn_anneal(hamiltonian, effective)
 
-    probe = np.vstack([dataset.features, grid_probe(effective["grid_probe_side"])])
-    classes = group_degenerate(model, table, state, probe, weightspace.losses)
+    # the probe is the training rows, already forwarded, then the grid
+    classes = group_degenerate(
+        model,
+        table,
+        state,
+        grid_probe(effective["grid_probe_side"]),
+        weightspace.losses,
+        leading_outputs=weightspace.train_outputs,
+    )
     stats = term_stats(model, dataset, hamiltonian)
 
     _write_dataset(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -460,11 +460,14 @@ class WeightspaceTable:
 
     Row i corresponds to basis index i of the encoding register; built by
     purely numeric forward passes, independent of the symbolic compiler.
+    ``train_outputs`` keeps those passes' (configs, samples) outputs on the
+    training set, so a probe that contains it need not forward it again.
     """
 
     losses: np.ndarray
     train_accuracy: np.ndarray
     test_accuracy: np.ndarray
+    train_outputs: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.losses.size)
@@ -499,6 +502,7 @@ def enumerate_weightspace(
         losses=_numeric_loss(train_out, train.labels, loss_kind),
         train_accuracy=_accuracy_matrix(train_out, train.labels),
         test_accuracy=_accuracy_matrix(test_out, test.labels),
+        train_outputs=train_out,
     )
 
 
@@ -539,12 +543,17 @@ def group_degenerate(
     state: StateVector,
     probe_features,
     energies,
+    leading_outputs=None,
 ) -> list[DegeneracyClass]:
     """Group basis states by the prediction function they induce.
 
     Classes are sorted by total probability at PROBABILITY_DECIMALS (ties by
     representative index); the representative is the lowest basis index in
     the class and the energy is its entry of ``energies``, the enumerated loss.
+    ``leading_outputs``, when given, are every configuration's outputs on
+    probe rows already forwarded (shape (configs, rows), such as
+    ``WeightspaceTable.train_outputs``); the probe is those rows followed by
+    ``probe_features``, and only ``probe_features`` is forwarded here.
     """
     n = table.total_qubits
     if n > ENUMERATION_QUBIT_CAP:
@@ -552,6 +561,8 @@ def group_degenerate(
     if state.num_qubits != n:
         raise ValueError("state register does not match the encoding table")
     outputs = forward_configs(model, table.decode_columns(), probe_features)
+    if leading_outputs is not None:
+        outputs = np.concatenate([leading_outputs, outputs], axis=1)
     # +0.0 maps -0.0 to 0.0 so byte-level keys are canonical
     rounded = np.round(outputs.reshape(2**n, -1), PREDICTION_DECIMALS) + 0.0
     _, first, inverse, counts = np.unique(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aqtrain import classical
 from aqtrain.classical import (
     AdamState,
     RelaxedModel,
@@ -13,7 +14,14 @@ from aqtrain.classical import (
     train_run,
 )
 from aqtrain.datasets import Dataset, balanced_pixel_split
-from aqtrain.nn import accuracy, binary_pixel_model, toy_two_layer_model
+from aqtrain.nn import (
+    LayerSpec,
+    ModelSpec,
+    StepMajority,
+    accuracy,
+    binary_pixel_model,
+    toy_two_layer_model,
+)
 
 # true column-detector weights in declaration order
 PERFECT = np.array([1, 0, 1, 0, 0, 1, 0, 1, 1, 1], dtype=float)
@@ -28,6 +36,43 @@ def _setup(**kwargs):
 
 def _empty_dataset():
     return Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+
+def _three_layer_model():
+    """4 pixels -> 3 majority units -> 2 majority units -> majority output."""
+
+    def layer(name, fan_out, fan_in):
+        weights = tuple(
+            tuple(f"{name}_{i}{j}" for j in range(1, fan_in + 1))
+            for i in range(1, fan_out + 1)
+        )
+        return LayerSpec(weights=weights, biases=(0.0,) * fan_out, activation=StepMajority())
+
+    return ModelSpec(input_dim=4, layers=(layer("a", 3, 4), layer("b", 2, 3), layer("c", 1, 2)))
+
+
+def _reference_gradient(relaxed, dataset, flat):
+    """Gradient of one run, sample by sample, written out from the loss."""
+    k = relaxed.steepness
+    matrices, offset = [], 0
+    for layer in relaxed.model.layers:
+        count = layer.fan_out * layer.fan_in
+        matrices.append(flat[offset : offset + count].reshape(layer.fan_out, layer.fan_in))
+        offset += count
+    grads = [np.zeros_like(m) for m in matrices]
+    for x, label in zip(dataset.features, dataset.labels):
+        outputs = [x]
+        for layer, weight in zip(relaxed.model.layers, matrices):
+            u = k * (weight @ outputs[-1] - 0.5 * layer.fan_in)
+            outputs.append(1.0 / (1.0 + np.exp(-u)))
+        upstream = np.array([-1.0 if label == 1 else 1.0])
+        for position in reversed(range(len(matrices))):
+            z = outputs[position + 1]
+            local = upstream * k * z * (1.0 - z)
+            grads[position] += np.outer(local, outputs[position])
+            upstream = matrices[position].T @ local
+    data = np.concatenate([g.ravel() for g in grads])
+    return data + relaxed.penalty * (4 * flat**3 - 6 * flat**2 + 2 * flat)
 
 
 class TestRelaxedModel:
@@ -99,6 +144,50 @@ class TestGradient:
             scale = max(abs(grad[i]), abs(fd), 1e-8)
             assert abs(grad[i] - fd) / scale <= 1e-4
 
+    @pytest.mark.parametrize("trial", range(3))
+    def test_three_layer_matches_finite_differences(self, trial):
+        relaxed = RelaxedModel(_three_layer_model())
+        train, _ = balanced_pixel_split(seed=0)
+        rng = np.random.default_rng(80 + trial)
+        size = relaxed.num_parameters
+        weights = rng.uniform(-0.2, 1.2, size)
+        grad = gradient(relaxed, train, weights)
+        step = 1e-5
+        for i in range(size):
+            offset = np.zeros(size)
+            offset[i] = step
+            fd = (
+                relaxed_loss(relaxed, train, weights + offset)
+                - relaxed_loss(relaxed, train, weights - offset)
+            ) / (2 * step)
+            scale = max(abs(grad[i]), abs(fd), 1e-8)
+            assert abs(grad[i] - fd) / scale <= 1e-4
+
+    @pytest.mark.parametrize("penalty", [0.0, 50.0])
+    @pytest.mark.parametrize("build", [binary_pixel_model, _three_layer_model])
+    def test_batch_matches_per_run_reference(self, build, penalty):
+        # five runs through the shared-input GEMM and the stacked products
+        # against each run's sample-by-sample backpropagation; the three-layer
+        # model also covers the middle layer's delta.  A saturated sigmoid is
+        # accurate to ~1e-16 absolute, not relative, in either closed form, so
+        # entries below 1 are held to 1e-12 absolute.
+        relaxed = RelaxedModel(build(), penalty=penalty)
+        train, _ = balanced_pixel_split(seed=0)
+        weights = np.random.default_rng(31).uniform(-0.2, 1.2, (5, relaxed.num_parameters))
+        batched = gradient(relaxed, train, weights)
+        assert batched.shape == weights.shape
+        for row, flat in zip(batched, weights):
+            reference = _reference_gradient(relaxed, train, flat)
+            np.testing.assert_allclose(row, reference, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_labels_other_than_zero_one(self):
+        _, relaxed, train, _ = _setup()
+        signed = Dataset(train.features, np.where(train.labels == 1, 1, -1))
+        with pytest.raises(ValueError, match="0/1 labels"):
+            gradient(relaxed, signed, np.full(10, 0.5))
+        with pytest.raises(ValueError, match="0/1 labels"):
+            relaxed_loss(relaxed, signed, np.full(10, 0.5))
+
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_penalty_stationary_points(self, value):
         _, relaxed, _, _ = _setup()
@@ -168,6 +257,33 @@ class TestTrainRun:
             single = train_run(relaxed, train, seed=seed, n_steps=120)
             match = next(r for r in pool if r.seed == seed)
             assert np.array_equal(single.relaxed_weights, match.relaxed_weights)
+
+    def test_large_pool_slices_equal_single_runs(self):
+        # 2 * 257 first-layer rows go through BLAS row blocking in one GEMM;
+        # a single run is a 2-row GEMM
+        _, relaxed, train, _ = _setup()
+        pool = train_pool(relaxed, train, range(257), n_steps=30)
+        for seed in (0, 128, 256):
+            single = train_run(relaxed, train, seed=seed, n_steps=30)
+            assert pool[seed].seed == seed
+            assert np.array_equal(single.relaxed_weights, pool[seed].relaxed_weights)
+
+    def test_rejects_labels_before_any_step(self, monkeypatch):
+        _, relaxed, train, _ = _setup()
+        signed = Dataset(train.features, np.where(train.labels == 1, 1, -1))
+        steps = []
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return classical_gradient(*args, **kwargs)
+
+        classical_gradient = classical._gradient
+        monkeypatch.setattr(classical, "_gradient", counting)
+        with pytest.raises(ValueError, match="0/1 labels"):
+            train_pool(relaxed, signed, range(3), n_steps=5)
+        assert steps == []
+        train_pool(relaxed, train, range(3), n_steps=5)
+        assert len(steps) == 5
 
     def test_weights_binarize(self):
         _, relaxed, train, _ = _setup()

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aqtrain import cli, nn
+from aqtrain import cli, experiments, nn
 from aqtrain.experiments import (
+    CLASSICAL_RUN_CAP,
+    CLASSICAL_RUN_STEP_BUDGET,
     EXPERIMENT_KINDS,
     SCHEMAS,
     atomic_write_text,
@@ -120,6 +122,43 @@ class TestValidation:
         report = validate_config({"kind": "anneal-matrix", "num_qubits": 30})
         assert not report.ok
         assert "cap" in report.errors[0]
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"kind": "classical-pool", "n_runs": 10**9},
+                f"n_runs = {10**9} exceeds the classical memory cap of {CLASSICAL_RUN_CAP} runs",
+            ),
+            (
+                {"kind": "classical-pool", "n_runs": 10**5, "n_steps": 10**4},
+                f"n_runs * n_steps = {10**9} exceeds the classical time budget "
+                f"of {CLASSICAL_RUN_STEP_BUDGET} run-steps",
+            ),
+            (
+                {"kind": "accuracy-curves", "pool": 10**9},
+                f"pool = {10**9} exceeds the classical memory cap of {CLASSICAL_RUN_CAP} runs",
+            ),
+            (
+                {"kind": "accuracy-curves", "pool": 10**4, "train_steps": 10**4},
+                f"pool * train_steps = {10**8} exceeds the classical time budget",
+            ),
+        ],
+    )
+    def test_classical_work_capped_before_running(self, config, message, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized pool must not start training")
+
+        monkeypatch.setattr(experiments, "train_pool", never)
+        assert message in " ".join(validate_config(config).errors)
+        with pytest.raises(ValueError, match="exceeds the classical"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["classical_pool", "accuracy_curves"])
+    def test_shipped_classical_configs_within_caps(self, name):
+        config_dir = Path(__file__).resolve().parent.parent / "configs"
+        assert validate_config(json.loads((config_dir / f"{name}.json").read_text())).ok
 
     def test_choice_parameters_checked(self):
         assert not validate_config({"kind": "nn-toy", "band_rule": "sometimes"}).ok

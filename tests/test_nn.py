@@ -362,6 +362,35 @@ class TestGroupDegenerate:
             assert cls.probability == pytest.approx(cls.degeneracy / 64)
         assert sum(c.probability for c in classes) == pytest.approx(1.0)
 
+    def test_training_outputs_reused_for_the_probe(self, monkeypatch):
+        import aqtrain.nn as nn_module
+
+        model, table, data = _toy_setup(n=100)
+        weightspace = enumerate_weightspace(model, table, data, data, "mse")
+        amplitudes = np.random.default_rng(4).normal(size=64)
+        state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+        probe = np.vstack([data.features, grid_probe(side=7)])
+        full = group_degenerate(model, table, state, probe, weightspace.losses)
+
+        forwarded = []
+        original = nn_module.forward_configs
+
+        def counting(model, columns, features):
+            forwarded.append(len(features))
+            return original(model, columns, features)
+
+        monkeypatch.setattr(nn_module, "forward_configs", counting)
+        reused = group_degenerate(
+            model,
+            table,
+            state,
+            grid_probe(side=7),
+            weightspace.losses,
+            leading_outputs=weightspace.train_outputs,
+        )
+        assert forwarded == [49]
+        assert reused == full
+
     def test_sign_flip_partners_share_a_class(self):
         model, table, data = _toy_setup(n=100)
         losses = enumerate_weightspace(model, table, data, data, "mse").losses

@@ -96,6 +96,7 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """
     if right.ndim > 2:
         return left @ right
+    # an explicit row count: -1 is ambiguous when the inner size is 0 (no samples)
     rows = left.reshape(math.prod(left.shape[:-1]), left.shape[-1]) @ right
     return rows.reshape(left.shape[:-1] + right.shape[-1:])
 

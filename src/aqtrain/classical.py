@@ -198,9 +198,6 @@ class ClassicalRun:
     relaxed_weights: np.ndarray
     binary_weights: np.ndarray
 
-    def assignment(self, model: ModelSpec) -> dict[str, float]:
-        return dict(zip(model.variable_names, self.binary_weights))
-
 
 def train_pool(
     relaxed: RelaxedModel,

@@ -125,25 +125,3 @@ def write_dataset_csv(path, dataset: Dataset, header: dict | None = None):
             else:
                 cells = [f"{value:.17g}" for value in row]
             handle.write(",".join(cells + [str(int(label))]) + "\n")
-
-
-def read_dataset_csv(path) -> tuple[Dataset, dict]:
-    """Read a dataset written by :func:`write_dataset_csv` plus its header."""
-    header: dict = {}
-    rows = []
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                header[key.strip()] = value.strip()
-                continue
-            if line[0].isalpha() or line.startswith('"'):
-                continue  # column names
-            rows.append([float(cell) for cell in line.split(",")])
-    table = np.asarray(rows, dtype=float)
-    if table.size == 0:
-        raise ValueError(f"no samples found in {path}")
-    return Dataset(table[:, :-1], table[:, -1].astype(int)), header

@@ -20,7 +20,6 @@ Variants
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -138,9 +137,6 @@ def index_of_report_bitstring(bits: str) -> int:
     return index
 
 
-_VARIANT_NAMES = {FractionalBinary: "fractional-binary", SpinPM1: "spin-pm1", Binary01: "binary01"}
-
-
 class EncodingTable:
     """Ordered map variable name -> encoding over one shared register.
 
@@ -198,45 +194,3 @@ class EncodingTable:
     def decode_columns(self) -> dict[str, np.ndarray]:
         """Assignment arrays indexed by basis index, one column per variable."""
         return {name: decode_all(enc, self.total_qubits) for name, enc in self._entries.items()}
-
-    def to_json_dict(self) -> list[dict]:
-        out = []
-        for name, enc in self._entries.items():
-            out.append(
-                {
-                    "name": name,
-                    "variant": _VARIANT_NAMES[type(enc)],
-                    "qubits": list(qubits_of(enc)),
-                }
-            )
-        return out
-
-    @classmethod
-    def from_json_dict(cls, payload: list[dict]) -> "EncodingTable":
-        entries = []
-        total = 0
-        for row in payload:
-            qubits = [int(q) for q in row["qubits"]]
-            variant = row["variant"]
-            if variant == "fractional-binary":
-                if qubits != list(range(qubits[0], qubits[0] + len(qubits))):
-                    raise ValueError("fractional-binary qubits must be contiguous")
-                enc: VariableEncoding = FractionalBinary(len(qubits), qubits[0])
-            elif variant == "spin-pm1":
-                (q,) = qubits
-                enc = SpinPM1(q)
-            elif variant == "binary01":
-                (q,) = qubits
-                enc = Binary01(q)
-            else:
-                raise ValueError(f"unknown encoding variant {variant!r}")
-            entries.append((row["name"], enc))
-            total += len(qubits)
-        return cls(entries, total)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EncodingTable":
-        return cls.from_json_dict(json.loads(text))

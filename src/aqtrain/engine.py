@@ -19,6 +19,10 @@ its propagator from the representation and ``substeps_per_step``:
   anneals (32 x 32, thousands of short steps) ``eigh`` outruns a Krylov
   step on ``M @ v``, so dense pairs keep it.
 
+Real-time stepping under a fixed Hamiltonian (:func:`evolve_real_time`,
+used by the ``tunnel`` experiment) is dense-only: it diagonalizes the
+matrix once and rejects a PauliPolynomial.
+
 Step times follow the pre-step convention: step ``k`` of ``n`` applies
 ``exp(-i H_A(t_k) dt)`` with ``t_k = k * dt``, i.e. the Hamiltonian is
 evaluated at the time reached so far, starting from ``t = 0``.
@@ -32,7 +36,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .encodings import EncodingTable, report_bitstring
 from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial, pauli_x
 from .state import StateVector
 
@@ -325,7 +328,7 @@ def _maybe_snapshot(snapshots, spec: AnnealSpec, step_index: int, amps: np.ndarr
 
 
 def evolve_real_time(
-    hamiltonian: Hamiltonian,
+    hamiltonian: np.ndarray,
     initial: StateVector,
     t_total: float,
     dt: float,
@@ -333,62 +336,30 @@ def evolve_real_time(
 ) -> list:
     """Fixed-Hamiltonian stepping exp(-i H dt) repeated round(t_total / dt) times.
 
-    Dense matrices are exponentiated once by eigendecomposition; a
-    PauliPolynomial is applied term by term in canonical order (exact for a
-    diagonal polynomial, first-order Trotter otherwise).  Returns ``(time,
-    state)`` snapshots including the initial and final states.
+    ``hamiltonian`` must be a dense Hermitian matrix (a PauliPolynomial is
+    rejected; pass its ``to_matrix()``).  It is exponentiated once by
+    eigendecomposition.  Returns ``(time, state)`` snapshots including the
+    initial and final states.
     """
+    if isinstance(hamiltonian, PauliPolynomial):
+        raise ValueError("real-time evolution needs a dense matrix, not a PauliPolynomial")
     if dt <= 0 or t_total <= 0:
         raise ValueError("t_total and dt must be positive")
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be at least 1")
     n_steps = max(1, round(t_total / dt))
+    num_qubits = _hamiltonian_qubits(hamiltonian)
+    if num_qubits != initial.num_qubits:
+        raise ValueError("state register does not match the Hamiltonian")
+    if num_qubits > DENSE_EVOLUTION_CAP:
+        raise ValueError(f"dense evolution supports at most {DENSE_EVOLUTION_CAP} qubits")
+    energies, vectors = np.linalg.eigh(self_adjoint(hamiltonian))
+    phases = np.exp(-1j * energies * dt)
 
     amps = initial.amplitudes.astype(complex)
     snapshots = [(0.0, initial)]
-
-    if isinstance(hamiltonian, PauliPolynomial):
-        if hamiltonian.num_qubits != initial.num_qubits:
-            raise ValueError("state register does not match the Hamiltonian")
-        if hamiltonian.is_diagonal():
-            step_ops = [("diag", np.exp(-1j * dt * hamiltonian.diagonal()))]
-        else:
-            step_ops = []
-            for term in hamiltonian.terms():
-                coeff = term.coefficient.real
-                if abs(term.coefficient.imag) > 1e-12:
-                    raise ValueError("Hamiltonian must be Hermitian")
-                if not term.factors:
-                    step_ops.append(("diag", np.exp(-1j * dt * coeff)))
-                else:
-                    single = PauliPolynomial(hamiltonian.num_qubits, {term.factors: 1.0})
-                    step_ops.append(("pauli", (math.cos(coeff * dt), math.sin(coeff * dt), single)))
-
-        def step(a):
-            for kind, op in step_ops:
-                if kind == "diag":
-                    a = a * op
-                else:
-                    cos, sin, single = op
-                    a = cos * a - 1j * sin * single.apply_array(a)
-            return a
-
-    else:
-        num_qubits = _hamiltonian_qubits(hamiltonian)
-        if num_qubits != initial.num_qubits:
-            raise ValueError("state register does not match the Hamiltonian")
-        if num_qubits > DENSE_EVOLUTION_CAP:
-            raise ValueError(
-                f"dense evolution supports at most {DENSE_EVOLUTION_CAP} qubits"
-            )
-        energies, vectors = np.linalg.eigh(self_adjoint(hamiltonian))
-        phases = np.exp(-1j * energies * dt)
-
-        def step(a):
-            return vectors @ (phases * (vectors.conj().T @ a))
-
     for k in range(n_steps):
-        amps = step(amps)
+        amps = vectors @ (phases * (vectors.conj().T @ amps))
         if (k + 1) % snapshot_stride == 0 or k + 1 == n_steps:
             snapshots.append(((k + 1) * dt, StateVector(amps.copy())))
     return snapshots
@@ -414,30 +385,3 @@ def instantaneous_spectrum(spec: AnnealSpec, s_values, k_lowest: int = 4) -> np.
         energies = np.linalg.eigvalsh((1.0 - s) * driver + s * target)
         rows.append(energies[:k])
     return np.array(rows)
-
-
-def measure_histogram(state: StateVector, table: EncodingTable) -> dict:
-    """Probability of each decoded variable assignment.
-
-    Keys are tuples of decoded values ordered like ``table.names``; values
-    sum to 1 within 1e-9 for a normalized state.
-    """
-    probabilities = state.probabilities()
-    columns = table.decode_columns()
-    ordered = [columns[name] for name in table.names]
-    histogram: dict = {}
-    for index, prob in enumerate(probabilities):
-        key = tuple(float(column[index]) for column in ordered)
-        histogram[key] = histogram.get(key, 0.0) + float(prob)
-    return histogram
-
-
-def sample_outcomes(state: StateVector, shots: int, seed: int) -> list:
-    """Seeded basis-state samples reported as T-eigenvalue bitstrings."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    probabilities = state.probabilities()
-    probabilities = probabilities / probabilities.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(probabilities.size, size=shots, p=probabilities)
-    return [report_bitstring(int(index), state.num_qubits) for index in draws]

@@ -26,7 +26,7 @@ from .datasets import (
     pixel_images,
     write_dataset_csv,
 )
-from .encodings import EncodingTable, index_of_report_bitstring, report_bitstring
+from .encodings import EncodingTable, report_bitstring
 from .engine import (
     DENSE_EVOLUTION_CAP,
     AnnealSpec,
@@ -234,6 +234,18 @@ CLASSICAL_POOL_PARAMETERS = {
 CLASSICAL_RUN_CAP = 100_000
 CLASSICAL_RUN_STEP_BUDGET = 50_000_000
 
+#: best-of-n curves hold one (repetitions, n) block of pool draws at a time,
+#: measured at 16 B and 15-25 ns per draw, and draw twice (quantum and
+#: classical pool): the cap bounds the block near 160 MB, the budget on
+#: repetitions * sum(n_values) the drawing near 50 s
+CURVE_DRAW_CAP = 10_000_000
+CURVE_DRAW_BUDGET = 1_000_000_000
+
+#: rows of the toy 2-D dataset (nn-toy, and enumerate with the toy model);
+#: nn-toy measured about 4 kB of peak memory and 37 us per row, so the cap
+#: bounds a run near 160 MB and 1.5 s
+TOY_POINT_CAP = 40_000
+
 _POSITIVE_FLOATS = {
     "mass",
     "scale",
@@ -328,9 +340,10 @@ def validate_config(config) -> ValidationReport:
     """Check a config against its kind's schema without running anything.
 
     Fills in defaults (reported in notes), rejects unknown keys, enforces
-    value ranges, register caps and the classical training caps, and
-    returns the effective config whose canonical JSON defines the config
-    hash.  For the matrix-method kinds the effective config lists only the
+    value ranges, register caps, the classical training caps and the
+    data-size caps (curve draws, toy rows), and returns the effective
+    config whose canonical JSON defines the config hash.  For the
+    matrix-method kinds the effective config lists only the
     potential parameters the chosen potential uses; setting one it ignores
     is an error.
     """
@@ -390,6 +403,32 @@ def validate_config(config) -> ValidationReport:
                 f"{runs_name} * {steps_name} = {runs * steps} exceeds the classical "
                 f"time budget of {CLASSICAL_RUN_STEP_BUDGET} run-steps"
             )
+    n_values = effective.get("n_values")
+    if (
+        kind == "accuracy-curves"
+        and isinstance(effective["repetitions"], int)
+        and isinstance(n_values, list)
+        and n_values
+        and all(isinstance(n, int) for n in n_values)
+    ):
+        widest = effective["repetitions"] * max(n_values)
+        total = effective["repetitions"] * sum(n_values)
+        if widest > CURVE_DRAW_CAP:
+            errors.append(
+                f"repetitions * max(n_values) = {widest} exceeds the curve memory cap "
+                f"of {CURVE_DRAW_CAP} draws"
+            )
+        if total > CURVE_DRAW_BUDGET:
+            errors.append(
+                f"repetitions * sum(n_values) = {total} exceeds the curve time budget "
+                f"of {CURVE_DRAW_BUDGET} draws"
+            )
+    toy_data = kind == "nn-toy" or effective.get("model") == "toy"
+    if toy_data and isinstance(effective["n_points"], int) and effective["n_points"] > TOY_POINT_CAP:
+        errors.append(
+            f"n_points = {effective['n_points']} exceeds the toy-data memory cap "
+            f"of {TOY_POINT_CAP} rows"
+        )
     if kind in ("anneal-paulispin", "spectrum") and isinstance(effective["potential"], str):
         if effective["potential"] != "quartic":
             try:
@@ -533,13 +572,13 @@ def _class_rows(classes, limit: int):
 
 
 def _binary_pool_indices(runs) -> np.ndarray:
-    """Basis index of each run's binarized weights, matching the register order."""
-    return np.array(
-        [
-            index_of_report_bitstring("".join(str(int(b)) for b in run.binary_weights))
-            for run in runs
-        ]
-    )
+    """Basis index of each run's binarized weights, matching the register order.
+
+    Weight q sits on qubit q, and a weight of 1 is the projector eigenvalue
+    of label 0, so bit q of the index is set exactly where weight q is 0.
+    """
+    binary = np.stack([run.binary_weights for run in runs])
+    return (1 - binary).astype(np.int64) @ (1 << np.arange(binary.shape[1]))
 
 
 # -- runners -------------------------------------------------------------------------

@@ -165,34 +165,6 @@ class TiltedCosinePotential(Potential):
         return self._cosine.fourier_coefficient(k) + self.tilt * _monomial_fourier(1, k)
 
 
-class TabulatedPotential(Potential):
-    """Linear interpolation of samples on a uniform grid over [0, 1].
-
-    Fourier coefficients fall back to adaptive Simpson quadrature
-    (absolute tolerance 1e-10, maximum depth 30).
-    """
-
-    def __init__(self, samples):
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValueError("need at least two samples")
-        self.samples = samples
-        self._grid = np.linspace(0.0, 1.0, samples.size)
-
-    def value(self, w):
-        return np.interp(np.asarray(w, dtype=float), self._grid, self.samples)
-
-    def fourier_coefficient(self, k: int) -> complex:
-        # subdivide below the oscillation period before trusting the error test
-        depth = max(4, int(abs(k)).bit_length() + 1)
-        return adaptive_simpson(
-            lambda w: self.value(w) * np.exp(-2j * math.pi * k * w),
-            0.0,
-            1.0,
-            min_depth=depth,
-        )
-
-
 @dataclass(frozen=True)
 class MomentumTruncation:
     """Mode range realized by an N-qubit register: n in [-2**(N-1), 2**(N-1)-1]."""

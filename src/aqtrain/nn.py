@@ -80,39 +80,6 @@ class Square:
 
 
 @dataclass(frozen=True)
-class PolynomialActivation:
-    """sum_k c_k * pre**k with coefficients ordered low to high."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("polynomial activation needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def polynomial_degree(self, fan_in: int) -> int:
-        degree = 0
-        for k, c in enumerate(self.coefficients):
-            if c != 0.0:
-                degree = k
-        return degree
-
-    def apply_symbolic(self, contributions, bias, fan_in):
-        pre = bias
-        for piece in contributions:
-            pre = pre + piece
-        total = VarPolynomial.zero()
-        for k, c in enumerate(self.coefficients):
-            if c != 0.0:
-                total = total + pre**k * c
-        return total
-
-    def apply_numeric(self, pre, fan_in):
-        return np.polynomial.polynomial.polyval(pre, self.coefficients)
-
-
-@dataclass(frozen=True)
 class StepMajority:
     """1 when at least half of the fan-in contributions are set, else 0.
 
@@ -133,7 +100,7 @@ class StepMajority:
         return np.where(np.asarray(pre) >= 0.5 * fan_in, 1.0, 0.0)
 
 
-Activation = Union[Identity, Square, PolynomialActivation, StepMajority]
+Activation = Union[Identity, Square, StepMajority]
 
 
 def theta_polynomial(n: int, inputs: Sequence) -> VarPolynomial:
@@ -351,54 +318,6 @@ def compile_hamiltonian(loss: VarPolynomial, table: EncodingTable) -> PauliPolyn
 # -- numeric path -----------------------------------------------------------------
 
 
-def _forward_tensor(model: ModelSpec, entry_value, features: np.ndarray) -> np.ndarray:
-    """Forward pass over (configs, samples); entry_value maps an entry to a
-    scalar or a per-config column."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if features.shape[1] != model.input_dim:
-        raise ValueError(f"features must have {model.input_dim} columns")
-    n_configs = 1
-    for layer in model.layers:
-        for entry in itertools.chain(*layer.weights, layer.biases):
-            value = entry_value(entry)
-            if isinstance(value, np.ndarray):
-                n_configs = max(n_configs, value.size)
-    # values: (configs, samples, width)
-    values = np.broadcast_to(features, (n_configs,) + features.shape).astype(float)
-    for layer in model.layers:
-        pre = np.zeros((n_configs, features.shape[0], layer.fan_out))
-        for i, (row, bias) in enumerate(zip(layer.weights, layer.biases)):
-            acc = np.zeros((n_configs, features.shape[0]))
-            for j, entry in enumerate(row):
-                value = entry_value(entry)
-                if isinstance(value, np.ndarray):
-                    acc += value[:, None] * values[:, :, j]
-                else:
-                    acc += value * values[:, :, j]
-            bias_value = entry_value(bias)
-            if isinstance(bias_value, np.ndarray):
-                acc += bias_value[:, None]
-            else:
-                acc += bias_value
-            pre[:, :, i] = acc
-        values = layer.activation.apply_numeric(pre, layer.fan_in)
-    return values
-
-
-def forward_batch(model: ModelSpec, weights: Mapping[str, float], features) -> np.ndarray:
-    """Numeric outputs for one weight assignment, shape (samples,) for one output."""
-
-    def entry_value(entry):
-        if isinstance(entry, str):
-            if entry not in weights:
-                raise KeyError(f"no value for weight {entry!r}")
-            return float(weights[entry])
-        return float(entry)
-
-    outputs = _forward_tensor(model, entry_value, features)[0]
-    return outputs[:, 0] if model.output_dim == 1 else outputs
-
-
 def forward_configs(
     model: ModelSpec, columns: Mapping[str, np.ndarray], features
 ) -> np.ndarray:
@@ -407,26 +326,38 @@ def forward_configs(
     ``columns[name][c]`` is the value of a variable in configuration c; the
     result has shape (configs, samples) for a single-output model.
     """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    if features.shape[1] != model.input_dim:
+        raise ValueError(f"features must have {model.input_dim} columns")
+    per_config = {}
+    for name in model.variable_names:
+        if name not in columns:
+            raise KeyError(f"no column for weight {name!r}")
+        per_config[name] = np.asarray(columns[name], dtype=float)[:, None]
+    n_configs = max((column.shape[0] for column in per_config.values()), default=1)
 
-    def entry_value(entry):
-        if isinstance(entry, str):
-            if entry not in columns:
-                raise KeyError(f"no column for weight {entry!r}")
-            return np.asarray(columns[entry], dtype=float)
-        return float(entry)
+    def value(entry):
+        """A (configs, 1) column for a variable, the constant otherwise."""
+        return per_config[entry] if isinstance(entry, str) else float(entry)
 
-    outputs = _forward_tensor(model, entry_value, features)
-    return outputs[:, :, 0] if model.output_dim == 1 else outputs
+    # values: (configs, samples, width)
+    values = np.broadcast_to(features, (n_configs,) + features.shape).astype(float)
+    for layer in model.layers:
+        pre = np.zeros((n_configs, features.shape[0], layer.fan_out))
+        for i, (row, bias) in enumerate(zip(layer.weights, layer.biases)):
+            acc = np.zeros((n_configs, features.shape[0]))
+            for j, entry in enumerate(row):
+                acc += value(entry) * values[:, :, j]
+            acc += value(bias)
+            pre[:, :, i] = acc
+        values = layer.activation.apply_numeric(pre, layer.fan_in)
+    return values[:, :, 0] if model.output_dim == 1 else values
 
 
 def predict(model: ModelSpec, weights: Mapping[str, float], x) -> float:
-    """Scalar network output for one input."""
-    return float(forward_batch(model, weights, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def decision(model: ModelSpec, weights: Mapping[str, float], x, threshold: float = 0.0) -> int:
-    """+1/-1 by thresholding the output (binary-output nets predict labels directly)."""
-    return 1 if predict(model, weights, x) >= threshold else -1
+    """Scalar network output for one input: :func:`forward_configs` on one-row columns."""
+    columns = {name: [value] for name, value in weights.items()}
+    return float(forward_configs(model, columns, np.asarray(x, dtype=float)[None, :])[0, 0])
 
 
 def _accuracy_matrix(outputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -436,13 +367,6 @@ def _accuracy_matrix(outputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     else:
         correct = (outputs >= 0.0) == (labels > 0)
     return np.mean(correct, axis=-1)
-
-
-def accuracy(model: ModelSpec, weights: Mapping[str, float], dataset: Dataset) -> float:
-    """Fraction of correct predictions; 0/1 labels are matched exactly,
-    signed labels through the sign of the output."""
-    outputs = forward_batch(model, weights, dataset.features)
-    return float(_accuracy_matrix(outputs[None, :], dataset.labels)[0])
 
 
 def _numeric_loss(outputs: np.ndarray, labels: np.ndarray, kind: str) -> np.ndarray:

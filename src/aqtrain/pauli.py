@@ -14,12 +14,9 @@ Sign conventions (fixed package-wide):
 
 from __future__ import annotations
 
-import json
 from typing import Mapping
 
 import numpy as np
-
-from .state import StateVector
 
 AXES = "IXYZ"
 
@@ -139,7 +136,7 @@ class PauliPolynomial:
 
     Terms are kept in a dict keyed by the canonical factor tuple; terms
     whose coefficient magnitude drops below :data:`DROP_TOLERANCE` are
-    removed.  Iteration and serialization order is lexicographic in the
+    removed.  Iteration order is lexicographic in the
     ``(qubit, axis)`` pattern.
     """
 
@@ -326,72 +323,6 @@ class PauliPolynomial:
             raise ValueError("diagonal polynomial has non-real spectrum")
         return diag.real
 
-    def apply(self, state: StateVector) -> np.ndarray:
-        """Amplitudes of (polynomial @ state); the result is not normalized."""
-        if state.num_qubits != self.num_qubits:
-            raise ValueError("state register size does not match polynomial")
-        return self.apply_array(state.amplitudes)
-
-    def apply_array(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Like :meth:`apply` but on a raw (not necessarily normalized) array."""
-        dim = 2**self.num_qubits
-        if amplitudes.shape != (dim,):
-            raise ValueError("amplitude array does not match the register")
-        indices = np.arange(dim, dtype=np.uint64)
-        out = np.zeros(dim, dtype=complex)
-        for pattern, coeff in self._terms.items():
-            xmask = 0
-            phase_mask = 0  # qubits whose bit flips the sign (Z and Y factors)
-            n_y = 0
-            for qubit, axis in pattern:
-                if axis in ("X", "Y"):
-                    xmask |= 1 << qubit
-                if axis in ("Z", "Y"):
-                    phase_mask |= 1 << qubit
-                if axis == "Y":
-                    n_y += 1
-            # P|b> = i**n_y * (-1)**parity(b & phase_mask) |b ^ xmask>
-            source = indices ^ np.uint64(xmask)
-            signs = 1.0 - 2.0 * _parity(source & np.uint64(phase_mask))
-            out += coeff * (1j**n_y) * signs * amplitudes[source]
-        return out
-
-    def expectation(self, state: StateVector) -> float:
-        """<s|P|s>; the imaginary residual of a Hermitian polynomial is < 1e-9."""
-        value = complex(np.vdot(state.amplitudes, self.apply(state)))
-        return value.real
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "terms": [
-                {
-                    "ops": [[q, a] for q, a in pattern],
-                    "re": coeff.real,
-                    "im": coeff.imag,
-                }
-                for pattern, coeff in sorted(self._terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PauliPolynomial":
-        poly = cls(int(payload["num_qubits"]))
-        for term in payload["terms"]:
-            pattern = _canonical_factors([(q, a) for q, a in term["ops"]])
-            poly._accumulate(pattern, complex(term["re"], term["im"]))
-        poly._prune()
-        return poly
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PauliPolynomial":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Unnormalised transform ``out[k] = sum_i (-1)**parity(i & k) * values[i]``."""
@@ -400,11 +331,6 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
         pairs = out.reshape(-1, 2, 1 << q)
         pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
     return out
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of an unsigned integer array."""
-    return (np.bitwise_count(values) & np.uint64(1)).astype(float)
 
 
 # -- convenience constructors --------------------------------------------------
@@ -416,10 +342,6 @@ def single_pauli(num_qubits: int, qubit: int, axis: str, coefficient: complex = 
 
 def pauli_x(num_qubits: int, qubit: int) -> PauliPolynomial:
     return single_pauli(num_qubits, qubit, "X")
-
-
-def pauli_y(num_qubits: int, qubit: int) -> PauliPolynomial:
-    return single_pauli(num_qubits, qubit, "Y")
 
 
 def pauli_z(num_qubits: int, qubit: int) -> PauliPolynomial:
@@ -437,47 +359,3 @@ def binary_projector(num_qubits: int, qubit: int, sign: int = +1) -> PauliPolyno
         raise ValueError("sign must be +1 or -1")
     half = PauliPolynomial.identity(num_qubits, 0.5)
     return half + single_pauli(num_qubits, qubit, "Z", 0.5 * sign)
-
-
-def decompose_matrix(matrix: np.ndarray, hermitian_tol: float = 1e-9) -> PauliPolynomial:
-    """Expand a Hermitian matrix in the Pauli-string basis.
-
-    The coefficient of each string ``P`` equals ``trace(P @ H) / 2**n``.
-    Implemented as a change of basis applied qubit-by-qubit, so the cost is
-    ``O(n * 4**n)`` rather than ``O(16**n)`` of the naive trace loop.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    dim = matrix.shape[0]
-    if matrix.ndim != 2 or matrix.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
-        raise ValueError("matrix must be square with power-of-two dimension")
-    if np.max(np.abs(matrix - matrix.conj().T)) > hermitian_tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    num_qubits = dim.bit_length() - 1
-    _check_matrix_cap(num_qubits)
-
-    # basis[a, i, j] = P_a[j, i] so that contracting against H[i, j] yields traces
-    basis = np.stack([_MATRICES[a].T for a in AXES])
-
-    # reshape H into (i_{n-1}, ..., i_0, j_{n-1}, ..., j_0) and fold each
-    # (i_q, j_q) pair into an axis-index a_q, highest qubit first
-    tensor = matrix.reshape((2,) * (2 * num_qubits))
-    for q in range(num_qubits):
-        # axes 0 and num_qubits - q hold the next (i, j) pair to fold
-        tensor = np.tensordot(basis, tensor, axes=[[1, 2], [0, num_qubits - q]])
-        tensor = np.moveaxis(tensor, 0, -1)
-    # tensor axes are now (a_{n-1}, ..., a_0); ravel makes a_0 fastest-varying
-    tensor = tensor / dim
-
-    poly = PauliPolynomial(num_qubits)
-    for flat, coeff in enumerate(np.ravel(tensor, order="C")):
-        if abs(coeff) < DROP_TOLERANCE:
-            continue
-        pattern = []
-        rest = flat
-        for q in range(num_qubits):
-            rest, a = divmod(rest, 4)
-            if a:
-                pattern.append((q, AXES[a]))
-        poly._accumulate(tuple(pattern), complex(coeff))
-    poly._prune()
-    return poly

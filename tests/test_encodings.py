@@ -130,16 +130,6 @@ class TestEncodingTable:
         with pytest.raises(ValueError, match="duplicate"):
             EncodingTable([("a", SpinPM1(0)), ("a", SpinPM1(1))], 2)
 
-    def test_json_round_trip_preserves_order(self):
-        table = EncodingTable(
-            [("w", FractionalBinary(3, 0)), ("u", Binary01(3)), ("v", SpinPM1(4))], 5
-        )
-        recovered = EncodingTable.from_json(table.to_json())
-        assert recovered.names == ["w", "u", "v"]
-        assert recovered["w"] == FractionalBinary(3, 0)
-        assert recovered["u"] == Binary01(3)
-        assert recovered.to_json_dict() == table.to_json_dict()
-
     def test_decode_columns_match_decode_index(self):
         table = EncodingTable([("w", FractionalBinary(2, 0)), ("s", SpinPM1(2))], 3)
         columns = table.decode_columns()

@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 
 from aqtrain import cli, experiments, nn
+from aqtrain.classical import ClassicalRun
+from aqtrain.encodings import index_of_report_bitstring
 from aqtrain.experiments import (
     CLASSICAL_RUN_CAP,
     CLASSICAL_RUN_STEP_BUDGET,
+    CURVE_DRAW_BUDGET,
+    CURVE_DRAW_CAP,
     EXPERIMENT_KINDS,
     SCHEMAS,
+    TOY_POINT_CAP,
     atomic_write_text,
     config_hash,
     run_experiment,
@@ -157,6 +162,51 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", ["classical_pool", "accuracy_curves"])
     def test_shipped_classical_configs_within_caps(self, name):
+        config_dir = Path(__file__).resolve().parent.parent / "configs"
+        assert validate_config(json.loads((config_dir / f"{name}.json").read_text())).ok
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (
+                {"kind": "accuracy-curves", "repetitions": 10**9},
+                f"repetitions * max(n_values) = {128 * 10**9} exceeds the curve memory cap "
+                f"of {CURVE_DRAW_CAP} draws",
+            ),
+            (
+                {"kind": "accuracy-curves", "repetitions": 10**4, "n_values": [1000] * 101},
+                f"repetitions * sum(n_values) = {101 * 10**7} exceeds the curve time budget "
+                f"of {CURVE_DRAW_BUDGET} draws",
+            ),
+            (
+                {"kind": "nn-toy", "n_points": 10**9},
+                f"n_points = {10**9} exceeds the toy-data memory cap of {TOY_POINT_CAP} rows",
+            ),
+            (
+                {"kind": "enumerate", "model": "toy", "n_points": 10**9},
+                f"n_points = {10**9} exceeds the toy-data memory cap of {TOY_POINT_CAP} rows",
+            ),
+        ],
+    )
+    def test_data_size_capped_before_running(self, config, message, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized config must not start its runner")
+
+        monkeypatch.setitem(experiments._RUNNERS, config["kind"], never)
+        assert message in " ".join(validate_config(config).errors)
+        with pytest.raises(ValueError, match="exceeds the"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_data_size_caps_are_inclusive(self):
+        assert validate_config({"kind": "nn-toy", "n_points": TOY_POINT_CAP}).ok
+        widest = {"kind": "accuracy-curves", "repetitions": CURVE_DRAW_CAP // 128}
+        assert validate_config(widest).ok
+        # the toy-row cap does not apply where the binary model ignores n_points
+        assert validate_config({"kind": "enumerate", "n_points": 10**9}).ok
+
+    @pytest.mark.parametrize("name", ["nn_toy_circle", "nn_toy_band", "accuracy_curves", "enumerate_binary"])
+    def test_shipped_configs_within_data_caps(self, name):
         config_dir = Path(__file__).resolve().parent.parent / "configs"
         assert validate_config(json.loads((config_dir / f"{name}.json").read_text())).ok
 
@@ -302,6 +352,17 @@ class TestRunners:
         atomic_write_text(target, "second\n")
         assert target.read_text() == "second\n"
         assert not (tmp_path / "file.csv.tmp").exists()
+
+
+def test_pool_indices_match_report_bitstrings():
+    rng = np.random.default_rng(8)
+    rows = np.vstack([np.zeros(10), np.ones(10), rng.integers(0, 2, size=(50, 10))])
+    runs = [ClassicalRun(seed, row, row) for seed, row in enumerate(rows)]
+    expected = [index_of_report_bitstring("".join(str(int(b)) for b in row)) for row in rows]
+    indices = experiments._binary_pool_indices(runs)
+    assert indices.dtype == np.int64
+    assert indices.tolist() == expected
+    assert expected[:2] == [2**10 - 1, 0]
 
 
 def test_runs_compile_from_enumerated_losses(monkeypatch, tmp_path):

@@ -16,7 +16,6 @@ from aqtrain.matrix_method import (
     QUARTIC_FALSE_MINIMUM,
     QuarticPotential,
     SchrodingerProblem,
-    TabulatedPotential,
     TiltedCosinePotential,
     adaptive_simpson,
     cosine_sho_width,
@@ -78,15 +77,6 @@ class TestFourierCoefficients:
         v = PolynomialPotential(poly)
         for k in (0, 1, 4):
             assert v.fourier_coefficient(k) == pytest.approx(quadrature_fourier(v, k), abs=1e-9)
-
-    def test_tabulated_matches_sampled_cosine(self):
-        grid = np.linspace(0.0, 1.0, 4001)
-        v = TabulatedPotential(1.0 + np.cos(4 * math.pi * grid))
-        exact = CosinePotential()
-        for k in (0, 1, 2):
-            assert v.fourier_coefficient(k) == pytest.approx(
-                exact.fourier_coefficient(k), abs=1e-5
-            )
 
     def test_real_potential_coefficients_conjugate(self):
         v = QuarticPotential(3.0)
@@ -150,7 +140,7 @@ class TestHamiltonianAssembly:
 
     def test_free_particle_spectrum(self):
         problem = SchrodingerProblem(
-            TabulatedPotential([0.0, 0.0]), mass=1.0, truncation=MomentumTruncation(3)
+            QuarticPotential(0.0), mass=1.0, truncation=MomentumTruncation(3)
         )
         h = problem.hamiltonian()
         kinetic = sorted((2 * math.pi * n) ** 2 / 2.0 for n in problem.truncation.modes)

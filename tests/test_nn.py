@@ -5,24 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
-from aqtrain.datasets import balanced_pixel_split, band_dataset, circle_dataset, pixel_images
+from aqtrain.datasets import Dataset, balanced_pixel_split, band_dataset, circle_dataset, pixel_images
 from aqtrain.encodings import EncodingTable
 from aqtrain.nn import (
     DegeneracyClass,
     Identity,
     LayerSpec,
     ModelSpec,
-    PolynomialActivation,
     Square,
     StepMajority,
-    accuracy,
     accuracy_vs_runs,
     binary_pixel_model,
     build_loss,
     compile_hamiltonian,
-    decision,
     enumerate_weightspace,
-    forward_batch,
     forward_configs,
     grid_probe,
     group_degenerate,
@@ -122,10 +118,6 @@ class TestModelDeclaration:
         second = LayerSpec(weights=(("a",),), biases=(0.0,), activation=Identity())
         with pytest.raises(ValueError):
             ModelSpec(input_dim=2, layers=(first, second))
-
-    def test_polynomial_activation_degree_ignores_trailing_zeros(self):
-        act = PolynomialActivation((1.0, 2.0, 0.0))
-        assert act.polynomial_degree(3) == 1
 
 
 class TestSymbolicForward:
@@ -270,21 +262,34 @@ class TestPredictAccuracy:
         "w2_1": 1.0, "w2_2": 1.0,
     }
 
+    @staticmethod
+    def _config_index(table, weights):
+        """Basis index whose decoded weights equal ``weights``."""
+        columns = table.decode_columns()
+        match = np.all([columns[name] == weights[name] for name in table.names], axis=0)
+        (index,) = np.flatnonzero(match)
+        return int(index)
+
     def test_toy_predictions_at_reference_points(self):
-        model = toy_two_layer_model()
+        model, table, _ = _toy_setup(n=1)
         assert predict(model, self.CIRCLE_WEIGHTS, (0.0, 0.0)) == pytest.approx(-1.0)
         assert predict(model, self.CIRCLE_WEIGHTS, (1.0, 0.0)) == pytest.approx(1.0)
-        assert decision(model, self.CIRCLE_WEIGHTS, (0.0, 0.0)) == -1
-        assert decision(model, self.CIRCLE_WEIGHTS, (1.0, 0.0)) == 1
+        # signed labels are scored through the sign of the output
+        points = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([-1, 1]))
+        result = enumerate_weightspace(model, table, points, points, "mse")
+        assert result.train_accuracy[self._config_index(table, self.CIRCLE_WEIGHTS)] == 1.0
 
     def test_toy_circle_weights_are_perfect(self):
-        model = toy_two_layer_model()
-        data = circle_dataset(500, seed=5)
-        assert accuracy(model, self.CIRCLE_WEIGHTS, data) == 1.0
+        model, table, data = _toy_setup(seed=5, n=500)
+        result = enumerate_weightspace(model, table, data, data, "mse")
+        assert result.train_accuracy[self._config_index(table, self.CIRCLE_WEIGHTS)] == 1.0
 
     def test_column_detector_labels_all_images(self):
         model = binary_pixel_model()
-        assert accuracy(model, self.COLUMN_WEIGHTS, pixel_images()) == 1.0
+        table = model_encoding_table(model, "binary01")
+        images = pixel_images()
+        result = enumerate_weightspace(model, table, images, images, "linear-binary")
+        assert result.train_accuracy[self._config_index(table, self.COLUMN_WEIGHTS)] == 1.0
 
     def test_missing_weight_raises(self):
         model = toy_two_layer_model()
@@ -294,8 +299,9 @@ class TestPredictAccuracy:
     def test_forward_batch_shape(self):
         model = toy_two_layer_model()
         data = circle_dataset(17, seed=2)
-        outputs = forward_batch(model, self.CIRCLE_WEIGHTS, data.features)
-        assert outputs.shape == (17,)
+        columns = {name: [value, -value] for name, value in self.CIRCLE_WEIGHTS.items()}
+        outputs = forward_configs(model, columns, data.features)
+        assert outputs.shape == (2, 17)
 
 
 class TestEnumerateWeightspace:

@@ -13,9 +13,7 @@ from aqtrain.pauli import (
     PauliPolynomial,
     PauliString,
     binary_projector,
-    decompose_matrix,
     pauli_x,
-    pauli_y,
     pauli_z,
     single_pauli,
 )
@@ -40,7 +38,7 @@ def dense_reference(num_qubits, terms):
     return out
 
 
-def random_polynomial(rng, num_qubits, num_terms, hermitian=False):
+def random_polynomial(rng, num_qubits, num_terms):
     terms = []
     for _ in range(num_terms):
         factors = {}
@@ -48,7 +46,7 @@ def random_polynomial(rng, num_qubits, num_terms, hermitian=False):
             axis = rng.choice(["I", "X", "Y", "Z"])
             if axis != "I":
                 factors[q] = axis
-        coeff = complex(rng.normal(), 0.0 if hermitian else rng.normal())
+        coeff = complex(rng.normal(), rng.normal())
         terms.append((coeff, factors))
     poly = PauliPolynomial(
         num_qubits, [PauliString(c, f) for c, f in terms]
@@ -154,23 +152,6 @@ class TestPauliPolynomial:
         assert np.allclose((p * 0.5).to_matrix(), np.diag([1.5, -0.5]))
         assert np.allclose((1.0 - p).to_matrix(), np.diag([-2.0, 2.0]))
 
-    def test_apply_matches_dense(self):
-        rng = np.random.default_rng(3)
-        poly, terms = random_polynomial(rng, 4, 6)
-        raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = StateVector.from_amplitudes(raw)
-        expected = dense_reference(4, terms) @ state.amplitudes
-        assert np.allclose(poly.apply(state), expected, atol=1e-12)
-
-    def test_expectation_matches_dense_and_is_real(self):
-        rng = np.random.default_rng(5)
-        poly, terms = random_polynomial(rng, 4, 6, hermitian=True)
-        state = StateVector.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
-        matrix = dense_reference(4, terms)
-        expected = np.vdot(state.amplitudes, matrix @ state.amplitudes)
-        assert abs(expected.imag) < 1e-9
-        assert poly.expectation(state) == pytest.approx(expected.real, abs=1e-12)
-
     def test_diagonal_matches_matrix(self):
         rng = np.random.default_rng(9)
         terms = []
@@ -234,72 +215,16 @@ class TestBinaryProjector:
         t = binary_projector(1, 0, +1)
         zero = StateVector.basis(1, 0)
         one = StateVector.basis(1, 1)
-        assert np.allclose(t.apply(zero), zero.amplitudes)
-        assert np.allclose(t.apply(one), 0)
+        assert np.allclose(t.to_matrix() @ zero.amplitudes, zero.amplitudes)
+        assert np.allclose(t.to_matrix() @ one.amplitudes, 0)
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError, match="sign"):
             binary_projector(1, 0, 2)
 
 
-class TestDecomposeMatrix:
-    def test_round_trip_random_hermitian(self):
-        rng = np.random.default_rng(13)
-        for num_qubits in (1, 2, 3, 4):
-            dim = 2**num_qubits
-            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            matrix = raw + raw.conj().T
-            poly = decompose_matrix(matrix)
-            assert np.max(np.abs(poly.to_matrix() - matrix)) < 1e-10
-
-    def test_round_trip_from_polynomial(self):
-        rng = np.random.default_rng(17)
-        poly, _ = random_polynomial(rng, 3, 5, hermitian=True)
-        recovered = decompose_matrix(poly.to_matrix())
-        assert recovered.allclose(poly, tol=1e-10)
-
-    def test_coefficient_is_normalized_trace(self):
-        rng = np.random.default_rng(19)
-        dim = 8
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        matrix = raw + raw.conj().T
-        poly = decompose_matrix(matrix)
-        pattern = ((0, "X"), (2, "Z"))
-        oracle = np.trace(dense_reference(3, [(1.0, dict(pattern))]) @ matrix) / dim
-        assert poly.coefficient(pattern) == pytest.approx(oracle, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            decompose_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="power-of-two"):
-            decompose_matrix(np.eye(3))
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(23)
-        poly, _ = random_polynomial(rng, 3, 6)
-        recovered = PauliPolynomial.from_json(poly.to_json())
-        assert recovered == poly
-
-    def test_canonical_term_order(self):
-        poly = pauli_z(2, 1) + pauli_x(2, 0) + PauliPolynomial.identity(2, 0.5)
-        ops = [term["ops"] for term in poly.to_json_dict()["terms"]]
-        assert ops == [[], [[0, "X"]], [[1, "Z"]]]
-
-    def test_serialized_form_is_stable(self):
-        poly = single_pauli(2, 0, "Y", 1 - 2j)
-        payload = poly.to_json_dict()
-        assert payload == {
-            "num_qubits": 2,
-            "terms": [{"ops": [[0, "Y"]], "re": 1.0, "im": -2.0}],
-        }
-
-
 def test_pauli_y_consistency():
     # Y = iXZ as matrices and in the algebra
     product = PauliString(1j, {0: "X"}) * PauliString(1.0, {0: "Z"})
     assert np.allclose(product.to_matrix(1), Y)
-    assert np.allclose(pauli_y(1, 0).to_matrix(), Y)
+    assert np.allclose(single_pauli(1, 0, "Y").to_matrix(), Y)

@@ -10,6 +10,7 @@ exempt from byte identity.
 
 import json
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -246,6 +247,22 @@ CURVE_DRAW_BUDGET = 1_000_000_000
 #: bounds a run near 160 MB and 1.5 s
 TOY_POINT_CAP = 40_000
 
+#: dense matrix-method runs.  The interpolated anneal step measured 13-16 ns
+#: per dim**2 up to 8 qubits and 96 ns at 10, where its 13-node block of
+#: 13 * dim**2 * 16 B (218 MB) streams from memory every step; the real-time
+#: step 2-7 ns.  The budget on steps * dim**2 (anneal-matrix n_steps, tunnel
+#: t_total / dt) bounds the stepping near 50 s
+DENSE_STEP_BUDGET = 500_000_000
+#: kept snapshot states (anneal-matrix with a snapshot_stride, tunnel), dim *
+#: 16 B each: 164 MB at the 10-qubit dense evolution cap
+SNAPSHOT_CAP = 10_000
+#: anneal-matrix density_snapshots.csv rows (snapshots * grid_points), measured
+#: at about 330 B of peak memory and 7 us a row: about 165 MB and 4 s
+SNAPSHOT_ROW_CAP = 500_000
+#: entries of the (grid_points, 2**num_qubits) plane-wave matrix every density
+#: is read through, 16 B each: 64 MB
+PHASE_MATRIX_CAP = 2**22
+
 _POSITIVE_FLOATS = {
     "mass",
     "scale",
@@ -429,6 +446,8 @@ def validate_config(config) -> ValidationReport:
             f"n_points = {effective['n_points']} exceeds the toy-data memory cap "
             f"of {TOY_POINT_CAP} rows"
         )
+    if "grid_points" in schema:
+        errors.extend(_dense_size_errors(effective))
     if kind in ("anneal-paulispin", "spectrum") and isinstance(effective["potential"], str):
         if effective["potential"] != "quartic":
             try:
@@ -438,6 +457,53 @@ def validate_config(config) -> ValidationReport:
             except ValueError as exc:
                 errors.append(f"cannot parse objective polynomial: {exc}")
     return ValidationReport(effective, notes, errors)
+
+
+def _dense_size_errors(effective: dict) -> list:
+    """Step, snapshot and grid caps of anneal-matrix, tunnel and mass-scan."""
+    kind = effective["kind"]
+    qubits, grid = effective["num_qubits"], effective["grid_points"]
+    if not (isinstance(qubits, int) and isinstance(grid, int)) or qubits > QUBIT_CAPS[kind][1]:
+        return []  # already rejected, and 4**num_qubits could be astronomical
+    dim = 2**qubits
+    errors = []
+    if grid * dim > PHASE_MATRIX_CAP:
+        errors.append(
+            f"grid_points * 2**num_qubits = {grid * dim} exceeds the phase-matrix "
+            f"memory cap of {PHASE_MATRIX_CAP} entries"
+        )
+    if kind == "anneal-matrix":
+        label, steps = "n_steps", effective["n_steps"]
+    elif kind == "tunnel" and all(isinstance(effective[k], float) for k in ("t_total", "dt")):
+        label, steps = "t_total / dt", effective["t_total"] / effective["dt"]
+    else:
+        return errors
+    stride = effective["snapshot_stride"]
+    if not (isinstance(steps, (int, float)) and steps > 0 and isinstance(stride, int)):
+        return errors
+    if steps * dim * dim > DENSE_STEP_BUDGET:
+        errors.append(
+            f"{label} * 4**num_qubits = {steps * dim * dim:g} exceeds the dense step "
+            f"budget of {DENSE_STEP_BUDGET}"
+        )
+        return errors
+    if kind == "tunnel":
+        stride = max(1, stride)  # a tunnel run keeps every step at stride 0
+    if stride:
+        steps = max(1, round(steps))
+        # the initial state, every stride-th step and the last step
+        snapshots = 1 + steps // stride + (steps % stride != 0)
+        if snapshots > SNAPSHOT_CAP:
+            errors.append(
+                f"snapshots = {snapshots} (steps / snapshot_stride) exceeds the snapshot "
+                f"memory cap of {SNAPSHOT_CAP}"
+            )
+        if kind == "anneal-matrix" and snapshots * grid > SNAPSHOT_ROW_CAP:
+            errors.append(
+                f"snapshots * grid_points = {snapshots * grid} exceeds the snapshot row "
+                f"cap of {SNAPSHOT_ROW_CAP} rows"
+            )
+    return errors
 
 
 def config_hash(effective: dict) -> str:

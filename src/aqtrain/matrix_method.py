@@ -15,6 +15,7 @@ matrix arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -221,20 +222,33 @@ class SchrodingerProblem:
         return self.kinetic_matrix() + self.potential_matrix()
 
 
+@functools.lru_cache(maxsize=1)
+def _plane_waves(dim: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grid ``w`` and (grid, modes) matrix ``exp(2 pi i n w)``.
+
+    A run converts every snapshot on one grid, so the matrix is built once.
+    """
+    half = dim // 2
+    modes = np.arange(-half, half)
+    w = np.linspace(0.0, 1.0, grid_points)
+    waves = np.exp(2j * math.pi * np.outer(w, modes))
+    w.flags.writeable = False
+    waves.flags.writeable = False
+    return w, waves
+
+
 def momentum_to_position(amplitudes, grid_points: int = 512):
     """Position-space density of a momentum-basis state.
 
     Returns ``(w, density)`` on a uniform grid including both endpoints;
     the density is normalized so its trapezoid integral over [0, 1] is 1.
+    The returned ``w`` is shared between calls and read-only.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     dim = amplitudes.size
     if dim & (dim - 1):
         raise ValueError("amplitude count must be a power of two")
-    half = dim // 2
-    modes = np.arange(-half, half)
-    w = np.linspace(0.0, 1.0, grid_points)
-    waves = np.exp(2j * math.pi * np.outer(w, modes))
+    w, waves = _plane_waves(dim, grid_points)
     psi = waves @ amplitudes
     density = np.abs(psi) ** 2
     total = np.trapezoid(density, w)

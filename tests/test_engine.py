@@ -1,12 +1,15 @@
 """Tests for Trotterized adiabatic and real-time evolution.
 
-The dense per-step path exponentiates the full interpolated Hamiltonian and
-has no splitting error, so it is the oracle for the split-step and Krylov
-paths; all are additionally checked against a step-by-step reference coded
-here.
+The oracle for every anneal path is ``reference_anneal``, coded here: it
+exponentiates the full interpolated Hamiltonian by ``eigh`` at every step,
+so it has neither splitting nor interpolation error.  The engine's dense
+path interpolates the step propagator in s and is checked against it, not
+used as a reference itself.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from aqtrain.encodings import EncodingTable
 from aqtrain.engine import (
     AnnealSpec,
     DENSE_EVOLUTION_CAP,
+    DENSE_PANEL_NODES,
     LinearSchedule,
     evolve_adiabatic,
     evolve_real_time,
@@ -26,6 +30,7 @@ from aqtrain.matrix_method import (
     CosinePotential,
     MomentumTruncation,
     SchrodingerProblem,
+    TiltedCosinePotential,
     gaussian_packet,
     ground_state,
     momentum_to_position,
@@ -53,6 +58,40 @@ def reference_anneal(driver_matrix, target_matrix, t_final, n_steps, amps):
         energies, vectors = np.linalg.eigh(h)
         amps = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ amps))
     return amps
+
+
+def reference_prefix(driver_matrix, target_matrix, t_final, n_steps, steps, amps):
+    """The oracle's state after the first ``steps`` of an ``n_steps`` anneal.
+
+    Those steps see s = k / n_steps for k < steps, the full anneal of the
+    pair (driver, driver + (steps / n_steps) (target - driver)) over
+    ``steps`` steps of the same length.
+    """
+    ratio = steps / n_steps
+    partial_target = driver_matrix + ratio * (target_matrix - driver_matrix)
+    return reference_anneal(driver_matrix, partial_target, t_final * ratio, steps, amps)
+
+
+def dense_reach(driver, target, dt):
+    return float(np.max(np.abs(np.linalg.eigvalsh(target - driver)))) * dt
+
+
+def panel_steps(n_steps, panels):
+    """Steps per occupied panel when [0, 1] is cut into ``panels`` equal panels."""
+    panel_of = np.minimum(np.arange(n_steps) * panels // n_steps, panels - 1)
+    return np.bincount(panel_of)[np.unique(panel_of)]
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
 
 
 def random_hermitian(dim, seed):
@@ -308,6 +347,88 @@ class TestDenseEvolution:
         dense_final = evolve_adiabatic(dense_spec, uniform).final
         assert split_final.fidelity(dense_final) == pytest.approx(1.0, abs=1e-6)
 
+    def test_shipped_tilted_anneal_matches_per_step_oracle(self, monkeypatch):
+        config_path = Path(__file__).resolve().parent.parent / "configs" / "anneal_matrix_tilted.json"
+        config = json.loads(config_path.read_text())
+        truncation = MomentumTruncation(config["num_qubits"])
+        problem = SchrodingerProblem(
+            TiltedCosinePotential(config["tilt"]), config["mass"], truncation
+        )
+        driver, target = problem.kinetic_matrix(), problem.hamiltonian()
+        initial = StateVector.basis(config["num_qubits"], truncation.index_of(0))
+        spec = AnnealSpec(
+            driver, target, LinearSchedule(config["t_final"]), n_steps=config["n_steps"]
+        )
+        calls = count_eigh(monkeypatch)
+        final = evolve_adiabatic(spec, initial).final.amplitudes
+        panels = math.ceil(dense_reach(driver, target, spec.dt))
+        assert len(calls) <= DENSE_PANEL_NODES * panels
+        monkeypatch.undo()
+        expected = reference_anneal(
+            driver, target, config["t_final"], config["n_steps"], initial.amplitudes.astype(complex)
+        )
+        assert np.max(np.abs(final - expected)) < 1e-10
+        assert abs(np.linalg.norm(final) - 1.0) <= 1e-11
+
+    def test_interpolated_panels_match_oracle(self, monkeypatch):
+        # several panels, each interpolated from its Chebyshev nodes
+        driver, target = random_hermitian(16, seed=31), random_hermitian(16, seed=32)
+        state = random_state(4, seed=33)
+        n_steps = 200
+        dt = 3.5 / dense_reach(driver, target, 1.0)
+        reach = dense_reach(driver, target, dt)
+        panels = math.ceil(reach)
+        assert reach >= 3.0 and panel_steps(n_steps, panels).min() >= 40
+        spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
+        calls = count_eigh(monkeypatch)
+        final = evolve_adiabatic(spec, state).final.amplitudes
+        assert len(calls) == DENSE_PANEL_NODES * panels
+        monkeypatch.undo()
+        expected = reference_anneal(
+            driver.astype(complex), target.astype(complex), n_steps * dt, n_steps,
+            state.amplitudes.astype(complex),
+        )
+        assert np.max(np.abs(final - expected)) < 1e-10
+
+    def test_sparse_panels_step_on_their_own_s_values(self, monkeypatch):
+        # a reach of about 40 over 120 steps leaves at most 3 steps a panel,
+        # so the nodes are the steps themselves: one eigh per step
+        driver, target = random_hermitian(8, seed=41), random_hermitian(8, seed=42)
+        state = random_state(3, seed=43)
+        n_steps = 120
+        dt = 40.0 / dense_reach(driver, target, 1.0)
+        panels = math.ceil(dense_reach(driver, target, dt))
+        occupied = panel_steps(n_steps, panels)
+        assert occupied.max() <= DENSE_PANEL_NODES
+        spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
+        calls = count_eigh(monkeypatch)
+        final = evolve_adiabatic(spec, state).final.amplitudes
+        assert len(calls) <= min(DENSE_PANEL_NODES * occupied.size, n_steps)
+        monkeypatch.undo()
+        expected = reference_anneal(
+            driver.astype(complex), target.astype(complex), n_steps * dt, n_steps,
+            state.amplitudes.astype(complex),
+        )
+        assert np.max(np.abs(final - expected)) < 1e-10
+
+    def test_snapshots_match_oracle_at_each_stride(self):
+        driver, target = random_hermitian(8, seed=51), random_hermitian(8, seed=52)
+        state = random_state(3, seed=53)
+        n_steps, stride = 90, 25
+        dt = 2.5 / dense_reach(driver, target, 1.0)
+        spec = AnnealSpec(
+            driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps, snapshot_stride=stride
+        )
+        snapshots = evolve_adiabatic(spec, state).snapshots
+        assert [round(t / dt) for t, _ in snapshots] == [0, 25, 50, 75, 90]
+        for t, snap in snapshots[1:]:
+            steps = round(t / dt)
+            expected = reference_prefix(
+                driver.astype(complex), target.astype(complex), n_steps * dt, n_steps, steps,
+                state.amplitudes.astype(complex),
+            )
+            assert np.max(np.abs(snap.amplitudes - expected)) < 1e-10
+
     def test_rejects_oversized_register(self):
         dim = 2 ** (DENSE_EVOLUTION_CAP + 1)
         big = np.zeros((dim, dim))
@@ -377,6 +498,23 @@ class TestInstantaneousSpectrum:
         curves = instantaneous_spectrum(spec, np.linspace(0.0, 1.0, 21), k_lowest=2)
         gaps = curves[:, 1] - curves[:, 0]
         assert np.all(gaps > 0)
+
+    def test_pauli_pair_matches_complex_eigvalsh(self):
+        target, _ = quartic_target(5, strength=10.0)
+        driver = transverse_driver(5)
+        spec = AnnealSpec(driver, target, LinearSchedule(1.0))
+        s_values = np.linspace(0.0, 1.0, 7)
+        curves = instantaneous_spectrum(spec, s_values, k_lowest=4)
+        expected = [
+            np.linalg.eigvalsh((1.0 - s) * driver.to_matrix() + s * target.to_matrix())[:4]
+            for s in s_values
+        ]
+        assert np.max(np.abs(curves - np.array(expected))) <= 1e-12
+
+    def test_rejects_non_diagonal_target(self):
+        spec = AnnealSpec(transverse_driver(3), pauli_x(3, 1), LinearSchedule(1.0))
+        with pytest.raises(ValueError, match="target must be diagonal"):
+            instantaneous_spectrum(spec, [0.5])
 
     def test_rejects_oversized_register(self):
         spec = AnnealSpec(

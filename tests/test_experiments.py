@@ -19,8 +19,12 @@ from aqtrain.experiments import (
     CLASSICAL_RUN_STEP_BUDGET,
     CURVE_DRAW_BUDGET,
     CURVE_DRAW_CAP,
+    DENSE_STEP_BUDGET,
     EXPERIMENT_KINDS,
+    PHASE_MATRIX_CAP,
     SCHEMAS,
+    SNAPSHOT_CAP,
+    SNAPSHOT_ROW_CAP,
     TOY_POINT_CAP,
     atomic_write_text,
     config_hash,
@@ -197,6 +201,66 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds the"):
             run_experiment(config, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (
+                {"kind": "anneal-matrix", "num_qubits": 10, "n_steps": 10**9},
+                f"n_steps * 4**num_qubits = {10**9 * 4**10:g} exceeds the dense step budget "
+                f"of {DENSE_STEP_BUDGET}",
+            ),
+            (
+                {"kind": "tunnel", "t_total": 1e9, "dt": 1e-3},
+                f"t_total / dt * 4**num_qubits = {1e12 * 4**5:g} exceeds the dense step budget "
+                f"of {DENSE_STEP_BUDGET}",
+            ),
+            (
+                {"kind": "tunnel", "t_total": 200.0, "snapshot_stride": 1},
+                f"snapshots = 20001 (steps / snapshot_stride) exceeds the snapshot memory cap "
+                f"of {SNAPSHOT_CAP}",
+            ),
+            (
+                {"kind": "anneal-matrix", "n_steps": 1000, "snapshot_stride": 1},
+                f"snapshots * grid_points = {1001 * 1025} exceeds the snapshot row cap "
+                f"of {SNAPSHOT_ROW_CAP} rows",
+            ),
+        ]
+        + [
+            (
+                {"kind": kind, "grid_points": 10**9},
+                f"grid_points * 2**num_qubits = {10**9 * 2**qubits} exceeds the phase-matrix "
+                f"memory cap of {PHASE_MATRIX_CAP} entries",
+            )
+            for kind, qubits in (("anneal-matrix", 5), ("tunnel", 5), ("mass-scan", 7))
+        ],
+    )
+    def test_dense_sizes_capped_before_running(self, config, message, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized config must not start its runner")
+
+        monkeypatch.setitem(experiments._RUNNERS, config["kind"], never)
+        assert message in " ".join(validate_config(config).errors)
+        with pytest.raises(ValueError, match="exceeds the"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dense_size_caps_are_inclusive(self):
+        at_budget = DENSE_STEP_BUDGET // 4**5
+        assert validate_config({"kind": "anneal-matrix", "n_steps": at_budget}).ok
+        assert not validate_config({"kind": "anneal-matrix", "n_steps": at_budget + 1}).ok
+        # initial state plus one snapshot per stride: SNAPSHOT_CAP in all
+        tunnel = {"kind": "tunnel", "t_total": (SNAPSHOT_CAP - 1) * 0.01, "snapshot_stride": 1}
+        assert validate_config(tunnel).ok
+        widest = {"kind": "mass-scan", "grid_points": PHASE_MATRIX_CAP // 2**7}
+        assert validate_config(widest).ok
+
+    @pytest.mark.parametrize(
+        "name", ["anneal_matrix_cosine", "anneal_matrix_tilted", "tunnel_cosine", "mass_scan"]
+    )
+    def test_shipped_configs_within_dense_caps(self, name):
+        config_dir = Path(__file__).resolve().parent.parent / "configs"
+        assert validate_config(json.loads((config_dir / f"{name}.json").read_text())).ok
 
     def test_data_size_caps_are_inclusive(self):
         assert validate_config({"kind": "nn-toy", "n_points": TOY_POINT_CAP}).ok

@@ -18,9 +18,9 @@ its propagator from the representation and ``substeps_per_step``:
   schedule value s (:func:`_evolve_dense`).  H(s) is linear in s, so U is
   entire and a few ``eigh`` calls at interpolation nodes replace one per
   step: 13 instead of 4000 on the tilted-well anneal.  A panel with no more
-  steps than nodes decomposes at its steps' own s values, exactly as a
-  per-step propagator would.  There is no Trotter error, and the
-  interpolation error is below roundoff.
+  steps than nodes takes its steps' own s values as the nodes, where the
+  interpolation weights are the identity.  There is no Trotter error, and
+  the interpolation error is below roundoff.
 
 Real-time stepping under a fixed Hamiltonian (:func:`evolve_real_time`,
 used by the ``tunnel`` experiment) is dense-only: it diagonalizes the
@@ -323,13 +323,10 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
     for steps in runs:
         if steps.size <= DENSE_PANEL_NODES:
             # the steps' own s values are the nodes, and the weights the identity
-            for k in steps:
-                s = fractions[k]
-                amps = _step_propagator((1.0 - s) * driver + s * target, dt) @ amps
-                _maybe_snapshot(snapshots, spec, k, amps)
-            continue
-        panel = panel_of[steps[0]]
-        nodes = _chebyshev_points(panel / panels, (panel + 1) / panels, DENSE_PANEL_NODES)
+            nodes = fractions[steps]
+        else:
+            panel = panel_of[steps[0]]
+            nodes = _chebyshev_points(panel / panels, (panel + 1) / panels, DENSE_PANEL_NODES)
         block = np.empty((nodes.size * dim, dim), dtype=complex)
         for j, s in enumerate(nodes):
             block[j * dim : (j + 1) * dim] = _step_propagator(

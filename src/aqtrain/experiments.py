@@ -10,7 +10,6 @@ exempt from byte identity.
 
 import json
 import hashlib
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -247,18 +246,23 @@ CURVE_DRAW_BUDGET = 1_000_000_000
 #: bounds a run near 160 MB and 1.5 s
 TOY_POINT_CAP = 40_000
 
-#: dense matrix-method runs.  The interpolated anneal step measured 13-16 ns
-#: per dim**2 up to 8 qubits and 96 ns at 10, where its 13-node block of
-#: 13 * dim**2 * 16 B (218 MB) streams from memory every step; the real-time
-#: step 2-7 ns.  The budget on steps * dim**2 (anneal-matrix n_steps, tunnel
-#: t_total / dt) bounds the stepping near 50 s
+#: dense matrix-method steps.  The interpolated anneal step (anneal-matrix
+#: n_steps) measured 13-16 ns per dim**2 up to 8 qubits and 96 ns at 10, where
+#: its 13-node block of 13 * dim**2 * 16 B (218 MB) streams from memory every
+#: step; the real-time step (tunnel t_total / dt) 8 ns per dim**2 at 5 qubits,
+#: where the loop overhead dominates, and 2-3 ns at 8 and 10.  Both budgets on
+#: steps * dim**2 bound the stepping near 50 s
 DENSE_STEP_BUDGET = 500_000_000
-#: kept snapshot states (anneal-matrix with a snapshot_stride, tunnel), dim *
-#: 16 B each: 164 MB at the 10-qubit dense evolution cap
-SNAPSHOT_CAP = 10_000
+REAL_TIME_STEP_BUDGET = 6_000_000_000
+#: memory of the kept snapshot states (anneal-matrix with a snapshot_stride,
+#: tunnel): 16 B an amplitude plus about 700 B of objects and timeseries row
+#: per state, measured at 5 and 10 qubits.  The cap is ten thousand states at
+#: the 10-qubit dense evolution cap, 171 MB, or 141 000 at 5 qubits
+SNAPSHOT_OVERHEAD_BYTES = 700
+SNAPSHOT_MEMORY_CAP = 10_000 * (16 * 2**DENSE_EVOLUTION_CAP + SNAPSHOT_OVERHEAD_BYTES)
 #: anneal-matrix density_snapshots.csv rows (snapshots * grid_points), measured
-#: at about 330 B of peak memory and 7 us a row: about 165 MB and 4 s
-SNAPSHOT_ROW_CAP = 500_000
+#: at about 205 B of peak memory and 7 us a row: about 165 MB and 6 s
+SNAPSHOT_ROW_CAP = 800_000
 #: entries of the (grid_points, 2**num_qubits) plane-wave matrix every density
 #: is read through, 16 B each: 64 MB
 PHASE_MATRIX_CAP = 2**22
@@ -473,18 +477,20 @@ def _dense_size_errors(effective: dict) -> list:
             f"memory cap of {PHASE_MATRIX_CAP} entries"
         )
     if kind == "anneal-matrix":
-        label, steps = "n_steps", effective["n_steps"]
+        label, steps, budget = "n_steps", effective["n_steps"], DENSE_STEP_BUDGET
     elif kind == "tunnel" and all(isinstance(effective[k], float) for k in ("t_total", "dt")):
         label, steps = "t_total / dt", effective["t_total"] / effective["dt"]
+        budget = REAL_TIME_STEP_BUDGET
     else:
         return errors
     stride = effective["snapshot_stride"]
     if not (isinstance(steps, (int, float)) and steps > 0 and isinstance(stride, int)):
         return errors
-    if steps * dim * dim > DENSE_STEP_BUDGET:
+    if steps * dim * dim > budget:
+        name = "dense" if kind == "anneal-matrix" else "real-time"
         errors.append(
-            f"{label} * 4**num_qubits = {steps * dim * dim:g} exceeds the dense step "
-            f"budget of {DENSE_STEP_BUDGET}"
+            f"{label} * 4**num_qubits = {steps * dim * dim:g} exceeds the {name} step "
+            f"budget of {budget}"
         )
         return errors
     if kind == "tunnel":
@@ -493,10 +499,12 @@ def _dense_size_errors(effective: dict) -> list:
         steps = max(1, round(steps))
         # the initial state, every stride-th step and the last step
         snapshots = 1 + steps // stride + (steps % stride != 0)
-        if snapshots > SNAPSHOT_CAP:
+        memory = snapshots * (16 * dim + SNAPSHOT_OVERHEAD_BYTES)
+        if memory > SNAPSHOT_MEMORY_CAP:
             errors.append(
-                f"snapshots = {snapshots} (steps / snapshot_stride) exceeds the snapshot "
-                f"memory cap of {SNAPSHOT_CAP}"
+                f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = {memory} B "
+                f"({snapshots} snapshots, steps / snapshot_stride) exceeds the snapshot "
+                f"memory cap of {SNAPSHOT_MEMORY_CAP} B"
             )
         if kind == "anneal-matrix" and snapshots * grid > SNAPSHOT_ROW_CAP:
             errors.append(
@@ -708,11 +716,12 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
     w, density = momentum_to_position(result.final.amplitudes, grid)
     write_csv(out / "density_final.csv", "anneal-matrix", cfg_hash, ("w", "density"), zip(w, density))
     if effective["snapshot_stride"]:
-        rows = []
-        for t, state in result.snapshots:
-            _, snap_density = momentum_to_position(state.amplitudes, grid)
-            rows.extend(zip([t] * grid, w, snap_density))
-        write_csv(out / "density_snapshots.csv", "anneal-matrix", cfg_hash, ("time", "w", "density"), rows)
+        def rows():
+            for t, state in result.snapshots:
+                _, snap_density = momentum_to_position(state.amplitudes, grid)
+                yield from zip([t] * grid, w, snap_density)
+
+        write_csv(out / "density_snapshots.csv", "anneal-matrix", cfg_hash, ("time", "w", "density"), rows())
         files.append("density_snapshots.csv")
 
     left = density * (w < 0.5)

@@ -22,8 +22,10 @@ from aqtrain.experiments import (
     DENSE_STEP_BUDGET,
     EXPERIMENT_KINDS,
     PHASE_MATRIX_CAP,
+    REAL_TIME_STEP_BUDGET,
     SCHEMAS,
-    SNAPSHOT_CAP,
+    SNAPSHOT_MEMORY_CAP,
+    SNAPSHOT_OVERHEAD_BYTES,
     SNAPSHOT_ROW_CAP,
     TOY_POINT_CAP,
     atomic_write_text,
@@ -212,13 +214,15 @@ class TestValidation:
             ),
             (
                 {"kind": "tunnel", "t_total": 1e9, "dt": 1e-3},
-                f"t_total / dt * 4**num_qubits = {1e12 * 4**5:g} exceeds the dense step budget "
-                f"of {DENSE_STEP_BUDGET}",
+                f"t_total / dt * 4**num_qubits = {1e12 * 4**5:g} exceeds the real-time step "
+                f"budget of {REAL_TIME_STEP_BUDGET}",
             ),
             (
-                {"kind": "tunnel", "t_total": 200.0, "snapshot_stride": 1},
-                f"snapshots = 20001 (steps / snapshot_stride) exceeds the snapshot memory cap "
-                f"of {SNAPSHOT_CAP}",
+                {"kind": "tunnel", "t_total": 2000.0, "snapshot_stride": 1},
+                f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = "
+                f"{200_001 * (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)} B (200001 snapshots, "
+                f"steps / snapshot_stride) exceeds the snapshot memory cap of "
+                f"{SNAPSHOT_MEMORY_CAP} B",
             ),
             (
                 {"kind": "anneal-matrix", "n_steps": 1000, "snapshot_stride": 1},
@@ -249,9 +253,20 @@ class TestValidation:
         at_budget = DENSE_STEP_BUDGET // 4**5
         assert validate_config({"kind": "anneal-matrix", "n_steps": at_budget}).ok
         assert not validate_config({"kind": "anneal-matrix", "n_steps": at_budget + 1}).ok
-        # initial state plus one snapshot per stride: SNAPSHOT_CAP in all
-        tunnel = {"kind": "tunnel", "t_total": (SNAPSHOT_CAP - 1) * 0.01, "snapshot_stride": 1}
+        at_budget = REAL_TIME_STEP_BUDGET // 4**5
+        tunnel = {"kind": "tunnel", "t_total": at_budget * 0.5, "dt": 0.5, "snapshot_stride": 10**9}
         assert validate_config(tunnel).ok
+        tunnel["t_total"] = (at_budget + 1) * 0.5
+        assert not validate_config(tunnel).ok
+        # initial state plus one snapshot per step: the most the memory cap keeps
+        most = SNAPSHOT_MEMORY_CAP // (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)
+        tunnel = {"kind": "tunnel", "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
+        assert validate_config(tunnel).ok
+        tunnel["t_total"] = most * 0.01
+        assert not validate_config(tunnel).ok
+        # a default anneal-matrix keeping every step: 501 * 1025 snapshot rows
+        assert validate_config({"kind": "anneal-matrix", "snapshot_stride": 1}).ok
+        assert validate_config({"kind": "tunnel", "t_total": 200.0, "snapshot_stride": 1}).ok
         widest = {"kind": "mass-scan", "grid_points": PHASE_MATRIX_CAP // 2**7}
         assert validate_config(widest).ok
 

@@ -266,6 +266,11 @@ SNAPSHOT_ROW_CAP = 800_000
 #: entries of the (grid_points, 2**num_qubits) plane-wave matrix every density
 #: is read through, 16 B each: 64 MB
 PHASE_MATRIX_CAP = 2**22
+#: snapshot densities (tunnel, anneal-matrix with a snapshot_stride): each one
+#: streams the plane-wave matrix, and a tunnel run at this budget with a
+#: 2**17-point grid measured 2.3 ns an entry, so the budget on snapshots *
+#: grid_points * 2**num_qubits bounds them near 25 s
+DENSITY_ENTRY_BUDGET = 10_000_000_000
 
 _POSITIVE_FLOATS = {
     "mass",
@@ -505,6 +510,11 @@ def _dense_size_errors(effective: dict) -> list:
                 f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = {memory} B "
                 f"({snapshots} snapshots, steps / snapshot_stride) exceeds the snapshot "
                 f"memory cap of {SNAPSHOT_MEMORY_CAP} B"
+            )
+        if snapshots * grid * dim > DENSITY_ENTRY_BUDGET:
+            errors.append(
+                f"snapshots * grid_points * 2**num_qubits = {snapshots * grid * dim} exceeds "
+                f"the snapshot density budget of {DENSITY_ENTRY_BUDGET}"
             )
         if kind == "anneal-matrix" and snapshots * grid > SNAPSHOT_ROW_CAP:
             errors.append(

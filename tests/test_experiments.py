@@ -20,6 +20,7 @@ from aqtrain.experiments import (
     CURVE_DRAW_BUDGET,
     CURVE_DRAW_CAP,
     DENSE_STEP_BUDGET,
+    DENSITY_ENTRY_BUDGET,
     EXPERIMENT_KINDS,
     PHASE_MATRIX_CAP,
     REAL_TIME_STEP_BUDGET,
@@ -225,6 +226,11 @@ class TestValidation:
                 f"{SNAPSHOT_MEMORY_CAP} B",
             ),
             (
+                {"kind": "tunnel", "t_total": 1400.0, "snapshot_stride": 1, "grid_points": 2**17},
+                f"snapshots * grid_points * 2**num_qubits = {140_001 * 2**17 * 2**5} exceeds "
+                f"the snapshot density budget of {DENSITY_ENTRY_BUDGET}",
+            ),
+            (
                 {"kind": "anneal-matrix", "n_steps": 1000, "snapshot_stride": 1},
                 f"snapshots * grid_points = {1001 * 1025} exceeds the snapshot row cap "
                 f"of {SNAPSHOT_ROW_CAP} rows",
@@ -261,6 +267,12 @@ class TestValidation:
         # initial state plus one snapshot per step: the most the memory cap keeps
         most = SNAPSHOT_MEMORY_CAP // (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)
         tunnel = {"kind": "tunnel", "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
+        assert validate_config(tunnel).ok
+        tunnel["t_total"] = most * 0.01
+        assert not validate_config(tunnel).ok
+        most = DENSITY_ENTRY_BUDGET // (2**17 * 2**5)
+        tunnel = {"kind": "tunnel", "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
+        tunnel["grid_points"] = 2**17
         assert validate_config(tunnel).ok
         tunnel["t_total"] = most * 0.01
         assert not validate_config(tunnel).ok

@@ -10,6 +10,7 @@ exempt from byte identity.
 
 import json
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .datasets import (
 from .encodings import EncodingTable, report_bitstring
 from .engine import (
     DENSE_EVOLUTION_CAP,
+    DENSE_PANEL_NODES,
     AnnealSpec,
     LinearSchedule,
     evolve_adiabatic,
@@ -59,7 +61,7 @@ from .nn import (
     term_stats,
     toy_two_layer_model,
 )
-from .pauli import PauliPolynomial
+from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial
 from .state import StateVector
 from .varpoly import VarPolynomial, parse_polynomial
 
@@ -213,64 +215,70 @@ CHOICES = {
 POTENTIAL_PARAMETERS = {"tilt": "tilted-cosine", "scale": "quartic"}
 _MATRIX_POTENTIAL_KINDS = ("tunnel", "anneal-matrix")
 
-#: register-size caps; the message names the cap so oversized requests are
-#: rejected with an explanation rather than an allocation failure
-QUBIT_CAPS = {
-    "tunnel": ("dense evolution cap", DENSE_EVOLUTION_CAP),
-    "anneal-matrix": ("dense evolution cap", DENSE_EVOLUTION_CAP),
-    "anneal-paulispin": ("split-step state cap", 16),
-    "spectrum": ("dense matrix cap", matrix_method.QUBIT_CAP),
-    "mass-scan": ("dense matrix cap", matrix_method.QUBIT_CAP),
+#: the register-size cap of each kind with a num_qubits parameter
+_REGISTER_CAPS = {
+    "tunnel": "dense evolution cap",
+    "anneal-matrix": "dense evolution cap",
+    "anneal-paulispin": "split-step state cap",
+    "spectrum": "dense matrix cap",
+    "mass-scan": "dense matrix cap",
 }
 
-#: (runs, steps) parameters of the classical training pool per kind.  The
-#: batched relaxed-Adam pool on the pixel split measured about 1.2 us per
-#: run-step plus 12 us per run, and 1.5 kB of peak memory per run (2 cores,
-#: OpenBLAS), so the caps below bound the training near 60 s and 150 MB
-CLASSICAL_POOL_PARAMETERS = {
-    "classical-pool": ("n_runs", "n_steps"),
-    "accuracy-curves": ("pool", "train_steps"),
-}
-CLASSICAL_RUN_CAP = 100_000
-CLASSICAL_RUN_STEP_BUDGET = 50_000_000
-
-#: best-of-n curves hold one (repetitions, n) block of pool draws at a time,
-#: measured at 16 B and 15-25 ns per draw, and draw twice (quantum and
-#: classical pool): the cap bounds the block near 160 MB, the budget on
-#: repetitions * sum(n_values) the drawing near 50 s
-CURVE_DRAW_CAP = 10_000_000
-CURVE_DRAW_BUDGET = 1_000_000_000
-
-#: rows of the toy 2-D dataset (nn-toy, and enumerate with the toy model);
-#: nn-toy measured about 4 kB of peak memory and 37 us per row, so the cap
-#: bounds a run near 160 MB and 1.5 s
-TOY_POINT_CAP = 40_000
-
-#: dense matrix-method steps.  The interpolated anneal step (anneal-matrix
-#: n_steps) measured 13-16 ns per dim**2 up to 8 qubits and 96 ns at 10, where
-#: its 13-node block of 13 * dim**2 * 16 B (218 MB) streams from memory every
-#: step; the real-time step (tunnel t_total / dt) 8 ns per dim**2 at 5 qubits,
-#: where the loop overhead dominates, and 2-3 ns at 8 and 10.  Both budgets on
-#: steps * dim**2 bound the stepping near 50 s
-DENSE_STEP_BUDGET = 500_000_000
-REAL_TIME_STEP_BUDGET = 6_000_000_000
-#: memory of the kept snapshot states (anneal-matrix with a snapshot_stride,
-#: tunnel): 16 B an amplitude plus about 700 B of objects and timeseries row
-#: per state, measured at 5 and 10 qubits.  The cap is ten thousand states at
-#: the 10-qubit dense evolution cap, 171 MB, or 141 000 at 5 qubits
+#: bytes of objects and timeseries row a kept snapshot state costs beyond its
+#: 16 B amplitudes, measured at 5 and 10 qubits
 SNAPSHOT_OVERHEAD_BYTES = 700
-SNAPSHOT_MEMORY_CAP = 10_000 * (16 * 2**DENSE_EVOLUTION_CAP + SNAPSHOT_OVERHEAD_BYTES)
-#: anneal-matrix density_snapshots.csv rows (snapshots * grid_points), measured
-#: at about 205 B of peak memory and 7 us a row: about 165 MB and 6 s
-SNAPSHOT_ROW_CAP = 800_000
-#: entries of the (grid_points, 2**num_qubits) plane-wave matrix every density
-#: is read through, 16 B each: 64 MB
-PHASE_MATRIX_CAP = 2**22
-#: snapshot densities (tunnel, anneal-matrix with a snapshot_stride): each one
-#: streams the plane-wave matrix, and a tunnel run at this budget with a
-#: 2**17-point grid measured 2.3 ns an entry, so the budget on snapshots *
-#: grid_points * 2**num_qubits bounds them near 25 s
-DENSITY_ENTRY_BUDGET = 10_000_000_000
+
+# Why each limit has its size, from costs measured on 2 cores with OpenBLAS:
+# - classical pool: about 1.2 us per run-step plus 12 us and 1.5 kB per run,
+#   so training stays near 60 s and 150 MB.
+# - curves: one (repetitions, n) block of pool draws at a time, 16 B and
+#   15-25 ns a draw, drawn for both pools: near 160 MB and 50 s.
+# - toy data: about 4 kB and 37 us per forwarded row (dataset or nn-toy grid
+#   probe): near 160 MB and 1.5 s.
+# - dense step budget: the interpolated anneal step streams its 13-node
+#   block, 13-16 ns per dim**2 up to 8 qubits and 96 ns at 10 (218 MB);
+#   real-time step budget: 8 ns per dim**2 at 5 qubits, 2-3 ns at 8 and 10.
+#   Both keep the stepping near 50 s.
+# - dense decomposition budget: a complex eigh takes 1.0-1.7 s at 1024**2,
+#   so 32 at the dense evolution cap take about 50 s.  spectrum runs one per
+#   s point, mass-scan one per mass, anneal-matrix one per Chebyshev node,
+#   13 per panel of reach |T - D| dt <= 1 and at most one per step; T - D is
+#   the Toeplitz potential matrix, of norm at most |V(0)| + 2 sum |V(k>0)|.
+# - split step budget: 0.10 ms a step at 7 qubits, where step overhead
+#   dominates, and 10.4 ms at 16: near 55 s at 7 qubits, 11 s at 16.
+# - Krylov step budget: 1.7 ms a step at 6 qubits and 3.8 ms at 10 with the
+#   shipped time step of 1: near 55 s on the toy model, 8 s on the binary
+#   one.  A longer time step takes more Lanczos iterations, up to about
+#   0.09 s a step at the iteration limit.
+# - snapshot memory cap: ten thousand states at the dense evolution cap
+#   (171 MB), 141 000 at 5 qubits.
+# - snapshot row cap: about 205 B and 7 us a density_snapshots.csv row:
+#   165 MB and 6 s.
+# - phase-matrix memory cap: the (grid_points, 2**num_qubits) plane-wave
+#   matrix every density is read through, 16 B an entry: 64 MB.
+# - snapshot density budget: each density streams the plane-wave matrix,
+#   2.3 ns an entry: near 25 s.
+#: every size limit validate enforces, by the name its messages use:
+#: name -> (limit, unit)
+LIMITS = {
+    "dense evolution cap": (DENSE_EVOLUTION_CAP, ""),
+    "dense matrix cap": (MATRIX_QUBIT_CAP, ""),
+    "split-step state cap": (16, ""),
+    "classical memory cap": (100_000, " runs"),
+    "classical time budget": (50_000_000, " run-steps"),
+    "curve memory cap": (10_000_000, " draws"),
+    "curve time budget": (1_000_000_000, " draws"),
+    "toy-data memory cap": (40_000, " rows"),
+    "dense step budget": (500_000_000, ""),
+    "real-time step budget": (6_000_000_000, ""),
+    "dense decomposition budget": (32 * 8**DENSE_EVOLUTION_CAP, ""),
+    "split step budget": (2**26, ""),
+    "Krylov step budget": (2**21, ""),
+    "snapshot memory cap": (10_000 * (16 * 2**DENSE_EVOLUTION_CAP + SNAPSHOT_OVERHEAD_BYTES), " B"),
+    "snapshot row cap": (800_000, " rows"),
+    "phase-matrix memory cap": (2**22, " entries"),
+    "snapshot density budget": (10_000_000_000, ""),
+}
 
 _POSITIVE_FLOATS = {
     "mass",
@@ -317,7 +325,9 @@ def _coerce(name: str, value, errors: list):
             errors.append(f"{name} must be a number, got {value!r}")
             return value
         value = float(value)
-        if name in _POSITIVE_FLOATS and value <= 0:
+        if not math.isfinite(value):
+            errors.append(f"{name} must be finite, got {value}")
+        elif name in _POSITIVE_FLOATS and value <= 0:
             errors.append(f"{name} must be positive, got {value}")
         if name == "penalty" and value < 0:
             errors.append(f"{name} must be non-negative, got {value}")
@@ -366,12 +376,14 @@ def validate_config(config) -> ValidationReport:
     """Check a config against its kind's schema without running anything.
 
     Fills in defaults (reported in notes), rejects unknown keys, enforces
-    value ranges, register caps, the classical training caps and the
-    data-size caps (curve draws, toy rows), and returns the effective
-    config whose canonical JSON defines the config hash.  For the
-    matrix-method kinds the effective config lists only the
-    potential parameters the chosen potential uses; setting one it ignores
-    is an error.
+    value ranges, and returns the effective config whose canonical JSON
+    defines the config hash.  For the matrix-method kinds the effective
+    config lists only the potential parameters the chosen potential uses;
+    setting one it ignores is an error.  A config with no such error is
+    then checked against every row of ``LIMITS`` that its sizes reach
+    (register, classical pool, curve draws, toy rows, steps, dense
+    decompositions, plane-wave matrix, snapshots); each excess is reported
+    with its expression, value, limit and unit.
     """
     notes: list = []
     errors: list = []
@@ -408,55 +420,6 @@ def validate_config(config) -> ValidationReport:
             errors.append(f"{name} must be one of {choices}, got {value!r}")
         effective[name] = value
 
-    cap = QUBIT_CAPS.get(kind)
-    if cap and isinstance(effective.get("num_qubits"), int):
-        label, limit = cap
-        if effective["num_qubits"] > limit:
-            errors.append(
-                f"num_qubits = {effective['num_qubits']} exceeds the {label} of {limit}"
-            )
-    pool = CLASSICAL_POOL_PARAMETERS.get(kind)
-    if pool and all(isinstance(effective[name], int) for name in pool):
-        runs_name, steps_name = pool
-        runs, steps = effective[runs_name], effective[steps_name]
-        if runs > CLASSICAL_RUN_CAP:
-            errors.append(
-                f"{runs_name} = {runs} exceeds the classical memory cap of "
-                f"{CLASSICAL_RUN_CAP} runs"
-            )
-        if runs * steps > CLASSICAL_RUN_STEP_BUDGET:
-            errors.append(
-                f"{runs_name} * {steps_name} = {runs * steps} exceeds the classical "
-                f"time budget of {CLASSICAL_RUN_STEP_BUDGET} run-steps"
-            )
-    n_values = effective.get("n_values")
-    if (
-        kind == "accuracy-curves"
-        and isinstance(effective["repetitions"], int)
-        and isinstance(n_values, list)
-        and n_values
-        and all(isinstance(n, int) for n in n_values)
-    ):
-        widest = effective["repetitions"] * max(n_values)
-        total = effective["repetitions"] * sum(n_values)
-        if widest > CURVE_DRAW_CAP:
-            errors.append(
-                f"repetitions * max(n_values) = {widest} exceeds the curve memory cap "
-                f"of {CURVE_DRAW_CAP} draws"
-            )
-        if total > CURVE_DRAW_BUDGET:
-            errors.append(
-                f"repetitions * sum(n_values) = {total} exceeds the curve time budget "
-                f"of {CURVE_DRAW_BUDGET} draws"
-            )
-    toy_data = kind == "nn-toy" or effective.get("model") == "toy"
-    if toy_data and isinstance(effective["n_points"], int) and effective["n_points"] > TOY_POINT_CAP:
-        errors.append(
-            f"n_points = {effective['n_points']} exceeds the toy-data memory cap "
-            f"of {TOY_POINT_CAP} rows"
-        )
-    if "grid_points" in schema:
-        errors.extend(_dense_size_errors(effective))
     if kind in ("anneal-paulispin", "spectrum") and isinstance(effective["potential"], str):
         if effective["potential"] != "quartic":
             try:
@@ -465,63 +428,87 @@ def validate_config(config) -> ValidationReport:
                     errors.append("objective polynomial must use exactly one variable")
             except ValueError as exc:
                 errors.append(f"cannot parse objective polynomial: {exc}")
+    if not errors:
+        for expression, value, name in _sizes(effective):
+            limit, unit = LIMITS[name]
+            if value > limit:
+                errors.append(f"{expression} = {value} exceeds the {name} of {limit}{unit}")
+                if expression == "num_qubits":
+                    break  # 2**num_qubits could be astronomical
     return ValidationReport(effective, notes, errors)
 
 
-def _dense_size_errors(effective: dict) -> list:
-    """Step, snapshot and grid caps of anneal-matrix, tunnel and mass-scan."""
+def _sizes(effective: dict):
+    """``(expression, value, limit name)`` of each size a valid config asks for.
+
+    The register size comes first, so a caller can stop before any
+    ``2**num_qubits`` of an oversized register is computed.
+    """
     kind = effective["kind"]
-    qubits, grid = effective["num_qubits"], effective["grid_points"]
-    if not (isinstance(qubits, int) and isinstance(grid, int)) or qubits > QUBIT_CAPS[kind][1]:
-        return []  # already rejected, and 4**num_qubits could be astronomical
-    dim = 2**qubits
-    errors = []
-    if grid * dim > PHASE_MATRIX_CAP:
-        errors.append(
-            f"grid_points * 2**num_qubits = {grid * dim} exceeds the phase-matrix "
-            f"memory cap of {PHASE_MATRIX_CAP} entries"
-        )
+    if kind in _REGISTER_CAPS:
+        yield "num_qubits", effective["num_qubits"], _REGISTER_CAPS[kind]
+        dim = 2 ** effective["num_qubits"]
+    if kind in ("classical-pool", "accuracy-curves"):
+        runs, steps = ("n_runs", "n_steps") if kind == "classical-pool" else ("pool", "train_steps")
+        yield runs, effective[runs], "classical memory cap"
+        yield f"{runs} * {steps}", effective[runs] * effective[steps], "classical time budget"
+    if kind == "accuracy-curves":
+        repetitions, n_values = effective["repetitions"], effective["n_values"]
+        yield "repetitions * max(n_values)", repetitions * max(n_values), "curve memory cap"
+        yield "repetitions * sum(n_values)", repetitions * sum(n_values), "curve time budget"
+    if kind == "nn-toy" or effective.get("model") == "toy":
+        yield "n_points", effective["n_points"], "toy-data memory cap"
+    if kind == "nn-toy":
+        yield "grid_probe_side**2", effective["grid_probe_side"] ** 2, "toy-data memory cap"
+    if kind in ("nn-toy", "nn-binary", "accuracy-curves"):
+        qubits = 6 if kind == "nn-toy" else 10  # the toy and binary models' weights
+        yield f"n_steps * 2**{qubits}", effective["n_steps"] * 2**qubits, "Krylov step budget"
+    if kind == "anneal-paulispin":
+        yield "n_steps * 2**num_qubits", effective["n_steps"] * dim, "split step budget"
+    if kind == "spectrum":
+        yield "s_points * 8**num_qubits", effective["s_points"] * dim**3, "dense decomposition budget"
+    if kind == "mass-scan":
+        masses = len(effective["masses"])
+        yield "len(masses) * 8**num_qubits", masses * dim**3, "dense decomposition budget"
+    if "grid_points" in effective:
+        grid = effective["grid_points"]
+        yield "grid_points * 2**num_qubits", grid * dim, "phase-matrix memory cap"
     if kind == "anneal-matrix":
-        label, steps, budget = "n_steps", effective["n_steps"], DENSE_STEP_BUDGET
-    elif kind == "tunnel" and all(isinstance(effective[k], float) for k in ("t_total", "dt")):
-        label, steps = "t_total / dt", effective["t_total"] / effective["dt"]
-        budget = REAL_TIME_STEP_BUDGET
-    else:
-        return errors
-    stride = effective["snapshot_stride"]
-    if not (isinstance(steps, (int, float)) and steps > 0 and isinstance(stride, int)):
-        return errors
-    if steps * dim * dim > budget:
-        name = "dense" if kind == "anneal-matrix" else "real-time"
-        errors.append(
-            f"{label} * 4**num_qubits = {steps * dim * dim:g} exceeds the {name} step "
-            f"budget of {budget}"
+        steps, stride = effective["n_steps"], effective["snapshot_stride"]
+        yield "n_steps * 4**num_qubits", steps * dim**2, "dense step budget"
+        potential = _matrix_potential(effective)
+        bound = abs(potential.fourier_coefficient(0)) + 2 * sum(
+            abs(potential.fourier_coefficient(k)) for k in range(1, dim)
         )
-        return errors
-    if kind == "tunnel":
-        stride = max(1, stride)  # a tunnel run keeps every step at stride 0
+        # past n_steps panels every step decomposes; the min keeps ceil finite
+        reach = min(effective["t_final"] / steps * bound, steps)
+        decompositions = min(steps, DENSE_PANEL_NODES * max(1, math.ceil(reach)))
+        yield (
+            f"min(n_steps, {DENSE_PANEL_NODES} * ceil(t_final / n_steps * {bound:.4g})) "
+            "* 8**num_qubits",
+            decompositions * dim**3,
+            "dense decomposition budget",
+        )
+    elif kind == "tunnel":
+        # the engine's step count; a tunnel run keeps every step at stride 0
+        ratio = effective["t_total"] / effective["dt"]
+        # an overflowing ratio stays inf, which fails the step budget
+        steps = max(1, round(ratio)) if math.isfinite(ratio) else ratio
+        stride = max(1, effective["snapshot_stride"])
+        yield "t_total / dt * 4**num_qubits", steps * dim**2, "real-time step budget"
+    else:
+        return
     if stride:
-        steps = max(1, round(steps))
         # the initial state, every stride-th step and the last step
         snapshots = 1 + steps // stride + (steps % stride != 0)
-        memory = snapshots * (16 * dim + SNAPSHOT_OVERHEAD_BYTES)
-        if memory > SNAPSHOT_MEMORY_CAP:
-            errors.append(
-                f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = {memory} B "
-                f"({snapshots} snapshots, steps / snapshot_stride) exceeds the snapshot "
-                f"memory cap of {SNAPSHOT_MEMORY_CAP} B"
-            )
-        if snapshots * grid * dim > DENSITY_ENTRY_BUDGET:
-            errors.append(
-                f"snapshots * grid_points * 2**num_qubits = {snapshots * grid * dim} exceeds "
-                f"the snapshot density budget of {DENSITY_ENTRY_BUDGET}"
-            )
-        if kind == "anneal-matrix" and snapshots * grid > SNAPSHOT_ROW_CAP:
-            errors.append(
-                f"snapshots * grid_points = {snapshots * grid} exceeds the snapshot row "
-                f"cap of {SNAPSHOT_ROW_CAP} rows"
-            )
-    return errors
+        yield (
+            f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES})",
+            snapshots * (16 * dim + SNAPSHOT_OVERHEAD_BYTES),
+            "snapshot memory cap",
+        )
+        yield "snapshots * grid_points * 2**num_qubits", snapshots * grid * dim, "snapshot density budget"
+        if kind == "anneal-matrix":
+            yield "snapshots * grid_points", snapshots * grid, "snapshot row cap"
 
 
 def config_hash(effective: dict) -> str:

@@ -22,9 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from .pauli import MATRIX_QUBIT_CAP
 from .varpoly import VarPolynomial
-
-QUBIT_CAP = 12
 
 #: quartic double-well coefficients, constant term tuned so the shallow
 #: (false) minimum near w = 0.1848 sits at almost exactly zero
@@ -173,8 +172,8 @@ class MomentumTruncation:
     num_qubits: int
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= QUBIT_CAP:
-            raise ValueError(f"num_qubits must be in [1, {QUBIT_CAP}]")
+        if not 1 <= self.num_qubits <= MATRIX_QUBIT_CAP:
+            raise ValueError(f"num_qubits must be in [1, {MATRIX_QUBIT_CAP}]")
 
     @property
     def dim(self) -> int:

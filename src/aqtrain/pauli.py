@@ -23,7 +23,8 @@ AXES = "IXYZ"
 #: coefficients with magnitude below this are dropped during canonicalization
 DROP_TOLERANCE = 1e-12
 
-#: hard cap on dense-matrix rendering; 2**12 x 2**12 complex = 256 MiB
+#: hard cap on dense-matrix rendering, and on the matrix method's momentum
+#: register; 2**12 x 2**12 complex = 256 MiB
 MATRIX_QUBIT_CAP = 12
 
 _MATRICES = {
@@ -124,10 +125,10 @@ class PauliString:
         return f"PauliString({self.coefficient}, {ops})"
 
 
-def _check_matrix_cap(num_qubits: int, cap: int = MATRIX_QUBIT_CAP):
-    if num_qubits > cap:
+def _check_matrix_cap(num_qubits: int):
+    if num_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(
-            f"dense matrix for {num_qubits} qubits exceeds the {cap}-qubit cap"
+            f"dense matrix for {num_qubits} qubits exceeds the {MATRIX_QUBIT_CAP}-qubit cap"
         )
 
 
@@ -297,9 +298,9 @@ class PauliPolynomial:
 
     # -- numeric rendering ------------------------------------------------------
 
-    def to_matrix(self, cap: int = MATRIX_QUBIT_CAP) -> np.ndarray:
+    def to_matrix(self) -> np.ndarray:
         """Dense matrix of the polynomial (qubit 0 = least significant bit)."""
-        _check_matrix_cap(self.num_qubits, cap)
+        _check_matrix_cap(self.num_qubits)
         dim = 2**self.num_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for pattern, coeff in self._terms.items():

@@ -15,26 +15,24 @@ from aqtrain import cli, experiments, nn
 from aqtrain.classical import ClassicalRun
 from aqtrain.encodings import index_of_report_bitstring
 from aqtrain.experiments import (
-    CLASSICAL_RUN_CAP,
-    CLASSICAL_RUN_STEP_BUDGET,
-    CURVE_DRAW_BUDGET,
-    CURVE_DRAW_CAP,
-    DENSE_STEP_BUDGET,
-    DENSITY_ENTRY_BUDGET,
     EXPERIMENT_KINDS,
-    PHASE_MATRIX_CAP,
-    REAL_TIME_STEP_BUDGET,
+    LIMITS,
     SCHEMAS,
-    SNAPSHOT_MEMORY_CAP,
     SNAPSHOT_OVERHEAD_BYTES,
-    SNAPSHOT_ROW_CAP,
-    TOY_POINT_CAP,
     atomic_write_text,
     config_hash,
     run_experiment,
     validate_config,
 )
 from aqtrain.varpoly import VarPolynomial
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def limit(name: str) -> int:
+    """The value of one row of the limits table."""
+    return LIMITS[name][0]
+
 
 #: smallest config per kind that still exercises the full runner
 SMALL = {
@@ -140,16 +138,16 @@ class TestValidation:
         [
             (
                 {"kind": "classical-pool", "n_runs": 10**9},
-                f"n_runs = {10**9} exceeds the classical memory cap of {CLASSICAL_RUN_CAP} runs",
+                f"n_runs = {10**9} exceeds the classical memory cap of {limit('classical memory cap')} runs",
             ),
             (
                 {"kind": "classical-pool", "n_runs": 10**5, "n_steps": 10**4},
                 f"n_runs * n_steps = {10**9} exceeds the classical time budget "
-                f"of {CLASSICAL_RUN_STEP_BUDGET} run-steps",
+                f"of {limit('classical time budget')} run-steps",
             ),
             (
                 {"kind": "accuracy-curves", "pool": 10**9},
-                f"pool = {10**9} exceeds the classical memory cap of {CLASSICAL_RUN_CAP} runs",
+                f"pool = {10**9} exceeds the classical memory cap of {limit('classical memory cap')} runs",
             ),
             (
                 {"kind": "accuracy-curves", "pool": 10**4, "train_steps": 10**4},
@@ -167,31 +165,46 @@ class TestValidation:
             run_experiment(config, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", ["classical_pool", "accuracy_curves"])
-    def test_shipped_classical_configs_within_caps(self, name):
-        config_dir = Path(__file__).resolve().parent.parent / "configs"
-        assert validate_config(json.loads((config_dir / f"{name}.json").read_text())).ok
-
     @pytest.mark.parametrize(
         "config,message",
         [
             (
                 {"kind": "accuracy-curves", "repetitions": 10**9},
                 f"repetitions * max(n_values) = {128 * 10**9} exceeds the curve memory cap "
-                f"of {CURVE_DRAW_CAP} draws",
+                f"of {limit('curve memory cap')} draws",
             ),
             (
                 {"kind": "accuracy-curves", "repetitions": 10**4, "n_values": [1000] * 101},
                 f"repetitions * sum(n_values) = {101 * 10**7} exceeds the curve time budget "
-                f"of {CURVE_DRAW_BUDGET} draws",
+                f"of {limit('curve time budget')} draws",
             ),
             (
                 {"kind": "nn-toy", "n_points": 10**9},
-                f"n_points = {10**9} exceeds the toy-data memory cap of {TOY_POINT_CAP} rows",
+                f"n_points = {10**9} exceeds the toy-data memory cap of {limit('toy-data memory cap')} rows",
             ),
             (
                 {"kind": "enumerate", "model": "toy", "n_points": 10**9},
-                f"n_points = {10**9} exceeds the toy-data memory cap of {TOY_POINT_CAP} rows",
+                f"n_points = {10**9} exceeds the toy-data memory cap of {limit('toy-data memory cap')} rows",
+            ),
+            (
+                {"kind": "nn-toy", "grid_probe_side": 10**6},
+                f"grid_probe_side**2 = {10**12} exceeds the toy-data memory cap "
+                f"of {limit('toy-data memory cap')} rows",
+            ),
+            (
+                {"kind": "nn-toy", "n_steps": 10**9},
+                f"n_steps * 2**6 = {10**9 * 2**6} exceeds the Krylov step budget "
+                f"of {limit('Krylov step budget')}",
+            ),
+            (
+                {"kind": "nn-binary", "n_steps": 10**9},
+                f"n_steps * 2**10 = {10**9 * 2**10} exceeds the Krylov step budget "
+                f"of {limit('Krylov step budget')}",
+            ),
+            (
+                {"kind": "accuracy-curves", "n_steps": 10**9},
+                f"n_steps * 2**10 = {10**9 * 2**10} exceeds the Krylov step budget "
+                f"of {limit('Krylov step budget')}",
             ),
         ],
     )
@@ -210,40 +223,67 @@ class TestValidation:
         [
             (
                 {"kind": "anneal-matrix", "num_qubits": 10, "n_steps": 10**9},
-                f"n_steps * 4**num_qubits = {10**9 * 4**10:g} exceeds the dense step budget "
-                f"of {DENSE_STEP_BUDGET}",
+                f"n_steps * 4**num_qubits = {10**9 * 4**10} exceeds the dense step budget "
+                f"of {limit('dense step budget')}",
             ),
             (
                 {"kind": "tunnel", "t_total": 1e9, "dt": 1e-3},
-                f"t_total / dt * 4**num_qubits = {1e12 * 4**5:g} exceeds the real-time step "
-                f"budget of {REAL_TIME_STEP_BUDGET}",
+                f"t_total / dt * 4**num_qubits = {10**12 * 4**5} exceeds the real-time "
+                f"step budget of {limit('real-time step budget')}",
             ),
             (
                 {"kind": "tunnel", "t_total": 2000.0, "snapshot_stride": 1},
                 f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = "
-                f"{200_001 * (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)} B (200001 snapshots, "
-                f"steps / snapshot_stride) exceeds the snapshot memory cap of "
-                f"{SNAPSHOT_MEMORY_CAP} B",
+                f"{200_001 * (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)} exceeds the snapshot memory "
+                f"cap of {limit('snapshot memory cap')} B",
             ),
             (
                 {"kind": "tunnel", "t_total": 1400.0, "snapshot_stride": 1, "grid_points": 2**17},
                 f"snapshots * grid_points * 2**num_qubits = {140_001 * 2**17 * 2**5} exceeds "
-                f"the snapshot density budget of {DENSITY_ENTRY_BUDGET}",
+                f"the snapshot density budget of {limit('snapshot density budget')}",
             ),
             (
                 {"kind": "anneal-matrix", "n_steps": 1000, "snapshot_stride": 1},
                 f"snapshots * grid_points = {1001 * 1025} exceeds the snapshot row cap "
-                f"of {SNAPSHOT_ROW_CAP} rows",
+                f"of {limit('snapshot row cap')} rows",
             ),
         ]
         + [
             (
                 {"kind": kind, "grid_points": 10**9},
                 f"grid_points * 2**num_qubits = {10**9 * 2**qubits} exceeds the phase-matrix "
-                f"memory cap of {PHASE_MATRIX_CAP} entries",
+                f"memory cap of {limit('phase-matrix memory cap')} entries",
             )
             for kind, qubits in (("anneal-matrix", 5), ("tunnel", 5), ("mass-scan", 7))
-        ],
+        ]
+        + [
+            (
+                {"kind": "spectrum", "s_points": 10**9},
+                f"s_points * 8**num_qubits = {10**9 * 8**7} exceeds the dense decomposition "
+                f"budget of {limit('dense decomposition budget')}",
+            ),
+            (
+                {"kind": "spectrum", "num_qubits": 12, "s_points": 41},
+                f"s_points * 8**num_qubits = {41 * 8**12} exceeds the dense decomposition "
+                f"budget of {limit('dense decomposition budget')}",
+            ),
+            (
+                {"kind": "mass-scan", "num_qubits": 12, "masses": [1.0] * 10**5, "grid_points": 1024},
+                f"len(masses) * 8**num_qubits = {10**5 * 8**12} exceeds the dense decomposition "
+                f"budget of {limit('dense decomposition budget')}",
+            ),
+            (
+                # reach t_final / n_steps * |V| of about 4e4 a step: one eigh per step
+                {"kind": "anneal-matrix", "num_qubits": 10, "n_steps": 476, "t_final": 1e7},
+                f"min(n_steps, 13 * ceil(t_final / n_steps * 2)) * 8**num_qubits = {476 * 8**10} "
+                f"exceeds the dense decomposition budget of {limit('dense decomposition budget')}",
+            ),
+            (
+                {"kind": "anneal-paulispin", "num_qubits": 16, "n_steps": 10**9},
+                f"n_steps * 2**num_qubits = {10**9 * 2**16} exceeds the split step budget "
+                f"of {limit('split step budget')}",
+            ),
+        ]
     )
     def test_dense_sizes_capped_before_running(self, config, message, monkeypatch, tmp_path):
         def never(*args, **kwargs):
@@ -256,21 +296,21 @@ class TestValidation:
         assert list(tmp_path.iterdir()) == []
 
     def test_dense_size_caps_are_inclusive(self):
-        at_budget = DENSE_STEP_BUDGET // 4**5
+        at_budget = limit("dense step budget") // 4**5
         assert validate_config({"kind": "anneal-matrix", "n_steps": at_budget}).ok
         assert not validate_config({"kind": "anneal-matrix", "n_steps": at_budget + 1}).ok
-        at_budget = REAL_TIME_STEP_BUDGET // 4**5
+        at_budget = limit("real-time step budget") // 4**5
         tunnel = {"kind": "tunnel", "t_total": at_budget * 0.5, "dt": 0.5, "snapshot_stride": 10**9}
         assert validate_config(tunnel).ok
         tunnel["t_total"] = (at_budget + 1) * 0.5
         assert not validate_config(tunnel).ok
         # initial state plus one snapshot per step: the most the memory cap keeps
-        most = SNAPSHOT_MEMORY_CAP // (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)
+        most = limit("snapshot memory cap") // (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)
         tunnel = {"kind": "tunnel", "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
         assert validate_config(tunnel).ok
         tunnel["t_total"] = most * 0.01
         assert not validate_config(tunnel).ok
-        most = DENSITY_ENTRY_BUDGET // (2**17 * 2**5)
+        most = limit("snapshot density budget") // (2**17 * 2**5)
         tunnel = {"kind": "tunnel", "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
         tunnel["grid_points"] = 2**17
         assert validate_config(tunnel).ok
@@ -279,27 +319,44 @@ class TestValidation:
         # a default anneal-matrix keeping every step: 501 * 1025 snapshot rows
         assert validate_config({"kind": "anneal-matrix", "snapshot_stride": 1}).ok
         assert validate_config({"kind": "tunnel", "t_total": 200.0, "snapshot_stride": 1}).ok
-        widest = {"kind": "mass-scan", "grid_points": PHASE_MATRIX_CAP // 2**7}
+        widest = {"kind": "mass-scan", "grid_points": limit("phase-matrix memory cap") // 2**7}
         assert validate_config(widest).ok
-
-    @pytest.mark.parametrize(
-        "name", ["anneal_matrix_cosine", "anneal_matrix_tilted", "tunnel_cosine", "mass_scan"]
-    )
-    def test_shipped_configs_within_dense_caps(self, name):
-        config_dir = Path(__file__).resolve().parent.parent / "configs"
-        assert validate_config(json.loads((config_dir / f"{name}.json").read_text())).ok
+        # the decomposition budget holds 32 decompositions at 10 qubits, 2**14 at 7
+        most = limit("dense decomposition budget") // 8**7
+        assert validate_config({"kind": "spectrum", "s_points": most}).ok
+        assert not validate_config({"kind": "spectrum", "s_points": most + 1}).ok
+        assert validate_config({"kind": "mass-scan", "masses": [1.0] * most}).ok
+        assert not validate_config({"kind": "mass-scan", "masses": [1.0] * (most + 1)}).ok
+        most = limit("dense decomposition budget") // 8**10
+        anneal = {"kind": "anneal-matrix", "num_qubits": 10, "n_steps": most, "t_final": 1e7}
+        assert validate_config(anneal).ok
+        anneal["n_steps"] = most + 1
+        assert not validate_config(anneal).ok
+        # the most steps the step budget allows at 10 qubits, short enough for one panel
+        assert validate_config({"kind": "anneal-matrix", "num_qubits": 10, "n_steps": 476}).ok
+        most = limit("split step budget") // 2**16
+        paulispin = {"kind": "anneal-paulispin", "num_qubits": 16, "n_steps": most}
+        assert validate_config(paulispin).ok
+        paulispin["n_steps"] = most + 1
+        assert not validate_config(paulispin).ok
 
     def test_data_size_caps_are_inclusive(self):
-        assert validate_config({"kind": "nn-toy", "n_points": TOY_POINT_CAP}).ok
-        widest = {"kind": "accuracy-curves", "repetitions": CURVE_DRAW_CAP // 128}
+        rows = limit("toy-data memory cap")
+        assert validate_config({"kind": "nn-toy", "n_points": rows}).ok
+        assert validate_config({"kind": "nn-toy", "grid_probe_side": 200}).ok
+        assert not validate_config({"kind": "nn-toy", "grid_probe_side": 201}).ok
+        widest = {"kind": "accuracy-curves", "repetitions": limit("curve memory cap") // 128}
         assert validate_config(widest).ok
         # the toy-row cap does not apply where the binary model ignores n_points
         assert validate_config({"kind": "enumerate", "n_points": 10**9}).ok
+        for kind, qubits in (("nn-toy", 6), ("nn-binary", 10), ("accuracy-curves", 10)):
+            most = limit("Krylov step budget") // 2**qubits
+            assert validate_config({"kind": kind, "n_steps": most}).ok
+            assert not validate_config({"kind": kind, "n_steps": most + 1}).ok
 
-    @pytest.mark.parametrize("name", ["nn_toy_circle", "nn_toy_band", "accuracy_curves", "enumerate_binary"])
-    def test_shipped_configs_within_data_caps(self, name):
-        config_dir = Path(__file__).resolve().parent.parent / "configs"
-        assert validate_config(json.loads((config_dir / f"{name}.json").read_text())).ok
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem)
+    def test_shipped_configs_within_limits(self, path):
+        assert validate_config(json.loads(path.read_text())).ok
 
     def test_choice_parameters_checked(self):
         assert not validate_config({"kind": "nn-toy", "band_rule": "sometimes"}).ok
@@ -314,6 +371,12 @@ class TestValidation:
         assert not validate_config({"kind": "nn-toy", "n_steps": 2.5}).ok
         assert not validate_config({"kind": "nn-toy", "t_final": -1.0}).ok
         assert not validate_config({"kind": "nn-toy", "seed": "zero"}).ok
+        # JSON admits NaN and Infinity, which no size can be computed from
+        for value in (float("nan"), float("inf")):
+            assert "must be finite" in validate_config({"kind": "tunnel", "t_total": value}).errors[0]
+        # a step count past the float range fails the step budget rather than raising
+        overflow = validate_config({"kind": "tunnel", "t_total": 1e308, "dt": 1e-10})
+        assert "real-time step budget" in overflow.errors[0]
 
     def test_polynomial_objectives_parsed(self):
         assert validate_config({"kind": "anneal-paulispin", "potential": "3*w^2 - w"}).ok

@@ -7,19 +7,28 @@ keeps the signed linear form, so the relaxed objective is differentiable
 end to end; gradients are hand-derived (the architecture family is fixed,
 so no autodiff machinery is warranted).
 
-Runs are vectorized: a pool of trainings is one batched optimization.
-Activations are held as (..., units, samples); a layer fed by the feature
-matrix every run shares is one 2-D GEMM over the stacked weight rows of all
-runs, and deeper layers are stacked matrix products.  Each run's slice is
-bit-equal to training that run alone: BLAS does not promise this across
-batch sizes, so the tests check it, on pools small enough and large enough
-(257 runs) to cross the GEMM's row blocking.
+Runs are vectorized with the run axis last and contiguous: a batch holds
+its weights as one (P, runs) array and each layer's activations as
+(units, samples, runs).  The first layer reads the (samples, fan_in)
+feature matrix every run shares, so its forward pass and its weight
+gradient are each one ``matmul`` call, a 2-D GEMM per unit with the runs as
+columns.  Deeper layers, the deltas and the per-sample sums of the weight
+gradient are broadcast multiply-accumulates over (samples, runs) planes.
+The gradient, the penalty term and the Adam moments live in buffers
+allocated once per batch, and :class:`Adam` updates them in place, so the
+training loop allocates nothing per step.  :func:`relaxed_loss` and
+:func:`gradient` run the same kernel, transposing their flat (..., P)
+weights at the boundary.
+
+Each run's slice is bit-equal to training that run alone: every
+multiply-accumulate is elementwise in the runs, and the tests check the
+GEMM on pools small enough and large enough (257 runs) to cross its column
+blocking.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +71,8 @@ class RelaxedModel:
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """Flat parameter vector(s) -> per-layer (out, in) matrices.
 
-        Accepts shape (..., P); the layer matrices keep the leading axes.
+        Accepts shape (..., P); the layer matrices keep the leading axes and
+        are views of ``flat`` wherever its layout allows.
         """
         flat = np.asarray(flat, dtype=float)
         if flat.shape[-1] != self.num_parameters:
@@ -77,91 +87,184 @@ class RelaxedModel:
         return matrices
 
 
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    # equals 1 / (1 + exp(-u)) in exact arithmetic; never overflows, needs no mask
-    return 0.5 + 0.5 * np.tanh(0.5 * u)
-
-
 def _signs(labels: np.ndarray) -> np.ndarray:
     if not set(np.unique(labels)) <= {0, 1}:
         raise ValueError("relaxed loss requires 0/1 labels")
     return np.where(labels == 1, -1.0, 1.0)
 
 
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ right``, where a 2-D ``right`` is shared by every run.
+class _Batch:
+    """Forward and backward passes of a batch of runs, run axis last.
 
-    A shared operand is applied as one 2-D GEMM over the (runs * rows, inner)
-    stack of ``left`` instead of one small product per run.
+    Weights and gradient are (P, columns) arrays, activations and deltas
+    (units, samples, columns); all of them are allocated here, once.  A lone
+    run fills two identical columns, so that it takes the GEMM and the
+    row-by-row sample sums of any pool, not BLAS's matrix-vector kernel and
+    numpy's pairwise sum, whose rounding differs.
     """
-    if right.ndim > 2:
-        return left @ right
-    # an explicit row count: -1 is ambiguous when the inner size is 0 (no samples)
-    rows = left.reshape(math.prod(left.shape[:-1]), left.shape[-1]) @ right
-    return rows.reshape(left.shape[:-1] + right.shape[-1:])
+
+    def __init__(self, relaxed: RelaxedModel, features, signs: np.ndarray, runs: int):
+        self.relaxed = relaxed
+        self.runs = runs
+        self.features = np.ascontiguousarray(features, dtype=float)
+        samples = self.features.shape[0]
+        columns = max(runs, 2)
+        self.weights = np.empty((relaxed.num_parameters, columns))
+        self.grad = np.empty_like(self.weights)
+        self.term = np.empty_like(self.weights)
+        self.factor = np.empty_like(self.weights)
+        self.layer_weights = self._per_layer(self.weights)
+        self.layer_grads = self._per_layer(self.grad)
+        layers = relaxed.model.layers
+        self.activations = [np.empty((layer.fan_out, samples, columns)) for layer in layers]
+        self.deltas = [np.empty_like(z) for z in self.activations]
+        # a stack of (samples, columns) planes for each deeper layer's products
+        self.scratch = [
+            np.empty((max(layer.fan_out, layer.fan_in), samples, columns)) for layer in layers[1:]
+        ]
+        self.finite = np.empty(self.weights.shape, dtype=bool)
+        self.signs = signs
+        # d loss / d output is the sign of each sample, times the sigmoid's k
+        self.output_scale = (signs * relaxed.steepness)[:, None]
+
+    def _per_layer(self, buffer: np.ndarray) -> list[np.ndarray]:
+        # (out, in, columns) views: each layer's rows of the buffer are contiguous
+        return [block.transpose(1, 2, 0) for block in self.relaxed.split(buffer.T)]
+
+    def load(self, flat: np.ndarray):
+        """Set the weights from (runs, P) rows."""
+        self.weights[:, : self.runs] = flat.T
+        self.weights[:, self.runs :] = self.weights[:, :1]
+
+    def unload(self, buffer: np.ndarray) -> np.ndarray:
+        """The runs' (runs, P) rows of a (P, columns) buffer."""
+        return buffer[:, : self.runs].T.copy()
+
+    def forward(self):
+        """Fill ``activations`` from ``weights``."""
+        relaxed = self.relaxed
+        layers = zip(relaxed.model.layers, self.layer_weights, self.activations)
+        for position, (layer, weight, z) in enumerate(layers):
+            if position == 0:
+                # (samples, fan_in) @ (fan_in, columns) for each unit
+                np.matmul(self.features, weight, out=z)
+            else:
+                # z[o] = sum over i of weight[o, i] * below[i], accumulated in i
+                below = self.activations[position - 1]
+                products = self.scratch[position - 1][: layer.fan_out]
+                np.multiply(weight[:, 0, None, :], below[0], out=z)
+                for i in range(1, layer.fan_in):
+                    np.multiply(weight[:, i, None, :], below[i], out=products)
+                    z += products
+            # sigmoid(u) = 1/2 + tanh(u/2)/2 never overflows and needs no mask
+            z -= 0.5 * layer.fan_in
+            z *= 0.5 * relaxed.steepness
+            np.tanh(z, out=z)
+            z *= 0.5
+            z += 0.5
+
+    def gradient(self):
+        """Fill ``grad`` with the gradient of the relaxed loss at ``weights``.
+
+        Overwrites ``activations`` on the way back.
+        """
+        # non-finite weights are reported by the check below, not by numpy warnings
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.forward()
+            self._backward()
+            self._add_penalty()
+        np.isfinite(self.grad, out=self.finite)
+        if not self.finite.all():
+            largest = np.max(np.abs(self.weights[:, : self.runs]))
+            raise RuntimeError(
+                f"non-finite gradient (max |w| = {largest:.3g}); "
+                "lower the learning rate or steepness"
+            )
+
+    def _backward(self):
+        steepness = self.relaxed.steepness
+        last = len(self.activations) - 1
+        for position in range(last, -1, -1):
+            z, delta = self.activations[position], self.deltas[position]
+            # delta = upstream * k * z * (1 - z); the upstream delta is the sample
+            # sign at the output and was left in ``delta`` by the layer above
+            if position == last:
+                np.multiply(z, self.output_scale, out=delta)
+            else:
+                delta *= steepness
+                delta *= z
+            np.subtract(1.0, z, out=z)  # this layer's output is not read again
+            delta *= z
+            grad = self.layer_grads[position]
+            if position == 0:
+                # (fan_in, samples) @ (samples, columns) for each unit
+                np.matmul(self.features.T, delta, out=grad)
+                break
+            # grad[o, i] = sum over samples of delta[o] * below[i]
+            below = self.activations[position - 1]
+            products = self.scratch[position - 1][: len(below)]
+            for unit_delta, unit_grad in zip(delta, grad):
+                np.multiply(unit_delta, below, out=products)
+                np.add.reduce(products, axis=1, out=unit_grad)
+            # the layer below's upstream delta: sum over o of weight[o, i] * delta[o]
+            weight, upstream = self.layer_weights[position], self.deltas[position - 1]
+            np.multiply(weight[0, :, None, :], delta[0], out=upstream)
+            for o in range(1, len(delta)):
+                np.multiply(weight[o, :, None, :], delta[o], out=products)
+                upstream += products
+
+    def _add_penalty(self):
+        # d/dw of penalty * w^2 (w - 1)^2 is penalty * 4 w (w - 1/2) (w - 1)
+        w, term, factor = self.weights, self.term, self.factor
+        np.subtract(w, 1.0, out=term)
+        term *= w
+        term *= 4.0 * self.relaxed.penalty
+        np.subtract(w, 0.5, out=factor)
+        term *= factor
+        self.grad += term
 
 
-def _forward(relaxed: RelaxedModel, matrices, features):
-    """Layer activations for batched weights, each shaped (..., units, samples).
-
-    The first entry is the (fan_in, samples) feature matrix every run shares.
-    """
-    activations = [features.T]
-    for layer, weight in zip(relaxed.model.layers, matrices):
-        pre = _product(weight, activations[-1])
-        activations.append(_sigmoid(relaxed.steepness * (pre - 0.5 * layer.fan_in)))
-    return activations
+def _batch(relaxed: RelaxedModel, dataset: Dataset, weights: np.ndarray) -> _Batch:
+    """A batch loaded with flat weights of shape (..., P)."""
+    signs = _signs(dataset.labels)
+    if weights.shape[-1] != relaxed.num_parameters:
+        raise ValueError(f"expected {relaxed.num_parameters} parameters")
+    rows = weights.reshape(-1, relaxed.num_parameters)
+    batch = _Batch(relaxed, dataset.features, signs, rows.shape[0])
+    batch.load(rows)
+    return batch
 
 
 def relaxed_loss(relaxed: RelaxedModel, dataset: Dataset, weights) -> float | np.ndarray:
     """Signed linear loss of the smoothed network plus the binarization penalty.
 
-    ``weights`` may be one flat vector or a batch with shape (runs, P).
+    ``weights`` may be one flat vector or a batch with shape (..., P).
     """
     weights = np.asarray(weights, dtype=float)
-    matrices = relaxed.split(weights)
-    signs = _signs(dataset.labels)
-    outputs = _forward(relaxed, matrices, dataset.features)[-1][..., 0, :]
-    data_term = outputs @ signs
+    batch = _batch(relaxed, dataset, weights)
+    batch.forward()
+    outputs = batch.activations[-1][0, :, : batch.runs]
+    data_term = (batch.signs @ outputs).reshape(weights.shape[:-1])
     penalty = relaxed.penalty * np.sum(weights**2 * (weights - 1.0) ** 2, axis=-1)
     total = data_term + penalty
     return float(total) if total.ndim == 0 else total
 
 
 def gradient(relaxed: RelaxedModel, dataset: Dataset, weights) -> np.ndarray:
-    """Hand-derived gradient of :func:`relaxed_loss` in the flat layout."""
-    return _gradient(relaxed, dataset.features, _signs(dataset.labels), weights)
-
-
-def _gradient(relaxed: RelaxedModel, features, signs: np.ndarray, weights) -> np.ndarray:
-    """:func:`gradient` for labels already checked and turned into signs."""
+    """Hand-derived gradient of :func:`relaxed_loss`, in the same (..., P) layout."""
     weights = np.asarray(weights, dtype=float)
-    matrices = relaxed.split(weights)
-    # non-finite weights are reported by the check below, not by numpy warnings
-    with np.errstate(invalid="ignore", over="ignore"):
-        activations = _forward(relaxed, matrices, features)
-        # d loss / d output is the sign of each sample; walk the layers backwards
-        delta = signs
-        blocks = [None] * len(matrices)
-        for position in range(len(matrices) - 1, -1, -1):
-            z = activations[position + 1]
-            dz = delta * relaxed.steepness * z * (1.0 - z)
-            blocks[position] = _product(dz, activations[position].swapaxes(-1, -2))
-            if position > 0:
-                delta = matrices[position].swapaxes(-1, -2) @ dz
-        flat = np.concatenate([b.reshape(b.shape[:-2] + (-1,)) for b in blocks], axis=-1)
-        flat += relaxed.penalty * (4.0 * weights**3 - 6.0 * weights**2 + 2.0 * weights)
-    if not np.all(np.isfinite(flat)):
-        raise RuntimeError(
-            f"non-finite gradient (max |w| = {np.max(np.abs(weights)):.3g}); "
-            "lower the learning rate or steepness"
-        )
-    return flat
+    batch = _batch(relaxed, dataset, weights)
+    batch.gradient()
+    return batch.unload(batch.grad).reshape(weights.shape)
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment estimates plus the hyperparameters."""
+@dataclass
+class Adam:
+    """Standard Adam (Kingma & Ba, ICLR 2015), updating arrays in place.
+
+    The moments and two scratch arrays are allocated once, in
+    :meth:`initial`; :meth:`update` allocates nothing.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -170,24 +273,35 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = np.empty((2,) + self.first_moment.shape)
 
     @classmethod
-    def initial(cls, shape, **hyper) -> "AdamState":
+    def initial(cls, shape, **hyper) -> "Adam":
         return cls(np.zeros(shape), np.zeros(shape), **hyper)
 
-
-def adam_step(state: AdamState, weights: np.ndarray, grads: np.ndarray):
-    """One standard Adam update; returns (new state, new weights)."""
-    step = state.step + 1
-    first = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    second = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads**2
-    first_hat = first / (1.0 - state.beta1**step)
-    second_hat = second / (1.0 - state.beta2**step)
-    updated = weights - state.learning_rate * first_hat / (np.sqrt(second_hat) + state.epsilon)
-    new_state = AdamState(
-        first, second, step, state.learning_rate, state.beta1, state.beta2, state.epsilon
-    )
-    return new_state, updated
+    def update(self, weights: np.ndarray, grads: np.ndarray):
+        """One Adam step: advances the moments and overwrites ``weights``."""
+        self.step += 1
+        first, second = self.first_moment, self.second_moment
+        scaled, denominator = self._scratch
+        first *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=scaled)
+        first += scaled
+        second *= self.beta2
+        np.multiply(grads, grads, out=scaled)
+        scaled *= 1.0 - self.beta2
+        second += scaled
+        # w -= lr * first_hat / (sqrt(second_hat) + eps), bias-corrected moments
+        np.divide(second, 1.0 - self.beta2**self.step, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += self.epsilon
+        np.divide(first, 1.0 - self.beta1**self.step, out=scaled)
+        scaled *= self.learning_rate
+        scaled /= denominator
+        weights -= scaled
 
 
 @dataclass(frozen=True)
@@ -220,20 +334,23 @@ def train_pool(
         raise ValueError("need at least one seed")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    signs = _signs(dataset.labels)
-    weights = np.stack(
-        [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
+    batch = _Batch(relaxed, dataset.features, _signs(dataset.labels), len(seeds))
+    batch.load(
+        np.stack(
+            [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
+        )
     )
-    state = AdamState.initial(
-        weights.shape,
+    adam = Adam.initial(
+        batch.weights.shape,
         learning_rate=learning_rate,
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
     )
     for _ in range(n_steps):
-        grads = _gradient(relaxed, dataset.features, signs, weights)
-        state, weights = adam_step(state, weights, grads)
+        batch.gradient()
+        adam.update(batch.weights, batch.grad)
+    weights = batch.unload(batch.weights)
     binary = np.where(weights >= 0.5, 1.0, 0.0)
     return [
         ClassicalRun(seed, weights[row].copy(), binary[row].copy())

@@ -305,10 +305,11 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
 
     U(s) = exp(-i H(s) dt) with H(s) = D + s (T - D) is entire in s, and
     ``|d^j U / ds^j| <= (|T - D| dt)**j`` (Duhamel).  So [0, 1] is cut into
-    ``ceil(|T - D| dt)`` equal panels, each of reach at most 1, and U is
-    interpolated on each panel that holds a step from its values at
-    ``DENSE_PANEL_NODES`` Chebyshev points (Trefethen, Approximation Theory
-    and Approximation Practice, SIAM 2013, ch. 7-8), one ``eigh`` per node.
+    ``ceil(|T - D| dt)`` equal panels (at most one per step), each of reach
+    at most 1, and U is interpolated on each panel that holds a step from
+    its values at ``DENSE_PANEL_NODES`` Chebyshev points (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013, ch. 7-8),
+    one ``eigh`` per node.
     A panel with no more steps than nodes takes its steps' own s values as
     the nodes, so no run decomposes more matrices than it has steps.
     """
@@ -317,7 +318,9 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
     dt = spec.dt
     dim = amps.size
     reach = float(np.max(np.abs(np.linalg.eigvalsh(target - driver)))) * dt
-    panels = max(1, math.ceil(reach))
+    # with a panel per step every panel takes its steps' own s values as nodes,
+    # so more panels change nothing; the cap keeps a huge reach a small integer
+    panels = max(1, math.ceil(min(reach, fractions.size)))
     panel_of = np.minimum((fractions * panels).astype(int), panels - 1)
     runs = np.split(np.arange(fractions.size), np.flatnonzero(np.diff(panel_of)) + 1)
     for steps in runs:

@@ -228,9 +228,16 @@ _REGISTER_CAPS = {
 #: 16 B amplitudes, measured at 5 and 10 qubits
 SNAPSHOT_OVERHEAD_BYTES = 700
 
+#: the fixed cost of one classical training step, whatever the pool size, in
+#: run-steps: about 90 us over the 1.5 us a run-step costs at the memory cap
+CLASSICAL_STEP_OVERHEAD = 60
+
 # Why each limit has its size, from costs measured on 2 cores with OpenBLAS:
-# - classical pool: about 1.2 us per run-step plus 12 us and 1.5 kB per run,
-#   so training stays near 60 s and 150 MB.
+# - classical pool: a training step costs about 90 us whatever the pool
+#   size, plus 0.6 us a run at 1000 runs and up to 1.5 us a run at the
+#   memory cap; each run also costs 30 us and 1.9 kB once.  At 1.5 us a
+#   run-step, (runs + CLASSICAL_STEP_OVERHEAD) * steps within the budget
+#   keeps training near 60 s, and the memory cap keeps it near 190 MB.
 # - curves: one (repetitions, n) block of pool draws at a time, 16 B and
 #   15-25 ns a draw, drawn for both pools: near 160 MB and 50 s.
 # - toy data: about 4 kB and 37 us per forwarded row (dataset or nn-toy grid
@@ -265,7 +272,7 @@ LIMITS = {
     "dense matrix cap": (MATRIX_QUBIT_CAP, ""),
     "split-step state cap": (16, ""),
     "classical memory cap": (100_000, " runs"),
-    "classical time budget": (50_000_000, " run-steps"),
+    "classical time budget": (40_000_000, " run-steps"),
     "curve memory cap": (10_000_000, " draws"),
     "curve time budget": (1_000_000_000, " draws"),
     "toy-data memory cap": (40_000, " rows"),
@@ -451,7 +458,11 @@ def _sizes(effective: dict):
     if kind in ("classical-pool", "accuracy-curves"):
         runs, steps = ("n_runs", "n_steps") if kind == "classical-pool" else ("pool", "train_steps")
         yield runs, effective[runs], "classical memory cap"
-        yield f"{runs} * {steps}", effective[runs] * effective[steps], "classical time budget"
+        yield (
+            f"{runs} * {steps} + {CLASSICAL_STEP_OVERHEAD} * {steps}",
+            (effective[runs] + CLASSICAL_STEP_OVERHEAD) * effective[steps],
+            "classical time budget",
+        )
     if kind == "accuracy-curves":
         repetitions, n_values = effective["repetitions"], effective["n_values"]
         yield "repetitions * max(n_values)", repetitions * max(n_values), "curve memory cap"

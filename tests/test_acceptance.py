@@ -6,6 +6,7 @@ PASS/FAIL line so the whole gate can be read off the terminal at a glance.
 These are the slow tests; the per-module suites stay fast.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aqtrain import experiments
 from aqtrain.experiments import run_experiment
 from aqtrain.matrix_method import (
     CosinePotential,
@@ -190,6 +192,41 @@ DEEP_WELL_HALFWIDTH = 0.1
 #: the tilted config's mass raised until the bias between the wells is at
 #: least twice their tunnelling splitting; nothing else changes
 SELECTION_MASS = 140.0
+
+
+#: sha256 of the shipped classical pool's (1000, 10) float64 binarized weights
+CLASSICAL_POOL_BINARY_SHA256 = "7feeaf2d78a7f19f73ef8f9970b366257e758e4cfded204f37a9339868e528fb"
+
+
+def test_shipped_classical_pool_is_pinned(tmp_path_factory, monkeypatch, emit):
+    # the headline and every binarized weight of the shipped pool, exactly:
+    # one run that rounds the other way fails here
+    pools = []
+
+    def keep(*args, **kwargs):
+        pools.append(train_pool(*args, **kwargs))
+        return pools[-1]
+
+    train_pool = experiments.train_pool
+    monkeypatch.setattr(experiments, "train_pool", keep)
+    head = run_config("classical_pool.json", tmp_path_factory).summary["headline"]
+    binary = np.stack([run.binary_weights for run in pools[0]])
+    digest = hashlib.sha256(binary.tobytes()).hexdigest()
+    expected = {
+        "mean_train_accuracy": 0.5958,
+        "mean_test_accuracy": 0.72825,
+        "max_train_accuracy": 0.8,
+        "near_binary_fraction": 1.0,
+    }
+    ok = head == expected and binary.shape == (1000, 10) and digest == CLASSICAL_POOL_BINARY_SHA256
+    emit(
+        "classical-pool",
+        ok,
+        "headline %s, binarized weights sha256 %s..." % (head, digest[:12]),
+    )
+    assert head == expected
+    assert binary.shape == (1000, 10) and binary.dtype == np.float64
+    assert digest == CLASSICAL_POOL_BINARY_SHA256
 
 
 def deep_well_window_mass(amplitudes, grid_points):

@@ -5,9 +5,8 @@ import pytest
 
 from aqtrain import classical
 from aqtrain.classical import (
-    AdamState,
+    Adam,
     RelaxedModel,
-    adam_step,
     gradient,
     relaxed_loss,
     train_pool,
@@ -213,32 +212,34 @@ class TestGradient:
 
 class TestAdam:
     def test_zero_gradient_keeps_weights(self):
-        state = AdamState.initial(4)
+        state = Adam.initial(4)
         weights = np.array([0.1, 0.2, 0.3, 0.4])
-        new_state, updated = adam_step(state, weights, np.zeros(4))
+        updated = weights.copy()
+        state.update(updated, np.zeros(4))
         assert np.array_equal(updated, weights)
-        assert new_state.step == 1
+        assert state.step == 1
 
     def test_first_step_moves_by_learning_rate(self):
-        state = AdamState.initial(1, learning_rate=0.05)
+        state = Adam.initial(1, learning_rate=0.05)
         grads = np.array([3.7])
-        _, updated = adam_step(state, np.array([1.0]), grads)
+        updated = np.array([1.0])
+        state.update(updated, grads)
         # bias correction makes the first step lr * g / (|g| + eps)
         assert updated[0] == pytest.approx(1.0 - 0.05, rel=1e-6)
 
     def test_moment_update_formulas(self):
-        state = AdamState.initial(1)
+        state = Adam.initial(1)
         grads = np.array([2.0])
-        new_state, _ = adam_step(state, np.array([0.0]), grads)
-        assert new_state.first_moment[0] == pytest.approx(0.1 * 2.0)
-        assert new_state.second_moment[0] == pytest.approx(0.001 * 4.0)
+        state.update(np.array([0.0]), grads)
+        assert state.first_moment[0] == pytest.approx(0.1 * 2.0)
+        assert state.second_moment[0] == pytest.approx(0.001 * 4.0)
 
     def test_converges_on_quadratic(self):
         # f(w) = (w - 3)^2 has gradient 2 (w - 3)
         weights = np.array([0.0])
-        state = AdamState.initial(1, learning_rate=0.05)
+        state = Adam.initial(1, learning_rate=0.05)
         for _ in range(2000):
-            state, weights = adam_step(state, weights, 2.0 * (weights - 3.0))
+            state.update(weights, 2.0 * (weights - 3.0))
         assert abs(weights[0] - 3.0) <= 1e-4
 
 
@@ -268,6 +269,28 @@ class TestTrainRun:
             assert pool[seed].seed == seed
             assert np.array_equal(single.relaxed_weights, pool[seed].relaxed_weights)
 
+    @pytest.mark.parametrize("build", [binary_pixel_model, _three_layer_model])
+    def test_pool_matches_plain_loop_oracle(self, build):
+        # each run retrained on its own: the sample-by-sample reference
+        # gradient and Adam as written in Kingma & Ba (ICLR 2015)
+        relaxed = RelaxedModel(build())
+        train, _ = balanced_pixel_split(seed=0)
+        n_steps, learning_rate, beta1, beta2, epsilon = 25, 0.05, 0.9, 0.999, 1e-8
+        pool = train_pool(relaxed, train, range(5), n_steps=n_steps)
+        for run in pool:
+            weights = np.random.default_rng(run.seed).uniform(0.0, 1.0, relaxed.num_parameters)
+            first = np.zeros_like(weights)
+            second = np.zeros_like(weights)
+            for step in range(1, n_steps + 1):
+                grads = _reference_gradient(relaxed, train, weights)
+                first = beta1 * first + (1.0 - beta1) * grads
+                second = beta2 * second + (1.0 - beta2) * grads**2
+                first_hat = first / (1.0 - beta1**step)
+                second_hat = second / (1.0 - beta2**step)
+                weights = weights - learning_rate * first_hat / (np.sqrt(second_hat) + epsilon)
+            np.testing.assert_allclose(run.relaxed_weights, weights, rtol=0.0, atol=1e-12)
+            assert np.array_equal(run.binary_weights, np.where(weights >= 0.5, 1.0, 0.0))
+
     def test_rejects_labels_before_any_step(self, monkeypatch):
         _, relaxed, train, _ = _setup()
         signed = Dataset(train.features, np.where(train.labels == 1, 1, -1))
@@ -275,10 +298,10 @@ class TestTrainRun:
 
         def counting(*args, **kwargs):
             steps.append(1)
-            return classical_gradient(*args, **kwargs)
+            return batch_gradient(*args, **kwargs)
 
-        classical_gradient = classical._gradient
-        monkeypatch.setattr(classical, "_gradient", counting)
+        batch_gradient = classical._Batch.gradient
+        monkeypatch.setattr(classical._Batch, "gradient", counting)
         with pytest.raises(ValueError, match="0/1 labels"):
             train_pool(relaxed, signed, range(3), n_steps=5)
         assert steps == []

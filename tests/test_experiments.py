@@ -142,8 +142,8 @@ class TestValidation:
             ),
             (
                 {"kind": "classical-pool", "n_runs": 10**5, "n_steps": 10**4},
-                f"n_runs * n_steps = {10**9} exceeds the classical time budget "
-                f"of {limit('classical time budget')} run-steps",
+                f"n_runs * n_steps + 60 * n_steps = {(10**5 + 60) * 10**4} "
+                f"exceeds the classical time budget of {limit('classical time budget')} run-steps",
             ),
             (
                 {"kind": "accuracy-curves", "pool": 10**9},
@@ -151,7 +151,8 @@ class TestValidation:
             ),
             (
                 {"kind": "accuracy-curves", "pool": 10**4, "train_steps": 10**4},
-                f"pool * train_steps = {10**8} exceeds the classical time budget",
+                f"pool * train_steps + 60 * train_steps = {(10**4 + 60) * 10**4} "
+                "exceeds the classical time budget",
             ),
         ],
     )
@@ -205,6 +206,23 @@ class TestValidation:
                 {"kind": "accuracy-curves", "n_steps": 10**9},
                 f"n_steps * 2**10 = {10**9 * 2**10} exceeds the Krylov step budget "
                 f"of {limit('Krylov step budget')}",
+            ),
+            # one run still pays the fixed cost of every training step
+            (
+                {
+                    "kind": "classical-pool",
+                    "split_seed": 0,
+                    "n_runs": 1,
+                    "first_seed": 0,
+                    "n_steps": 50_000_000,
+                },
+                f"n_runs * n_steps + 60 * n_steps = {61 * 50_000_000} exceeds the classical "
+                f"time budget of {limit('classical time budget')} run-steps",
+            ),
+            (
+                {"kind": "accuracy-curves", "pool": 1, "train_steps": 50_000_000},
+                f"pool * train_steps + 60 * train_steps = {61 * 50_000_000} exceeds the "
+                f"classical time budget of {limit('classical time budget')} run-steps",
             ),
         ],
     )
@@ -517,6 +535,30 @@ def test_pool_indices_match_report_bitstrings():
     assert indices.dtype == np.int64
     assert indices.tolist() == expected
     assert expected[:2] == [2**10 - 1, 0]
+
+
+def test_dense_anneal_with_huge_reach_runs(monkeypatch, tmp_path):
+    # a reach t_final / n_steps * |T - D| of 1.5e308 panels; validate accepts the
+    # config, and the anneal caps its panel count at its step count
+    finals = []
+
+    def keep(*args, **kwargs):
+        result = evolve_adiabatic(*args, **kwargs)
+        finals.append(result.final)
+        return result
+
+    evolve_adiabatic = experiments.evolve_adiabatic
+    config = {
+        "kind": "anneal-matrix",
+        "num_qubits": 2,
+        "t_final": 1e308,
+        "n_steps": 1,
+        "grid_points": 16,
+    }
+    assert validate_config(config).ok
+    monkeypatch.setattr(experiments, "evolve_adiabatic", keep)
+    run_experiment(config, tmp_path)
+    assert abs(np.linalg.norm(finals[0].amplitudes) - 1.0) <= 1e-12
 
 
 def test_runs_compile_from_enumerated_losses(monkeypatch, tmp_path):

@@ -6,13 +6,15 @@ its propagator from the representation and ``substeps_per_step``:
 - A pair of :class:`~aqtrain.pauli.PauliPolynomial` objects, whose driver is
   a transverse field (identity and single-qubit X terms) and whose target is
   diagonal, evolves by default through a first-order split step.  The
-  diagonal factor is one phase pass (all Z-terms commute, so there is no
-  splitting error inside the group) and the X factor is a product of
-  independent single-qubit rotations; ``substeps_per_step`` refines it.
+  driver's X part is a diagonal in the Hadamard basis, so both factors are
+  phase passes: the target's directly (all Z-terms commute, so there is no
+  splitting error inside the group), the driver's between two Walsh-Hadamard
+  transforms; ``substeps_per_step`` refines the split.
 - The same pair with ``substeps_per_step=None`` evolves exactly, without
   splitting: each step applies ``exp(-i H dt)`` through a Lanczos
-  (Krylov) expansion, :func:`expm_krylov`, on a matrix-free operator built
-  from X flips and the target diagonal.  No matrix is formed.
+  (Krylov) expansion, :func:`expm_krylov`, on a matrix-free operator: the
+  target and identity diagonals, plus the driver's X diagonal between two
+  transforms.  No matrix is formed.
 - A pair of dense Hermitian matrices evolves by piecewise Chebyshev
   interpolation of the step propagator ``U(s) = exp(-i H(s) dt)`` in the
   schedule value s (:func:`_evolve_dense`).  H(s) is linear in s, so U is
@@ -39,7 +41,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial, pauli_x
+from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial, _walsh_hadamard, pauli_x
 from .state import StateVector
 
 #: largest register evolved through dense eigendecomposition
@@ -98,9 +100,10 @@ class AnnealSpec:
     propagator:
 
     - two PauliPolynomials (driver restricted to identity/single-X terms,
-      diagonal target): the split step, ``substeps_per_step`` times per
-      step, or, with ``substeps_per_step=None``, the exact matrix-free
-      Krylov step of :func:`expm_krylov`;
+      which are diagonal in the Hadamard basis; diagonal target): the split
+      step, ``substeps_per_step`` times per step, or, with
+      ``substeps_per_step=None``, the exact matrix-free Krylov step of
+      :func:`expm_krylov`;
     - two dense Hermitian matrices: the step propagator interpolated in s
       from eigendecompositions at Chebyshev nodes (:func:`_evolve_dense`),
       exact to roundoff, so ``substeps_per_step`` must be 1 or ``None``.
@@ -159,40 +162,28 @@ class EvolutionResult:
 
 
 def _split_driver_parts(driver: PauliPolynomial) -> tuple[float, np.ndarray]:
-    """Identity coefficient and per-qubit X coefficients of a driver.
+    """Identity coefficient of a driver, and its X part in the Hadamard basis.
 
-    Raises if the driver contains anything beyond identity and single-qubit
-    X terms, since only those admit the exact per-qubit rotation factor.
+    ``sum_q x_q X_q = W diag(xdiag) W / 2**n`` with ``W`` the Walsh-Hadamard
+    transform and ``xdiag[b] = sum_q x_q (1 - 2 b_q)``: the transform of the
+    X coefficients indexed by X-mask, as :meth:`PauliPolynomial.diagonal`
+    does for Z.  Raises if the driver contains anything beyond identity and
+    single-qubit X terms, since only those are diagonal there.
     """
     constant = 0.0
-    x_coeffs = np.zeros(driver.num_qubits)
+    x_coeffs = np.zeros(2**driver.num_qubits)
     for term in driver.terms():
         if abs(term.coefficient.imag) > 1e-12:
             raise ValueError("driver must be Hermitian")
         if not term.factors:
             constant = term.coefficient.real
         elif len(term.factors) == 1 and term.factors[0][1] == "X":
-            x_coeffs[term.factors[0][0]] = term.coefficient.real
+            x_coeffs[1 << term.factors[0][0]] = term.coefficient.real
         else:
             raise ValueError(
                 "PauliPolynomial driver must contain only identity and single-qubit X terms"
             )
-    return constant, x_coeffs
-
-
-def _qubit_view(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    """A little-endian amplitude array with ``qubit`` as the middle axis."""
-    return amps.reshape(2 ** (num_qubits - qubit - 1), 2, 2**qubit)
-
-
-def _apply_x_rotation(amps: np.ndarray, num_qubits: int, qubit: int, angle: float):
-    """In-place exp(-i * angle * X_qubit) on a little-endian amplitude array."""
-    view = _qubit_view(amps, num_qubits, qubit)
-    lower = view[:, 0, :].copy()
-    upper = view[:, 1, :]
-    cos, sin = math.cos(angle), math.sin(angle)
-    view[:, 0, :] = cos * lower - 1j * sin * upper
-    view[:, 1, :] = cos * upper - 1j * sin * lower
+    return constant, _walsh_hadamard(x_coeffs)
 
 
 def self_adjoint(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -230,39 +221,30 @@ def expm_krylov(
     if norm == 0.0:
         return v.copy()
     dim = v.size
-    # row-stacked basis: (V.conj() @ w) @ V runs as two contiguous gemv calls
-    basis = np.empty((min(max_iter, dim) + 1, dim), dtype=complex)
+    size = min(max_iter, dim)
+    # row-stacked basis: (V @ w.conj()).conj() @ V runs as two contiguous gemv
+    # calls, and the tridiagonal projection fills in place
+    basis = np.empty((size + 1, dim), dtype=complex)
     basis[0] = v / norm
-    alphas, betas = [], []
-    for m in range(min(max_iter, dim)):
+    tridiagonal = np.zeros((size + 1, size + 1))
+    for m in range(size):
         w = np.asarray(matvec(basis[m]), dtype=complex)
-        alphas.append(float(np.vdot(basis[m], w).real))
-        w = w - alphas[-1] * basis[m]
+        alpha = float(np.vdot(basis[m], w).real)
+        tridiagonal[m, m] = alpha
+        w = w - alpha * basis[m]
         if m:
-            w -= betas[-1] * basis[m - 1]
-        w -= (basis[: m + 1].conj() @ w) @ basis[: m + 1]
+            w -= tridiagonal[m, m - 1] * basis[m - 1]
+        w -= (basis[: m + 1] @ w.conj()).conj() @ basis[: m + 1]
         beta = float(np.linalg.norm(w))
-        energies, vectors = np.linalg.eigh(
-            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        )
+        energies, vectors = np.linalg.eigh(tridiagonal[: m + 1, : m + 1])
         coeffs = vectors @ (np.exp(-1j * dt * energies) * vectors[0])
         if beta * abs(coeffs[-1]) <= tol or m + 1 == dim:
             return norm * (coeffs @ basis[: m + 1])
-        betas.append(beta)
+        tridiagonal[m, m + 1] = tridiagonal[m + 1, m] = beta
         basis[m + 1] = w / beta
     raise RuntimeError(
         f"Krylov propagator did not reach tol={tol:g} in {max_iter} iterations"
     )
-
-
-def _apply_x_sum(amps: np.ndarray, num_qubits: int, x_coeffs: np.ndarray) -> np.ndarray:
-    """``sum_q x_q X_q amps``, each X_q an axis flip of the qubit view."""
-    out = np.zeros_like(amps)
-    for qubit in np.nonzero(x_coeffs)[0]:
-        _qubit_view(out, num_qubits, qubit)[...] += (
-            x_coeffs[qubit] * _qubit_view(amps, num_qubits, qubit)[:, ::-1, :]
-        )
-    return out
 
 
 #: Chebyshev nodes per panel of the dense anneal; with each panel's reach at
@@ -362,35 +344,43 @@ def evolve_adiabatic(spec: AnnealSpec, initial: StateVector) -> EvolutionResult:
         _evolve_dense(spec, fractions, amps, snapshots)
         return EvolutionResult(snapshots[-1][1], snapshots)
 
-    constant, x_coeffs = _split_driver_parts(spec.driver)
-    if not spec.target.is_diagonal():
-        raise ValueError(_NON_DIAGONAL_TARGET)
+    constant, xdiag = _split_driver_parts(spec.driver)
     diagonal = spec.target.diagonal()
+    dim = amps.size
 
     if spec.substeps_per_step is None:
         for k, s in enumerate(fractions):
+            local = (1.0 - s) * constant + s * diagonal
+            scaled = (1.0 - s) / dim * xdiag
 
-            def matvec(v, s=s):
-                driven = constant * v + _apply_x_sum(v, spec.num_qubits, x_coeffs)
-                return (1.0 - s) * driven + s * (diagonal * v)
+            def matvec(v, local=local, scaled=scaled):
+                return local * v + _walsh_hadamard(scaled * _walsh_hadamard(v))
 
             amps = expm_krylov(matvec, dt, amps)
             _maybe_snapshot(snapshots, spec, k, amps)
         return EvolutionResult(snapshots[-1][1], snapshots)
 
-    rotated = np.nonzero(x_coeffs)[0]
     sub_dt = dt / spec.substeps_per_step
     for k, s in enumerate(fractions):
         driver_weight = (1.0 - s) * sub_dt
-        phase = np.exp(-1j * s * sub_dt * diagonal) * complex(
-            np.exp(-1j * driver_weight * constant)
-        )
+        rotation = _unit_phases(-driver_weight * xdiag)
+        # the 1 / 2**n of the transform pair rides on the constant phase
+        phase = _unit_phases(-s * sub_dt * diagonal)
+        phase *= complex(np.exp(-1j * driver_weight * constant)) / dim
         for _ in range(spec.substeps_per_step):
-            for qubit in rotated:
-                _apply_x_rotation(amps, spec.num_qubits, qubit, driver_weight * x_coeffs[qubit])
+            amps = _walsh_hadamard(rotation * _walsh_hadamard(amps))
             amps *= phase
         _maybe_snapshot(snapshots, spec, k, amps)
     return EvolutionResult(snapshots[-1][1], snapshots)
+
+
+def _unit_phases(angles: np.ndarray) -> np.ndarray:
+    """``exp(1j * angles)`` from one cos and one sin pass, half the time of a
+    complex ``exp``."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
 
 
 def _maybe_snapshot(snapshots, spec: AnnealSpec, step_index: int, amps: np.ndarray):

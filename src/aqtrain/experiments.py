@@ -232,6 +232,15 @@ SNAPSHOT_OVERHEAD_BYTES = 700
 #: run-steps: about 90 us over the 1.5 us a run-step costs at the memory cap
 CLASSICAL_STEP_OVERHEAD = 60
 
+#: the fixed cost of one split step, whatever the register, in amplitudes:
+#: about 20 us over the 0.2-0.27 us an amplitude costs at the state cap
+SPLIT_STEP_OVERHEAD = 100
+
+#: the fixed cost of one spectrum s point (its eigvalsh call and its CSV row),
+#: in units of 8**num_qubits: about 26 us over the 1.0 ns a unit a complex
+#: eigh costs at 1024**2
+SPECTRUM_POINT_OVERHEAD = 30_000
+
 # Why each limit has its size, from costs measured on 2 cores with OpenBLAS:
 # - classical pool: a training step costs about 90 us whatever the pool
 #   size, plus 0.6 us a run at 1000 runs and up to 1.5 us a run at the
@@ -251,12 +260,16 @@ CLASSICAL_STEP_OVERHEAD = 60
 #   s point, mass-scan one per mass, anneal-matrix one per Chebyshev node,
 #   13 per panel of reach |T - D| dt <= 1 and at most one per step; T - D is
 #   the Toeplitz potential matrix, of norm at most |V(0)| + 2 sum |V(k>0)|.
-# - split step budget: 0.10 ms a step at 7 qubits, where step overhead
-#   dominates, and 10.4 ms at 16: near 55 s at 7 qubits, 11 s at 16.
-# - Krylov step budget: 1.7 ms a step at 6 qubits and 3.8 ms at 10 with the
-#   shipped time step of 1: near 55 s on the toy model, 8 s on the binary
-#   one.  A longer time step takes more Lanczos iterations, up to about
-#   0.09 s a step at the iteration limit.
+#   A spectrum s point also pays SPECTRUM_POINT_OVERHEAD, which bounds a
+#   1-qubit scan near 1.1 million points and 30 s.
+# - split step budget: a step is two Walsh-Hadamard transforms and two phase
+#   passes: about 20 us at 1 qubit, 35-45 us at 7, 0.09-0.13 ms at 10 and
+#   13-18 ms at 16.  With SPLIT_STEP_OVERHEAD that is near 15 s at any
+#   register.
+# - Krylov step budget: 0.7-1.2 ms a step at 6 qubits and 2.1-3.0 ms at 10
+#   with the shipped time step of 1: near 40 s on the toy model, 6 s on the
+#   binary one.  A longer time step takes more Lanczos iterations: at the
+#   iteration limit a step takes about 20 ms at 6 qubits and 70 ms at 10.
 # - snapshot memory cap: ten thousand states at the dense evolution cap
 #   (171 MB), 141 000 at 5 qubits.
 # - snapshot row cap: about 205 B and 7 us a density_snapshots.csv row:
@@ -475,9 +488,17 @@ def _sizes(effective: dict):
         qubits = 6 if kind == "nn-toy" else 10  # the toy and binary models' weights
         yield f"n_steps * 2**{qubits}", effective["n_steps"] * 2**qubits, "Krylov step budget"
     if kind == "anneal-paulispin":
-        yield "n_steps * 2**num_qubits", effective["n_steps"] * dim, "split step budget"
+        yield (
+            f"n_steps * 2**num_qubits + {SPLIT_STEP_OVERHEAD} * n_steps",
+            effective["n_steps"] * (dim + SPLIT_STEP_OVERHEAD),
+            "split step budget",
+        )
     if kind == "spectrum":
-        yield "s_points * 8**num_qubits", effective["s_points"] * dim**3, "dense decomposition budget"
+        yield (
+            f"s_points * 8**num_qubits + {SPECTRUM_POINT_OVERHEAD} * s_points",
+            effective["s_points"] * (dim**3 + SPECTRUM_POINT_OVERHEAD),
+            "dense decomposition budget",
+        )
     if kind == "mass-scan":
         masses = len(effective["masses"])
         yield "len(masses) * 8**num_qubits", masses * dim**3, "dense decomposition budget"
@@ -610,10 +631,10 @@ def _paulispin_spec(effective: dict):
 def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> StateVector:
     """Anneal the compiled diagonal Hamiltonian by exact Krylov stepping.
 
-    The coarse schedules used for the network runs (10 steps) need the exact
-    per-step exponential of the whole interpolated Hamiltonian; splitting the
-    driver and target factors at that step count visibly distorts the final
-    populations.
+    The coarse schedules used for the network runs (10 to 20 steps) need the
+    exact per-step exponential of the whole interpolated Hamiltonian;
+    splitting the driver and target factors at that step count visibly
+    distorts the final populations.
     """
     spec = AnnealSpec(
         driver=transverse_driver(hamiltonian.num_qubits),

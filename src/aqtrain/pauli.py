@@ -14,6 +14,7 @@ Sign conventions (fixed package-wide):
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
@@ -177,15 +178,21 @@ class PauliPolynomial:
         """Z-string expansion of a real diagonal; the inverse of :meth:`diagonal`.
 
         The Z-string on ``zmask`` gets the Walsh-Hadamard transform of
-        ``values`` at ``zmask``, divided by ``len(values)``.
+        ``values`` at ``zmask``, divided by ``len(values)``.  Those patterns
+        are canonical by construction, so the terms are filled in directly.
         """
         values = np.asarray(values, dtype=float)
         dim = values.size
         if values.ndim != 1 or dim < 2 or dim & (dim - 1):
             raise ValueError("diagonal must be a vector whose length is a power of two")
         n = dim.bit_length() - 1
-        patterns = (tuple((q, "Z") for q in range(n) if m >> q & 1) for m in range(dim))
-        return cls(n, dict(zip(patterns, _walsh_hadamard(values) / dim)))
+        coeffs = _walsh_hadamard(values) / dim
+        poly = cls(n)
+        poly._terms = {
+            tuple((q, "Z") for q in range(n) if m >> q & 1): complex(coeffs[m])
+            for m in np.flatnonzero(np.abs(coeffs) >= DROP_TOLERANCE).tolist()
+        }
+        return poly
 
     def _accumulate_string(self, term: PauliString):
         if term.max_qubit() >= self.num_qubits:
@@ -313,11 +320,14 @@ class PauliPolynomial:
         Each Z-string contributes ``coeff * (-1)**parity(index & zmask)``:
         the Walsh-Hadamard transform of the coefficients indexed by Z-mask.
         """
-        if not self.is_diagonal():
-            raise ValueError("polynomial has X/Y factors and is not diagonal")
         coeffs = np.zeros(2**self.num_qubits, dtype=complex)
         for pattern, coeff in self._terms.items():
-            coeffs[sum(1 << qubit for qubit, _ in pattern)] = coeff
+            mask = 0
+            for qubit, axis in pattern:
+                if axis != "Z":
+                    raise ValueError("polynomial has X/Y factors and is not diagonal")
+                mask |= 1 << qubit
+            coeffs[mask] = coeff
         diag = _walsh_hadamard(coeffs)
         residual = np.max(np.abs(diag.imag))
         if residual > 1e-9:
@@ -325,13 +335,55 @@ class PauliPolynomial:
         return diag.real
 
 
-def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalised transform ``out[k] = sum_i (-1)**parity(i & k) * values[i]``."""
-    out = np.array(values)
-    for q in range(out.size.bit_length() - 1):
-        pairs = out.reshape(-1, 2, 1 << q)
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+#: widest Kronecker factor of the Walsh-Hadamard transform, in qubits
+_FACTOR_QUBITS = 6
+
+
+def _sylvester(qubits: int, dtype) -> np.ndarray:
+    """The read-only ``2**qubits`` Sylvester matrix ``(-1)**parity(i & k)``."""
+    out = np.ones((1, 1), dtype=dtype)
+    for _ in range(qubits):
+        out = np.block([[out, out], [out, -out]])
+    out.setflags(write=False)
     return out
+
+
+@functools.cache
+def _kronecker_factors(size: int, dtype: np.dtype) -> tuple:
+    """``(trailing size, Sylvester matrix)`` of each factor of the ``size``-point
+    transform, most significant first.
+
+    There are two factors from 2 qubits up, and more once one would be wider
+    than :data:`_FACTOR_QUBITS`; their widths differ by at most one.
+    """
+    num_qubits = size.bit_length() - 1
+    count = max(min(num_qubits, 2), -(-num_qubits // _FACTOR_QUBITS))
+    base, extra = divmod(num_qubits, count)
+    dtype = np.result_type(dtype, float)
+    factors = []
+    for j in range(count):
+        qubits = base + (j < extra)
+        size >>= qubits
+        factors.append((size, _sylvester(qubits, dtype)))
+    return tuple(factors)
+
+
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalised transform ``out[k] = sum_i (-1)**parity(i & k) * values[i]``.
+
+    ``H^{(x)n} = H^{(x)n_1} (x) ... (x) H^{(x)n_k}``: each factor is a small
+    Sylvester matrix, applied by ``matmul`` along its axis of the reshaped
+    vector (Fino & Algazi, IEEE Trans. Comput. C-25, 1976).  No ``2**n``
+    square matrix is formed.
+    """
+    out = np.asarray(values)
+    size = out.size
+    for trailing, sylvester in _kronecker_factors(size, out.dtype):
+        if trailing == 1:
+            out = out.reshape(-1, sylvester.shape[0]) @ sylvester
+        else:
+            out = sylvester @ out.reshape(-1, sylvester.shape[0], trailing)
+    return out.reshape(size)
 
 
 # -- convenience constructors --------------------------------------------------

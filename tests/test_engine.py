@@ -20,6 +20,7 @@ from aqtrain.engine import (
     DENSE_EVOLUTION_CAP,
     DENSE_PANEL_NODES,
     LinearSchedule,
+    _split_driver_parts,
     evolve_adiabatic,
     evolve_real_time,
     expm_krylov,
@@ -35,7 +36,7 @@ from aqtrain.matrix_method import (
     ground_state,
     momentum_to_position,
 )
-from aqtrain.pauli import PauliPolynomial, pauli_x, pauli_z
+from aqtrain.pauli import PauliPolynomial, _walsh_hadamard, pauli_x, pauli_z
 from aqtrain.state import StateVector
 from aqtrain.varpoly import parse_polynomial
 
@@ -284,6 +285,25 @@ class TestSplitEvolution:
             overlaps.append(final.probabilities()[ground_index])
         assert all(b >= a for a, b in zip(overlaps, overlaps[1:]))
         assert overlaps[-1] > 0.9
+
+
+class TestDriverInHadamardBasis:
+    @pytest.mark.parametrize("num_qubits", [1, 4, 7])
+    def test_rotation_matches_dense_exponential(self, num_qubits):
+        # exp(-i a sum_q x_q X_q) = W exp(-i a xdiag) W / 2**n, with unequal x_q
+        rng = np.random.default_rng(30 + num_qubits)
+        x_coeffs = rng.uniform(0.2, 2.0, size=num_qubits)
+        driver = PauliPolynomial.identity(num_qubits, 0.7)
+        for qubit, coeff in enumerate(x_coeffs):
+            driver = driver - coeff * pauli_x(num_qubits, qubit)
+        constant, xdiag = _split_driver_parts(driver)
+        assert constant == pytest.approx(0.7)
+        v = random_state(num_qubits, seed=40 + num_qubits).amplitudes.astype(complex)
+        angle = 1.3
+        fast = _walsh_hadamard(np.exp(-1j * angle * xdiag) * _walsh_hadamard(v)) / v.size
+        energies, vectors = np.linalg.eigh(driver.to_matrix() - 0.7 * np.eye(v.size))
+        dense = vectors @ (np.exp(-1j * angle * energies) * (vectors.conj().T @ v))
+        assert np.max(np.abs(fast - dense)) <= 1e-12
 
 
 class TestKrylovPropagator:

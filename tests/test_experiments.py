@@ -19,6 +19,8 @@ from aqtrain.experiments import (
     LIMITS,
     SCHEMAS,
     SNAPSHOT_OVERHEAD_BYTES,
+    SPECTRUM_POINT_OVERHEAD,
+    SPLIT_STEP_OVERHEAD,
     atomic_write_text,
     config_hash,
     run_experiment,
@@ -224,6 +226,20 @@ class TestValidation:
                 f"pool * train_steps + 60 * train_steps = {61 * 50_000_000} exceeds the "
                 f"classical time budget of {limit('classical time budget')} run-steps",
             ),
+            # one amplitude still pays the fixed cost of every split step
+            (
+                {"kind": "anneal-paulispin", "num_qubits": 1, "n_steps": 2**25},
+                f"n_steps * 2**num_qubits + {SPLIT_STEP_OVERHEAD} * n_steps = "
+                f"{2**25 * (2 + SPLIT_STEP_OVERHEAD)} exceeds the split step budget "
+                f"of {limit('split step budget')}",
+            ),
+            # and a 2 x 2 eigvalsh the fixed cost of every s point
+            (
+                {"kind": "spectrum", "num_qubits": 1, "s_points": 4_000_000_000},
+                f"s_points * 8**num_qubits + {SPECTRUM_POINT_OVERHEAD} * s_points = "
+                f"{4_000_000_000 * (8 + SPECTRUM_POINT_OVERHEAD)} exceeds the dense "
+                f"decomposition budget of {limit('dense decomposition budget')}",
+            ),
         ],
     )
     def test_data_size_capped_before_running(self, config, message, monkeypatch, tmp_path):
@@ -277,12 +293,14 @@ class TestValidation:
         + [
             (
                 {"kind": "spectrum", "s_points": 10**9},
-                f"s_points * 8**num_qubits = {10**9 * 8**7} exceeds the dense decomposition "
+                f"s_points * 8**num_qubits + {SPECTRUM_POINT_OVERHEAD} * s_points = "
+                f"{10**9 * (8**7 + SPECTRUM_POINT_OVERHEAD)} exceeds the dense decomposition "
                 f"budget of {limit('dense decomposition budget')}",
             ),
             (
                 {"kind": "spectrum", "num_qubits": 12, "s_points": 41},
-                f"s_points * 8**num_qubits = {41 * 8**12} exceeds the dense decomposition "
+                f"s_points * 8**num_qubits + {SPECTRUM_POINT_OVERHEAD} * s_points = "
+                f"{41 * (8**12 + SPECTRUM_POINT_OVERHEAD)} exceeds the dense decomposition "
                 f"budget of {limit('dense decomposition budget')}",
             ),
             (
@@ -298,7 +316,8 @@ class TestValidation:
             ),
             (
                 {"kind": "anneal-paulispin", "num_qubits": 16, "n_steps": 10**9},
-                f"n_steps * 2**num_qubits = {10**9 * 2**16} exceeds the split step budget "
+                f"n_steps * 2**num_qubits + {SPLIT_STEP_OVERHEAD} * n_steps = "
+                f"{10**9 * (2**16 + SPLIT_STEP_OVERHEAD)} exceeds the split step budget "
                 f"of {limit('split step budget')}",
             ),
         ]
@@ -339,10 +358,12 @@ class TestValidation:
         assert validate_config({"kind": "tunnel", "t_total": 200.0, "snapshot_stride": 1}).ok
         widest = {"kind": "mass-scan", "grid_points": limit("phase-matrix memory cap") // 2**7}
         assert validate_config(widest).ok
-        # the decomposition budget holds 32 decompositions at 10 qubits, 2**14 at 7
-        most = limit("dense decomposition budget") // 8**7
+        # the decomposition budget holds 32 decompositions at 10 qubits, 2**14 at 7,
+        # and a little fewer spectrum points, which pay a fixed cost each
+        most = limit("dense decomposition budget") // (8**7 + SPECTRUM_POINT_OVERHEAD)
         assert validate_config({"kind": "spectrum", "s_points": most}).ok
         assert not validate_config({"kind": "spectrum", "s_points": most + 1}).ok
+        most = limit("dense decomposition budget") // 8**7
         assert validate_config({"kind": "mass-scan", "masses": [1.0] * most}).ok
         assert not validate_config({"kind": "mass-scan", "masses": [1.0] * (most + 1)}).ok
         most = limit("dense decomposition budget") // 8**10
@@ -352,7 +373,7 @@ class TestValidation:
         assert not validate_config(anneal).ok
         # the most steps the step budget allows at 10 qubits, short enough for one panel
         assert validate_config({"kind": "anneal-matrix", "num_qubits": 10, "n_steps": 476}).ok
-        most = limit("split step budget") // 2**16
+        most = limit("split step budget") // (2**16 + SPLIT_STEP_OVERHEAD)
         paulispin = {"kind": "anneal-paulispin", "num_qubits": 16, "n_steps": most}
         assert validate_config(paulispin).ok
         paulispin["n_steps"] = most + 1

@@ -12,6 +12,8 @@ from aqtrain.pauli import (
     DROP_TOLERANCE,
     PauliPolynomial,
     PauliString,
+    _kronecker_factors,
+    _walsh_hadamard,
     binary_projector,
     pauli_x,
     pauli_z,
@@ -194,6 +196,36 @@ class TestFromDiagonal:
         for bad in (np.ones(3), np.ones((2, 2))):
             with pytest.raises(ValueError, match="power of two"):
                 PauliPolynomial.from_diagonal(bad)
+
+
+class TestWalshHadamard:
+    @staticmethod
+    def sylvester(num_qubits):
+        """The transform's matrix entry by entry: (-1)**parity(i & k)."""
+        index = np.arange(2**num_qubits)
+        parity = np.array([[bin(i & k).count("1") % 2 for k in index] for i in index])
+        return 1.0 - 2.0 * parity
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 7, 8])
+    def test_matches_explicit_sylvester_matrix(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        values = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+        expected = self.sylvester(num_qubits) @ values
+        assert np.max(np.abs(_walsh_hadamard(values) - expected)) <= 1e-12
+        assert np.max(np.abs(_walsh_hadamard(values.real) - expected.real)) <= 1e-12
+
+    def test_three_factors_square_to_scaled_identity(self):
+        size = 2**13
+        assert len(_kronecker_factors(size, np.dtype(complex))) == 3
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=size) + 1j * rng.normal(size=size)
+        twice = _walsh_hadamard(_walsh_hadamard(values)) / size
+        assert np.max(np.abs(twice - values)) <= 1e-12
+
+    def test_leaves_its_input_alone(self):
+        values = np.arange(8.0)
+        _walsh_hadamard(values)
+        assert np.array_equal(values, np.arange(8.0))
 
 
 class TestBinaryProjector:

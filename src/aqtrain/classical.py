@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, zero_one_labels
 from .nn import ModelSpec, StepMajority
 
 DEFAULT_STEEPNESS = 10.0
@@ -88,7 +88,7 @@ class RelaxedModel:
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:
-    if not set(np.unique(labels)) <= {0, 1}:
+    if not zero_one_labels(labels):
         raise ValueError("relaxed loss requires 0/1 labels")
     return np.where(labels == 1, -1.0, 1.0)
 

@@ -38,6 +38,12 @@ class Dataset:
         return float(np.mean(self.labels > 0))
 
 
+def zero_one_labels(labels) -> bool:
+    """Whether every label is 0 or 1 (an empty set of labels is)."""
+    labels = np.asarray(labels)
+    return bool(np.all((labels == 0) | (labels == 1)))
+
+
 def circle_dataset(n: int, seed: int) -> Dataset:
     """Points uniform on [-1, 1]^2, labeled +1 outside x1^2 + x2^2 = 1/2.
 
@@ -107,21 +113,21 @@ def balanced_pixel_split(seed: int) -> tuple[Dataset, Dataset]:
 def write_dataset_csv(path, dataset: Dataset, header: dict | None = None):
     """Write samples as CSV with ``# key = value`` comment headers.
 
-    Floats are rendered with repr-exact precision so identical datasets
-    serialize byte-identically.
+    Every row is formatted with one ``%`` template: ``%d`` cells when all
+    features are integral, else ``%.17g`` (repr-exact, so identical datasets
+    serialize byte-identically), then ``%d`` for the label.
     """
-    integral = np.all(dataset.features == np.round(dataset.features))
+    features = dataset.features
+    width = features.shape[1]
+    cell = "%d" if np.all(features == np.round(features)) else "%.17g"
+    template = ",".join([cell] * width + ["%d"]) + "\n"
+    names = ["x1", "x2"] if width == 2 else [f"f{i}" for i in range(width)]
+    if width == 4:
+        names = ["p00", "p01", "p10", "p11"]
+    lines = [f"# {key} = {value}\n" for key, value in (header or {}).items()]
+    lines.append(",".join(names + ["label"]) + "\n")
+    lines.extend(
+        template % (*row, label) for row, label in zip(features.tolist(), dataset.labels.tolist())
+    )
     with open(path, "w", encoding="ascii") as handle:
-        for key, value in (header or {}).items():
-            handle.write(f"# {key} = {value}\n")
-        width = dataset.features.shape[1]
-        names = ["x1", "x2"] if width == 2 else [f"f{i}" for i in range(width)]
-        if width == 4:
-            names = ["p00", "p01", "p10", "p11"]
-        handle.write(",".join(names + ["label"]) + "\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            if integral:
-                cells = [str(int(value)) for value in row]
-            else:
-                cells = [f"{value:.17g}" for value in row]
-            handle.write(",".join(cells + [str(int(label))]) + "\n")
+        handle.write("".join(lines))

@@ -446,9 +446,8 @@ def instantaneous_spectrum(spec: AnnealSpec, s_values, k_lowest: int = 4) -> np.
     # real symmetric pairs (every Pauli pair here) take the real eigensolver
     if not (driver.imag.any() or target.imag.any()):
         driver, target = driver.real, target.real
-    k = min(k_lowest, 2**spec.num_qubits)
-    rows = []
-    for s in np.asarray(s_values, dtype=float):
-        energies = np.linalg.eigvalsh((1.0 - s) * driver + s * target)
-        rows.append(energies[:k])
-    return np.array(rows)
+    s_values = np.asarray(s_values, dtype=float)
+    curves = np.empty((s_values.size, min(k_lowest, 2**spec.num_qubits)))
+    for row, s in zip(curves, s_values):
+        row[:] = np.linalg.eigvalsh((1.0 - s) * driver + s * target)[: row.size]
+    return curves

@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -249,8 +250,9 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   keeps training near 60 s, and the memory cap keeps it near 190 MB.
 # - curves: one (repetitions, n) block of pool draws at a time, 16 B and
 #   15-25 ns a draw, drawn for both pools: near 160 MB and 50 s.
-# - toy data: about 4 kB and 37 us per forwarded row (dataset or nn-toy grid
-#   probe): near 160 MB and 1.5 s.
+# - toy data: about 3.6 kB and 14 us per forwarded row (dataset or nn-toy grid
+#   probe), measured on nn-toy at 10 000 and 40 000 rows: 177 MB and 0.6 s
+#   at the cap.
 # - dense step budget: the interpolated anneal step streams its 13-node
 #   block, 13-16 ns per dim**2 up to 8 qubits and 96 ns at 10 (218 MB);
 #   real-time step budget: 8 ns per dim**2 at 5 qubits, 2-3 ns at 8 and 10.
@@ -272,8 +274,9 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   iteration limit a step takes about 20 ms at 6 qubits and 70 ms at 10.
 # - snapshot memory cap: ten thousand states at the dense evolution cap
 #   (171 MB), 141 000 at 5 qubits.
-# - snapshot row cap: about 205 B and 7 us a density_snapshots.csv row:
-#   165 MB and 6 s.
+# - snapshot row cap: about 7-9 us a density_snapshots.csv row: near 6 s.
+#   Rows stream into the file, so they hold no memory: 683 000 rows peaked
+#   2 MB above a run without them.
 # - phase-matrix memory cap: the (grid_points, 2**num_qubits) plane-wave
 #   matrix every density is read through, 16 B an entry: 64 MB.
 # - snapshot density budget: each density streams the plane-wave matrix,
@@ -551,12 +554,20 @@ def config_hash(effective: dict) -> str:
 
 # -- deterministic file emission -------------------------------------------------------
 
-def atomic_write_text(path, text: str):
-    """Write via a temporary sibling and rename, so readers never see partials."""
+@contextmanager
+def _atomic_open(path):
+    """A text handle on a temporary sibling, renamed onto ``path`` on success."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="ascii")
+    with open(tmp, "w", encoding="ascii") as handle:
+        yield handle
     os.replace(tmp, path)
+
+
+def atomic_write_text(path, text: str):
+    """Write via a temporary sibling and rename, so readers never see partials."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _cell(value) -> str:
@@ -570,14 +581,17 @@ def _cell(value) -> str:
 
 
 def write_csv(path, experiment: str, cfg_hash: str, columns, rows, extra_header=None):
-    """CSV with ``# key = value`` headers; floats at repr-exact precision."""
-    lines = [f"# experiment = {experiment}", f"# config_hash = {cfg_hash}"]
-    for key, value in (extra_header or {}).items():
-        lines.append(f"# {key} = {value}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(value) for value in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV with ``# key = value`` headers; floats at repr-exact precision.
+
+    Lines are streamed into the file one row at a time, so ``rows`` may be a
+    generator and the text is never held whole.
+    """
+    header = [f"# experiment = {experiment}", f"# config_hash = {cfg_hash}"]
+    header += [f"# {key} = {value}" for key, value in (extra_header or {}).items()]
+    header.append(",".join(columns))
+    with _atomic_open(path) as handle:
+        handle.write("\n".join(header) + "\n")
+        handle.writelines(",".join(_cell(value) for value in row) + "\n" for row in rows)
 
 
 def write_json(path, payload: dict):
@@ -924,7 +938,7 @@ def _run_spectrum(effective, out: Path, cfg_hash: str):
         "spectrum",
         cfg_hash,
         columns,
-        [(s, *row) for s, row in zip(s_values, curves)],
+        ((s, *row) for s, row in zip(s_values, curves)),
     )
     gaps = curves[:, 1] - curves[:, 0] if curves.shape[1] > 1 else np.zeros(len(s_values))
     tightest = int(np.argmin(gaps))

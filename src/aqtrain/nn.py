@@ -29,7 +29,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, zero_one_labels
 from .encodings import EncodingTable, report_bitstring
 from .pauli import PauliPolynomial
 from .state import StateVector
@@ -285,7 +285,7 @@ def build_loss(model: ModelSpec, dataset: Dataset, kind: str) -> VarPolynomial:
         raise ValueError(f"unknown loss kind {kind!r}")
     if model.output_dim != 1:
         raise ValueError("loss construction needs a single-output model")
-    if kind == "linear-binary" and not set(np.unique(dataset.labels)) <= {0, 1}:
+    if kind == "linear-binary" and not zero_one_labels(dataset.labels):
         raise ValueError("linear-binary loss requires 0/1 labels")
     total = VarPolynomial.zero()
     for features, label in zip(dataset.features, dataset.labels):
@@ -324,7 +324,9 @@ def forward_configs(
     """Numeric outputs for many weight assignments at once.
 
     ``columns[name][c]`` is the value of a variable in configuration c; the
-    result has shape (configs, samples) for a single-output model.
+    result has shape (configs, samples) for a single-output model.  The
+    first layer reads the shared (samples, width) features without copying
+    them per configuration; deeper layers read (configs, samples, width).
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[1] != model.input_dim:
@@ -340,14 +342,14 @@ def forward_configs(
         """A (configs, 1) column for a variable, the constant otherwise."""
         return per_config[entry] if isinstance(entry, str) else float(entry)
 
-    # values: (configs, samples, width)
-    values = np.broadcast_to(features, (n_configs,) + features.shape).astype(float)
+    # values: (samples, width) features, then (configs, samples, width)
+    values = features
     for layer in model.layers:
         pre = np.zeros((n_configs, features.shape[0], layer.fan_out))
         for i, (row, bias) in enumerate(zip(layer.weights, layer.biases)):
             acc = np.zeros((n_configs, features.shape[0]))
             for j, entry in enumerate(row):
-                acc += value(entry) * values[:, :, j]
+                acc += value(entry) * values[..., j]
             acc += value(bias)
             pre[:, :, i] = acc
         values = layer.activation.apply_numeric(pre, layer.fan_in)
@@ -362,7 +364,7 @@ def predict(model: ModelSpec, weights: Mapping[str, float], x) -> float:
 
 def _accuracy_matrix(outputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-config accuracy of an (configs, samples) output matrix."""
-    if set(np.unique(labels)) <= {0, 1}:
+    if zero_one_labels(labels):
         correct = outputs == labels
     else:
         correct = (outputs >= 0.0) == (labels > 0)
@@ -478,6 +480,12 @@ def group_degenerate(
     probe rows already forwarded (shape (configs, rows), such as
     ``WeightspaceTable.train_outputs``); the probe is those rows followed by
     ``probe_features``, and only ``probe_features`` is forwarded here.
+
+    Each configuration's outputs are rounded to PREDICTION_DECIMALS, and the
+    bytes of that rounded row are its class key: one ``np.void`` scalar per
+    row, so the sort compares whole rows as byte strings.  Rounding can
+    leave -0.0, whose bytes differ from 0.0's though the values are equal,
+    so -0.0 is mapped to 0.0 first.
     """
     n = table.total_qubits
     if n > ENUMERATION_QUBIT_CAP:
@@ -489,10 +497,13 @@ def group_degenerate(
         outputs = np.concatenate([leading_outputs, outputs], axis=1)
     # +0.0 maps -0.0 to 0.0 so byte-level keys are canonical
     rounded = np.round(outputs.reshape(2**n, -1), PREDICTION_DECIMALS) + 0.0
+    if rounded.shape[1] == 0:
+        raise ValueError("degeneracy grouping needs at least one probe row")
+    keys = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(
-        rounded, axis=0, return_index=True, return_inverse=True, return_counts=True
+        keys, return_index=True, return_inverse=True, return_counts=True
     )
-    totals = np.bincount(inverse.ravel(), weights=state.probabilities())
+    totals = np.bincount(inverse, weights=state.probabilities())
     classes = [
         DegeneracyClass(
             representative_index=representative,

@@ -187,6 +187,13 @@ class TestGradient:
         with pytest.raises(ValueError, match="0/1 labels"):
             relaxed_loss(relaxed, signed, np.full(10, 0.5))
 
+    @pytest.mark.parametrize("labels", [[2, -2] * 5, [0, 1, 2] * 3 + [0]], ids=["pm2", "012"])
+    def test_rejects_labels_outside_zero_one(self, labels):
+        _, relaxed, train, _ = _setup()
+        relabelled = Dataset(train.features, np.array(labels))
+        with pytest.raises(ValueError, match="relaxed loss requires 0/1 labels"):
+            relaxed_loss(relaxed, relabelled, np.full(10, 0.5))
+
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_penalty_stationary_points(self, value):
         _, relaxed, _, _ = _setup()

@@ -10,6 +10,7 @@ from aqtrain.datasets import (
     circle_dataset,
     pixel_images,
     write_dataset_csv,
+    zero_one_labels,
 )
 
 
@@ -143,6 +144,35 @@ class TestCsvRoundTrip:
         write_dataset_csv(first, data, header={"seed": 17})
         write_dataset_csv(second, circle_dataset(25, seed=17), header={"seed": 17})
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            [[0.1, -0.0], [1e-300, -2.5e17], [5e-324, 1.0 / 3.0]],
+            [[0.0, -0.0], [1e20, -3.0], [7.0, 2.0**60]],
+        ],
+        ids=["float", "integral"],
+    )
+    def test_rows_match_per_cell_formatting(self, tmp_path, features):
+        # the row template writes what formatting each cell on its own does
+        data = Dataset(np.array(features), np.array([1, -2, 0]))
+        integral = np.all(data.features == np.round(data.features))
+        path = tmp_path / "cells.csv"
+        write_dataset_csv(path, data)
+        expected = ["x1,x2,label"]
+        for row, label in zip(data.features, data.labels):
+            cells = [str(int(v)) if integral else f"{v:.17g}" for v in row]
+            expected.append(",".join(cells + [str(int(label))]))
+        assert path.read_text(encoding="ascii") == "\n".join(expected) + "\n"
+
+
+class TestZeroOneLabels:
+    @pytest.mark.parametrize(
+        "labels, expected",
+        [([0, 1, 1, 0], True), ([1, 1], True), ([], True), ([2, -2, 2], False), ([0, 1, 2], False)],
+    )
+    def test_accepts_only_zero_and_one(self, labels, expected):
+        assert zero_one_labels(np.array(labels, dtype=int)) is expected
 
 
 class TestDatasetValidation:

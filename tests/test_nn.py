@@ -1,13 +1,16 @@
 """Tests for the symbolic network compiler and its analysis helpers."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from aqtrain.datasets import Dataset, balanced_pixel_split, band_dataset, circle_dataset, pixel_images
-from aqtrain.encodings import EncodingTable
+from aqtrain.encodings import EncodingTable, report_bitstring
 from aqtrain.nn import (
+    PREDICTION_DECIMALS,
+    PROBABILITY_DECIMALS,
     DegeneracyClass,
     Identity,
     LayerSpec,
@@ -201,6 +204,13 @@ class TestBuildLoss:
         model, table, data = _toy_setup(n=10)
         with pytest.raises(ValueError):
             build_loss(model, data, "linear-binary")
+
+    @pytest.mark.parametrize("labels", [[2, -2] * 5, [0, 1, 2] * 3 + [0]], ids=["pm2", "012"])
+    def test_linear_binary_rejects_labels_outside_zero_one(self, labels):
+        model, _, data = _toy_setup(n=10)
+        relabelled = Dataset(data.features, np.array(labels))
+        with pytest.raises(ValueError, match="linear-binary loss requires 0/1 labels"):
+            build_loss(model, relabelled, "linear-binary")
 
     def test_unknown_kind_rejected(self):
         model, table, data = _toy_setup(n=10)
@@ -441,6 +451,87 @@ class TestGroupDegenerate:
         losses = enumerate_weightspace(model, table, data, data, "mse").losses
         with pytest.raises(ValueError):
             group_degenerate(model, table, StateVector.uniform(5), grid_probe(5), losses)
+
+    def test_empty_probe_rejected(self):
+        # an empty row has no bytes to key by, so it would silently give no classes
+        model, table, data = _toy_setup(n=20)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
+        with pytest.raises(ValueError, match="at least one probe row"):
+            group_degenerate(model, table, StateVector.uniform(6), np.empty((0, 2)), losses)
+
+    @staticmethod
+    def _dict_grouping(model, table, state, probe, energies):
+        """Oracle: a dict keyed by each configuration's tuple of rounded outputs.
+
+        Tuples compare values, so -0.0 and 0.0 fall into one key with no
+        canonicalisation.  Probabilities are added in basis order.
+        """
+        outputs = forward_configs(model, table.decode_columns(), probe)
+        rounded = np.round(outputs, PREDICTION_DECIMALS)
+        members = {}
+        for index, row in enumerate(rounded):
+            members.setdefault(tuple(row.tolist()), []).append(index)
+        probabilities = state.probabilities()
+        classes = []
+        for indices in members.values():
+            representative = indices[0]
+            total = 0.0
+            for index in indices:
+                total += probabilities[index]
+            key = rounded[representative] + 0.0
+            classes.append(
+                DegeneracyClass(
+                    representative_index=representative,
+                    bitstring=report_bitstring(representative, table.total_qubits),
+                    weights=table.decode_index(representative),
+                    probability=float(total),
+                    energy=float(energies[representative]),
+                    degeneracy=len(indices),
+                    prediction_hash=hashlib.sha256(key.tobytes()).hexdigest()[:16],
+                )
+            )
+        classes.sort(key=lambda c: (-round(c.probability, PROBABILITY_DECIMALS), c.representative_index))
+        return classes
+
+    @staticmethod
+    def _random_state(num_qubits, seed):
+        rng = np.random.default_rng(seed)
+        amplitudes = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+        return StateVector(amplitudes / np.linalg.norm(amplitudes))
+
+    def test_matches_dict_grouping_on_the_toy_probe(self):
+        model, table, data = _toy_setup(n=100)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
+        state = self._random_state(6, seed=12)
+        probe = np.vstack([data.features, grid_probe(side=7)])
+        classes = group_degenerate(model, table, state, probe, losses)
+        expected = self._dict_grouping(model, table, state, probe, losses)
+        assert max(c.degeneracy for c in expected) > 1
+        assert len(classes) == len(expected)
+        for got, want in zip(classes, expected):
+            assert got.representative_index == want.representative_index
+            assert got.degeneracy == want.degeneracy
+            assert got.bitstring == want.bitstring
+            assert got.weights == want.weights
+            assert got.probability == want.probability  # exact: same additions, same order
+            assert got.energy == want.energy
+            assert got.prediction_hash == want.prediction_hash
+
+    def test_negative_zero_and_duplicate_rows_share_a_class(self):
+        layer = LayerSpec(weights=(("a", "b", "c"),), biases=(0.0,), activation=Identity())
+        model = ModelSpec(input_dim=3, layers=(layer,))
+        table = model_encoding_table(model, "binary01")
+        # the first probe row gives -1e-12 * a, which rounds to -0.0 where a = 1
+        # and is 0.0 where a = 0; the second gives b + c, the same for (1, 0)
+        # and (0, 1), so those configurations have exactly duplicate rows
+        probe = np.array([[-1e-12, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        first = np.round(forward_configs(model, table.decode_columns(), probe), PREDICTION_DECIMALS)[:, 0]
+        assert np.all(first == 0.0) and 0 < np.count_nonzero(np.signbit(first)) < 8
+        state = self._random_state(3, seed=5)
+        energies = np.arange(8.0)
+        classes = group_degenerate(model, table, state, probe, energies)
+        assert sorted(c.degeneracy for c in classes) == [2, 2, 4]
+        assert classes == self._dict_grouping(model, table, state, probe, energies)
 
 
 class TestSamplePool:

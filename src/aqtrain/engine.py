@@ -24,9 +24,16 @@ its propagator from the representation and ``substeps_per_step``:
   interpolation weights are the identity.  There is no Trotter error, and
   the interpolation error is below roundoff.
 
-Real-time stepping under a fixed Hamiltonian (:func:`evolve_real_time`,
-used by the ``tunnel`` experiment) is dense-only: it diagonalizes the
-matrix once and rejects a PauliPolynomial.
+The split and dense stepping loops apply their steps and nothing else:
+what depends only on the step index (the split step's phase vectors, the
+interpolated dense propagators, so that a dense step is one matrix-vector
+product) is built ahead of the loop, ``CHUNK_BYTES`` at a time.
+
+Real-time evolution under a fixed Hamiltonian (:func:`evolve_real_time`,
+used by the ``tunnel`` experiment) is dense-only and rejects a
+PauliPolynomial.  It diagonalizes the matrix once and evaluates each kept
+state in closed form at its time, so no step loop runs and a kept state
+is exact at its time.
 
 Step times follow the pre-step convention: step ``k`` of ``n`` applies
 ``exp(-i H_A(t_k) dt)`` with ``t_k = k * dt``, i.e. the Hamiltonian is
@@ -149,7 +156,7 @@ class AnnealSpec:
 
     def step_fractions(self) -> np.ndarray:
         """Schedule values s(t_k) at the pre-step times t_k = k * dt."""
-        return np.array([self.schedule(k * self.dt) for k in range(self.n_steps)])
+        return np.asarray(self.schedule(np.arange(self.n_steps) * self.dt), dtype=float)
 
     def is_dense(self) -> bool:
         return not isinstance(self.driver, PauliPolynomial)
@@ -247,6 +254,11 @@ def expm_krylov(
     )
 
 
+#: bytes of step-indexed operators (interpolated propagators, split-step
+#: phases, real-time phases) built ahead of a stepping loop at a time; also
+#: the stacked states of :func:`aqtrain.matrix_method.window_masses`
+CHUNK_BYTES = 1 << 20
+
 #: Chebyshev nodes per panel of the dense anneal; with each panel's reach at
 #: most 1 the interpolation error bound 2 (1/4)**13 / 13! is about 5e-18
 DENSE_PANEL_NODES = 13
@@ -291,20 +303,28 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
     at most 1, and U is interpolated on each panel that holds a step from
     its values at ``DENSE_PANEL_NODES`` Chebyshev points (Trefethen,
     Approximation Theory and Approximation Practice, SIAM 2013, ch. 7-8),
-    one ``eigh`` per node.
+    one ``eigh`` per node.  The step propagators ``U_k = sum_j w_kj U_j``
+    of a chunk of steps come from one real GEMM of the Lagrange weights
+    against the node block, so each step is one matrix-vector product.
     A panel with no more steps than nodes takes its steps' own s values as
-    the nodes, so no run decomposes more matrices than it has steps.
+    the nodes, so its weights are unit rows and no run decomposes more
+    matrices than it has steps.
     """
     driver = self_adjoint(spec.driver)
     target = self_adjoint(spec.target)
     dt = spec.dt
     dim = amps.size
+    # a real symmetric pair (every real potential) takes the real eigensolver
+    if not (driver.imag.any() or target.imag.any()):
+        driver, target = driver.real, target.real
     reach = float(np.max(np.abs(np.linalg.eigvalsh(target - driver)))) * dt
     # with a panel per step every panel takes its steps' own s values as nodes,
     # so more panels change nothing; the cap keeps a huge reach a small integer
     panels = max(1, math.ceil(min(reach, fractions.size)))
     panel_of = np.minimum((fractions * panels).astype(int), panels - 1)
     runs = np.split(np.arange(fractions.size), np.flatnonzero(np.diff(panel_of)) + 1)
+    chunk = max(2, CHUNK_BYTES // (16 * dim * dim))
+    propagators = np.empty((min(chunk, fractions.size), dim, dim), dtype=complex)
     for steps in runs:
         if steps.size <= DENSE_PANEL_NODES:
             # the steps' own s values are the nodes, and the weights the identity
@@ -312,15 +332,19 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
         else:
             panel = panel_of[steps[0]]
             nodes = _chebyshev_points(panel / panels, (panel + 1) / panels, DENSE_PANEL_NODES)
-        block = np.empty((nodes.size * dim, dim), dtype=complex)
+        block = np.empty((nodes.size, dim, dim), dtype=complex)
         for j, s in enumerate(nodes):
-            block[j * dim : (j + 1) * dim] = _step_propagator(
-                (1.0 - s) * driver + s * target, dt
-            )
+            block[j] = _step_propagator((1.0 - s) * driver + s * target, dt)
+        # real weights times the (re, im) pairs of every node entry
+        flat = block.reshape(nodes.size, -1).view(float)
         weights = _lagrange_weights(nodes, fractions[steps])
-        for row, k in zip(weights, steps):
-            amps = row @ (block @ amps).reshape(nodes.size, dim)
-            _maybe_snapshot(snapshots, spec, k, amps)
+        for first in range(0, steps.size, chunk):
+            rows = weights[first : first + chunk]
+            interpolated = propagators[: rows.shape[0]]
+            np.matmul(rows, flat, out=interpolated.reshape(rows.shape[0], -1).view(float))
+            for propagator, k in zip(interpolated, steps[first : first + chunk]):
+                amps = propagator @ amps
+                _maybe_snapshot(snapshots, spec, k, amps)
 
 
 def evolve_adiabatic(spec: AnnealSpec, initial: StateVector) -> EvolutionResult:
@@ -361,16 +385,19 @@ def evolve_adiabatic(spec: AnnealSpec, initial: StateVector) -> EvolutionResult:
         return EvolutionResult(snapshots[-1][1], snapshots)
 
     sub_dt = dt / spec.substeps_per_step
-    for k, s in enumerate(fractions):
-        driver_weight = (1.0 - s) * sub_dt
-        rotation = _unit_phases(-driver_weight * xdiag)
+    chunk = max(1, CHUNK_BYTES // (32 * dim))
+    for first in range(0, fractions.size, chunk):
+        s = fractions[first : first + chunk]
+        driver_weights = (1.0 - s) * sub_dt
+        rotations = _unit_phases(np.multiply.outer(-driver_weights, xdiag))
         # the 1 / 2**n of the transform pair rides on the constant phase
-        phase = _unit_phases(-s * sub_dt * diagonal)
-        phase *= complex(np.exp(-1j * driver_weight * constant)) / dim
-        for _ in range(spec.substeps_per_step):
-            amps = _walsh_hadamard(rotation * _walsh_hadamard(amps))
-            amps *= phase
-        _maybe_snapshot(snapshots, spec, k, amps)
+        phases = _unit_phases(np.multiply.outer(-s * sub_dt, diagonal))
+        phases *= (np.exp(-1j * driver_weights * constant) / dim)[:, None]
+        for k, rotation, phase in zip(range(first, first + s.size), rotations, phases):
+            for _ in range(spec.substeps_per_step):
+                amps = _walsh_hadamard(rotation * _walsh_hadamard(amps))
+                amps *= phase
+            _maybe_snapshot(snapshots, spec, k, amps)
     return EvolutionResult(snapshots[-1][1], snapshots)
 
 
@@ -396,12 +423,15 @@ def evolve_real_time(
     dt: float,
     snapshot_stride: int = 1,
 ) -> list:
-    """Fixed-Hamiltonian stepping exp(-i H dt) repeated round(t_total / dt) times.
+    """The state under a fixed Hamiltonian after every ``snapshot_stride``-th
+    of ``round(t_total / dt)`` steps of length ``dt``, and after the last.
 
     ``hamiltonian`` must be a dense Hermitian matrix (a PauliPolynomial is
-    rejected; pass its ``to_matrix()``).  It is exponentiated once by
-    eigendecomposition.  Returns ``(time, state)`` snapshots including the
-    initial and final states.
+    rejected; pass its ``to_matrix()``).  It is diagonalized once,
+    ``H = V diag(E) V^*``, and each kept state is evaluated in closed form,
+    ``V (exp(-i E t_k) * V^* psi_0)``, so it is exact at its time ``t_k``
+    and the skipped steps cost nothing.  Returns ``(time, state)``
+    snapshots including the initial and final states.
     """
     if isinstance(hamiltonian, PauliPolynomial):
         raise ValueError("real-time evolution needs a dense matrix, not a PauliPolynomial")
@@ -415,16 +445,22 @@ def evolve_real_time(
         raise ValueError("state register does not match the Hamiltonian")
     if num_qubits > DENSE_EVOLUTION_CAP:
         raise ValueError(f"dense evolution supports at most {DENSE_EVOLUTION_CAP} qubits")
-    energies, vectors = np.linalg.eigh(self_adjoint(hamiltonian))
-    phases = np.exp(-1j * energies * dt)
+    hamiltonian = self_adjoint(hamiltonian)
+    if not hamiltonian.imag.any():
+        hamiltonian = hamiltonian.real
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    start = vectors.conj().T @ initial.amplitudes
 
-    amps = initial.amplitudes.astype(complex)
-    snapshots = [(0.0, initial)]
-    for k in range(n_steps):
-        amps = vectors @ (phases * (vectors.conj().T @ amps))
-        if (k + 1) % snapshot_stride == 0 or k + 1 == n_steps:
-            snapshots.append(((k + 1) * dt, StateVector(amps.copy())))
-    return snapshots
+    steps = list(range(snapshot_stride, n_steps + 1, snapshot_stride))
+    if not steps or steps[-1] != n_steps:
+        steps.append(n_steps)
+    times = [step * dt for step in steps]
+    kept = np.empty((len(times), start.size), dtype=complex)
+    chunk = max(1, CHUNK_BYTES // (16 * start.size))
+    for first in range(0, len(times), chunk):
+        phases = _unit_phases(np.multiply.outer(times[first : first + chunk], -energies))
+        np.matmul(phases * start, vectors.T, out=kept[first : first + chunk])
+    return [(0.0, initial)] + [(t, StateVector(amps)) for t, amps in zip(times, kept)]
 
 
 def instantaneous_spectrum(spec: AnnealSpec, s_values, k_lowest: int = 4) -> np.ndarray:

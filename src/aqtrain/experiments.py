@@ -49,6 +49,7 @@ from .matrix_method import (
     ground_state,
     mass_scaling_exponent,
     momentum_to_position,
+    window_masses,
 )
 from .nn import (
     PROBABILITY_DECIMALS,
@@ -253,10 +254,15 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 # - toy data: about 3.6 kB and 14 us per forwarded row (dataset or nn-toy grid
 #   probe), measured on nn-toy at 10 000 and 40 000 rows: 177 MB and 0.6 s
 #   at the cap.
-# - dense step budget: the interpolated anneal step streams its 13-node
-#   block, 13-16 ns per dim**2 up to 8 qubits and 96 ns at 10 (218 MB);
-#   real-time step budget: 8 ns per dim**2 at 5 qubits, 2-3 ns at 8 and 10.
-#   Both keep the stepping near 50 s.
+# - dense step budget: a step is one product with its interpolated
+#   propagator; a chunk of those comes from one GEMM against the 13-node
+#   block (218 MB at 10 qubits; the chunk of 2 propagators there is 34 MB
+#   more).  Stepping alone measured 2.8 ns per dim**2 at 8 qubits and 2.9 ns
+#   at 10, against 3.4 and 3.6 ns for the earlier per-node GEMV step on the
+#   same host, so the budget now bounds the stepping far below 50 s.
+#   real-time step budget: sized at 8 ns per dim**2 at 5 qubits and 2-3 ns
+#   at 8 and 10 for a step loop that no longer runs: a tunnel run costs one
+#   eigh and one dim**2 product per kept state, so the row over-bounds it.
 # - dense decomposition budget: a complex eigh takes 1.0-1.7 s at 1024**2,
 #   so 32 at the dense evolution cap take about 50 s.  spectrum runs one per
 #   s point, mass-scan one per mass, anneal-matrix one per Chebyshev node,
@@ -279,8 +285,10 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   2 MB above a run without them.
 # - phase-matrix memory cap: the (grid_points, 2**num_qubits) plane-wave
 #   matrix every density is read through, 16 B an entry: 64 MB.
-# - snapshot density budget: each density streams the plane-wave matrix,
-#   2.3 ns an entry: near 25 s.
+# - snapshot density budget: each anneal-matrix snapshot density streams
+#   the plane-wave matrix, 2.3 ns an entry: near 25 s.  Tunnel reads its
+#   well masses as quadratic forms, O(dim**2) a snapshot, and only its final
+#   density through the matrix, so the row over-bounds it.
 #: every size limit validate enforces, by the name its messages use:
 #: name -> (limit, unit)
 LIMITS = {
@@ -556,11 +564,16 @@ def config_hash(effective: dict) -> str:
 
 @contextmanager
 def _atomic_open(path):
-    """A text handle on a temporary sibling, renamed onto ``path`` on success."""
+    """A text handle on a temporary sibling, renamed onto ``path`` on success
+    and removed on failure."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="ascii") as handle:
-        yield handle
+    try:
+        with open(tmp, "w", encoding="ascii") as handle:
+            yield handle
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -570,28 +583,48 @@ def atomic_write_text(path, text: str):
         handle.write(text)
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _conversion(value) -> str:
+    """The ``%`` conversion of one CSV cell: integers and booleans as ``%d``,
+    floats at repr-exact ``%.17g``, anything else as ``%s``."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return "%d"
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+        return "%.17g"
+    return "%s"
 
 
 def write_csv(path, experiment: str, cfg_hash: str, columns, rows, extra_header=None):
     """CSV with ``# key = value`` headers; floats at repr-exact precision.
 
-    Lines are streamed into the file one row at a time, so ``rows`` may be a
-    generator and the text is never held whole.
+    Every row is formatted with one ``%`` template taken from the first
+    row's cell types.  A later row whose cell types change, say a float
+    where the template has ``%d``, raises ``TypeError`` rather than being
+    written under the wrong conversion.  Lines are streamed into the file
+    one row at a time, so ``rows`` may be a generator and the text is never
+    held whole.
     """
     header = [f"# experiment = {experiment}", f"# config_hash = {cfg_hash}"]
     header += [f"# {key} = {value}" for key, value in (extra_header or {}).items()]
     header.append(",".join(columns))
+    rows = iter(rows)
+    first = next(rows, None)
     with _atomic_open(path) as handle:
         handle.write("\n".join(header) + "\n")
-        handle.writelines(",".join(_cell(value) for value in row) + "\n" for row in rows)
+        if first is None:
+            return
+        conversions = tuple(map(_conversion, first))
+        template = ",".join(conversions) + "\n"
+        types = tuple(map(type, first))
+
+        def lines():
+            yield template % tuple(first)
+            for row in rows:
+                row = tuple(row)
+                if tuple(map(type, row)) != types and tuple(map(_conversion, row)) != conversions:
+                    raise TypeError(f"CSV row {row!r} does not match the template {template!r}")
+                yield template % row
+
+        handle.writelines(lines())
 
 
 def write_json(path, payload: dict):
@@ -661,12 +694,6 @@ def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> StateVector:
     return evolve_adiabatic(spec, StateVector.uniform(hamiltonian.num_qubits)).final
 
 
-def _well_masses(w: np.ndarray, density: np.ndarray) -> tuple:
-    left = float(np.trapezoid(np.where(w < 0.5, density, 0.0), w))
-    right = float(np.trapezoid(np.where(w >= 0.5, density, 0.0), w))
-    return left, right
-
-
 def _window_mass(w: np.ndarray, density: np.ndarray, center: float, halfwidth: float) -> float:
     inside = np.abs(w - center) < halfwidth
     return float(np.trapezoid(np.where(inside, density, 0.0), w))
@@ -713,10 +740,12 @@ def _run_tunnel(effective, out: Path, cfg_hash: str):
         effective["dt"],
         max(1, effective["snapshot_stride"]),
     )
-    rows = []
-    for t, state in snapshots:
-        w, density = momentum_to_position(state.amplitudes, effective["grid_points"])
-        rows.append((t, *_well_masses(w, density)))
+    masses = window_masses(
+        [state.amplitudes for _, state in snapshots],
+        effective["grid_points"],
+        (lambda w: w < 0.5, lambda w: w >= 0.5),
+    )
+    rows = [(t, left, right) for (t, _), (left, right) in zip(snapshots, masses.tolist())]
     write_csv(
         out / "timeseries.csv",
         "tunnel",

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .engine import CHUNK_BYTES
 from .pauli import MATRIX_QUBIT_CAP
 from .varpoly import VarPolynomial
 
@@ -256,6 +257,41 @@ def momentum_to_position(amplitudes, grid_points: int = 512):
     return w, density / total
 
 
+def window_masses(amplitudes, grid_points: int, windows) -> np.ndarray:
+    """Trapezoid mass of each state's position density inside each window.
+
+    ``amplitudes`` is a sequence of momentum-basis states of one register
+    (a list of vectors or a ``(states, dim)`` array) and ``windows`` a
+    sequence of functions of the grid ``w`` of :func:`momentum_to_position`,
+    each returning a 0/1 (or weight) array.  Entry ``[i, m]`` of the
+    ``(states, windows)`` result equals ``np.trapezoid(window_m(w) *
+    density_i, w)`` for the normalized density of state ``i``.  The
+    trapezoid of a weighted density is the quadratic form ``a^* M a`` with
+    ``M = P^* diag(c * window) P``, ``P`` the plane-wave matrix and ``c``
+    the trapezoid weights of the grid, so each mass is a ratio of two such
+    forms.  The ``dim x dim`` forms are built once, and a state then costs
+    O(dim**2) whatever ``grid_points``; the product of stacked states with
+    the forms is built ``CHUNK_BYTES`` (of :mod:`aqtrain.engine`) at a time.
+    """
+    dim = len(amplitudes[0])
+    w, waves = _plane_waves(dim, grid_points)
+    gaps = np.diff(w) / 2.0
+    trapezoid = np.zeros(grid_points)
+    trapezoid[:-1] += gaps
+    trapezoid[1:] += gaps
+    weights = [trapezoid] + [trapezoid * window(w) for window in windows]
+    # (dim, forms * dim): the normalizing form first, then one per window
+    forms = np.concatenate([(waves.conj().T * row) @ waves for row in weights], axis=1)
+    masses = np.empty((len(amplitudes), len(windows)))
+    chunk = max(1, CHUNK_BYTES // (16 * forms.shape[1]))
+    for first in range(0, len(amplitudes), chunk):
+        block = np.asarray(amplitudes[first : first + chunk], dtype=complex)
+        products = (block.conj() @ forms).reshape(len(block), len(weights), dim)
+        values = np.einsum("kfd,kd->kf", products, block).real
+        masses[first : first + chunk] = values[:, 1:] / values[:, :1]
+    return masses
+
+
 #: maximum tolerated relative density of a packet at the midpoint between
 #: periodic images (see :func:`gaussian_packet`)
 PACKET_OVERLAP_LIMIT = 1e-6
@@ -327,8 +363,9 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     matrix = np.asarray(matrix)
     if np.max(np.abs(matrix - matrix.conj().T)) > 1e-9:
         raise ValueError("matrix is not Hermitian")
-    energies, vectors = np.linalg.eigh(matrix)
-    vec = vectors[:, 0]
+    # a real symmetric matrix (every real potential) takes the real solver
+    energies, vectors = np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
+    vec = vectors[:, 0].astype(complex)
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
     return float(energies[0]), vec / phase

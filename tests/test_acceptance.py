@@ -374,3 +374,28 @@ def test_shipped_networks_respect_term_counts(circle_run, band_run, binary_run, 
     )
     for name, run in runs.items():
         assert run.summary["headline"]["term_bounds_ok"], name
+
+
+def test_matrix_headlines_match_perfbench_reference(tmp_path_factory, monkeypatch, emit):
+    # a roundoff shift of a propagator or read-out that leaves the benchmark's
+    # tolerance fails here, before a benchmark run does; the configs, the
+    # reference and the comparison are the benchmark's own
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+    import workloads
+
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    names = workloads.config_names("matrix-suite")
+    misses = []
+    for name in names:
+        headline = run_config(f"{name}.json", tmp_path_factory).summary["headline"]
+        problems = []
+        checks._check_reference(headline, reference[name], problems)
+        misses += [f"{name}: {problem}" for problem in problems]
+    emit(
+        "matrix-reference",
+        not misses,
+        "%d matrix-suite configs against perfbench/reference.json: %s"
+        % (len(names), "; ".join(misses) or "every headline within %g rel + %g abs" % (checks.REL_TOL, checks.ABS_TOL)),
+    )
+    assert not misses

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aqtrain import engine
 from aqtrain.encodings import EncodingTable
 from aqtrain.engine import (
     AnnealSpec,
@@ -21,6 +22,7 @@ from aqtrain.engine import (
     DENSE_PANEL_NODES,
     LinearSchedule,
     _split_driver_parts,
+    _unit_phases,
     evolve_adiabatic,
     evolve_real_time,
     expm_krylov,
@@ -84,15 +86,38 @@ def panel_steps(n_steps, panels):
 
 
 def count_eigh(monkeypatch):
+    """Record the dtype of every matrix ``np.linalg.eigh`` decomposes."""
     calls = []
     eigh = np.linalg.eigh
 
     def counting(matrix, *args, **kwargs):
-        calls.append(np.shape(matrix))
+        calls.append(np.asarray(matrix).dtype)
         return eigh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
+
+
+def per_step_split(spec, amps):
+    """Snapshots of the split step as a loop that builds each step's phase
+    vectors itself, with the same element-wise arithmetic as the engine."""
+    constant, xdiag = _split_driver_parts(spec.driver)
+    diagonal = spec.target.diagonal()
+    dim = amps.size
+    sub_dt = spec.dt / spec.substeps_per_step
+    snapshots = []
+    for k in range(spec.n_steps):
+        s = spec.schedule(k * spec.dt)
+        driver_weight = (1.0 - s) * sub_dt
+        rotation = _unit_phases(-driver_weight * xdiag)
+        phase = _unit_phases(-s * sub_dt * diagonal)
+        phase *= complex(np.exp(-1j * driver_weight * constant)) / dim
+        for _ in range(spec.substeps_per_step):
+            amps = _walsh_hadamard(rotation * _walsh_hadamard(amps))
+            amps *= phase
+        if (k + 1) % spec.snapshot_stride == 0 or k + 1 == spec.n_steps:
+            snapshots.append(amps.copy())
+    return snapshots
 
 
 def random_hermitian(dim, seed):
@@ -287,6 +312,28 @@ class TestSplitEvolution:
         assert overlaps[-1] > 0.9
 
 
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_chunked_phases_equal_per_step_loop(self, monkeypatch, substeps):
+        # 4 qubits: 512 B of phase vectors a step, so four steps a chunk and
+        # a last chunk of three
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 4 * 32 * 16)
+        target, _ = quartic_target(4, strength=3.0)
+        spec = AnnealSpec(
+            transverse_driver(4),
+            target,
+            LinearSchedule(7.0),
+            n_steps=23,
+            substeps_per_step=substeps,
+            snapshot_stride=5,
+        )
+        uniform = StateVector.uniform(4)
+        snapshots = evolve_adiabatic(spec, uniform).snapshots[1:]
+        expected = per_step_split(spec, uniform.amplitudes.astype(complex))
+        assert len(snapshots) == len(expected) == 5
+        for (_, state), amps in zip(snapshots, expected):
+            assert np.array_equal(state.amplitudes, amps)
+
+
 class TestDriverInHadamardBasis:
     @pytest.mark.parametrize("num_qubits", [1, 4, 7])
     def test_rotation_matches_dense_exponential(self, num_qubits):
@@ -449,6 +496,49 @@ class TestDenseEvolution:
             )
             assert np.max(np.abs(snap.amplitudes - expected)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "n_steps, reach",
+        [(61, 2.5), (12, 0.9)],
+        ids=["interpolated-panels", "panel-of-node-steps"],
+    )
+    def test_chunked_propagators_match_per_step_eigh(self, monkeypatch, n_steps, reach):
+        # three 8 x 8 propagators a chunk, so panels of about 20 steps span
+        # several chunks and end on a partial one; 12 steps fill one panel
+        # whose nodes are the steps themselves
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 3 * 16 * 64)
+        driver, target = random_hermitian(8, seed=61), random_hermitian(8, seed=62)
+        state = random_state(3, seed=63)
+        dt = reach / dense_reach(driver, target, 1.0)
+        spec = AnnealSpec(
+            driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps, snapshot_stride=7
+        )
+        snapshots = evolve_adiabatic(spec, state).snapshots
+        assert len(snapshots) == 2 + n_steps // 7
+        for t, snap in snapshots[1:]:
+            expected = reference_prefix(
+                driver.astype(complex), target.astype(complex), n_steps * dt, n_steps,
+                round(t / dt), state.amplitudes.astype(complex),
+            )
+            assert np.max(np.abs(snap.amplitudes - expected)) < 1e-11
+
+    def test_real_pair_takes_real_solver(self, monkeypatch):
+        # the cosine pair is real but stored complex: every node of the
+        # anneal and the real-time diagonalization take the real eigh
+        problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(4))
+        driver, target = problem.kinetic_matrix(), problem.hamiltonian()
+        state = StateVector.basis(4, problem.truncation.index_of(0))
+        spec = AnnealSpec(driver, target, LinearSchedule(2.0), n_steps=5)
+        dtypes = count_eigh(monkeypatch)
+        final = evolve_adiabatic(spec, state).final.amplitudes
+        kept = evolve_real_time(target, state, 0.3, 0.1)[-1][1].amplitudes
+        monkeypatch.undo()
+        assert len(dtypes) == 6 and set(dtypes) == {np.dtype(np.float64)}
+        expected = reference_anneal(driver, target, 2.0, 5, state.amplitudes.astype(complex))
+        assert np.max(np.abs(final - expected)) < 1e-12
+        energies, vectors = np.linalg.eigh(target)
+        expected = vectors @ (np.exp(-0.3j * energies) * (vectors.conj().T @ state.amplitudes))
+        assert np.max(np.abs(kept - expected)) < 1e-12
+
     def test_rejects_oversized_register(self):
         dim = 2 ** (DENSE_EVOLUTION_CAP + 1)
         big = np.zeros((dim, dim))
@@ -489,6 +579,26 @@ class TestRealTimeEvolution:
         assert masses[0] < 0.05
         assert max(masses) > 0.85
         assert masses[-1] < 0.15
+
+    def test_kept_states_match_repeated_stepping(self, monkeypatch):
+        # three kept 8-amplitude states a chunk; 50 steps at stride 4 keep
+        # 12 strided states and the last one
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 3 * 16 * 8)
+        h = random_hermitian(8, seed=71)
+        state = random_state(3, seed=72)
+        dt, n_steps, stride = 0.03, 50, 4
+        snapshots = evolve_real_time(h, state, n_steps * dt, dt, stride)
+        energies, vectors = np.linalg.eigh(h)
+        step = vectors @ np.diag(np.exp(-1j * energies * dt)) @ vectors.conj().T
+        amps = state.amplitudes
+        expected = [(0.0, amps)]
+        for k in range(1, n_steps + 1):
+            amps = step @ amps
+            if k % stride == 0 or k == n_steps:
+                expected.append((k * dt, amps))
+        assert [t for t, _ in snapshots] == [t for t, _ in expected]
+        for (_, snap), (_, amps) in zip(snapshots, expected):
+            assert np.max(np.abs(snap.amplitudes - amps)) < 1e-12
 
     def test_rejects_bad_arguments(self):
         state = StateVector.uniform(2)

@@ -25,6 +25,7 @@ from aqtrain.experiments import (
     config_hash,
     run_experiment,
     validate_config,
+    write_csv,
 )
 from aqtrain.varpoly import VarPolynomial
 
@@ -93,6 +94,10 @@ SMALL = {
         "seed": 1,
     },
 }
+
+
+#: rerun configs beyond SMALL: an anneal that writes density_snapshots.csv
+RERUN = {"anneal-matrix-snapshots": dict(SMALL["anneal-matrix"], n_steps=40, snapshot_stride=3)}
 
 
 def read_csv(path):
@@ -484,11 +489,14 @@ class TestRunners:
         with pytest.raises(ValueError, match="masses"):
             run_experiment({"kind": "mass-scan", "masses": [5.0]}, tmp_path)
 
-    @pytest.mark.parametrize("kind", ["mass-scan", "enumerate", "anneal-paulispin"])
-    def test_rerun_is_byte_identical(self, kind, tmp_path):
+    @pytest.mark.parametrize(
+        "name", ["mass-scan", "enumerate", "anneal-paulispin", "tunnel", "anneal-matrix-snapshots"]
+    )
+    def test_rerun_is_byte_identical(self, name, tmp_path):
+        config = RERUN.get(name) or SMALL[name]
         first, second = tmp_path / "a", tmp_path / "b"
-        run_experiment(SMALL[kind], first)
-        run_experiment(SMALL[kind], second)
+        run_experiment(config, first)
+        run_experiment(config, second)
         for name in sorted(p.name for p in first.iterdir()):
             if name == "summary.json":
                 one = json.loads((first / name).read_text())
@@ -545,6 +553,47 @@ class TestRunners:
         atomic_write_text(target, "second\n")
         assert target.read_text() == "second\n"
         assert not (tmp_path / "file.csv.tmp").exists()
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (True, "1"),
+            (np.bool_(False), "0"),
+            (7, "7"),
+            (np.int64(-3), "-3"),
+            (0.1, "0.10000000000000001"),
+            (np.float64(2.5), "2.5"),
+            ("0101", "0101"),
+        ],
+        ids=["bool", "np.bool_", "int", "np.int64", "float", "np.float64", "str"],
+    )
+    def test_cell_types(self, value, text, tmp_path):
+        write_csv(tmp_path / "t.csv", "test", "0", ("a", "b"), [(value, 1), (value, 2)])
+        header, columns, rows = read_csv(tmp_path / "t.csv")
+        assert header == {"experiment": "test", "config_hash": "0"}
+        assert columns == ["a", "b"]
+        assert rows == [[text, "1"], [text, "2"]]
+
+    def test_float_kinds_share_a_column(self, tmp_path):
+        write_csv(tmp_path / "t.csv", "test", "0", ("x",), [(0.5,), (np.float64(1.0),)])
+        assert read_csv(tmp_path / "t.csv")[2] == [["0.5"], ["1"]]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1, 0.5), (2.5, 0.5)], [(1, 0.5), (2, 3)], [(1, "a"), (2, 0.5)], [(1, 0.5), (2,)]],
+        ids=["float-under-int", "int-under-float", "float-under-str", "short-row"],
+    )
+    def test_row_off_the_template_raises(self, rows, tmp_path):
+        target = tmp_path / "t.csv"
+        with pytest.raises(TypeError):
+            write_csv(target, "test", "0", ("a", "b"), rows)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        write_csv(tmp_path / "t.csv", "test", "0", ("a",), iter(()))
+        assert (tmp_path / "t.csv").read_text() == "# experiment = test\n# config_hash = 0\na\n"
 
 
 def test_pool_indices_match_report_bitstrings():

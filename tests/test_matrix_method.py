@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from aqtrain import matrix_method
+
 from aqtrain.matrix_method import (
     CosinePotential,
     MomentumTruncation,
@@ -24,6 +26,7 @@ from aqtrain.matrix_method import (
     mass_scaling_exponent,
     momentum_to_position,
     quartic_sho_width,
+    window_masses,
 )
 from aqtrain.varpoly import parse_polynomial
 
@@ -163,6 +166,28 @@ class TestGroundState:
         assert vec[pivot].imag == pytest.approx(0.0, abs=1e-12)
         assert vec[pivot].real > 0
 
+    def test_real_matrix_matches_complex_solve(self, monkeypatch):
+        # the cosine Hamiltonian is stored complex with a zero imaginary part
+        h = SchrodingerProblem(CosinePotential(), 100.0, MomentumTruncation(6)).hamiltonian()
+        assert h.dtype == complex and not h.imag.any()
+        solved = []
+        eigh = np.linalg.eigh
+
+        def recording(matrix):
+            solved.append(matrix.dtype)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        energy, vec = ground_state(h)
+        monkeypatch.undo()
+        assert solved == [np.float64]
+        energies, vectors = np.linalg.eigh(h)
+        assert abs(energy - energies[0]) <= 1e-12
+        assert abs(np.vdot(vectors[:, 0], vec)) >= 1.0 - 1e-12
+        pivot = np.argmax(np.abs(vec))
+        assert vec.dtype == complex
+        assert vec[pivot].imag == 0.0 and vec[pivot].real > 0
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -278,6 +303,32 @@ class TestMomentumToPosition:
     def test_grid_endpoints(self):
         w, _ = momentum_to_position(np.eye(8)[4], grid_points=101)
         assert w[0] == 0.0 and w[-1] == 1.0 and len(w) == 101
+
+
+class TestWindowMasses:
+    WINDOWS = (
+        lambda w: w < 0.5,
+        lambda w: w >= 0.5,
+        lambda w: np.abs(w - 0.3) < 0.1,
+    )
+
+    def test_matches_trapezoid_of_each_density(self, monkeypatch):
+        # 16 modes and four forms (the normalizing one and three windows):
+        # 1 kB a state, so two states a chunk and four chunks for seven
+        monkeypatch.setattr(matrix_method, "CHUNK_BYTES", 2048)
+        rng = np.random.default_rng(8)
+        amplitudes = rng.normal(size=(7, 16)) + 1j * rng.normal(size=(7, 16))
+        masses = window_masses(amplitudes, 301, self.WINDOWS)
+        assert masses.shape == (7, 3)
+        for amps, row in zip(amplitudes, masses):
+            w, density = momentum_to_position(amps, 301)
+            expected = [np.trapezoid(np.where(window(w), density, 0.0), w) for window in self.WINDOWS]
+            assert np.max(np.abs(row - expected)) < 1e-13
+
+    def test_complementary_windows_partition_the_mass(self):
+        packet = gaussian_packet(0.4, 60.0, MomentumTruncation(5))
+        left, right, _ = window_masses(packet[None], 512, self.WINDOWS)[0]
+        assert left + right == pytest.approx(1.0, abs=1e-14)
 
 
 def test_adaptive_simpson_known_integrals():

@@ -30,6 +30,7 @@ from .datasets import (
 )
 from .encodings import EncodingTable, report_bitstring
 from .engine import (
+    CHUNK_BYTES,
     DENSE_EVOLUTION_CAP,
     DENSE_PANEL_NODES,
     AnnealSpec,
@@ -260,9 +261,12 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   more).  Stepping alone measured 2.8 ns per dim**2 at 8 qubits and 2.9 ns
 #   at 10, against 3.4 and 3.6 ns for the earlier per-node GEMV step on the
 #   same host, so the budget now bounds the stepping far below 50 s.
-#   real-time step budget: sized at 8 ns per dim**2 at 5 qubits and 2-3 ns
-#   at 8 and 10 for a step loop that no longer runs: a tunnel run costs one
-#   eigh and one dim**2 product per kept state, so the row over-bounds it.
+# - real-time step budget: a tunnel run has no step loop.  It costs one eigh,
+#   then per kept state one dim**2 product for the state and three for its
+#   well masses, plus a timeseries row, so it is charged per kept state:
+#   about 3.0 ns per dim**2 at 10 qubits (5722 states, the budget, ran in
+#   18 s) and 1.3 ns at 8 (35 601 states, 3.0 s).  An overflowing
+#   t_total / dt still fails it.
 # - dense decomposition budget: a complex eigh takes 1.0-1.7 s at 1024**2,
 #   so 32 at the dense evolution cap take about 50 s.  spectrum runs one per
 #   s point, mass-scan one per mass, anneal-matrix one per Chebyshev node,
@@ -280,15 +284,19 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   iteration limit a step takes about 20 ms at 6 qubits and 70 ms at 10.
 # - snapshot memory cap: ten thousand states at the dense evolution cap
 #   (171 MB), 141 000 at 5 qubits.
-# - snapshot row cap: about 7-9 us a density_snapshots.csv row: near 6 s.
+# - snapshot row cap: about 6 us a density_snapshots.csv row (a default
+#   anneal keeping all 501 states, 513 525 rows, took 2.9-3.3 s): near 5 s.
 #   Rows stream into the file, so they hold no memory: 683 000 rows peaked
-#   2 MB above a run without them.
-# - phase-matrix memory cap: the (grid_points, 2**num_qubits) plane-wave
-#   matrix every density is read through, 16 B an entry: 64 MB.
-# - snapshot density budget: each anneal-matrix snapshot density streams
-#   the plane-wave matrix, 2.3 ns an entry: near 25 s.  Tunnel reads its
-#   well masses as quadratic forms, O(dim**2) a snapshot, and only its final
-#   density through the matrix, so the row over-bounds it.
+#   2 MB above a run without them.  The cap also bounds the snapshot
+#   densities, one inverse FFT a snapshot over stacks of CHUNK_BYTES: 34-45
+#   us a snapshot at 5 qubits and 1025 points, against 6 ms for its rows.
+#   Tunnel snapshots read no density; their well masses are O(dim**2).
+# - grid point cap: one read-out (the inverse FFT, the density and its
+#   trapezoid, and density_final.csv where the kind writes one) peaked 60-100
+#   MB above import at 2**20 points on tunnel, anneal-matrix and mass-scan,
+#   and took 0.4-3.0 s, nearly all of it the CSV at about 2.7 us a row.
+#   When grid_points - 1 is prime the FFT takes Bluestein's path: 160-200 MB
+#   and up to 4 s there.
 #: every size limit validate enforces, by the name its messages use:
 #: name -> (limit, unit)
 LIMITS = {
@@ -307,8 +315,7 @@ LIMITS = {
     "Krylov step budget": (2**21, ""),
     "snapshot memory cap": (10_000 * (16 * 2**DENSE_EVOLUTION_CAP + SNAPSHOT_OVERHEAD_BYTES), " B"),
     "snapshot row cap": (800_000, " rows"),
-    "phase-matrix memory cap": (2**22, " entries"),
-    "snapshot density budget": (10_000_000_000, ""),
+    "grid point cap": (2**20, " points"),
 }
 
 _POSITIVE_FLOATS = {
@@ -413,7 +420,7 @@ def validate_config(config) -> ValidationReport:
     setting one it ignores is an error.  A config with no such error is
     then checked against every row of ``LIMITS`` that its sizes reach
     (register, classical pool, curve draws, toy rows, steps, dense
-    decompositions, plane-wave matrix, snapshots); each excess is reported
+    decompositions, grid points, snapshots); each excess is reported
     with its expression, value, limit and unit.
     """
     notes: list = []
@@ -515,7 +522,7 @@ def _sizes(effective: dict):
         yield "len(masses) * 8**num_qubits", masses * dim**3, "dense decomposition budget"
     if "grid_points" in effective:
         grid = effective["grid_points"]
-        yield "grid_points * 2**num_qubits", grid * dim, "phase-matrix memory cap"
+        yield "grid_points", grid, "grid point cap"
     if kind == "anneal-matrix":
         steps, stride = effective["n_steps"], effective["snapshot_stride"]
         yield "n_steps * 4**num_qubits", steps * dim**2, "dense step budget"
@@ -532,26 +539,31 @@ def _sizes(effective: dict):
             decompositions * dim**3,
             "dense decomposition budget",
         )
+        snapshots = _snapshot_count(steps, stride) if stride else 0
     elif kind == "tunnel":
         # the engine's step count; a tunnel run keeps every step at stride 0
         ratio = effective["t_total"] / effective["dt"]
-        # an overflowing ratio stays inf, which fails the step budget
-        steps = max(1, round(ratio)) if math.isfinite(ratio) else ratio
-        stride = max(1, effective["snapshot_stride"])
-        yield "t_total / dt * 4**num_qubits", steps * dim**2, "real-time step budget"
+        if math.isfinite(ratio):
+            snapshots = _snapshot_count(max(1, round(ratio)), max(1, effective["snapshot_stride"]))
+        else:
+            snapshots = ratio  # an overflowing step count stays inf and fails the budget
+        # each kept state is evaluated in closed form, one dim**2 product; no step loop runs
+        yield "snapshots * 4**num_qubits", snapshots * dim**2, "real-time step budget"
     else:
         return
-    if stride:
-        # the initial state, every stride-th step and the last step
-        snapshots = 1 + steps // stride + (steps % stride != 0)
+    if snapshots:
         yield (
             f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES})",
             snapshots * (16 * dim + SNAPSHOT_OVERHEAD_BYTES),
             "snapshot memory cap",
         )
-        yield "snapshots * grid_points * 2**num_qubits", snapshots * grid * dim, "snapshot density budget"
         if kind == "anneal-matrix":
             yield "snapshots * grid_points", snapshots * grid, "snapshot row cap"
+
+
+def _snapshot_count(steps: int, stride: int) -> int:
+    """The initial state, every stride-th step and the last step."""
+    return 1 + steps // stride + (steps % stride != 0)
 
 
 def config_hash(effective: dict) -> str:
@@ -789,9 +801,12 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
     write_csv(out / "density_final.csv", "anneal-matrix", cfg_hash, ("w", "density"), zip(w, density))
     if effective["snapshot_stride"]:
         def rows():
-            for t, state in result.snapshots:
-                _, snap_density = momentum_to_position(state.amplitudes, grid)
-                yield from zip([t] * grid, w, snap_density)
+            chunk = max(1, CHUNK_BYTES // (16 * grid))
+            for first in range(0, len(result.snapshots), chunk):
+                kept = result.snapshots[first : first + chunk]
+                _, densities = momentum_to_position([state.amplitudes for _, state in kept], grid)
+                for (t, _), snap_density in zip(kept, densities):
+                    yield from zip([t] * grid, w, snap_density)
 
         write_csv(out / "density_snapshots.csv", "anneal-matrix", cfg_hash, ("time", "w", "density"), rows())
         files.append("density_snapshots.csv")

@@ -15,7 +15,6 @@ matrix arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -222,39 +221,62 @@ class SchrodingerProblem:
         return self.kinetic_matrix() + self.potential_matrix()
 
 
-@functools.lru_cache(maxsize=1)
-def _plane_waves(dim: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid ``w`` and (grid, modes) matrix ``exp(2 pi i n w)``.
+def _position_amplitudes(amplitudes: np.ndarray, grid_points: int) -> np.ndarray:
+    """``sum_n a_n exp(2 pi i n w_j)`` on ``w_j = j / (grid_points - 1)``.
 
-    A run converts every snapshot on one grid, so the matrix is built once.
+    ``amplitudes`` is a ``(..., dim)`` stack of momentum-basis states; the
+    result is ``(..., grid_points)``.  The grid is one period plus its
+    endpoint, so with ``N = grid_points - 1`` the sum is the unnormalized
+    length-``N`` inverse FFT of the amplitudes folded onto ``n mod N``
+    (modes alias when ``N < dim``), and the endpoint repeats ``j = 0``.
     """
-    half = dim // 2
-    modes = np.arange(-half, half)
-    w = np.linspace(0.0, 1.0, grid_points)
-    waves = np.exp(2j * math.pi * np.outer(w, modes))
-    w.flags.writeable = False
-    waves.flags.writeable = False
-    return w, waves
+    dim = amplitudes.shape[-1]
+    period = grid_points - 1
+    slots = np.arange(-(dim // 2), dim - dim // 2) % period
+    folded = np.zeros(amplitudes.shape[:-1] + (period,), dtype=complex)
+    # each block of at most ``period`` consecutive modes lands on distinct slots
+    for first in range(0, dim, period):
+        folded[..., slots[first : first + period]] += amplitudes[..., first : first + period]
+    values = np.empty(amplitudes.shape[:-1] + (grid_points,), dtype=complex)
+    np.fft.ifft(folded, axis=-1, norm="forward", out=values[..., :period])
+    values[..., period] = values[..., 0]
+    return values
 
 
 def momentum_to_position(amplitudes, grid_points: int = 512):
-    """Position-space density of a momentum-basis state.
+    """Position-space density of a momentum-basis state, or of a stack of them.
 
-    Returns ``(w, density)`` on a uniform grid including both endpoints;
-    the density is normalized so its trapezoid integral over [0, 1] is 1.
-    The returned ``w`` is shared between calls and read-only.
+    ``amplitudes`` is one state or a ``(states, dim)`` array.  Returns
+    ``(w, density)`` on a uniform grid including both endpoints, ``density``
+    shaped ``(grid_points,)`` or ``(states, grid_points)``; each density is
+    normalized so its trapezoid integral over [0, 1] is 1.  One inverse FFT
+    of ``grid_points - 1`` points a state evaluates the wave function.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    dim = amplitudes.size
+    dim = amplitudes.shape[-1]
     if dim & (dim - 1):
         raise ValueError("amplitude count must be a power of two")
-    w, waves = _plane_waves(dim, grid_points)
-    psi = waves @ amplitudes
-    density = np.abs(psi) ** 2
-    total = np.trapezoid(density, w)
-    if total <= 0:
+    w = np.linspace(0.0, 1.0, grid_points)
+    density = np.abs(_position_amplitudes(amplitudes, grid_points)) ** 2
+    total = np.trapezoid(density, w, axis=-1)
+    if np.any(total <= 0):
         raise ValueError("state has no support on the grid")
-    return w, density / total
+    density /= total[..., None]
+    return w, density
+
+
+def _toeplitz_form(weights: np.ndarray, dim: int) -> np.ndarray:
+    """``P^* diag(weights) P`` for the ``(grid, dim)`` matrix ``P[j, n] = exp(2 pi i n w_j)``.
+
+    Entry ``[n, l]`` is ``C[(l - n) mod N]``, ``C`` the unnormalized inverse
+    FFT of the weights folded onto one period: ``w_N`` is ``w_0`` one period
+    on, so its weight joins ``w_0``'s.
+    """
+    period = weights.size - 1
+    folded = weights[:period].astype(complex)
+    folded[0] += weights[period]
+    index = np.arange(dim)
+    return np.fft.ifft(folded, norm="forward")[np.subtract.outer(index, index).T % period]
 
 
 def window_masses(amplitudes, grid_points: int, windows) -> np.ndarray:
@@ -267,26 +289,33 @@ def window_masses(amplitudes, grid_points: int, windows) -> np.ndarray:
     ``(states, windows)`` result equals ``np.trapezoid(window_m(w) *
     density_i, w)`` for the normalized density of state ``i``.  The
     trapezoid of a weighted density is the quadratic form ``a^* M a`` with
-    ``M = P^* diag(c * window) P``, ``P`` the plane-wave matrix and ``c``
-    the trapezoid weights of the grid, so each mass is a ratio of two such
-    forms.  The ``dim x dim`` forms are built once, and a state then costs
-    O(dim**2) whatever ``grid_points``; the product of stacked states with
-    the forms is built ``CHUNK_BYTES`` (of :mod:`aqtrain.engine`) at a time.
+    ``M = P^* diag(c) P``, ``P[j, n] = exp(2 pi i n w_j)`` and ``c`` the
+    trapezoid weights of the grid times the window, so each mass is a ratio
+    of two such forms.  With ``N = grid_points - 1``, ``M[n, l] =
+    C[(l - n) mod N]`` is Toeplitz, ``C`` the unnormalized length-``N``
+    inverse FFT of ``c`` with ``c_N`` added to ``c_0``, so ``P`` itself is
+    never formed.  The ``dim x dim`` forms are built once, and a state then
+    costs O(dim**2) whatever ``grid_points``; the product of stacked states
+    with the forms is built ``CHUNK_BYTES`` (of :mod:`aqtrain.engine`) at a
+    time.
     """
     dim = len(amplitudes[0])
-    w, waves = _plane_waves(dim, grid_points)
+    w = np.linspace(0.0, 1.0, grid_points)
     gaps = np.diff(w) / 2.0
     trapezoid = np.zeros(grid_points)
     trapezoid[:-1] += gaps
     trapezoid[1:] += gaps
-    weights = [trapezoid] + [trapezoid * window(w) for window in windows]
     # (dim, forms * dim): the normalizing form first, then one per window
-    forms = np.concatenate([(waves.conj().T * row) @ waves for row in weights], axis=1)
+    forms = np.concatenate(
+        [_toeplitz_form(trapezoid, dim)]
+        + [_toeplitz_form(trapezoid * window(w), dim) for window in windows],
+        axis=1,
+    )
     masses = np.empty((len(amplitudes), len(windows)))
     chunk = max(1, CHUNK_BYTES // (16 * forms.shape[1]))
     for first in range(0, len(amplitudes), chunk):
         block = np.asarray(amplitudes[first : first + chunk], dtype=complex)
-        products = (block.conj() @ forms).reshape(len(block), len(weights), dim)
+        products = (block.conj() @ forms).reshape(len(block), len(windows) + 1, dim)
         values = np.einsum("kfd,kd->kf", products, block).real
         masses[first : first + chunk] = values[:, 1:] / values[:, :1]
     return masses

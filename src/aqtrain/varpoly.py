@@ -41,6 +41,18 @@ def _canonical_key(powers) -> MonomialKey:
     return tuple(sorted(merged.items()))
 
 
+def _product_key(a: MonomialKey, b: MonomialKey) -> MonomialKey:
+    """``_canonical_key(a + b)`` of two canonical keys, without re-validating them."""
+    if not a:
+        return b
+    if not b:
+        return a
+    merged = dict(a)
+    for name, exponent in b:
+        merged[name] = merged.get(name, 0) + exponent
+    return tuple(sorted(merged.items()))
+
+
 class VarPolynomial:
     """Immutable-by-convention polynomial over named variables."""
 
@@ -145,7 +157,7 @@ class VarPolynomial:
         out = VarPolynomial()
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
-                out._accumulate(_canonical_key(ka + kb), ca * cb)
+                out._accumulate(_product_key(ka, kb), ca * cb)
         out._prune()
         return out
 

@@ -9,10 +9,12 @@ numpy's Cython-compiled extensions (``numpy.random``) register the Cython
 runtime as ``cython_runtime`` and ``_cython_<version>``; those are numpy's.
 
 Imports made lazily inside a run escape that check, so a second fresh
-interpreter runs small configs of the network and classical kinds and is
-held to the same rule.  It must also leave ``numpy.ma`` unloaded: numpy
-imports it lazily (``np.unique`` reaches ``np.ma.is_masked``), at a cost of
-tens of milliseconds that every run would pay.
+interpreter runs small configs of the network, classical and matrix-method
+kinds and is held to the same rule; the matrix kinds bring in ``numpy.fft``
+through their position read-outs.  It must also leave ``numpy.ma``
+unloaded: numpy imports it lazily (``np.unique`` reaches
+``np.ma.is_masked``), at a cost of tens of milliseconds that every run
+would pay.
 """
 
 import json
@@ -26,8 +28,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DECLARED = {"numpy", "aqtrain"}
 CYTHON_RUNTIME = re.compile(r"cython_runtime|_cython_[0-9_]+")
 
-#: one small config per kind that reads out a weight space or a pool
+#: one small config per kind that reads out a weight space, a pool or a
+#: position density (the anneal with its snapshot densities)
 RUN_CONFIGS = [
+    {"kind": "tunnel", "num_qubits": 4, "t_total": 0.5, "dt": 0.05, "grid_points": 128},
+    {"kind": "mass-scan", "masses": [25.0, 100.0], "num_qubits": 5, "grid_points": 256},
+    {
+        "kind": "anneal-matrix",
+        "num_qubits": 4,
+        "t_final": 5.0,
+        "n_steps": 20,
+        "snapshot_stride": 5,
+        "grid_points": 129,
+    },
     {"kind": "nn-binary", "t_final": 3.0, "n_steps": 3},
     {"kind": "nn-toy", "n_points": 50, "t_final": 3.0, "n_steps": 3, "grid_probe_side": 5},
     {"kind": "enumerate"},
@@ -85,3 +98,4 @@ def test_runs_load_only_numpy_and_the_standard_library(tmp_path):
     extra = undeclared(loaded, baseline)
     assert not extra, f"undeclared third-party imports: {extra}"
     assert "numpy.ma" not in loaded
+    assert "numpy.fft" in loaded  # the read-outs' lazy import was checked too

@@ -266,8 +266,9 @@ class TestValidation:
                 f"of {limit('dense step budget')}",
             ),
             (
+                # 10**12 steps at the default stride of 10 keep 10**11 + 1 states
                 {"kind": "tunnel", "t_total": 1e9, "dt": 1e-3},
-                f"t_total / dt * 4**num_qubits = {10**12 * 4**5} exceeds the real-time "
+                f"snapshots * 4**num_qubits = {(10**11 + 1) * 4**5} exceeds the real-time "
                 f"step budget of {limit('real-time step budget')}",
             ),
             (
@@ -277,9 +278,10 @@ class TestValidation:
                 f"cap of {limit('snapshot memory cap')} B",
             ),
             (
-                {"kind": "tunnel", "t_total": 1400.0, "snapshot_stride": 1, "grid_points": 2**17},
-                f"snapshots * grid_points * 2**num_qubits = {140_001 * 2**17 * 2**5} exceeds "
-                f"the snapshot density budget of {limit('snapshot density budget')}",
+                # a grid well within its cap still writes a row per point and snapshot
+                {"kind": "anneal-matrix", "n_steps": 40, "snapshot_stride": 1, "grid_points": 2**17},
+                f"snapshots * grid_points = {41 * 2**17} exceeds the snapshot row cap "
+                f"of {limit('snapshot row cap')} rows",
             ),
             (
                 {"kind": "anneal-matrix", "n_steps": 1000, "snapshot_stride": 1},
@@ -290,10 +292,9 @@ class TestValidation:
         + [
             (
                 {"kind": kind, "grid_points": 10**9},
-                f"grid_points * 2**num_qubits = {10**9 * 2**qubits} exceeds the phase-matrix "
-                f"memory cap of {limit('phase-matrix memory cap')} entries",
+                f"grid_points = {10**9} exceeds the grid point cap of {limit('grid point cap')} points",
             )
-            for kind, qubits in (("anneal-matrix", 5), ("tunnel", 5), ("mass-scan", 7))
+            for kind in ("anneal-matrix", "tunnel", "mass-scan")
         ]
         + [
             (
@@ -325,6 +326,17 @@ class TestValidation:
                 f"{10**9 * (2**16 + SPLIT_STEP_OVERHEAD)} exceeds the split step budget "
                 f"of {limit('split step budget')}",
             ),
+            (
+                # one kept state past the budget at 10 qubits
+                {
+                    "kind": "tunnel",
+                    "num_qubits": 10,
+                    "t_total": limit("real-time step budget") // 4**10 * 0.01,
+                    "snapshot_stride": 1,
+                },
+                f"snapshots * 4**num_qubits = {(limit('real-time step budget') // 4**10 + 1) * 4**10} "
+                f"exceeds the real-time step budget of {limit('real-time step budget')}",
+            ),
         ]
     )
     def test_dense_sizes_capped_before_running(self, config, message, monkeypatch, tmp_path):
@@ -341,28 +353,30 @@ class TestValidation:
         at_budget = limit("dense step budget") // 4**5
         assert validate_config({"kind": "anneal-matrix", "n_steps": at_budget}).ok
         assert not validate_config({"kind": "anneal-matrix", "n_steps": at_budget + 1}).ok
-        at_budget = limit("real-time step budget") // 4**5
-        tunnel = {"kind": "tunnel", "t_total": at_budget * 0.5, "dt": 0.5, "snapshot_stride": 10**9}
+        # a tunnel run pays per kept state, not per step: the initial state and
+        # one state per step, up to the budget at 10 qubits
+        most = limit("real-time step budget") // 4**10
+        tunnel = {"kind": "tunnel", "num_qubits": 10, "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
         assert validate_config(tunnel).ok
-        tunnel["t_total"] = (at_budget + 1) * 0.5
+        tunnel["t_total"] = most * 0.01
         assert not validate_config(tunnel).ok
+        # one step more than the budget once charged per step, but two kept states
+        steps = limit("real-time step budget") // 4**5 + 1
+        tunnel = {"kind": "tunnel", "t_total": steps * 0.5, "dt": 0.5, "snapshot_stride": steps}
+        assert validate_config(tunnel).ok
         # initial state plus one snapshot per step: the most the memory cap keeps
         most = limit("snapshot memory cap") // (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)
         tunnel = {"kind": "tunnel", "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
         assert validate_config(tunnel).ok
         tunnel["t_total"] = most * 0.01
         assert not validate_config(tunnel).ok
-        most = limit("snapshot density budget") // (2**17 * 2**5)
-        tunnel = {"kind": "tunnel", "t_total": (most - 1) * 0.01, "snapshot_stride": 1}
-        tunnel["grid_points"] = 2**17
+        # tunnel snapshots read no density, so the grid does not price them
+        tunnel["t_total"] = (most - 1) * 0.01
+        tunnel["grid_points"] = limit("grid point cap")
         assert validate_config(tunnel).ok
-        tunnel["t_total"] = most * 0.01
-        assert not validate_config(tunnel).ok
         # a default anneal-matrix keeping every step: 501 * 1025 snapshot rows
         assert validate_config({"kind": "anneal-matrix", "snapshot_stride": 1}).ok
         assert validate_config({"kind": "tunnel", "t_total": 200.0, "snapshot_stride": 1}).ok
-        widest = {"kind": "mass-scan", "grid_points": limit("phase-matrix memory cap") // 2**7}
-        assert validate_config(widest).ok
         # the decomposition budget holds 32 decompositions at 10 qubits, 2**14 at 7,
         # and a little fewer spectrum points, which pay a fixed cost each
         most = limit("dense decomposition budget") // (8**7 + SPECTRUM_POINT_OVERHEAD)
@@ -383,6 +397,21 @@ class TestValidation:
         assert validate_config(paulispin).ok
         paulispin["n_steps"] = most + 1
         assert not validate_config(paulispin).ok
+
+    @pytest.mark.parametrize("kind", ["anneal-matrix", "tunnel", "mass-scan"])
+    def test_grid_point_cap_is_inclusive(self, kind):
+        cap = limit("grid point cap")
+        assert validate_config({"kind": kind, "grid_points": cap}).ok
+        errors = validate_config({"kind": kind, "grid_points": cap + 1}).errors
+        assert errors == [f"grid_points = {cap + 1} exceeds the grid point cap of {cap} points"]
+
+    def test_tunnel_keeping_few_of_many_steps_runs(self, tmp_path):
+        # 12 million steps of 1e-6 keep 13 states, each one dim**2 product
+        config = {"kind": "tunnel", "dt": 1e-6, "snapshot_stride": 1_000_000}
+        assert validate_config(config).ok
+        run_experiment(config, tmp_path)
+        rows = (tmp_path / "timeseries.csv").read_text().splitlines()[3:]
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx(np.arange(13.0))
 
     def test_data_size_caps_are_inclusive(self):
         rows = limit("toy-data memory cap")

@@ -305,6 +305,69 @@ class TestMomentumToPosition:
         assert w[0] == 0.0 and w[-1] == 1.0 and len(w) == 101
 
 
+#: (modes, grid_points) of the read-out oracle tests; at 17 points the 32
+#: modes alias onto 16 grid frequencies, and at 2 points onto one
+READOUT_SHAPES = [(32, 1025), (16, 301), (32, 17), (8, 2), (128, 2048)]
+
+
+def plane_waves(modes: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and the explicit (grid, modes) matrix exp(2 pi i n w)."""
+    w = np.linspace(0.0, 1.0, grid_points)
+    return w, np.exp(2j * math.pi * np.outer(w, np.arange(-modes // 2, modes // 2)))
+
+
+def relative_error(got, expected) -> float:
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+class TestReadOutOracle:
+    """The FFT read-outs against the explicit plane-wave sums they replace."""
+
+    @pytest.mark.parametrize("modes,grid_points", READOUT_SHAPES)
+    def test_position_amplitudes_match_explicit_sum(self, modes, grid_points):
+        rng = np.random.default_rng(modes + grid_points)
+        states = rng.normal(size=(3, modes)) + 1j * rng.normal(size=(3, modes))
+        _, waves = plane_waves(modes, grid_points)
+        expected = states @ waves.T
+        stacked = matrix_method._position_amplitudes(states, grid_points)
+        assert stacked.shape == (3, grid_points)
+        assert relative_error(stacked, expected) < 1e-12
+        single = matrix_method._position_amplitudes(states[1], grid_points)
+        assert relative_error(single, waves @ states[1]) < 1e-12
+
+    @pytest.mark.parametrize("modes,grid_points", READOUT_SHAPES)
+    def test_densities_match_explicit_sum(self, modes, grid_points):
+        rng = np.random.default_rng(modes * grid_points)
+        states = rng.normal(size=(4, modes)) + 1j * rng.normal(size=(4, modes))
+        w, waves = plane_waves(modes, grid_points)
+        expected = np.abs(states @ waves.T) ** 2
+        expected /= np.trapezoid(expected, w, axis=-1)[:, None]
+        grid, stacked = momentum_to_position(states, grid_points)
+        assert np.array_equal(grid, w)
+        assert relative_error(stacked, expected) < 1e-12
+        for state, row in zip(states, expected):
+            _, single = momentum_to_position(state, grid_points)
+            assert single.shape == (grid_points,)
+            assert relative_error(single, row) < 1e-12
+
+    @pytest.mark.parametrize("modes,grid_points", READOUT_SHAPES)
+    def test_window_forms_match_explicit_products(self, modes, grid_points):
+        w, waves = plane_waves(modes, grid_points)
+        trapezoid = np.full(grid_points, 1.0 / max(1, grid_points - 1))
+        trapezoid[[0, -1]] /= 2.0
+        weighted = [trapezoid, trapezoid * (w < 0.5), trapezoid * np.cos(3.0 * w)]
+        forms = [(waves.conj().T * c) @ waves for c in weighted]
+        for c, expected in zip(weighted, forms):
+            assert relative_error(matrix_method._toeplitz_form(c, modes), expected) < 1e-12
+        # and the masses window_masses reads through them, a^* M a / a^* M_0 a
+        rng = np.random.default_rng(modes)
+        states = rng.normal(size=(5, modes)) + 1j * rng.normal(size=(5, modes))
+        values = np.einsum("kn,fnl,kl->kf", states.conj(), np.array(forms), states).real
+        windows = (lambda w: w < 0.5, lambda w: np.cos(3.0 * w))
+        masses = window_masses(states, grid_points, windows)
+        assert relative_error(masses, values[:, 1:] / values[:, :1]) < 1e-12
+
+
 class TestWindowMasses:
     WINDOWS = (
         lambda w: w < 0.5,

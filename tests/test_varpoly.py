@@ -5,7 +5,7 @@ import pytest
 
 from aqtrain.encodings import Binary01, EncodingTable, FractionalBinary, SpinPM1
 from aqtrain.pauli import PauliPolynomial
-from aqtrain.varpoly import VarPolynomial, parse_polynomial
+from aqtrain.varpoly import VarPolynomial, _canonical_key, parse_polynomial
 
 
 def random_polynomial(rng, names, max_terms=6, max_power=3):
@@ -61,6 +61,27 @@ class TestArithmetic:
             composed = p.compose({"x": s})
             direct = p.evaluate({"x": s.evaluate(at), "y": at["y"]})
             assert composed.evaluate(at) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+    def test_product_keys_match_canonical_construction(self):
+        # the product merges canonical keys directly; the oracle re-canonicalizes
+        # every concatenated key, in the same accumulation order
+        rng = np.random.default_rng(5)
+        x, y = VarPolynomial.variable("x"), VarPolynomial.variable("y")
+        polys = [random_polynomial(rng, ["x", "y", "x_0"]) for _ in range(5)]
+        polys += [VarPolynomial.constant(2.5), x * y + 1.0, x**2 - y]
+        for p in polys:
+            for q in polys:
+                oracle = VarPolynomial()
+                for ka, ca in p._terms.items():
+                    for kb, cb in q._terms.items():
+                        oracle._accumulate(_canonical_key(ka + kb), ca * cb)
+                oracle._prune()
+                assert list((p * q)._terms.items()) == list(oracle._terms.items())
+        product = (x * y + 1.0) * (x**2 - y)
+        assert product.coefficient({"x": 3, "y": 1}) == 1.0
+        assert product.coefficient({"x": 2}) == 1.0
+        assert product.coefficient({}) == 0.0
+        assert (VarPolynomial.constant(2.5) * (x * y)).coefficient({"x": 1, "y": 1}) == 2.5
 
     def test_variables_and_degree(self):
         p = parse_polynomial("2*a^2*b + c - 7")

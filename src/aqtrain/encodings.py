@@ -16,6 +16,11 @@ Variants
     w = Z_qubit with values {-1, +1}.
 ``Binary01(qubit)``
     w = T_qubit with values {0, 1}.
+
+Qubit order (fixed package-wide): a register of ``n`` qubits has ``2**n``
+computational basis states, and qubit ``q`` holds the bit
+``(index >> q) & 1`` of the basis-state index, so qubit 0 is the least
+significant bit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ import numpy as np
 
 from . import pauli
 from .pauli import PauliPolynomial
-from .state import basis_bits
+
+
+def basis_bits(index: int, num_qubits: int) -> tuple[int, ...]:
+    """Raw |0>/|1> labels of each qubit for a basis-state index."""
+    return tuple((index >> q) & 1 for q in range(num_qubits))
 
 
 @dataclass(frozen=True)

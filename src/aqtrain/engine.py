@@ -35,6 +35,13 @@ PauliPolynomial.  It diagonalizes the matrix once and evaluates each kept
 state in closed form at its time, so no step loop runs and a kept state
 is exact at its time.
 
+A state is a plain array of ``2**n`` complex amplitudes, ordered as in
+:mod:`aqtrain.encodings`.  Both evolutions take a normalized initial state,
+checked once at entry, and return an :class:`EvolutionResult`: the initial
+state, every ``snapshot_stride``-th step and the last step, stacked in one
+array of :func:`snapshot_count` rows that is allocated before the first
+step.
+
 Step times follow the pre-step convention: step ``k`` of ``n`` applies
 ``exp(-i H_A(t_k) dt)`` with ``t_k = k * dt``, i.e. the Hamiltonian is
 evaluated at the time reached so far, starting from ``t = 0``.
@@ -49,10 +56,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial, _walsh_hadamard, pauli_x
-from .state import StateVector
 
 #: largest register evolved through dense eigendecomposition
 DENSE_EVOLUTION_CAP = 10
+
+#: largest deviation from unit norm an initial state may have
+NORM_TOLERANCE = 1e-9
 
 Hamiltonian = Union[PauliPolynomial, np.ndarray]
 
@@ -70,6 +79,19 @@ def transverse_driver(num_qubits: int) -> PauliPolynomial:
     for qubit in range(num_qubits):
         driver = driver - 0.5 * pauli_x(num_qubits, qubit)
     return driver
+
+
+def uniform_state(num_qubits: int) -> np.ndarray:
+    """The transverse driver's ground state: every amplitude ``2**(-n/2)``."""
+    dim = 2**num_qubits
+    return np.full(dim, 1 / np.sqrt(dim), dtype=complex)
+
+
+def basis_state(num_qubits: int, index: int) -> np.ndarray:
+    """The computational basis state ``|index>``."""
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 @dataclass(frozen=True)
@@ -164,8 +186,45 @@ class AnnealSpec:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    final: StateVector
-    snapshots: list  # of (time, StateVector) pairs
+    """The states an evolution keeps, and the times it keeps them at.
+
+    ``times`` has shape ``(kept,)`` and ``states`` shape ``(kept, 2**n)``,
+    with ``kept = snapshot_count(n_steps, stride)``: the initial state at
+    time 0, the state after every stride-th step and the state after the
+    last step.  The final state is ``states[-1]``.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+
+
+def snapshot_count(n_steps: int, stride: int) -> int:
+    """States an evolution of ``n_steps`` keeps at ``stride``: the initial
+    state, every stride-th step and the last step."""
+    return 1 + n_steps // stride + (n_steps % stride != 0)
+
+
+def _start(initial, num_qubits: int, n_steps: int, stride: int, dt: float) -> EvolutionResult:
+    """An evolution's result with ``initial`` checked and in row 0, and the
+    rows of the other kept states still to be filled."""
+    amps = np.asarray(initial, dtype=complex)
+    if amps.shape != (2**num_qubits,):
+        raise ValueError(
+            f"initial state of shape {amps.shape} does not match the register "
+            f"of {num_qubits} qubits ({2**num_qubits} amplitudes)"
+        )
+    if abs(np.linalg.norm(amps) - 1.0) > NORM_TOLERANCE:
+        raise ValueError("initial state is not normalized")
+    count = snapshot_count(n_steps, stride)
+    states = np.empty((count, amps.size), dtype=complex)
+    states[0] = amps
+    return EvolutionResult(np.minimum(np.arange(count) * stride, n_steps) * dt, states)
+
+
+def _keep(states: np.ndarray, spec: AnnealSpec, step: int, amps: np.ndarray):
+    """Store the state after ``step`` steps in its row, if the anneal keeps it."""
+    if step % spec.snapshot_stride == 0 or step == spec.n_steps:
+        states[-(-step // spec.snapshot_stride)] = amps
 
 
 def _split_driver_parts(driver: PauliPolynomial) -> tuple[float, np.ndarray]:
@@ -294,7 +353,7 @@ def _step_propagator(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     return (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
 
 
-def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, snapshots):
+def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, states: np.ndarray):
     """Dense stepping by piecewise Chebyshev interpolation of U(s) in s.
 
     U(s) = exp(-i H(s) dt) with H(s) = D + s (T - D) is entire in s, and
@@ -308,11 +367,13 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
     against the node block, so each step is one matrix-vector product.
     A panel with no more steps than nodes takes its steps' own s values as
     the nodes, so its weights are unit rows and no run decomposes more
-    matrices than it has steps.
+    matrices than it has steps.  One node block serves every panel, so a
+    panel's block is overwritten, never held beside the next.
     """
     driver = self_adjoint(spec.driver)
     target = self_adjoint(spec.target)
     dt = spec.dt
+    amps = states[0]
     dim = amps.size
     # a real symmetric pair (every real potential) takes the real eigensolver
     if not (driver.imag.any() or target.imag.any()):
@@ -325,6 +386,7 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
     runs = np.split(np.arange(fractions.size), np.flatnonzero(np.diff(panel_of)) + 1)
     chunk = max(2, CHUNK_BYTES // (16 * dim * dim))
     propagators = np.empty((min(chunk, fractions.size), dim, dim), dtype=complex)
+    block = np.empty((min(DENSE_PANEL_NODES, fractions.size), dim, dim), dtype=complex)
     for steps in runs:
         if steps.size <= DENSE_PANEL_NODES:
             # the steps' own s values are the nodes, and the weights the identity
@@ -332,11 +394,10 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
         else:
             panel = panel_of[steps[0]]
             nodes = _chebyshev_points(panel / panels, (panel + 1) / panels, DENSE_PANEL_NODES)
-        block = np.empty((nodes.size, dim, dim), dtype=complex)
         for j, s in enumerate(nodes):
             block[j] = _step_propagator((1.0 - s) * driver + s * target, dt)
         # real weights times the (re, im) pairs of every node entry
-        flat = block.reshape(nodes.size, -1).view(float)
+        flat = block[: nodes.size].reshape(nodes.size, -1).view(float)
         weights = _lagrange_weights(nodes, fractions[steps])
         for first in range(0, steps.size, chunk):
             rows = weights[first : first + chunk]
@@ -344,29 +405,27 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, amps: np.ndarray, sna
             np.matmul(rows, flat, out=interpolated.reshape(rows.shape[0], -1).view(float))
             for propagator, k in zip(interpolated, steps[first : first + chunk]):
                 amps = propagator @ amps
-                _maybe_snapshot(snapshots, spec, k, amps)
+                _keep(states, spec, k + 1, amps)
 
 
-def evolve_adiabatic(spec: AnnealSpec, initial: StateVector) -> EvolutionResult:
-    """Run the interpolation from ``driver`` to ``target`` on ``initial``.
+def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
+    """Run the interpolation from ``driver`` to ``target`` on ``initial``,
+    a normalized array of ``2**n`` amplitudes.
 
-    Returns the final state plus ``(time, state)`` snapshots: the initial
-    state, every ``snapshot_stride``-th step and the final step.
+    Keeps the initial state, every ``snapshot_stride``-th step and the
+    final step.
     """
-    if initial.num_qubits != spec.num_qubits:
-        raise ValueError("initial state register does not match the Hamiltonians")
-    amps = initial.amplitudes.astype(complex)
+    if spec.is_dense() and spec.num_qubits > DENSE_EVOLUTION_CAP:
+        raise ValueError(f"dense evolution supports at most {DENSE_EVOLUTION_CAP} qubits")
     fractions = spec.step_fractions()
     dt = spec.dt
-    snapshots = [(0.0, initial)]
+    result = _start(initial, spec.num_qubits, spec.n_steps, spec.snapshot_stride, dt)
+    states = result.states
+    amps = states[0]
 
     if spec.is_dense():
-        if spec.num_qubits > DENSE_EVOLUTION_CAP:
-            raise ValueError(
-                f"dense evolution supports at most {DENSE_EVOLUTION_CAP} qubits"
-            )
-        _evolve_dense(spec, fractions, amps, snapshots)
-        return EvolutionResult(snapshots[-1][1], snapshots)
+        _evolve_dense(spec, fractions, states)
+        return result
 
     constant, xdiag = _split_driver_parts(spec.driver)
     diagonal = spec.target.diagonal()
@@ -381,8 +440,8 @@ def evolve_adiabatic(spec: AnnealSpec, initial: StateVector) -> EvolutionResult:
                 return local * v + _walsh_hadamard(scaled * _walsh_hadamard(v))
 
             amps = expm_krylov(matvec, dt, amps)
-            _maybe_snapshot(snapshots, spec, k, amps)
-        return EvolutionResult(snapshots[-1][1], snapshots)
+            _keep(states, spec, k + 1, amps)
+        return result
 
     sub_dt = dt / spec.substeps_per_step
     chunk = max(1, CHUNK_BYTES // (32 * dim))
@@ -397,8 +456,8 @@ def evolve_adiabatic(spec: AnnealSpec, initial: StateVector) -> EvolutionResult:
             for _ in range(spec.substeps_per_step):
                 amps = _walsh_hadamard(rotation * _walsh_hadamard(amps))
                 amps *= phase
-            _maybe_snapshot(snapshots, spec, k, amps)
-    return EvolutionResult(snapshots[-1][1], snapshots)
+            _keep(states, spec, k + 1, amps)
+    return result
 
 
 def _unit_phases(angles: np.ndarray) -> np.ndarray:
@@ -410,28 +469,22 @@ def _unit_phases(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _maybe_snapshot(snapshots, spec: AnnealSpec, step_index: int, amps: np.ndarray):
-    step = step_index + 1
-    if step % spec.snapshot_stride == 0 or step == spec.n_steps:
-        snapshots.append((step * spec.dt, StateVector(amps.copy())))
-
-
 def evolve_real_time(
     hamiltonian: np.ndarray,
-    initial: StateVector,
+    initial,
     t_total: float,
     dt: float,
     snapshot_stride: int = 1,
-) -> list:
+) -> EvolutionResult:
     """The state under a fixed Hamiltonian after every ``snapshot_stride``-th
     of ``round(t_total / dt)`` steps of length ``dt``, and after the last.
 
+    ``initial`` is a normalized array of ``2**n`` amplitudes.
     ``hamiltonian`` must be a dense Hermitian matrix (a PauliPolynomial is
     rejected; pass its ``to_matrix()``).  It is diagonalized once,
     ``H = V diag(E) V^*``, and each kept state is evaluated in closed form,
     ``V (exp(-i E t_k) * V^* psi_0)``, so it is exact at its time ``t_k``
-    and the skipped steps cost nothing.  Returns ``(time, state)``
-    snapshots including the initial and final states.
+    and the skipped steps cost nothing.  The initial state is kept too.
     """
     if isinstance(hamiltonian, PauliPolynomial):
         raise ValueError("real-time evolution needs a dense matrix, not a PauliPolynomial")
@@ -441,26 +494,20 @@ def evolve_real_time(
         raise ValueError("snapshot_stride must be at least 1")
     n_steps = max(1, round(t_total / dt))
     num_qubits = _hamiltonian_qubits(hamiltonian)
-    if num_qubits != initial.num_qubits:
-        raise ValueError("state register does not match the Hamiltonian")
     if num_qubits > DENSE_EVOLUTION_CAP:
         raise ValueError(f"dense evolution supports at most {DENSE_EVOLUTION_CAP} qubits")
+    result = _start(initial, num_qubits, n_steps, snapshot_stride, dt)
     hamiltonian = self_adjoint(hamiltonian)
     if not hamiltonian.imag.any():
         hamiltonian = hamiltonian.real
     energies, vectors = np.linalg.eigh(hamiltonian)
-    start = vectors.conj().T @ initial.amplitudes
-
-    steps = list(range(snapshot_stride, n_steps + 1, snapshot_stride))
-    if not steps or steps[-1] != n_steps:
-        steps.append(n_steps)
-    times = [step * dt for step in steps]
-    kept = np.empty((len(times), start.size), dtype=complex)
+    start = vectors.conj().T @ result.states[0]
+    times, kept = result.times[1:], result.states[1:]
     chunk = max(1, CHUNK_BYTES // (16 * start.size))
-    for first in range(0, len(times), chunk):
+    for first in range(0, times.size, chunk):
         phases = _unit_phases(np.multiply.outer(times[first : first + chunk], -energies))
         np.matmul(phases * start, vectors.T, out=kept[first : first + chunk])
-    return [(0.0, initial)] + [(t, StateVector(amps)) for t, amps in zip(times, kept)]
+    return result
 
 
 def instantaneous_spectrum(spec: AnnealSpec, s_values, k_lowest: int = 4) -> np.ndarray:

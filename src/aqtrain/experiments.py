@@ -35,10 +35,13 @@ from .engine import (
     DENSE_PANEL_NODES,
     AnnealSpec,
     LinearSchedule,
+    basis_state,
     evolve_adiabatic,
     evolve_real_time,
     instantaneous_spectrum,
+    snapshot_count,
     transverse_driver,
+    uniform_state,
 )
 from .matrix_method import (
     CosinePotential,
@@ -65,7 +68,6 @@ from .nn import (
     toy_two_layer_model,
 )
 from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial
-from .state import StateVector
 from .varpoly import VarPolynomial, parse_polynomial
 
 # -- schemas -------------------------------------------------------------------------
@@ -136,7 +138,6 @@ SCHEMAS = {
         "n_points": 1000,
         "seed": 0,
         "band_rule": "min",
-        "loss": "mse",
         "schedule": "linear",
         "t_final": 10.0,
         "n_steps": 10,
@@ -145,7 +146,6 @@ SCHEMAS = {
     },
     "nn-binary": {
         "split_seed": 0,
-        "loss": "linear-binary",
         "schedule": "linear",
         "t_final": 15.0,
         "n_steps": 15,
@@ -203,9 +203,7 @@ CHOICES = {
     ("anneal-paulispin", "schedule"): ("linear",),
     ("nn-toy", "dataset"): ("circle", "band"),
     ("nn-toy", "band_rule"): ("min", "max"),
-    ("nn-toy", "loss"): ("mse",),
     ("nn-toy", "schedule"): ("linear",),
-    ("nn-binary", "loss"): ("linear-binary",),
     ("nn-binary", "schedule"): ("linear",),
     ("enumerate", "model"): ("toy", "binary"),
     ("enumerate", "dataset"): ("circle", "band"),
@@ -227,9 +225,9 @@ _REGISTER_CAPS = {
     "mass-scan": "dense matrix cap",
 }
 
-#: bytes of objects and timeseries row a kept snapshot state costs beyond its
-#: 16 B amplitudes, measured at 5 and 10 qubits
-SNAPSHOT_OVERHEAD_BYTES = 700
+#: bytes a kept snapshot state costs beyond its row of 16 B amplitudes, measured
+#: at 5 and 10 qubits: its time (8 B), and on tunnel its timeseries row
+SNAPSHOT_OVERHEAD_BYTES = 256
 
 #: the fixed cost of one classical training step, whatever the pool size, in
 #: run-steps: about 90 us over the 1.5 us a run-step costs at the memory cap
@@ -257,10 +255,12 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   at the cap.
 # - dense step budget: a step is one product with its interpolated
 #   propagator; a chunk of those comes from one GEMM against the 13-node
-#   block (218 MB at 10 qubits; the chunk of 2 propagators there is 34 MB
-#   more).  Stepping alone measured 2.8 ns per dim**2 at 8 qubits and 2.9 ns
-#   at 10, against 3.4 and 3.6 ns for the earlier per-node GEMV step on the
-#   same host, so the budget now bounds the stepping far below 50 s.
+#   block, one per anneal and reused by every panel (218 MB at 10 qubits; the
+#   chunk of 2 propagators there is 34 MB more).  A 10-qubit anneal at the
+#   budget (476 steps, two panels) peaked at 375 MB max RSS.  Stepping alone
+#   measured 2.8 ns per dim**2 at 8 qubits and 2.9 ns at 10, against 3.4 and
+#   3.6 ns for the earlier per-node GEMV step on the same host, so the budget
+#   now bounds the stepping far below 50 s.
 # - real-time step budget: a tunnel run has no step loop.  It costs one eigh,
 #   then per kept state one dim**2 product for the state and three for its
 #   well masses, plus a timeseries row, so it is charged per kept state:
@@ -283,7 +283,10 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   binary one.  A longer time step takes more Lanczos iterations: at the
 #   iteration limit a step takes about 20 ms at 6 qubits and 70 ms at 10.
 # - snapshot memory cap: ten thousand states at the dense evolution cap
-#   (171 MB), 141 000 at 5 qubits.
+#   (166 MB), 216 000 at 5 qubits.  Kept states are rows of one array
+#   allocated before the first step; beyond the amplitudes, tracemalloc
+#   measured 8 B a state on anneal-matrix and tunnel at 10 qubits and on
+#   anneal-matrix at 5, and 245 B on tunnel at 5, mostly its timeseries row.
 # - snapshot row cap: about 6 us a density_snapshots.csv row (a default
 #   anneal keeping all 501 states, 513 525 rows, took 2.9-3.3 s): near 5 s.
 #   Rows stream into the file, so they hold no memory: 683 000 rows peaked
@@ -539,31 +542,26 @@ def _sizes(effective: dict):
             decompositions * dim**3,
             "dense decomposition budget",
         )
-        snapshots = _snapshot_count(steps, stride) if stride else 0
+        # at stride 0 the engine keeps the initial and final states
+        snapshots = snapshot_count(steps, stride or steps)
     elif kind == "tunnel":
         # the engine's step count; a tunnel run keeps every step at stride 0
         ratio = effective["t_total"] / effective["dt"]
         if math.isfinite(ratio):
-            snapshots = _snapshot_count(max(1, round(ratio)), max(1, effective["snapshot_stride"]))
+            snapshots = snapshot_count(max(1, round(ratio)), max(1, effective["snapshot_stride"]))
         else:
             snapshots = ratio  # an overflowing step count stays inf and fails the budget
         # each kept state is evaluated in closed form, one dim**2 product; no step loop runs
         yield "snapshots * 4**num_qubits", snapshots * dim**2, "real-time step budget"
     else:
         return
-    if snapshots:
-        yield (
-            f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES})",
-            snapshots * (16 * dim + SNAPSHOT_OVERHEAD_BYTES),
-            "snapshot memory cap",
-        )
-        if kind == "anneal-matrix":
-            yield "snapshots * grid_points", snapshots * grid, "snapshot row cap"
-
-
-def _snapshot_count(steps: int, stride: int) -> int:
-    """The initial state, every stride-th step and the last step."""
-    return 1 + steps // stride + (steps % stride != 0)
+    yield (
+        f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES})",
+        snapshots * (16 * dim + SNAPSHOT_OVERHEAD_BYTES),
+        "snapshot memory cap",
+    )
+    if kind == "anneal-matrix" and stride:
+        yield "snapshots * grid_points", snapshots * grid, "snapshot row cap"
 
 
 def config_hash(effective: dict) -> str:
@@ -687,8 +685,9 @@ def _paulispin_spec(effective: dict):
     return objective, variable, table, spec
 
 
-def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> StateVector:
-    """Anneal the compiled diagonal Hamiltonian by exact Krylov stepping.
+def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> np.ndarray:
+    """Final basis-state probabilities of the anneal into the compiled
+    diagonal Hamiltonian, by exact Krylov stepping.
 
     The coarse schedules used for the network runs (10 to 20 steps) need the
     exact per-step exponential of the whole interpolated Hamiltonian;
@@ -703,7 +702,8 @@ def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> StateVector:
         substeps_per_step=None,
         snapshot_stride=effective["n_steps"],
     )
-    return evolve_adiabatic(spec, StateVector.uniform(hamiltonian.num_qubits)).final
+    final = evolve_adiabatic(spec, uniform_state(hamiltonian.num_qubits)).states[-1]
+    return np.abs(final) ** 2
 
 
 def _window_mass(w: np.ndarray, density: np.ndarray, center: float, halfwidth: float) -> float:
@@ -745,19 +745,17 @@ def _run_tunnel(effective, out: Path, cfg_hash: str):
     packet = gaussian_packet(
         effective["packet_center"], effective["packet_width"], truncation
     )
-    snapshots = evolve_real_time(
+    result = evolve_real_time(
         problem.hamiltonian(),
-        StateVector.from_amplitudes(packet),
+        packet,
         effective["t_total"],
         effective["dt"],
         max(1, effective["snapshot_stride"]),
     )
     masses = window_masses(
-        [state.amplitudes for _, state in snapshots],
-        effective["grid_points"],
-        (lambda w: w < 0.5, lambda w: w >= 0.5),
+        result.states, effective["grid_points"], (lambda w: w < 0.5, lambda w: w >= 0.5)
     )
-    rows = [(t, left, right) for (t, _), (left, right) in zip(snapshots, masses.tolist())]
+    rows = [(t, left, right) for t, (left, right) in zip(result.times.tolist(), masses.tolist())]
     write_csv(
         out / "timeseries.csv",
         "tunnel",
@@ -765,7 +763,7 @@ def _run_tunnel(effective, out: Path, cfg_hash: str):
         ("time", "mass_left", "mass_right"),
         rows,
     )
-    w, density = momentum_to_position(snapshots[-1][1].amplitudes, effective["grid_points"])
+    w, density = momentum_to_position(result.states[-1], effective["grid_points"])
     write_csv(out / "density_final.csv", "tunnel", cfg_hash, ("w", "density"), zip(w, density))
 
     started_left = effective["packet_center"] < 0.5
@@ -792,20 +790,19 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
         n_steps=effective["n_steps"],
         snapshot_stride=stride,
     )
-    initial = StateVector.basis(effective["num_qubits"], truncation.index_of(0))
-    result = evolve_adiabatic(spec, initial)
+    result = evolve_adiabatic(spec, basis_state(effective["num_qubits"], truncation.index_of(0)))
+    final = result.states[-1]
 
     files = ["density_final.csv"]
     grid = effective["grid_points"]
-    w, density = momentum_to_position(result.final.amplitudes, grid)
+    w, density = momentum_to_position(final, grid)
     write_csv(out / "density_final.csv", "anneal-matrix", cfg_hash, ("w", "density"), zip(w, density))
     if effective["snapshot_stride"]:
         def rows():
             chunk = max(1, CHUNK_BYTES // (16 * grid))
-            for first in range(0, len(result.snapshots), chunk):
-                kept = result.snapshots[first : first + chunk]
-                _, densities = momentum_to_position([state.amplitudes for _, state in kept], grid)
-                for (t, _), snap_density in zip(kept, densities):
+            for first in range(0, len(result.times), chunk):
+                _, densities = momentum_to_position(result.states[first : first + chunk], grid)
+                for t, snap_density in zip(result.times[first : first + chunk].tolist(), densities):
                     yield from zip([t] * grid, w, snap_density)
 
         write_csv(out / "density_snapshots.csv", "anneal-matrix", cfg_hash, ("time", "w", "density"), rows())
@@ -830,15 +827,15 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
         # capture window of one well: +-0.1 around the intended minimum
         "mass_near_true_minimum": _window_mass(w, density, true_minimum, 0.1),
         "ground_energy": energy0,
-        "ground_overlap": float(abs(np.vdot(ground, result.final.amplitudes)) ** 2),
+        "ground_overlap": float(abs(np.vdot(ground, final)) ** 2),
     }
     return headline, files
 
 
 def _run_anneal_paulispin(effective, out: Path, cfg_hash: str):
     objective, variable, table, spec = _paulispin_spec(effective)
-    result = evolve_adiabatic(spec, StateVector.uniform(effective["num_qubits"]))
-    probabilities = result.final.probabilities()
+    final = evolve_adiabatic(spec, uniform_state(effective["num_qubits"])).states[-1]
+    probabilities = np.abs(final) ** 2
     values = table.decode_columns()[variable]
     order = np.argsort(values)
     bins = [
@@ -881,15 +878,15 @@ def _run_nn_toy(effective, out: Path, cfg_hash: str):
     dataset = _toy_dataset(effective)
     model = toy_two_layer_model()
     table = model_encoding_table(model, "spin-pm1")
-    weightspace = enumerate_weightspace(model, table, dataset, dataset, effective["loss"])
+    weightspace = enumerate_weightspace(model, table, dataset, dataset, "mse")
     hamiltonian = PauliPolynomial.from_diagonal(weightspace.losses)
-    state = _nn_anneal(hamiltonian, effective)
+    probabilities = _nn_anneal(hamiltonian, effective)
 
     # the probe is the training rows, already forwarded, then the grid
     classes = group_degenerate(
         model,
         table,
-        state,
+        probabilities,
         grid_probe(effective["grid_probe_side"]),
         weightspace.losses,
         leading_outputs=weightspace.train_outputs,
@@ -937,13 +934,12 @@ def _run_nn_binary(effective, out: Path, cfg_hash: str):
     train, test = balanced_pixel_split(effective["split_seed"])
     model = binary_pixel_model()
     table = model_encoding_table(model, "binary01")
-    weightspace = enumerate_weightspace(model, table, train, test, effective["loss"])
+    weightspace = enumerate_weightspace(model, table, train, test, "linear-binary")
     hamiltonian = PauliPolynomial.from_diagonal(weightspace.losses)
-    state = _nn_anneal(hamiltonian, effective)
+    probabilities = _nn_anneal(hamiltonian, effective)
 
-    classes = group_degenerate(model, table, state, pixel_images().features, weightspace.losses)
+    classes = group_degenerate(model, table, probabilities, pixel_images().features, weightspace.losses)
     stats = term_stats(model, train, hamiltonian)
-    probabilities = state.probabilities()
     top_state = int(np.argmax(np.round(probabilities, PROBABILITY_DECIMALS)))
 
     header = {"experiment": "nn-binary", "config_hash": cfg_hash, "split_seed": effective["split_seed"]}
@@ -1055,10 +1051,10 @@ def _run_accuracy_curves(effective, out: Path, cfg_hash: str):
     model = binary_pixel_model()
     table = model_encoding_table(model, "binary01")
     weightspace = enumerate_weightspace(model, table, train, test, "linear-binary")
-    state = _nn_anneal(PauliPolynomial.from_diagonal(weightspace.losses), effective)
+    probabilities = _nn_anneal(PauliPolynomial.from_diagonal(weightspace.losses), effective)
 
     _, q_train, q_test = sample_pool(
-        state, weightspace, effective["pool"], effective["seed"]
+        probabilities, weightspace, effective["pool"], effective["seed"]
     )
     relaxed = RelaxedModel(
         model, steepness=effective["steepness"], penalty=effective["penalty"]

@@ -32,7 +32,6 @@ import numpy as np
 from .datasets import Dataset, zero_one_labels
 from .encodings import EncodingTable, report_bitstring
 from .pauli import PauliPolynomial
-from .state import StateVector
 from .varpoly import DROP_TOLERANCE, VarPolynomial
 
 ENUMERATION_QUBIT_CAP = 20
@@ -466,16 +465,18 @@ def grid_probe(side: int = 21, low: float = -1.0, high: float = 1.0) -> np.ndarr
 def group_degenerate(
     model: ModelSpec,
     table: EncodingTable,
-    state: StateVector,
+    probabilities: np.ndarray,
     probe_features,
     energies,
     leading_outputs=None,
 ) -> list[DegeneracyClass]:
     """Group basis states by the prediction function they induce.
 
-    Classes are sorted by total probability at PROBABILITY_DECIMALS (ties by
-    representative index); the representative is the lowest basis index in
-    the class and the energy is its entry of ``energies``, the enumerated loss.
+    ``probabilities`` are the basis-state probabilities of a final state,
+    indexed like the register.  Classes are sorted by total probability at
+    PROBABILITY_DECIMALS (ties by representative index); the representative
+    is the lowest basis index in the class and the energy is its entry of
+    ``energies``, the enumerated loss.
     ``leading_outputs``, when given, are every configuration's outputs on
     probe rows already forwarded (shape (configs, rows), such as
     ``WeightspaceTable.train_outputs``); the probe is those rows followed by
@@ -490,8 +491,8 @@ def group_degenerate(
     n = table.total_qubits
     if n > ENUMERATION_QUBIT_CAP:
         raise ValueError(f"degeneracy grouping supports at most {ENUMERATION_QUBIT_CAP} qubits")
-    if state.num_qubits != n:
-        raise ValueError("state register does not match the encoding table")
+    if len(probabilities) != 2**n:
+        raise ValueError("probabilities do not match the encoding table register")
     outputs = forward_configs(model, table.decode_columns(), probe_features)
     if leading_outputs is not None:
         outputs = np.concatenate([leading_outputs, outputs], axis=1)
@@ -503,7 +504,7 @@ def group_degenerate(
     _, first, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True
     )
-    totals = np.bincount(inverse, weights=state.probabilities())
+    totals = np.bincount(inverse, weights=probabilities)
     classes = [
         DegeneracyClass(
             representative_index=representative,
@@ -524,18 +525,18 @@ def group_degenerate(
 
 
 def sample_pool(
-    state: StateVector, weightspace: WeightspaceTable, shots: int, seed: int
+    probabilities: np.ndarray, weightspace: WeightspaceTable, shots: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw weight configurations from a final state.
+    """Draw weight configurations from a final state's basis-state probabilities.
 
     Returns (basis indices, train accuracies, test accuracies) for ``shots``
     independent measurements.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    probs = state.probabilities()
+    probs = np.asarray(probabilities)
     if probs.size != len(weightspace):
-        raise ValueError("state and enumeration table use different registers")
+        raise ValueError("probabilities and enumeration table use different registers")
     rng = np.random.default_rng(seed)
     indices = rng.choice(probs.size, size=shots, p=probs / probs.sum())
     return indices, weightspace.train_accuracy[indices], weightspace.test_accuracy[indices]

@@ -9,7 +9,7 @@ Sign conventions (fixed package-wide):
 * ``Z|0> = +|0>`` and ``Z|1> = -|1>``, so the projector ``(I + Z)/2``
   has eigenvalue 1 on ``|0>``.
 * In matrices, qubit 0 labels the least significant bit of the basis
-  index (see :mod:`aqtrain.state`).
+  index (see :mod:`aqtrain.encodings`).
 """
 
 from __future__ import annotations

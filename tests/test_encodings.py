@@ -13,6 +13,7 @@ from aqtrain.encodings import (
     EncodingTable,
     FractionalBinary,
     SpinPM1,
+    basis_bits,
     bin_centers,
     decode_all,
     decode_bits,
@@ -21,7 +22,6 @@ from aqtrain.encodings import (
     qubits_of,
     report_bitstring,
 )
-from aqtrain.state import basis_bits
 
 
 class TestFractionalBinary:

@@ -9,6 +9,7 @@ used as a reference itself.
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,14 @@ from aqtrain.engine import (
     LinearSchedule,
     _split_driver_parts,
     _unit_phases,
+    basis_state,
     evolve_adiabatic,
     evolve_real_time,
     expm_krylov,
     instantaneous_spectrum,
+    snapshot_count,
     transverse_driver,
+    uniform_state,
 )
 from aqtrain.matrix_method import (
     CosinePotential,
@@ -39,7 +43,6 @@ from aqtrain.matrix_method import (
     momentum_to_position,
 )
 from aqtrain.pauli import PauliPolynomial, _walsh_hadamard, pauli_x, pauli_z
-from aqtrain.state import StateVector
 from aqtrain.varpoly import parse_polynomial
 
 QUARTIC_TEXT = "18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573"
@@ -129,7 +132,7 @@ def random_hermitian(dim, seed):
 def random_state(num_qubits, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-    return StateVector.from_amplitudes(raw)
+    return raw / np.linalg.norm(raw)
 
 
 class TestTransverseDriver:
@@ -139,10 +142,10 @@ class TestTransverseDriver:
 
     def test_uniform_is_ground_state_with_zero_energy(self):
         driver = transverse_driver(3)
-        uniform = StateVector.uniform(3)
-        applied = driver.to_matrix() @ uniform.amplitudes
+        uniform = uniform_state(3)
+        applied = driver.to_matrix() @ uniform
         assert np.allclose(applied, 0.0, atol=1e-12)
-        assert np.vdot(uniform.amplitudes, applied).real == pytest.approx(0.0, abs=1e-12)
+        assert np.vdot(uniform, applied).real == pytest.approx(0.0, abs=1e-12)
 
     def test_spectrum_spans_zero_to_qubit_count(self):
         energies = np.linalg.eigvalsh(transverse_driver(4).to_matrix())
@@ -203,10 +206,10 @@ class TestSplitEvolution:
             substeps_per_step=substeps,
             snapshot_stride=3,
         )
-        uniform = StateVector.uniform(4)
+        uniform = uniform_state(4)
         result = evolve_adiabatic(spec, uniform)
-        assert np.allclose(result.final.amplitudes, uniform.amplitudes, atol=1e-12)
-        assert [t for t, _ in result.snapshots] == [0.0, 3.0, 6.0, 9.0, 10.0]
+        assert np.allclose(result.states[-1], uniform, atol=1e-12)
+        assert result.times.tolist() == [0.0, 3.0, 6.0, 9.0, 10.0]
 
     def test_diagonal_factor_has_no_substep_error(self):
         # all-Z targets commute, so halving the substep must change nothing
@@ -218,24 +221,24 @@ class TestSplitEvolution:
             spec = AnnealSpec(
                 driver, target, LinearSchedule(3.0), n_steps=3, substeps_per_step=substeps
             )
-            outputs.append(evolve_adiabatic(spec, state).final.amplitudes)
+            outputs.append(evolve_adiabatic(spec, state).states[-1])
         assert np.allclose(outputs[0], outputs[1], atol=1e-12)
-        assert np.allclose(np.abs(outputs[0]), np.abs(state.amplitudes), atol=1e-12)
+        assert np.allclose(np.abs(outputs[0]), np.abs(state), atol=1e-12)
 
     def test_substep_doubling_converges_to_dense(self):
         target, _ = quartic_target(4)
         driver = transverse_driver(4)
-        uniform = StateVector.uniform(4)
+        uniform = uniform_state(4)
         reference = reference_anneal(
-            driver.to_matrix(), target.to_matrix(), 6.0, 6, uniform.amplitudes.astype(complex)
+            driver.to_matrix(), target.to_matrix(), 6.0, 6, uniform
         )
         infidelities = []
         for substeps in (1, 2, 4, 8):
             spec = AnnealSpec(
                 driver, target, LinearSchedule(6.0), n_steps=6, substeps_per_step=substeps
             )
-            final = evolve_adiabatic(spec, uniform).final
-            infidelities.append(1.0 - abs(np.vdot(reference, final.amplitudes)) ** 2)
+            final = evolve_adiabatic(spec, uniform).states[-1]
+            infidelities.append(1.0 - abs(np.vdot(reference, final)) ** 2)
         assert all(b < a for a, b in zip(infidelities, infidelities[1:]))
         assert infidelities[-1] < 1e-4
 
@@ -250,8 +253,8 @@ class TestSplitEvolution:
             substeps_per_step=substeps,
             snapshot_stride=1000,
         )
-        final = evolve_adiabatic(spec, StateVector.uniform(5)).final
-        assert abs(final.norm() - 1.0) < 1e-9
+        final = evolve_adiabatic(spec, uniform_state(5)).states[-1]
+        assert abs(np.linalg.norm(final) - 1.0) < 1e-9
 
     def test_exact_path_matches_dense_reference_on_coarse_steps(self):
         # two steps with |H dt| >= 20 each: far beyond any splitting, and
@@ -265,20 +268,20 @@ class TestSplitEvolution:
             h = (1.0 - s) * driver.to_matrix() + s * target.to_matrix()
             assert np.max(np.abs(np.linalg.eigvalsh(h))) * dt >= 20.0
         reference = reference_anneal(
-            driver.to_matrix(), target.to_matrix(), t_final, n_steps, state.amplitudes.astype(complex)
+            driver.to_matrix(), target.to_matrix(), t_final, n_steps, state
         )
         spec = AnnealSpec(
             driver, target, LinearSchedule(t_final), n_steps=n_steps, substeps_per_step=None
         )
-        final = evolve_adiabatic(spec, state).final
-        assert np.max(np.abs(final.amplitudes - reference)) < 1e-10
+        final = evolve_adiabatic(spec, state).states[-1]
+        assert np.max(np.abs(final - reference)) < 1e-10
 
     def test_rejects_non_diagonal_target(self):
         bad_target = pauli_x(3, 1)
         with pytest.raises(ValueError, match="diagonal"):
             evolve_adiabatic(
                 AnnealSpec(transverse_driver(3), bad_target, LinearSchedule(1.0)),
-                StateVector.uniform(3),
+                uniform_state(3),
             )
 
     def test_rejects_entangling_driver(self):
@@ -287,7 +290,7 @@ class TestSplitEvolution:
         with pytest.raises(ValueError, match="driver"):
             evolve_adiabatic(
                 AnnealSpec(bad_driver, target, LinearSchedule(1.0)),
-                StateVector.uniform(3),
+                uniform_state(3),
             )
 
     def test_adiabatic_overlap_grows_with_duration(self):
@@ -306,8 +309,8 @@ class TestSplitEvolution:
                 n_steps=int(t_final / 0.05),
                 snapshot_stride=10**6,
             )
-            final = evolve_adiabatic(spec, StateVector.uniform(5)).final
-            overlaps.append(final.probabilities()[ground_index])
+            final = evolve_adiabatic(spec, uniform_state(5)).states[-1]
+            overlaps.append(abs(final[ground_index]) ** 2)
         assert all(b >= a for a, b in zip(overlaps, overlaps[1:]))
         assert overlaps[-1] > 0.9
 
@@ -326,12 +329,12 @@ class TestSplitEvolution:
             substeps_per_step=substeps,
             snapshot_stride=5,
         )
-        uniform = StateVector.uniform(4)
-        snapshots = evolve_adiabatic(spec, uniform).snapshots[1:]
-        expected = per_step_split(spec, uniform.amplitudes.astype(complex))
+        uniform = uniform_state(4)
+        snapshots = evolve_adiabatic(spec, uniform).states[1:]
+        expected = per_step_split(spec, uniform)
         assert len(snapshots) == len(expected) == 5
-        for (_, state), amps in zip(snapshots, expected):
-            assert np.array_equal(state.amplitudes, amps)
+        for state, amps in zip(snapshots, expected):
+            assert np.array_equal(state, amps)
 
 
 class TestDriverInHadamardBasis:
@@ -345,7 +348,7 @@ class TestDriverInHadamardBasis:
             driver = driver - coeff * pauli_x(num_qubits, qubit)
         constant, xdiag = _split_driver_parts(driver)
         assert constant == pytest.approx(0.7)
-        v = random_state(num_qubits, seed=40 + num_qubits).amplitudes.astype(complex)
+        v = random_state(num_qubits, seed=40 + num_qubits).astype(complex)
         angle = 1.3
         fast = _walsh_hadamard(np.exp(-1j * angle * xdiag) * _walsh_hadamard(v)) / v.size
         energies, vectors = np.linalg.eigh(driver.to_matrix() - 0.7 * np.eye(v.size))
@@ -356,7 +359,7 @@ class TestDriverInHadamardBasis:
 class TestKrylovPropagator:
     def test_matches_eigendecomposition(self):
         h = random_hermitian(64, seed=21)
-        v = random_state(6, seed=22).amplitudes.astype(complex)
+        v = random_state(6, seed=22).astype(complex)
         dt = 0.7
         energies, vectors = np.linalg.eigh(h)
         expected = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ v))
@@ -378,7 +381,7 @@ class TestKrylovPropagator:
 
     def test_raises_when_max_iter_is_too_small(self):
         h = random_hermitian(64, seed=24)
-        v = random_state(6, seed=25).amplitudes.astype(complex)
+        v = random_state(6, seed=25).astype(complex)
         with pytest.raises(RuntimeError, match="did not reach"):
             expm_krylov(lambda x: h @ x, 1.0, v, max_iter=3)
 
@@ -391,16 +394,16 @@ class TestDenseEvolution:
         spec = AnnealSpec(driver, target, LinearSchedule(2.0), n_steps=7)
         result = evolve_adiabatic(spec, state)
         expected = reference_anneal(
-            driver.astype(complex), target.astype(complex), 2.0, 7, state.amplitudes.astype(complex)
+            driver.astype(complex), target.astype(complex), 2.0, 7, state
         )
-        assert np.allclose(result.final.amplitudes, expected, atol=1e-9)
+        assert np.allclose(result.states[-1], expected, atol=1e-9)
 
     def test_ground_state_is_stationary(self):
         h = random_hermitian(8, seed=9)
         _, vec = ground_state(h)
         spec = AnnealSpec(h, h, LinearSchedule(5.0), n_steps=20)
-        final = evolve_adiabatic(spec, StateVector(vec)).final
-        assert final.fidelity(StateVector(vec)) == pytest.approx(1.0, abs=1e-10)
+        final = evolve_adiabatic(spec, vec).states[-1]
+        assert abs(np.vdot(final, vec)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_split_and_dense_paths_agree_in_the_small_step_limit(self):
         target, _ = quartic_target(3, strength=5.0)
@@ -409,10 +412,10 @@ class TestDenseEvolution:
         dense_spec = AnnealSpec(
             driver.to_matrix(), target.to_matrix(), LinearSchedule(4.0), n_steps=4000
         )
-        uniform = StateVector.uniform(3)
-        split_final = evolve_adiabatic(pauli_spec, uniform).final
-        dense_final = evolve_adiabatic(dense_spec, uniform).final
-        assert split_final.fidelity(dense_final) == pytest.approx(1.0, abs=1e-6)
+        uniform = uniform_state(3)
+        split_final = evolve_adiabatic(pauli_spec, uniform).states[-1]
+        dense_final = evolve_adiabatic(dense_spec, uniform).states[-1]
+        assert abs(np.vdot(split_final, dense_final)) ** 2 == pytest.approx(1.0, abs=1e-6)
 
     def test_shipped_tilted_anneal_matches_per_step_oracle(self, monkeypatch):
         config_path = Path(__file__).resolve().parent.parent / "configs" / "anneal_matrix_tilted.json"
@@ -422,20 +425,39 @@ class TestDenseEvolution:
             TiltedCosinePotential(config["tilt"]), config["mass"], truncation
         )
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
-        initial = StateVector.basis(config["num_qubits"], truncation.index_of(0))
+        initial = basis_state(config["num_qubits"], truncation.index_of(0))
         spec = AnnealSpec(
             driver, target, LinearSchedule(config["t_final"]), n_steps=config["n_steps"]
         )
         calls = count_eigh(monkeypatch)
-        final = evolve_adiabatic(spec, initial).final.amplitudes
+        final = evolve_adiabatic(spec, initial).states[-1]
         panels = math.ceil(dense_reach(driver, target, spec.dt))
         assert len(calls) <= DENSE_PANEL_NODES * panels
         monkeypatch.undo()
         expected = reference_anneal(
-            driver, target, config["t_final"], config["n_steps"], initial.amplitudes.astype(complex)
+            driver, target, config["t_final"], config["n_steps"], initial
         )
         assert np.max(np.abs(final - expected)) < 1e-10
         assert abs(np.linalg.norm(final) - 1.0) <= 1e-11
+
+    def test_panels_share_one_node_block(self):
+        # two interpolated panels at 8 qubits: each 13-node block of 256 x 256
+        # complex propagators is 13.6 MB, and the anneal may hold only one
+        problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(8))
+        driver, target = problem.kinetic_matrix(), problem.hamiltonian()
+        n_steps = 30
+        dt = 1.5 / dense_reach(driver, target, 1.0)
+        panels = math.ceil(dense_reach(driver, target, dt))
+        assert panels == 2 and panel_steps(n_steps, panels).min() > DENSE_PANEL_NODES
+        spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
+        initial = basis_state(8, problem.truncation.index_of(0))
+        tracemalloc.start()
+        try:
+            evolve_adiabatic(spec, initial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * DENSE_PANEL_NODES * 16 * 256**2
 
     def test_interpolated_panels_match_oracle(self, monkeypatch):
         # several panels, each interpolated from its Chebyshev nodes
@@ -448,12 +470,12 @@ class TestDenseEvolution:
         assert reach >= 3.0 and panel_steps(n_steps, panels).min() >= 40
         spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
         calls = count_eigh(monkeypatch)
-        final = evolve_adiabatic(spec, state).final.amplitudes
+        final = evolve_adiabatic(spec, state).states[-1]
         assert len(calls) == DENSE_PANEL_NODES * panels
         monkeypatch.undo()
         expected = reference_anneal(
             driver.astype(complex), target.astype(complex), n_steps * dt, n_steps,
-            state.amplitudes.astype(complex),
+            state,
         )
         assert np.max(np.abs(final - expected)) < 1e-10
 
@@ -469,12 +491,12 @@ class TestDenseEvolution:
         assert occupied.max() <= DENSE_PANEL_NODES
         spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
         calls = count_eigh(monkeypatch)
-        final = evolve_adiabatic(spec, state).final.amplitudes
+        final = evolve_adiabatic(spec, state).states[-1]
         assert len(calls) <= min(DENSE_PANEL_NODES * occupied.size, n_steps)
         monkeypatch.undo()
         expected = reference_anneal(
             driver.astype(complex), target.astype(complex), n_steps * dt, n_steps,
-            state.amplitudes.astype(complex),
+            state,
         )
         assert np.max(np.abs(final - expected)) < 1e-10
 
@@ -486,15 +508,15 @@ class TestDenseEvolution:
         spec = AnnealSpec(
             driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps, snapshot_stride=stride
         )
-        snapshots = evolve_adiabatic(spec, state).snapshots
-        assert [round(t / dt) for t, _ in snapshots] == [0, 25, 50, 75, 90]
-        for t, snap in snapshots[1:]:
+        result = evolve_adiabatic(spec, state)
+        assert [round(t / dt) for t in result.times] == [0, 25, 50, 75, 90]
+        for t, snap in zip(result.times[1:], result.states[1:]):
             steps = round(t / dt)
             expected = reference_prefix(
                 driver.astype(complex), target.astype(complex), n_steps * dt, n_steps, steps,
-                state.amplitudes.astype(complex),
+                state,
             )
-            assert np.max(np.abs(snap.amplitudes - expected)) < 1e-10
+            assert np.max(np.abs(snap - expected)) < 1e-10
 
     @pytest.mark.parametrize(
         "n_steps, reach",
@@ -512,31 +534,31 @@ class TestDenseEvolution:
         spec = AnnealSpec(
             driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps, snapshot_stride=7
         )
-        snapshots = evolve_adiabatic(spec, state).snapshots
-        assert len(snapshots) == 2 + n_steps // 7
-        for t, snap in snapshots[1:]:
+        result = evolve_adiabatic(spec, state)
+        assert len(result.states) == 2 + n_steps // 7
+        for t, snap in zip(result.times[1:], result.states[1:]):
             expected = reference_prefix(
                 driver.astype(complex), target.astype(complex), n_steps * dt, n_steps,
-                round(t / dt), state.amplitudes.astype(complex),
+                round(t / dt), state,
             )
-            assert np.max(np.abs(snap.amplitudes - expected)) < 1e-11
+            assert np.max(np.abs(snap - expected)) < 1e-11
 
     def test_real_pair_takes_real_solver(self, monkeypatch):
         # the cosine pair is real but stored complex: every node of the
         # anneal and the real-time diagonalization take the real eigh
         problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(4))
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
-        state = StateVector.basis(4, problem.truncation.index_of(0))
+        state = basis_state(4, problem.truncation.index_of(0))
         spec = AnnealSpec(driver, target, LinearSchedule(2.0), n_steps=5)
         dtypes = count_eigh(monkeypatch)
-        final = evolve_adiabatic(spec, state).final.amplitudes
-        kept = evolve_real_time(target, state, 0.3, 0.1)[-1][1].amplitudes
+        final = evolve_adiabatic(spec, state).states[-1]
+        kept = evolve_real_time(target, state, 0.3, 0.1).states[-1]
         monkeypatch.undo()
         assert len(dtypes) == 6 and set(dtypes) == {np.dtype(np.float64)}
-        expected = reference_anneal(driver, target, 2.0, 5, state.amplitudes.astype(complex))
+        expected = reference_anneal(driver, target, 2.0, 5, state)
         assert np.max(np.abs(final - expected)) < 1e-12
         energies, vectors = np.linalg.eigh(target)
-        expected = vectors @ (np.exp(-0.3j * energies) * (vectors.conj().T @ state.amplitudes))
+        expected = vectors @ (np.exp(-0.3j * energies) * (vectors.conj().T @ state))
         assert np.max(np.abs(kept - expected)) < 1e-12
 
     def test_rejects_oversized_register(self):
@@ -544,7 +566,67 @@ class TestDenseEvolution:
         big = np.zeros((dim, dim))
         spec = AnnealSpec(big, big, LinearSchedule(1.0), n_steps=1)
         with pytest.raises(ValueError, match="dense evolution"):
-            evolve_adiabatic(spec, StateVector.basis(DENSE_EVOLUTION_CAP + 1, 0))
+            evolve_adiabatic(spec, basis_state(DENSE_EVOLUTION_CAP + 1, 0))
+
+
+def evolution(path, initial, n_steps=1, stride=1):
+    """Evolve ``initial`` on two qubits for ``n_steps`` steps of 0.05 through
+    one propagator path, keeping every ``stride``-th state."""
+    h = random_hermitian(4, seed=81)
+    if path == "real-time":
+        return evolve_real_time(h, initial, n_steps * 0.05, 0.05, stride)
+    if path == "dense":
+        driver, target, substeps = random_hermitian(4, seed=82), h, 1
+    else:
+        driver, target = transverse_driver(2), PauliPolynomial.from_diagonal(np.diag(h).real)
+        substeps = None if path == "krylov" else 1
+    spec = AnnealSpec(
+        driver,
+        target,
+        LinearSchedule(n_steps * 0.05),
+        n_steps=n_steps,
+        substeps_per_step=substeps,
+        snapshot_stride=stride,
+    )
+    return evolve_adiabatic(spec, initial)
+
+
+PATHS = ["dense", "split", "krylov", "real-time"]
+
+
+class TestInitialStateAndKeptStates:
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            (uniform_state(3), r"shape \(8,\) does not match the register of 2 qubits"),
+            (np.full((2, 2), 0.5), r"shape \(2, 2\) does not match the register of 2 qubits"),
+            (np.ones(4), "initial state is not normalized"),
+        ],
+        ids=["wrong-length", "two-dimensional", "unnormalized"],
+    )
+    def test_initial_state_checked_at_entry(self, path, initial, message):
+        with pytest.raises(ValueError, match=message):
+            evolution(path, initial)
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize(
+        "stride, kept_steps",
+        [(4, [0, 4, 8, 12, 16, 20]), (6, [0, 6, 12, 18, 20]), (50, [0, 20])],
+        ids=["stride-divides", "stride-does-not-divide", "stride-past-the-end"],
+    )
+    def test_kept_states_follow_snapshot_count(self, path, stride, kept_steps):
+        initial = random_state(2, seed=83)
+        result = evolution(path, initial, n_steps=20, stride=stride)
+        assert snapshot_count(20, stride) == len(kept_steps)
+        assert result.states.shape == (len(kept_steps), 4)
+        assert result.times.tolist() == [step * 0.05 for step in kept_steps]
+        assert np.array_equal(result.states[0], initial)
+        # every row was written: an unwritten row of np.empty has no unit norm
+        assert np.allclose(np.linalg.norm(result.states, axis=1), 1.0, atol=1e-12)
+        # the last row is the state after the whole evolution
+        whole = evolution(path, initial, n_steps=20, stride=20)
+        assert np.max(np.abs(result.states[-1] - whole.states[-1])) < 1e-12
 
 
 class TestRealTimeEvolution:
@@ -552,30 +634,28 @@ class TestRealTimeEvolution:
         problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(4))
         h = problem.hamiltonian()
         _, vec = ground_state(h)
-        snaps = evolve_real_time(h, StateVector(vec), t_total=5.0, dt=0.05, snapshot_stride=20)
-        base = np.abs(vec) ** 2
-        for _, state in snaps:
-            assert np.allclose(state.probabilities(), base, atol=1e-6)
+        states = evolve_real_time(h, vec, t_total=5.0, dt=0.05, snapshot_stride=20).states
+        assert np.allclose(np.abs(states) ** 2, np.abs(vec) ** 2, atol=1e-6)
 
     def test_norm_preserved_over_ten_thousand_steps(self):
         h = random_hermitian(8, seed=17)
         state = random_state(3, seed=18)
-        snaps = evolve_real_time(h, state, t_total=100.0, dt=0.01, snapshot_stride=10**5)
-        assert abs(snaps[-1][1].norm() - 1.0) < 1e-6
+        final = evolve_real_time(h, state, t_total=100.0, dt=0.01, snapshot_stride=10**5).states[-1]
+        assert abs(np.linalg.norm(final) - 1.0) < 1e-6
 
     def test_packet_tunnels_to_other_minimum_and_returns(self):
         problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(5))
         h = problem.hamiltonian()
         energies = np.linalg.eigvalsh(h)
         period = 2.0 * math.pi / (energies[1] - energies[0])
-        packet = StateVector(gaussian_packet(0.25, 40.0, problem.truncation))
+        packet = gaussian_packet(0.25, 40.0, problem.truncation)
 
         def right_well_mass(state):
-            w, density = momentum_to_position(state.amplitudes)
+            w, density = momentum_to_position(state)
             return np.trapezoid(np.where(w > 0.5, density, 0.0), w)
 
-        snaps = evolve_real_time(h, packet, t_total=period, dt=period / 400, snapshot_stride=10)
-        masses = [right_well_mass(state) for _, state in snaps]
+        states = evolve_real_time(h, packet, t_total=period, dt=period / 400, snapshot_stride=10).states
+        masses = [right_well_mass(state) for state in states]
         assert masses[0] < 0.05
         assert max(masses) > 0.85
         assert masses[-1] < 0.15
@@ -587,21 +667,21 @@ class TestRealTimeEvolution:
         h = random_hermitian(8, seed=71)
         state = random_state(3, seed=72)
         dt, n_steps, stride = 0.03, 50, 4
-        snapshots = evolve_real_time(h, state, n_steps * dt, dt, stride)
+        result = evolve_real_time(h, state, n_steps * dt, dt, stride)
         energies, vectors = np.linalg.eigh(h)
         step = vectors @ np.diag(np.exp(-1j * energies * dt)) @ vectors.conj().T
-        amps = state.amplitudes
+        amps = state
         expected = [(0.0, amps)]
         for k in range(1, n_steps + 1):
             amps = step @ amps
             if k % stride == 0 or k == n_steps:
                 expected.append((k * dt, amps))
-        assert [t for t, _ in snapshots] == [t for t, _ in expected]
-        for (_, snap), (_, amps) in zip(snapshots, expected):
-            assert np.max(np.abs(snap.amplitudes - amps)) < 1e-12
+        assert result.times.tolist() == [t for t, _ in expected]
+        for snap, (_, amps) in zip(result.states, expected):
+            assert np.max(np.abs(snap - amps)) < 1e-12
 
     def test_rejects_bad_arguments(self):
-        state = StateVector.uniform(2)
+        state = uniform_state(2)
         with pytest.raises(ValueError):
             evolve_real_time(np.zeros((4, 4)), state, t_total=1.0, dt=0.0)
         with pytest.raises(ValueError, match="register"):
@@ -610,7 +690,7 @@ class TestRealTimeEvolution:
     def test_rejects_pauli_polynomial(self):
         target, _ = quartic_target(2)
         with pytest.raises(ValueError, match="dense matrix"):
-            evolve_real_time(target, StateVector.uniform(2), t_total=1.0, dt=0.1)
+            evolve_real_time(target, uniform_state(2), t_total=1.0, dt=0.1)
 
 
 class TestInstantaneousSpectrum:

@@ -134,6 +134,10 @@ class TestValidation:
         report = validate_config({"kind": "mass-scan", "massez": [1, 2]})
         assert not report.ok
         assert "massez" in report.errors[0]
+        # the model fixes each network kind's loss, so no config names it
+        for kind in ("nn-toy", "nn-binary"):
+            errors = validate_config({"kind": kind, "loss": "mse"}).errors
+            assert errors == [f"unknown parameter 'loss' for kind {kind!r}"]
 
     def test_register_cap_rejected_with_message(self):
         report = validate_config({"kind": "anneal-matrix", "num_qubits": 30})
@@ -162,6 +166,7 @@ class TestValidation:
                 "exceeds the classical time budget",
             ),
         ],
+        ids=["pool-memory-cap", "pool-time-budget", "curves-memory-cap", "curves-time-budget"],
     )
     def test_classical_work_capped_before_running(self, config, message, monkeypatch, tmp_path):
         def never(*args, **kwargs):
@@ -272,9 +277,9 @@ class TestValidation:
                 f"step budget of {limit('real-time step budget')}",
             ),
             (
-                {"kind": "tunnel", "t_total": 2000.0, "snapshot_stride": 1},
+                {"kind": "tunnel", "t_total": 3000.0, "snapshot_stride": 1},
                 f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = "
-                f"{200_001 * (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)} exceeds the snapshot memory "
+                f"{300_001 * (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)} exceeds the snapshot memory "
                 f"cap of {limit('snapshot memory cap')} B",
             ),
             (
@@ -397,6 +402,30 @@ class TestValidation:
         assert validate_config(paulispin).ok
         paulispin["n_steps"] = most + 1
         assert not validate_config(paulispin).ok
+
+    @pytest.mark.parametrize(
+        "config",
+        [SMALL["anneal-matrix"], RERUN["anneal-matrix-snapshots"], SMALL["tunnel"]],
+        ids=["anneal-matrix-stride-0", "anneal-matrix-stride-3", "tunnel"],
+    )
+    def test_snapshot_memory_charged_for_the_states_kept(self, config, monkeypatch, tmp_path):
+        # at stride 0 an anneal still keeps its initial and final states
+        kept = []
+        for name in ("evolve_adiabatic", "evolve_real_time"):
+
+            def keep(*args, original=getattr(experiments, name), **kwargs):
+                result = original(*args, **kwargs)
+                kept.append(len(result.states))
+                return result
+
+            monkeypatch.setattr(experiments, name, keep)
+        run_experiment(config, tmp_path)
+        effective = validate_config(config).effective
+        charged = {name: value for _, value, name in experiments._sizes(effective)}
+        dim = 2 ** effective["num_qubits"]
+        assert charged["snapshot memory cap"] == kept[0] * (16 * dim + SNAPSHOT_OVERHEAD_BYTES)
+        # rows are charged only where density_snapshots.csv is written
+        assert ("snapshot row cap" in charged) == (tmp_path / "density_snapshots.csv").exists()
 
     @pytest.mark.parametrize("kind", ["anneal-matrix", "tunnel", "mass-scan"])
     def test_grid_point_cap_is_inclusive(self, kind):
@@ -643,7 +672,7 @@ def test_dense_anneal_with_huge_reach_runs(monkeypatch, tmp_path):
 
     def keep(*args, **kwargs):
         result = evolve_adiabatic(*args, **kwargs)
-        finals.append(result.final)
+        finals.append(result.states[-1])
         return result
 
     evolve_adiabatic = experiments.evolve_adiabatic
@@ -657,7 +686,7 @@ def test_dense_anneal_with_huge_reach_runs(monkeypatch, tmp_path):
     assert validate_config(config).ok
     monkeypatch.setattr(experiments, "evolve_adiabatic", keep)
     run_experiment(config, tmp_path)
-    assert abs(np.linalg.norm(finals[0].amplitudes) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(finals[0]) - 1.0) <= 1e-12
 
 
 def test_runs_compile_from_enumerated_losses(monkeypatch, tmp_path):

@@ -35,7 +35,6 @@ from aqtrain.nn import (
     toy_two_layer_model,
 )
 from aqtrain.pauli import PauliPolynomial
-from aqtrain.state import StateVector
 from aqtrain.varpoly import VarPolynomial
 
 
@@ -372,7 +371,7 @@ class TestGroupDegenerate:
         model, table, data = _toy_setup(n=100)
         losses = enumerate_weightspace(model, table, data, data, "mse").losses
         probe = np.vstack([data.features, grid_probe()])
-        classes = group_degenerate(model, table, StateVector.uniform(6), probe, losses)
+        classes = group_degenerate(model, table, np.full(64, 1 / 64), probe, losses)
         assert sum(c.degeneracy for c in classes) == 64
         for cls in classes:
             assert cls.probability == pytest.approx(cls.degeneracy / 64)
@@ -384,9 +383,9 @@ class TestGroupDegenerate:
         model, table, data = _toy_setup(n=100)
         weightspace = enumerate_weightspace(model, table, data, data, "mse")
         amplitudes = np.random.default_rng(4).normal(size=64)
-        state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+        probabilities = np.abs(amplitudes / np.linalg.norm(amplitudes)) ** 2
         probe = np.vstack([data.features, grid_probe(side=7)])
-        full = group_degenerate(model, table, state, probe, weightspace.losses)
+        full = group_degenerate(model, table, probabilities, probe, weightspace.losses)
 
         forwarded = []
         original = nn_module.forward_configs
@@ -399,7 +398,7 @@ class TestGroupDegenerate:
         reused = group_degenerate(
             model,
             table,
-            state,
+            probabilities,
             grid_probe(side=7),
             weightspace.losses,
             leading_outputs=weightspace.train_outputs,
@@ -413,8 +412,8 @@ class TestGroupDegenerate:
         probe = grid_probe(side=11)
         for index in (0, 9, 33):
             partner = index ^ 0b000011  # flip w1_11 and w1_12 together
-            one = group_degenerate(model, table, StateVector.basis(6, index), probe, losses)
-            two = group_degenerate(model, table, StateVector.basis(6, partner), probe, losses)
+            one = group_degenerate(model, table, np.eye(64)[index], probe, losses)
+            two = group_degenerate(model, table, np.eye(64)[partner], probe, losses)
             top_one = max(one, key=lambda c: c.probability)
             top_two = max(two, key=lambda c: c.probability)
             assert top_one.prediction_hash == top_two.prediction_hash
@@ -423,8 +422,7 @@ class TestGroupDegenerate:
     def test_classes_sorted_by_probability(self):
         model, table, data = _toy_setup(n=100)
         losses = enumerate_weightspace(model, table, data, data, "mse").losses
-        state = StateVector.basis(6, 7)
-        classes = group_degenerate(model, table, state, grid_probe(side=5), losses)
+        classes = group_degenerate(model, table, np.eye(64)[7], grid_probe(side=5), losses)
         probs = [c.probability for c in classes]
         assert probs == sorted(probs, reverse=True)
         assert isinstance(classes[0], DegeneracyClass)
@@ -441,7 +439,7 @@ class TestGroupDegenerate:
         amplitudes = np.zeros(64)
         amplitudes[[0, 1]] = np.sqrt(0.5)
         amplitudes[1] = np.nextafter(amplitudes[1], 1.0)  # index 1 wins by ~1e-16
-        classes = group_degenerate(model, table, StateVector(amplitudes), grid_probe(5), losses)
+        classes = group_degenerate(model, table, amplitudes**2, grid_probe(5), losses)
         first, second = classes[:2]
         assert (first.representative_index, second.representative_index) == (0, 1)
         assert 0 < second.probability - first.probability < 1e-15
@@ -450,17 +448,17 @@ class TestGroupDegenerate:
         model, table, data = _toy_setup(n=20)
         losses = enumerate_weightspace(model, table, data, data, "mse").losses
         with pytest.raises(ValueError):
-            group_degenerate(model, table, StateVector.uniform(5), grid_probe(5), losses)
+            group_degenerate(model, table, np.full(32, 1 / 32), grid_probe(5), losses)
 
     def test_empty_probe_rejected(self):
         # an empty row has no bytes to key by, so it would silently give no classes
         model, table, data = _toy_setup(n=20)
         losses = enumerate_weightspace(model, table, data, data, "mse").losses
         with pytest.raises(ValueError, match="at least one probe row"):
-            group_degenerate(model, table, StateVector.uniform(6), np.empty((0, 2)), losses)
+            group_degenerate(model, table, np.full(64, 1 / 64), np.empty((0, 2)), losses)
 
     @staticmethod
-    def _dict_grouping(model, table, state, probe, energies):
+    def _dict_grouping(model, table, probabilities, probe, energies):
         """Oracle: a dict keyed by each configuration's tuple of rounded outputs.
 
         Tuples compare values, so -0.0 and 0.0 fall into one key with no
@@ -471,7 +469,6 @@ class TestGroupDegenerate:
         members = {}
         for index, row in enumerate(rounded):
             members.setdefault(tuple(row.tolist()), []).append(index)
-        probabilities = state.probabilities()
         classes = []
         for indices in members.values():
             representative = indices[0]
@@ -494,18 +491,18 @@ class TestGroupDegenerate:
         return classes
 
     @staticmethod
-    def _random_state(num_qubits, seed):
+    def _random_probabilities(num_qubits, seed):
         rng = np.random.default_rng(seed)
         amplitudes = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-        return StateVector(amplitudes / np.linalg.norm(amplitudes))
+        return np.abs(amplitudes / np.linalg.norm(amplitudes)) ** 2
 
     def test_matches_dict_grouping_on_the_toy_probe(self):
         model, table, data = _toy_setup(n=100)
         losses = enumerate_weightspace(model, table, data, data, "mse").losses
-        state = self._random_state(6, seed=12)
+        probabilities = self._random_probabilities(6, seed=12)
         probe = np.vstack([data.features, grid_probe(side=7)])
-        classes = group_degenerate(model, table, state, probe, losses)
-        expected = self._dict_grouping(model, table, state, probe, losses)
+        classes = group_degenerate(model, table, probabilities, probe, losses)
+        expected = self._dict_grouping(model, table, probabilities, probe, losses)
         assert max(c.degeneracy for c in expected) > 1
         assert len(classes) == len(expected)
         for got, want in zip(classes, expected):
@@ -527,27 +524,27 @@ class TestGroupDegenerate:
         probe = np.array([[-1e-12, 0.0, 0.0], [0.0, 1.0, 1.0]])
         first = np.round(forward_configs(model, table.decode_columns(), probe), PREDICTION_DECIMALS)[:, 0]
         assert np.all(first == 0.0) and 0 < np.count_nonzero(np.signbit(first)) < 8
-        state = self._random_state(3, seed=5)
+        probabilities = self._random_probabilities(3, seed=5)
         energies = np.arange(8.0)
-        classes = group_degenerate(model, table, state, probe, energies)
+        classes = group_degenerate(model, table, probabilities, probe, energies)
         assert sorted(c.degeneracy for c in classes) == [2, 2, 4]
-        assert classes == self._dict_grouping(model, table, state, probe, energies)
+        assert classes == self._dict_grouping(model, table, probabilities, probe, energies)
 
 
 class TestSamplePool:
     def test_basis_state_sampling_is_constant(self):
         model, table, data = _toy_setup(n=50)
         ws = enumerate_weightspace(model, table, data, data, "mse")
-        indices, train_acc, test_acc = sample_pool(StateVector.basis(6, 9), ws, 25, seed=1)
+        indices, train_acc, test_acc = sample_pool(np.eye(64)[9], ws, 25, seed=1)
         assert np.all(indices == 9)
         assert np.all(train_acc == ws.train_accuracy[9])
 
     def test_seeded_reproducibility(self):
         model, table, data = _toy_setup(n=50)
         ws = enumerate_weightspace(model, table, data, data, "mse")
-        state = StateVector.uniform(6)
-        first = sample_pool(state, ws, 40, seed=7)
-        second = sample_pool(state, ws, 40, seed=7)
+        uniform = np.full(64, 1 / 64)
+        first = sample_pool(uniform, ws, 40, seed=7)
+        second = sample_pool(uniform, ws, 40, seed=7)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
@@ -555,7 +552,7 @@ class TestSamplePool:
         model, table, data = _toy_setup(n=20)
         ws = enumerate_weightspace(model, table, data, data, "mse")
         with pytest.raises(ValueError):
-            sample_pool(StateVector.uniform(6), ws, 0, seed=0)
+            sample_pool(np.full(64, 1 / 64), ws, 0, seed=0)
 
 
 class TestAccuracyVsRuns:

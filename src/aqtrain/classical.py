@@ -356,8 +356,3 @@ def train_pool(
         ClassicalRun(seed, weights[row].copy(), binary[row].copy())
         for row, seed in enumerate(seeds)
     ]
-
-
-def train_run(relaxed: RelaxedModel, dataset: Dataset, seed: int, **options) -> ClassicalRun:
-    """Single seeded training run; see :func:`train_pool`."""
-    return train_pool(relaxed, dataset, [seed], **options)[0]

@@ -33,10 +33,6 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.labels.size)
 
-    def signal_fraction(self) -> float:
-        """Fraction of samples with a positive label."""
-        return float(np.mean(self.labels > 0))
-
 
 def zero_one_labels(labels) -> bool:
     """Whether every label is 0 or 1 (an empty set of labels is)."""

@@ -121,6 +121,17 @@ def _hamiltonian_qubits(h: Hamiltonian) -> int:
     return num_qubits
 
 
+def _pair_qubits(driver: Hamiltonian, target: Hamiltonian) -> int:
+    """The register of a driver and target that share one representation
+    and one register; raises if they do not."""
+    if isinstance(driver, PauliPolynomial) != isinstance(target, PauliPolynomial):
+        raise ValueError("driver and target use different representations")
+    num_qubits = _hamiltonian_qubits(driver)
+    if _hamiltonian_qubits(target) != num_qubits:
+        raise ValueError("driver and target act on different registers")
+    return num_qubits
+
+
 @dataclass(frozen=True)
 class AnnealSpec:
     """An interpolation H_A(t) = (1 - s(t)) * driver + s(t) * target.
@@ -146,12 +157,7 @@ class AnnealSpec:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if isinstance(self.driver, PauliPolynomial) != isinstance(
-            self.target, PauliPolynomial
-        ):
-            raise ValueError("driver and target use different representations")
-        if _hamiltonian_qubits(self.driver) != _hamiltonian_qubits(self.target):
-            raise ValueError("driver and target act on different registers")
+        _pair_qubits(self.driver, self.target)
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.substeps_per_step is not None and self.substeps_per_step < 1:
@@ -253,11 +259,13 @@ def _split_driver_parts(driver: PauliPolynomial) -> tuple[float, np.ndarray]:
 
 
 def self_adjoint(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate Hermiticity and return the matrix as a complex array."""
+    """Validate Hermiticity; return the matrix as a real array when its
+    imaginary part is zero (a real symmetric matrix takes the real
+    eigensolver), else as a complex one."""
     matrix = np.asarray(matrix, dtype=complex)
     if np.max(np.abs(matrix - matrix.conj().T)) > tol:
         raise ValueError("matrix is not Hermitian")
-    return matrix
+    return matrix if matrix.imag.any() else matrix.real
 
 
 def expm_krylov(
@@ -375,9 +383,6 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, states: np.ndarray):
     dt = spec.dt
     amps = states[0]
     dim = amps.size
-    # a real symmetric pair (every real potential) takes the real eigensolver
-    if not (driver.imag.any() or target.imag.any()):
-        driver, target = driver.real, target.real
     reach = float(np.max(np.abs(np.linalg.eigvalsh(target - driver)))) * dt
     # with a panel per step every panel takes its steps' own s values as nodes,
     # so more panels change nothing; the cap keeps a huge reach a small integer
@@ -497,10 +502,7 @@ def evolve_real_time(
     if num_qubits > DENSE_EVOLUTION_CAP:
         raise ValueError(f"dense evolution supports at most {DENSE_EVOLUTION_CAP} qubits")
     result = _start(initial, num_qubits, n_steps, snapshot_stride, dt)
-    hamiltonian = self_adjoint(hamiltonian)
-    if not hamiltonian.imag.any():
-        hamiltonian = hamiltonian.real
-    energies, vectors = np.linalg.eigh(hamiltonian)
+    energies, vectors = np.linalg.eigh(self_adjoint(hamiltonian))
     start = vectors.conj().T @ result.states[0]
     times, kept = result.times[1:], result.states[1:]
     chunk = max(1, CHUNK_BYTES // (16 * start.size))
@@ -510,27 +512,27 @@ def evolve_real_time(
     return result
 
 
-def instantaneous_spectrum(spec: AnnealSpec, s_values, k_lowest: int = 4) -> np.ndarray:
-    """Lowest ``k_lowest`` eigenvalues of H_A(s) for each requested s.
+def instantaneous_spectrum(
+    driver: Hamiltonian, target: Hamiltonian, s_values, k_lowest: int = 4
+) -> np.ndarray:
+    """Lowest ``k_lowest`` eigenvalues of (1 - s) * driver + s * target for
+    each requested s.
 
+    The two Hamiltonians use one representation and one register, as in an
+    :class:`AnnealSpec`; a PauliPolynomial target must be diagonal.
     Returns an array of shape ``(len(s_values), k_lowest)`` with each row
     sorted ascending.
     """
-    if spec.num_qubits > MATRIX_QUBIT_CAP:
+    num_qubits = _pair_qubits(driver, target)
+    if num_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(f"spectrum supports at most {MATRIX_QUBIT_CAP} qubits")
-    if spec.is_dense():
-        driver = self_adjoint(spec.driver)
-        target = self_adjoint(spec.target)
-    else:
-        if not spec.target.is_diagonal():
+    if isinstance(target, PauliPolynomial):
+        if not target.is_diagonal():
             raise ValueError(_NON_DIAGONAL_TARGET)
-        driver = spec.driver.to_matrix()
-        target = np.diag(spec.target.diagonal())
-    # real symmetric pairs (every Pauli pair here) take the real eigensolver
-    if not (driver.imag.any() or target.imag.any()):
-        driver, target = driver.real, target.real
+        driver, target = driver.to_matrix(), np.diag(target.diagonal())
+    driver, target = self_adjoint(driver), self_adjoint(target)
     s_values = np.asarray(s_values, dtype=float)
-    curves = np.empty((s_values.size, min(k_lowest, 2**spec.num_qubits)))
+    curves = np.empty((s_values.size, min(k_lowest, 2**num_qubits)))
     for row, s in zip(curves, s_values):
         row[:] = np.linalg.eigvalsh((1.0 - s) * driver + s * target)[: row.size]
     return curves

@@ -14,7 +14,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from . import matrix_method
 from .classical import RelaxedModel, train_pool
 from .datasets import (
+    Dataset,
     balanced_pixel_split,
     band_dataset,
     circle_dataset,
@@ -57,6 +58,8 @@ from .matrix_method import (
 )
 from .nn import (
     PROBABILITY_DECIMALS,
+    ModelSpec,
+    WeightspaceTable,
     accuracy_vs_runs,
     binary_pixel_model,
     enumerate_weightspace,
@@ -237,6 +240,10 @@ CLASSICAL_STEP_OVERHEAD = 60
 #: about 20 us over the 0.2-0.27 us an amplitude costs at the state cap
 SPLIT_STEP_OVERHEAD = 100
 
+#: the fixed cost of one dense anneal step, whatever the register, in units
+#: of 4**num_qubits: sized by memory as much as by time (see below)
+DENSE_STEP_OVERHEAD = 1700
+
 #: the fixed cost of one spectrum s point (its eigvalsh call and its CSV row),
 #: in units of 8**num_qubits: about 26 us over the 1.0 ns a unit a complex
 #: eigh costs at 1024**2
@@ -260,7 +267,14 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   budget (476 steps, two panels) peaked at 375 MB max RSS.  Stepping alone
 #   measured 2.8 ns per dim**2 at 8 qubits and 2.9 ns at 10, against 3.4 and
 #   3.6 ns for the earlier per-node GEMV step on the same host, so the budget
-#   now bounds the stepping far below 50 s.
+#   now bounds the stepping far below 50 s.  A step also has a fixed cost:
+#   2.3-2.6 us at 1 qubit (marginal over 50 000 to 250 000 steps), against
+#   6.8-8.1 ns per dim**2 at 10 qubits on the same, busier host, a ratio near
+#   330 (1700 from the 4.9 us and 2.9 ns of an earlier measurement).  Memory
+#   sets DENSE_STEP_OVERHEAD higher than that ratio: tracemalloc measured 370
+#   B a step at 1 qubit (the panel's Lagrange weights, the step fractions and
+#   index arrays), so 1700 holds a 1-qubit anneal at the budget to 293 427
+#   steps (110 MB; the run took 0.65 s) and still admits 476 at 10 qubits.
 # - real-time step budget: a tunnel run has no step loop.  It costs one eigh,
 #   then per kept state one dim**2 product for the state and three for its
 #   well masses, plus a timeseries row, so it is charged per kept state:
@@ -528,7 +542,11 @@ def _sizes(effective: dict):
         yield "grid_points", grid, "grid point cap"
     if kind == "anneal-matrix":
         steps, stride = effective["n_steps"], effective["snapshot_stride"]
-        yield "n_steps * 4**num_qubits", steps * dim**2, "dense step budget"
+        yield (
+            f"n_steps * 4**num_qubits + {DENSE_STEP_OVERHEAD} * n_steps",
+            steps * (dim**2 + DENSE_STEP_OVERHEAD),
+            "dense step budget",
+        )
         potential = _matrix_potential(effective)
         bound = abs(potential.fourier_coefficient(0)) + 2 * sum(
             abs(potential.fourier_coefficient(k)) for k in range(1, dim)
@@ -641,10 +659,34 @@ def write_json(path, payload: dict):
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_dataset(path, dataset, header):
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    write_dataset_csv(tmp, dataset, header)
-    os.replace(tmp, path)
+@dataclass
+class _Output:
+    """A run's output directory: each data file is stamped with the run's
+    kind and config hash, and its name is recorded in ``files``."""
+
+    path: Path
+    kind: str
+    cfg_hash: str
+    files: list = field(default_factory=list)
+
+    def _target(self, name: str) -> Path:
+        self.files.append(name)
+        return self.path / name
+
+    def _stamp(self, entries: dict) -> dict:
+        return {"experiment": self.kind, "config_hash": self.cfg_hash, **entries}
+
+    def csv(self, name: str, columns, rows, extra_header=None):
+        write_csv(self._target(name), self.kind, self.cfg_hash, columns, rows, extra_header)
+
+    def json(self, name: str, payload: dict):
+        write_json(self._target(name), self._stamp(payload))
+
+    def dataset(self, name: str, dataset, header: dict):
+        target = self._target(name)
+        tmp = target.with_name(name + ".tmp")
+        write_dataset_csv(tmp, dataset, self._stamp(header))
+        os.replace(tmp, target)
 
 
 # -- shared construction ----------------------------------------------------------------
@@ -661,28 +703,48 @@ def _matrix_potential(effective: dict):
 def _objective_polynomial(effective: dict) -> VarPolynomial:
     """Scaled objective for the Pauli-spin kinds, in one named variable."""
     if effective["potential"] == "quartic":
-        poly = VarPolynomial.zero()
-        for power, coeff in enumerate(matrix_method.QUARTIC_COEFFS):
-            poly = poly + VarPolynomial.monomial(coeff, {"w": power})
-    else:
-        poly = parse_polynomial(effective["potential"])
-    return poly * effective["scale"]
+        return QuarticPotential(effective["scale"]).poly
+    return parse_polynomial(effective["potential"]) * effective["scale"]
 
 
-def _paulispin_spec(effective: dict):
+def _paulispin_objective(effective: dict):
+    """The objective's variable, that variable's value on each basis state of
+    the fractional register, and the objective's value there."""
     poly = _objective_polynomial(effective)
     variable = sorted(poly.variables)[0]
-    num_qubits = effective["num_qubits"]
-    table = EncodingTable.single_fractional(variable, num_qubits)
-    objective = poly.evaluate(table.decode_columns())
-    spec = AnnealSpec(
-        driver=transverse_driver(num_qubits),
-        target=PauliPolynomial.from_diagonal(objective),
-        schedule=LinearSchedule(effective["t_final"]) if "t_final" in effective else LinearSchedule(1.0),
-        n_steps=effective.get("n_steps", 1),
-        snapshot_stride=max(1, effective.get("n_steps", 1)),
-    )
-    return objective, variable, table, spec
+    columns = EncodingTable.single_fractional(variable, effective["num_qubits"]).decode_columns()
+    return variable, columns[variable], poly.evaluate(columns)
+
+
+@dataclass(frozen=True)
+class _Network:
+    """A model with its weight encoding, data and loss, and the loss and
+    accuracies of every weight configuration."""
+
+    model: ModelSpec
+    table: EncodingTable
+    train: Dataset
+    test: Dataset
+    loss_kind: str
+    weightspace: WeightspaceTable
+
+
+def _network(effective: dict) -> _Network:
+    """The toy model (+-1 weights, MSE, its 2-D dataset as both train and test
+    set) for nn-toy and toy enumerate; otherwise the binary pixel model (0/1
+    weights, linear-binary loss, the balanced pixel split)."""
+    if effective["kind"] == "nn-toy" or effective.get("model") == "toy":
+        if effective["dataset"] == "circle":
+            train = circle_dataset(effective["n_points"], effective["seed"])
+        else:
+            train = band_dataset(effective["n_points"], effective["seed"], effective["band_rule"])
+        test, model, encoding, loss_kind = train, toy_two_layer_model(), "spin-pm1", "mse"
+    else:
+        train, test = balanced_pixel_split(effective["split_seed"])
+        model, encoding, loss_kind = binary_pixel_model(), "binary01", "linear-binary"
+    table = model_encoding_table(model, encoding)
+    weightspace = enumerate_weightspace(model, table, train, test, loss_kind)
+    return _Network(model, table, train, test, loss_kind, weightspace)
 
 
 def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> np.ndarray:
@@ -706,25 +768,35 @@ def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> np.ndarray:
     return np.abs(final) ** 2
 
 
-def _window_mass(w: np.ndarray, density: np.ndarray, center: float, halfwidth: float) -> float:
-    inside = np.abs(w - center) < halfwidth
-    return float(np.trapezoid(np.where(inside, density, 0.0), w))
-
-
-def _class_rows(classes, limit: int):
-    rows = []
-    for cls in classes[: limit or None]:
-        rows.append(
-            {
-                "bitstring": cls.bitstring,
-                "probability": cls.probability,
-                "energy": cls.energy,
-                "degeneracy": cls.degeneracy,
-                "prediction_hash": cls.prediction_hash,
-                "weights": {name: float(v) for name, v in cls.weights.items()},
-            }
-        )
-    return rows
+def _network_headline(effective: dict, out: _Output, net: _Network, probe, **grouping):
+    """Anneal into the network's loss, write its degeneracy classes on
+    ``probe`` to classes.json, and return the headline entries both network
+    kinds report, the final probabilities and the classes."""
+    losses = net.weightspace.losses
+    hamiltonian = PauliPolynomial.from_diagonal(losses)
+    probabilities = _nn_anneal(hamiltonian, effective)
+    classes = group_degenerate(net.model, net.table, probabilities, probe, losses, **grouping)
+    stats = term_stats(net.model, net.train, hamiltonian)
+    rows = [
+        {
+            "bitstring": cls.bitstring,
+            "probability": cls.probability,
+            "energy": cls.energy,
+            "degeneracy": cls.degeneracy,
+            "prediction_hash": cls.prediction_hash,
+            "weights": {name: float(v) for name, v in cls.weights.items()},
+        }
+        for cls in classes[: effective["max_classes"] or None]
+    ]
+    out.json("classes.json", {"classes": rows})
+    headline = {
+        "top_class_probability": classes[0].probability,
+        "optimum_loss": float(losses[net.weightspace.optimum_index()]),
+        "network_term_count": stats.network_term_count,
+        "hamiltonian_term_count": stats.hamiltonian_term_count,
+        "term_bounds_ok": bool(stats.within_bounds),
+    }
+    return headline, probabilities, classes
 
 
 def _binary_pool_indices(runs) -> np.ndarray:
@@ -737,9 +809,20 @@ def _binary_pool_indices(runs) -> np.ndarray:
     return (1 - binary).astype(np.int64) @ (1 << np.arange(binary.shape[1]))
 
 
+def _classical_pool(effective: dict, net: _Network, runs: int, steps: int):
+    """``runs`` relaxed Adam runs of ``steps`` steps from consecutive seeds,
+    and the enumerated train and test accuracy of each run's binarized
+    weights."""
+    relaxed = RelaxedModel(net.model, steepness=effective["steepness"], penalty=effective["penalty"])
+    seeds = range(effective["first_seed"], effective["first_seed"] + runs)
+    pool = train_pool(relaxed, net.train, seeds, n_steps=steps, learning_rate=effective["learning_rate"])
+    indices = _binary_pool_indices(pool)
+    return pool, net.weightspace.train_accuracy[indices], net.weightspace.test_accuracy[indices]
+
+
 # -- runners -------------------------------------------------------------------------
 
-def _run_tunnel(effective, out: Path, cfg_hash: str):
+def _run_tunnel(effective, out: _Output):
     truncation = MomentumTruncation(effective["num_qubits"])
     problem = SchrodingerProblem(_matrix_potential(effective), effective["mass"], truncation)
     packet = gaussian_packet(
@@ -756,29 +839,22 @@ def _run_tunnel(effective, out: Path, cfg_hash: str):
         result.states, effective["grid_points"], (lambda w: w < 0.5, lambda w: w >= 0.5)
     )
     rows = [(t, left, right) for t, (left, right) in zip(result.times.tolist(), masses.tolist())]
-    write_csv(
-        out / "timeseries.csv",
-        "tunnel",
-        cfg_hash,
-        ("time", "mass_left", "mass_right"),
-        rows,
-    )
+    out.csv("timeseries.csv", ("time", "mass_left", "mass_right"), rows)
     w, density = momentum_to_position(result.states[-1], effective["grid_points"])
-    write_csv(out / "density_final.csv", "tunnel", cfg_hash, ("w", "density"), zip(w, density))
+    out.csv("density_final.csv", ("w", "density"), zip(w, density))
 
     started_left = effective["packet_center"] < 0.5
     other = [row[2] if started_left else row[1] for row in rows]
     peak = int(np.argmax(other))
-    headline = {
+    return {
         "initial_well": "left" if started_left else "right",
         "max_other_well_mass": float(other[peak]),
         "time_of_max_transfer": float(rows[peak][0]),
         "final_other_well_mass": float(other[-1]),
     }
-    return headline, ["timeseries.csv", "density_final.csv"]
 
 
-def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
+def _run_anneal_matrix(effective, out: _Output):
     truncation = MomentumTruncation(effective["num_qubits"])
     problem = SchrodingerProblem(_matrix_potential(effective), effective["mass"], truncation)
     target = problem.hamiltonian()
@@ -793,10 +869,9 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
     result = evolve_adiabatic(spec, basis_state(effective["num_qubits"], truncation.index_of(0)))
     final = result.states[-1]
 
-    files = ["density_final.csv"]
     grid = effective["grid_points"]
     w, density = momentum_to_position(final, grid)
-    write_csv(out / "density_final.csv", "anneal-matrix", cfg_hash, ("w", "density"), zip(w, density))
+    out.csv("density_final.csv", ("w", "density"), zip(w, density))
     if effective["snapshot_stride"]:
         def rows():
             chunk = max(1, CHUNK_BYTES // (16 * grid))
@@ -805,8 +880,7 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
                 for t, snap_density in zip(result.times[first : first + chunk].tolist(), densities):
                     yield from zip([t] * grid, w, snap_density)
 
-        write_csv(out / "density_snapshots.csv", "anneal-matrix", cfg_hash, ("time", "w", "density"), rows())
-        files.append("density_snapshots.csv")
+        out.csv("density_snapshots.csv", ("time", "w", "density"), rows())
 
     left = density * (w < 0.5)
     right = density * (w >= 0.5)
@@ -815,7 +889,9 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
     true_minimum = (
         matrix_method.QUARTIC_TRUE_MINIMUM if effective["potential"] == "quartic" else 0.25
     )
-    headline = {
+    # capture window of one well: +-0.1 around the intended minimum
+    window = np.abs(w - true_minimum) < 0.1
+    return {
         "peak_left_w": float(w[peak_left]),
         "peak_left_height": float(density[peak_left]),
         "peak_right_w": float(w[peak_right]),
@@ -824,173 +900,103 @@ def _run_anneal_matrix(effective, out: Path, cfg_hash: str):
             abs(density[peak_left] - density[peak_right])
             / max(density[peak_left], density[peak_right])
         ),
-        # capture window of one well: +-0.1 around the intended minimum
-        "mass_near_true_minimum": _window_mass(w, density, true_minimum, 0.1),
+        "mass_near_true_minimum": float(np.trapezoid(np.where(window, density, 0.0), w)),
         "ground_energy": energy0,
         "ground_overlap": float(abs(np.vdot(ground, final)) ** 2),
     }
-    return headline, files
 
 
-def _run_anneal_paulispin(effective, out: Path, cfg_hash: str):
-    objective, variable, table, spec = _paulispin_spec(effective)
-    final = evolve_adiabatic(spec, uniform_state(effective["num_qubits"])).states[-1]
+def _run_anneal_paulispin(effective, out: _Output):
+    variable, values, objective = _paulispin_objective(effective)
+    num_qubits = effective["num_qubits"]
+    spec = AnnealSpec(
+        driver=transverse_driver(num_qubits),
+        target=PauliPolynomial.from_diagonal(objective),
+        schedule=LinearSchedule(effective["t_final"]),
+        n_steps=effective["n_steps"],
+        snapshot_stride=effective["n_steps"],
+    )
+    final = evolve_adiabatic(spec, uniform_state(num_qubits)).states[-1]
     probabilities = np.abs(final) ** 2
-    values = table.decode_columns()[variable]
     order = np.argsort(values)
     bins = [
         {
             "w": float(values[i]),
-            "bitstring": report_bitstring(int(i), effective["num_qubits"]),
+            "bitstring": report_bitstring(int(i), num_qubits),
             "probability": float(probabilities[i]),
         }
         for i in order
     ]
-    write_json(
-        out / "histogram.json",
-        {
-            "experiment": "anneal-paulispin",
-            "config_hash": cfg_hash,
-            "variable": variable,
-            "bin_width": 0.5 ** effective["num_qubits"],
-            "bins": bins,
-        },
-    )
+    bin_width = 0.5**num_qubits
+    out.json("histogram.json", {"variable": variable, "bin_width": bin_width, "bins": bins})
     top = int(np.argmax(probabilities))
-    headline = {
+    return {
         "top_bin_w": float(values[top]),
         "top_bin_probability": float(probabilities[top]),
-        "top_bitstring": report_bitstring(top, effective["num_qubits"]),
-        "bin_width": 0.5 ** effective["num_qubits"],
+        "top_bitstring": report_bitstring(top, num_qubits),
+        "bin_width": bin_width,
         # argmin over ascending w, so ties go to the smallest w
         "objective_minimum_w": float(values[order[np.argmin(objective[order])]]),
     }
-    return headline, ["histogram.json"]
 
 
-def _toy_dataset(effective):
-    if effective["dataset"] == "circle":
-        return circle_dataset(effective["n_points"], effective["seed"])
-    return band_dataset(effective["n_points"], effective["seed"], effective["band_rule"])
-
-
-def _run_nn_toy(effective, out: Path, cfg_hash: str):
-    dataset = _toy_dataset(effective)
-    model = toy_two_layer_model()
-    table = model_encoding_table(model, "spin-pm1")
-    weightspace = enumerate_weightspace(model, table, dataset, dataset, "mse")
-    hamiltonian = PauliPolynomial.from_diagonal(weightspace.losses)
-    probabilities = _nn_anneal(hamiltonian, effective)
-
+def _run_nn_toy(effective, out: _Output):
+    net = _network(effective)
     # the probe is the training rows, already forwarded, then the grid
-    classes = group_degenerate(
-        model,
-        table,
-        probabilities,
+    headline, _, classes = _network_headline(
+        effective,
+        out,
+        net,
         grid_probe(effective["grid_probe_side"]),
-        weightspace.losses,
-        leading_outputs=weightspace.train_outputs,
+        leading_outputs=net.weightspace.train_outputs,
     )
-    stats = term_stats(model, dataset, hamiltonian)
-
-    _write_dataset(
-        out / "dataset.csv",
-        dataset,
-        {
-            "experiment": "nn-toy",
-            "config_hash": cfg_hash,
-            "dataset": effective["dataset"],
-            "seed": effective["seed"],
-        },
-    )
-    write_json(
-        out / "classes.json",
-        {
-            "experiment": "nn-toy",
-            "config_hash": cfg_hash,
-            "classes": _class_rows(classes, effective["max_classes"]),
-        },
-    )
+    out.dataset("dataset.csv", net.train, {"dataset": effective["dataset"], "seed": effective["seed"]})
     top = classes[0]
-    optimum_loss = float(weightspace.losses[weightspace.optimum_index()])
-    headline = {
-        "top_class_probability": top.probability,
+    return headline | {
         "top_class_bitstring": top.bitstring,
         "top_class_degeneracy": top.degeneracy,
         "top_class_energy": top.energy,
-        "top_class_train_accuracy": float(
-            weightspace.train_accuracy[top.representative_index]
-        ),
-        "optimum_loss": optimum_loss,
-        "top_matches_optimum": bool(abs(top.energy - optimum_loss) <= 1e-9),
-        "network_term_count": stats.network_term_count,
-        "hamiltonian_term_count": stats.hamiltonian_term_count,
-        "term_bounds_ok": bool(stats.within_bounds),
+        "top_class_train_accuracy": float(net.weightspace.train_accuracy[top.representative_index]),
+        "top_matches_optimum": bool(abs(top.energy - headline["optimum_loss"]) <= 1e-9),
     }
-    return headline, ["dataset.csv", "classes.json"]
 
 
-def _run_nn_binary(effective, out: Path, cfg_hash: str):
-    train, test = balanced_pixel_split(effective["split_seed"])
-    model = binary_pixel_model()
-    table = model_encoding_table(model, "binary01")
-    weightspace = enumerate_weightspace(model, table, train, test, "linear-binary")
-    hamiltonian = PauliPolynomial.from_diagonal(weightspace.losses)
-    probabilities = _nn_anneal(hamiltonian, effective)
-
-    classes = group_degenerate(model, table, probabilities, pixel_images().features, weightspace.losses)
-    stats = term_stats(model, train, hamiltonian)
+def _run_nn_binary(effective, out: _Output):
+    net = _network(effective)
+    headline, probabilities, _ = _network_headline(effective, out, net, pixel_images().features)
+    out.dataset("train.csv", net.train, {"split_seed": effective["split_seed"]})
+    out.dataset("test.csv", net.test, {"split_seed": effective["split_seed"]})
     top_state = int(np.argmax(np.round(probabilities, PROBABILITY_DECIMALS)))
-
-    header = {"experiment": "nn-binary", "config_hash": cfg_hash, "split_seed": effective["split_seed"]}
-    _write_dataset(out / "train.csv", train, header)
-    _write_dataset(out / "test.csv", test, header)
-    write_json(
-        out / "classes.json",
-        {
-            "experiment": "nn-binary",
-            "config_hash": cfg_hash,
-            "classes": _class_rows(classes, effective["max_classes"]),
-        },
-    )
-    headline = {
-        "top_state_bitstring": report_bitstring(top_state, table.total_qubits),
+    return headline | {
+        "top_state_bitstring": report_bitstring(top_state, net.table.total_qubits),
         "top_state_probability": float(probabilities[top_state]),
-        "top_state_train_accuracy": float(weightspace.train_accuracy[top_state]),
-        "top_state_test_accuracy": float(weightspace.test_accuracy[top_state]),
-        "top_class_probability": classes[0].probability,
-        "perfect_fraction": weightspace.perfect_fraction(),
-        "optimum_loss": float(weightspace.losses[weightspace.optimum_index()]),
-        "network_term_count": stats.network_term_count,
-        "hamiltonian_term_count": stats.hamiltonian_term_count,
-        "term_bounds_ok": bool(stats.within_bounds),
+        "top_state_train_accuracy": float(net.weightspace.train_accuracy[top_state]),
+        "top_state_test_accuracy": float(net.weightspace.test_accuracy[top_state]),
+        "perfect_fraction": net.weightspace.perfect_fraction(),
     }
-    return headline, ["train.csv", "test.csv", "classes.json"]
 
 
-def _run_spectrum(effective, out: Path, cfg_hash: str):
-    _, _, _, spec = _paulispin_spec(effective)
+def _run_spectrum(effective, out: _Output):
+    _, _, objective = _paulispin_objective(effective)
     s_values = np.linspace(0.0, 1.0, effective["s_points"])
-    curves = instantaneous_spectrum(spec, s_values, effective["k_lowest"])
-    columns = ("s",) + tuple(f"e{k}" for k in range(curves.shape[1]))
-    write_csv(
-        out / "spectrum.csv",
-        "spectrum",
-        cfg_hash,
-        columns,
-        ((s, *row) for s, row in zip(s_values, curves)),
+    curves = instantaneous_spectrum(
+        transverse_driver(effective["num_qubits"]),
+        PauliPolynomial.from_diagonal(objective),
+        s_values,
+        effective["k_lowest"],
     )
+    columns = ("s",) + tuple(f"e{k}" for k in range(curves.shape[1]))
+    out.csv("spectrum.csv", columns, ((s, *row) for s, row in zip(s_values, curves)))
     gaps = curves[:, 1] - curves[:, 0] if curves.shape[1] > 1 else np.zeros(len(s_values))
     tightest = int(np.argmin(gaps))
-    headline = {
+    return {
         "min_gap": float(gaps[tightest]),
         "s_at_min_gap": float(s_values[tightest]),
         "final_ground_energy": float(curves[-1, 0]),
     }
-    return headline, ["spectrum.csv"]
 
 
-def _run_mass_scan(effective, out: Path, cfg_hash: str):
+def _run_mass_scan(effective, out: _Output):
     truncation = MomentumTruncation(effective["num_qubits"])
     rows = []
     peaks = []
@@ -1001,110 +1007,61 @@ def _run_mass_scan(effective, out: Path, cfg_hash: str):
         peak = int(np.argmax(density))
         rows.append((mass, float(w[peak]), float(density[peak])))
         peaks.append(float(density[peak]))
-    write_csv(out / "scan.csv", "mass-scan", cfg_hash, ("mass", "peak_w", "peak_density"), rows)
-    headline = {
+    out.csv("scan.csv", ("mass", "peak_w", "peak_density"), rows)
+    return {
         "exponent": mass_scaling_exponent(effective["masses"], peaks),
         "harmonic_exponent": 0.25,
     }
-    return headline, ["scan.csv"]
 
 
-def _run_classical_pool(effective, out: Path, cfg_hash: str):
-    train, test = balanced_pixel_split(effective["split_seed"])
-    model = binary_pixel_model()
-    relaxed = RelaxedModel(
-        model, steepness=effective["steepness"], penalty=effective["penalty"]
-    )
-    seeds = range(effective["first_seed"], effective["first_seed"] + effective["n_runs"])
-    runs = train_pool(
-        relaxed,
-        train,
-        seeds,
-        n_steps=effective["n_steps"],
-        learning_rate=effective["learning_rate"],
-    )
-    table = model_encoding_table(model, "binary01")
-    weightspace = enumerate_weightspace(model, table, train, test, "linear-binary")
-    indices = _binary_pool_indices(runs)
-    train_acc = weightspace.train_accuracy[indices]
-    test_acc = weightspace.test_accuracy[indices]
-
-    columns = ("seed", *model.variable_names, "train_accuracy", "test_accuracy")
+def _run_classical_pool(effective, out: _Output):
+    net = _network(effective)
+    runs, train_acc, test_acc = _classical_pool(effective, net, effective["n_runs"], effective["n_steps"])
+    columns = ("seed", *net.model.variable_names, "train_accuracy", "test_accuracy")
     rows = [
         (run.seed, *(int(b) for b in run.binary_weights), ta, va)
         for run, ta, va in zip(runs, train_acc, test_acc)
     ]
-    write_csv(out / "pool.csv", "classical-pool", cfg_hash, columns, rows)
+    out.csv("pool.csv", columns, rows)
     relaxed_weights = np.stack([run.relaxed_weights for run in runs])
     distance = np.minimum(np.abs(relaxed_weights), np.abs(relaxed_weights - 1.0))
-    headline = {
+    return {
         "mean_train_accuracy": float(train_acc.mean()),
         "mean_test_accuracy": float(test_acc.mean()),
         "max_train_accuracy": float(train_acc.max()),
         "near_binary_fraction": float(np.mean(distance <= 0.1)),
     }
-    return headline, ["pool.csv"]
 
 
-def _run_accuracy_curves(effective, out: Path, cfg_hash: str):
-    train, test = balanced_pixel_split(effective["split_seed"])
-    model = binary_pixel_model()
-    table = model_encoding_table(model, "binary01")
-    weightspace = enumerate_weightspace(model, table, train, test, "linear-binary")
-    probabilities = _nn_anneal(PauliPolynomial.from_diagonal(weightspace.losses), effective)
-
-    _, q_train, q_test = sample_pool(
-        probabilities, weightspace, effective["pool"], effective["seed"]
-    )
-    relaxed = RelaxedModel(
-        model, steepness=effective["steepness"], penalty=effective["penalty"]
-    )
-    runs = train_pool(
-        relaxed,
-        train,
-        range(effective["first_seed"], effective["first_seed"] + effective["pool"]),
-        n_steps=effective["train_steps"],
-        learning_rate=effective["learning_rate"],
-    )
-    indices = _binary_pool_indices(runs)
-    c_train = weightspace.train_accuracy[indices]
-    c_test = weightspace.test_accuracy[indices]
+def _run_accuracy_curves(effective, out: _Output):
+    net = _network(effective)
+    probabilities = _nn_anneal(PauliPolynomial.from_diagonal(net.weightspace.losses), effective)
+    _, q_train, q_test = sample_pool(probabilities, net.weightspace, effective["pool"], effective["seed"])
+    _, c_train, c_test = _classical_pool(effective, net, effective["pool"], effective["train_steps"])
 
     columns = ("n", "train_mean", "train_std", "test_mean", "test_std")
     n_values = effective["n_values"]
     quantum = accuracy_vs_runs(q_train, q_test, n_values, effective["repetitions"], effective["seed"])
     classical = accuracy_vs_runs(c_train, c_test, n_values, effective["repetitions"], effective["seed"])
-    write_csv(out / "curves_quantum.csv", "accuracy-curves", cfg_hash, columns, quantum)
-    write_csv(out / "curves_classical.csv", "accuracy-curves", cfg_hash, columns, classical)
+    out.csv("curves_quantum.csv", columns, quantum)
+    out.csv("curves_classical.csv", columns, classical)
 
     ordering = all(
         q[1] > c[1] for q, c, n in zip(quantum, classical, n_values) if n >= 2
     )
     by_n = {int(n): float(row[1]) for n, row in zip(n_values, quantum)}
-    headline = {
+    return {
         "quantum_pool_train_mean": float(np.mean(q_train)),
         "classical_pool_train_mean": float(np.mean(c_train)),
         "quantum_train_mean_n8": by_n.get(8),
         "classical_plateau_train_mean": float(classical[-1][1]),
         "quantum_above_classical_from_n2": bool(ordering),
     }
-    return headline, ["curves_quantum.csv", "curves_classical.csv"]
 
 
-def _run_enumerate(effective, out: Path, cfg_hash: str):
-    if effective["model"] == "toy":
-        dataset = _toy_dataset(effective)
-        train = test = dataset
-        model = toy_two_layer_model()
-        table = model_encoding_table(model, "spin-pm1")
-        loss_kind = "mse"
-    else:
-        train, test = balanced_pixel_split(effective["split_seed"])
-        model = binary_pixel_model()
-        table = model_encoding_table(model, "binary01")
-        loss_kind = "linear-binary"
-    weightspace = enumerate_weightspace(model, table, train, test, loss_kind)
-    n = table.total_qubits
+def _run_enumerate(effective, out: _Output):
+    net = _network(effective)
+    weightspace, n = net.weightspace, net.table.total_qubits
     rows = [
         (
             index,
@@ -1115,16 +1072,14 @@ def _run_enumerate(effective, out: Path, cfg_hash: str):
         )
         for index in range(2**n)
     ]
-    write_csv(
-        out / "weightspace.csv",
-        "enumerate",
-        cfg_hash,
+    out.csv(
+        "weightspace.csv",
         ("index", "bitstring", "loss", "train_accuracy", "test_accuracy"),
         rows,
-        extra_header={"loss_kind": loss_kind},
+        extra_header={"loss_kind": net.loss_kind},
     )
     optimum = weightspace.optimum_index()
-    headline = {
+    return {
         "n_configurations": 2**n,
         "optimum_index": optimum,
         "optimum_bitstring": report_bitstring(optimum, n),
@@ -1133,7 +1088,6 @@ def _run_enumerate(effective, out: Path, cfg_hash: str):
         "optimum_test_accuracy": float(weightspace.test_accuracy[optimum]),
         "perfect_fraction": weightspace.perfect_fraction(),
     }
-    return headline, ["weightspace.csv"]
 
 
 _RUNNERS = {
@@ -1168,21 +1122,20 @@ def run_experiment(config: dict, out_dir) -> ExperimentResult:
     if not report.ok:
         raise ValueError("invalid config: " + "; ".join(report.errors))
     effective = report.effective
-    digest = config_hash(effective)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _Output(Path(out_dir), effective["kind"], config_hash(effective))
+    out.path.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    headline, files = _RUNNERS[effective["kind"]](effective, out, digest)
+    headline = _RUNNERS[out.kind](effective, out)
     wall = time.perf_counter() - start
 
     summary = {
-        "experiment": effective["kind"],
-        "config_hash": digest,
+        "experiment": out.kind,
+        "config_hash": out.cfg_hash,
         "effective_config": effective,
         "headline": headline,
-        "files": sorted(files),
+        "files": sorted(out.files),
         "wall_time_s": round(wall, 3),
     }
-    write_json(out / "summary.json", summary)
-    return ExperimentResult(effective["kind"], digest, summary, tuple(sorted(files + ["summary.json"])))
+    write_json(out.path / "summary.json", summary)
+    return ExperimentResult(out.kind, out.cfg_hash, summary, tuple(sorted(out.files + ["summary.json"])))

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import CHUNK_BYTES
+from .engine import CHUNK_BYTES, self_adjoint
 from .pauli import MATRIX_QUBIT_CAP
 from .varpoly import VarPolynomial
 
@@ -389,11 +389,7 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     The eigenvector phase is fixed so its largest-magnitude component is
     real and positive.
     """
-    matrix = np.asarray(matrix)
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-9:
-        raise ValueError("matrix is not Hermitian")
-    # a real symmetric matrix (every real potential) takes the real solver
-    energies, vectors = np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
+    energies, vectors = np.linalg.eigh(self_adjoint(matrix))
     vec = vectors[:, 0].astype(complex)
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])

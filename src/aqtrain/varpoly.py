@@ -197,19 +197,6 @@ class VarPolynomial:
             total += value
         return total
 
-    def compose(self, substitutions: Mapping[str, "VarPolynomial"]) -> "VarPolynomial":
-        """Substitute polynomials for variables; unmapped names are kept."""
-        out = VarPolynomial()
-        for key, coeff in self._terms.items():
-            term = VarPolynomial.constant(coeff)
-            for name, exponent in key:
-                base = substitutions.get(name)
-                if base is None:
-                    base = VarPolynomial.variable(name)
-                term = term * base**exponent
-            out = out + term
-        return out
-
     def substitute_encodings(self, table: EncodingTable) -> PauliPolynomial:
         """Replace each variable by its encoding operator and expand.
 

@@ -10,7 +10,6 @@ from aqtrain.classical import (
     gradient,
     relaxed_loss,
     train_pool,
-    train_run,
 )
 from aqtrain.datasets import Dataset, balanced_pixel_split
 from aqtrain.nn import (
@@ -253,8 +252,8 @@ class TestAdam:
 class TestTrainRun:
     def test_seeded_reproducibility(self):
         _, relaxed, train, _ = _setup()
-        one = train_run(relaxed, train, seed=11)
-        two = train_run(relaxed, train, seed=11)
+        one = train_pool(relaxed, train, [11])[0]
+        two = train_pool(relaxed, train, [11])[0]
         assert np.array_equal(one.relaxed_weights, two.relaxed_weights)
         assert np.array_equal(one.binary_weights, two.binary_weights)
 
@@ -262,7 +261,7 @@ class TestTrainRun:
         _, relaxed, train, _ = _setup()
         pool = train_pool(relaxed, train, [4, 5, 6], n_steps=120)
         for seed in (4, 5, 6):
-            single = train_run(relaxed, train, seed=seed, n_steps=120)
+            single = train_pool(relaxed, train, [seed], n_steps=120)[0]
             match = next(r for r in pool if r.seed == seed)
             assert np.array_equal(single.relaxed_weights, match.relaxed_weights)
 
@@ -272,7 +271,7 @@ class TestTrainRun:
         _, relaxed, train, _ = _setup()
         pool = train_pool(relaxed, train, range(257), n_steps=30)
         for seed in (0, 128, 256):
-            single = train_run(relaxed, train, seed=seed, n_steps=30)
+            single = train_pool(relaxed, train, [seed], n_steps=30)[0]
             assert pool[seed].seed == seed
             assert np.array_equal(single.relaxed_weights, pool[seed].relaxed_weights)
 
@@ -340,4 +339,4 @@ class TestTrainRun:
         with pytest.raises(ValueError):
             train_pool(relaxed, train, [])
         with pytest.raises(ValueError):
-            train_run(relaxed, train, seed=0, n_steps=0)
+            train_pool(relaxed, train, [0], n_steps=0)

@@ -29,6 +29,7 @@ from aqtrain.engine import (
     evolve_real_time,
     expm_krylov,
     instantaneous_spectrum,
+    self_adjoint,
     snapshot_count,
     transverse_driver,
     uniform_state,
@@ -696,39 +697,49 @@ class TestRealTimeEvolution:
 class TestInstantaneousSpectrum:
     def test_endpoints_match_directly_diagonalized_parts(self):
         target, _ = quartic_target(5, strength=10.0)
-        spec = AnnealSpec(transverse_driver(5), target, LinearSchedule(1.0))
-        curves = instantaneous_spectrum(spec, [0.0, 1.0], k_lowest=3)
+        curves = instantaneous_spectrum(transverse_driver(5), target, [0.0, 1.0], k_lowest=3)
         assert curves.shape == (2, 3)
         assert curves[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert curves[1, 0] == pytest.approx(float(np.min(target.diagonal())), abs=1e-9)
 
     def test_gap_stays_open_for_the_quartic_well(self):
         target, _ = quartic_target(5, strength=10.0)
-        spec = AnnealSpec(transverse_driver(5), target, LinearSchedule(1.0))
-        curves = instantaneous_spectrum(spec, np.linspace(0.0, 1.0, 21), k_lowest=2)
+        s_values = np.linspace(0.0, 1.0, 21)
+        curves = instantaneous_spectrum(transverse_driver(5), target, s_values, k_lowest=2)
         gaps = curves[:, 1] - curves[:, 0]
         assert np.all(gaps > 0)
 
     def test_pauli_pair_matches_complex_eigvalsh(self):
         target, _ = quartic_target(5, strength=10.0)
         driver = transverse_driver(5)
-        spec = AnnealSpec(driver, target, LinearSchedule(1.0))
         s_values = np.linspace(0.0, 1.0, 7)
-        curves = instantaneous_spectrum(spec, s_values, k_lowest=4)
+        curves = instantaneous_spectrum(driver, target, s_values, k_lowest=4)
         expected = [
             np.linalg.eigvalsh((1.0 - s) * driver.to_matrix() + s * target.to_matrix())[:4]
             for s in s_values
         ]
         assert np.max(np.abs(curves - np.array(expected))) <= 1e-12
 
+    def test_rejects_a_mismatched_pair(self):
+        with pytest.raises(ValueError, match="representations"):
+            instantaneous_spectrum(transverse_driver(2), np.eye(4), [0.5])
+        with pytest.raises(ValueError, match="registers"):
+            instantaneous_spectrum(transverse_driver(2), PauliPolynomial.zero(3), [0.5])
+
     def test_rejects_non_diagonal_target(self):
-        spec = AnnealSpec(transverse_driver(3), pauli_x(3, 1), LinearSchedule(1.0))
         with pytest.raises(ValueError, match="target must be diagonal"):
-            instantaneous_spectrum(spec, [0.5])
+            instantaneous_spectrum(transverse_driver(3), pauli_x(3, 1), [0.5])
 
     def test_rejects_oversized_register(self):
-        spec = AnnealSpec(
-            transverse_driver(13), PauliPolynomial.zero(13), LinearSchedule(1.0)
-        )
         with pytest.raises(ValueError, match="spectrum"):
-            instantaneous_spectrum(spec, [0.5])
+            instantaneous_spectrum(transverse_driver(13), PauliPolynomial.zero(13), [0.5])
+
+
+def test_self_adjoint_returns_real_only_without_imaginary_part():
+    symmetric = self_adjoint(np.array([[1.0, 2.0], [2.0, 3.0]], dtype=complex))
+    assert symmetric.dtype == np.float64
+    assert np.array_equal(symmetric, [[1.0, 2.0], [2.0, 3.0]])
+    hermitian = self_adjoint(np.array([[1.0, 1j], [-1j, 3.0]]))
+    assert hermitian.dtype == np.complex128
+    with pytest.raises(ValueError, match="not Hermitian"):
+        self_adjoint(np.array([[0.0, 1.0], [0.0, 0.0]]))

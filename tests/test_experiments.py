@@ -17,6 +17,7 @@ from aqtrain.encodings import index_of_report_bitstring
 from aqtrain.experiments import (
     EXPERIMENT_KINDS,
     LIMITS,
+    DENSE_STEP_OVERHEAD,
     SCHEMAS,
     SNAPSHOT_OVERHEAD_BYTES,
     SPECTRUM_POINT_OVERHEAD,
@@ -267,7 +268,8 @@ class TestValidation:
         [
             (
                 {"kind": "anneal-matrix", "num_qubits": 10, "n_steps": 10**9},
-                f"n_steps * 4**num_qubits = {10**9 * 4**10} exceeds the dense step budget "
+                f"n_steps * 4**num_qubits + {DENSE_STEP_OVERHEAD} * n_steps = "
+                f"{10**9 * (4**10 + DENSE_STEP_OVERHEAD)} exceeds the dense step budget "
                 f"of {limit('dense step budget')}",
             ),
             (
@@ -342,6 +344,13 @@ class TestValidation:
                 f"snapshots * 4**num_qubits = {(limit('real-time step budget') // 4**10 + 1) * 4**10} "
                 f"exceeds the real-time step budget of {limit('real-time step budget')}",
             ),
+            (
+                # a small register still pays each step's fixed time and memory
+                {"kind": "anneal-matrix", "num_qubits": 1, "n_steps": 125_000_000},
+                f"n_steps * 4**num_qubits + {DENSE_STEP_OVERHEAD} * n_steps = "
+                f"{125_000_000 * (4 + DENSE_STEP_OVERHEAD)} exceeds the dense step budget "
+                f"of {limit('dense step budget')}",
+            ),
         ]
     )
     def test_dense_sizes_capped_before_running(self, config, message, monkeypatch, tmp_path):
@@ -355,7 +364,7 @@ class TestValidation:
         assert list(tmp_path.iterdir()) == []
 
     def test_dense_size_caps_are_inclusive(self):
-        at_budget = limit("dense step budget") // 4**5
+        at_budget = limit("dense step budget") // (4**5 + DENSE_STEP_OVERHEAD)
         assert validate_config({"kind": "anneal-matrix", "n_steps": at_budget}).ok
         assert not validate_config({"kind": "anneal-matrix", "n_steps": at_budget + 1}).ok
         # a tunnel run pays per kept state, not per step: the initial state and
@@ -537,11 +546,18 @@ class TestRunners:
         result = run_experiment(SMALL[kind], tmp_path)
         assert result.kind == kind
         assert result.summary["headline"]
-        for name in result.files:
-            assert (tmp_path / name).exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == list(result.files)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config_hash"] == result.config_hash
         assert summary["effective_config"]["kind"] == kind
+        assert sorted(summary["files"] + ["summary.json"]) == list(result.files)
+        # every data file carries the run's stamp: a CSV (dataset CSVs too) in
+        # its "#" header, a JSON file as keys
+        stamp = {"experiment": kind, "config_hash": result.config_hash}
+        for name in summary["files"]:
+            path = tmp_path / name
+            fields = json.loads(path.read_text()) if name.endswith(".json") else read_csv(path)[0]
+            assert {key: fields.get(key) for key in stamp} == stamp, name
 
     def test_invalid_config_raises(self, tmp_path):
         with pytest.raises(ValueError, match="masses"):

@@ -52,16 +52,6 @@ class TestArithmetic:
         with pytest.raises(KeyError, match="u"):
             p.evaluate({"w": 1.0})
 
-    def test_compose_matches_pointwise(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            p = random_polynomial(rng, ["x", "y"])
-            s = random_polynomial(rng, ["u"])
-            at = random_assignment(rng, ["u", "y"])
-            composed = p.compose({"x": s})
-            direct = p.evaluate({"x": s.evaluate(at), "y": at["y"]})
-            assert composed.evaluate(at) == pytest.approx(direct, rel=1e-9, abs=1e-12)
-
     def test_product_keys_match_canonical_construction(self):
         # the product merges canonical keys directly; the oracle re-canonicalizes
         # every concatenated key, in the same accumulation order

@@ -24,10 +24,24 @@ Each run's slice is bit-equal to training that run alone: every
 multiply-accumulate is elementwise in the runs, and the tests check the
 GEMM on pools small enough and large enough (257 runs) to cross its column
 blocking.
+
+A pool is split into one contiguous block of seeds per usable core
+(``os.sched_getaffinity``, at most one per run), trained side by side.  This
+process trains the first block; each other one is trained in a child made
+with ``os.fork``, which sends its (runs, P) weights back over a pipe as raw
+float64 bytes, or its error as the nearest builtin exception type and the
+message, and ends through ``os._exit``.  The blocks are joined in seed order,
+so the pool is bit-equal to one trained as one block.  On any error the
+children are killed and reaped before it is raised.  Without ``os.fork``, or
+on one core, the pool trains as one block in process.  Python 3.12 and later
+document a ``DeprecationWarning`` for ``os.fork`` in a multi-threaded
+process; OpenBLAS starts worker threads, so it would apply there (unverified:
+this module has only been run on Python 3.11).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,6 +327,88 @@ class ClassicalRun:
     binary_weights: np.ndarray
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: one block of a pool each."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _train_block(relaxed, features, signs, seeds, n_steps, hyper) -> np.ndarray:
+    """The (runs, P) trained weights of one block of seeds, in seed order."""
+    batch = _Batch(relaxed, features, signs, len(seeds))
+    batch.load(
+        np.stack(
+            [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
+        )
+    )
+    adam = Adam.initial(batch.weights.shape, **hyper)
+    for _ in range(n_steps):
+        batch.gradient()
+        adam.update(batch.weights, batch.grad)
+    return batch.unload(batch.weights)
+
+
+class _Worker:
+    """A forked child training one block of a pool (see the module docstring)."""
+
+    def __init__(self, train, block):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            os.close(read)
+            self._serve(write, train, block)
+        os.close(write)
+        self.pipe = read
+
+    @staticmethod
+    def _serve(pipe, train, block):
+        # ends through os._exit: the child never unwinds into the caller and
+        # never flushes the stdio buffers it inherited
+        status = 1
+        try:
+            try:
+                data = train(block).tobytes()
+                status = 0
+            except BaseException as exc:
+                kind = next(t for t in type(exc).__mro__ if t.__module__ == "builtins")
+                data = f"{kind.__name__}\0{exc}".encode()
+            with open(pipe, "wb") as writer:
+                writer.write(data)
+        finally:
+            os._exit(status)
+
+    def join(self, shape) -> np.ndarray:
+        """The child's weights; reaps it, and raises its error if it had one."""
+        with open(self.pipe, "rb") as reader:
+            self.pipe = None
+            data = reader.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if os.waitstatus_to_exitcode(status) == 0 and len(data) == 8 * shape[0] * shape[1]:
+            return np.frombuffer(data).reshape(shape)
+        import builtins
+
+        name, _, message = data.decode(errors="replace").partition("\0")
+        kind = getattr(builtins, name, None)
+        if isinstance(kind, type) and issubclass(kind, BaseException):
+            raise kind(message)
+        raise RuntimeError(f"a classical training worker ended with wait status {status}")
+
+    def kill(self):
+        """Close the pipe, kill the child and reap it, unless already joined."""
+        if self.pipe is not None:
+            os.close(self.pipe)
+        if self.pid is not None:
+            import signal  # only the error paths import signal and builtins
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
 def train_pool(
     relaxed: RelaxedModel,
     dataset: Dataset,
@@ -327,30 +423,35 @@ def train_pool(
 
     Each run starts from uniform [0, 1] weights drawn from its own seeded
     generator, takes a fixed budget of full-batch Adam steps, and binarizes
-    by rounding at 1/2.
+    by rounding at 1/2.  The seeds are split into one contiguous block per
+    usable core, trained side by side (see the module docstring).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    batch = _Batch(relaxed, dataset.features, _signs(dataset.labels), len(seeds))
-    batch.load(
-        np.stack(
-            [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
-        )
-    )
-    adam = Adam.initial(
-        batch.weights.shape,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
-    for _ in range(n_steps):
-        batch.gradient()
-        adam.update(batch.weights, batch.grad)
-    weights = batch.unload(batch.weights)
+    signs = _signs(dataset.labels)
+    hyper = dict(learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon)
+
+    def train(block):
+        return _train_block(relaxed, dataset.features, signs, block, n_steps, hyper)
+
+    count = min(_usable_cores(), len(seeds)) if hasattr(os, "fork") else 1
+    bounds = [len(seeds) * i // count for i in range(count + 1)]
+    blocks = [seeds[start:end] for start, end in zip(bounds, bounds[1:])]
+    workers = []
+    try:
+        for block in blocks[1:]:
+            workers.append(_Worker(train, block))
+        parts = [train(blocks[0])]
+        for worker, block in zip(workers, blocks[1:]):
+            parts.append(worker.join((len(block), relaxed.num_parameters)))
+    except BaseException:
+        for worker in workers:
+            worker.kill()
+        raise
+    weights = np.concatenate(parts)
     binary = np.where(weights >= 0.5, 1.0, 0.0)
     return [
         ClassicalRun(seed, weights[row].copy(), binary[row].copy())

@@ -250,11 +250,18 @@ DENSE_STEP_OVERHEAD = 1700
 SPECTRUM_POINT_OVERHEAD = 30_000
 
 # Why each limit has its size, from costs measured on 2 cores with OpenBLAS:
-# - classical pool: a training step costs about 90 us whatever the pool
-#   size, plus 0.6 us a run at 1000 runs and up to 1.5 us a run at the
-#   memory cap; each run also costs 30 us and 1.9 kB once.  At 1.5 us a
-#   run-step, (runs + CLASSICAL_STEP_OVERHEAD) * steps within the budget
-#   keeps training near 60 s, and the memory cap keeps it near 190 MB.
+# - classical pool: train_pool splits the seeds into one block per usable
+#   core, trained side by side by this process and forked children.  A
+#   block's step costs 65-85 us whatever its size, plus per run 0.29-0.35 us
+#   at 1000 runs, 0.40-0.48 us at 16 000 and 0.77-0.88 us at the memory cap.
+#   On 2 cores, two blocks of half the pool step in 80-130 us plus 0.14-0.20
+#   us a pool run at 1000 runs and 0.20-0.22 us at 16 000, but at the memory
+#   cap no faster than one block (0.67-0.93 us a pool run).  Forking and
+#   joining the children costs about 5 ms a call; each run also costs 22-30
+#   us and 1.9 kB once.  The budget prices one block at 1.5 us a run-step,
+#   above all of these: (runs + CLASSICAL_STEP_OVERHEAD) * steps within it
+#   keeps training near 60 s on one core, and the memory cap keeps one block
+#   near 220 MB max RSS (the parent of two blocks: 145 MB).
 # - curves: one (repetitions, n) block of pool draws at a time, 16 B and
 #   15-25 ns a draw, drawn for both pools: near 160 MB and 50 s.
 # - toy data: about 3.6 kB and 14 us per forwarded row (dataset or nn-toy grid

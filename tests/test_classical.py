@@ -1,5 +1,11 @@
 """Tests for the relaxed classical training baseline."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -265,9 +271,11 @@ class TestTrainRun:
             match = next(r for r in pool if r.seed == seed)
             assert np.array_equal(single.relaxed_weights, match.relaxed_weights)
 
-    def test_large_pool_slices_equal_single_runs(self):
+    def test_large_pool_slices_equal_single_runs(self, monkeypatch):
         # 2 * 257 first-layer rows go through BLAS row blocking in one GEMM;
-        # a single run is a 2-row GEMM
+        # a single run is a 2-row GEMM.  One worker, so that no block split
+        # keeps the 257 columns out of a single GEMM.
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 1)
         _, relaxed, train, _ = _setup()
         pool = train_pool(relaxed, train, range(257), n_steps=30)
         for seed in (0, 128, 256):
@@ -340,3 +348,139 @@ class TestTrainRun:
             train_pool(relaxed, train, [])
         with pytest.raises(ValueError):
             train_pool(relaxed, train, [0], n_steps=0)
+
+
+def _count_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _OddValueError(ValueError):
+    pass
+
+
+class TestWorkers:
+    """The pool split over forked workers, one contiguous block of seeds each."""
+
+    def test_three_workers_equal_one(self, monkeypatch):
+        _, relaxed, train, _ = _setup()
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 1)
+        alone = train_pool(relaxed, train, range(7), n_steps=40)
+        assert forks == []
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
+        split = train_pool(relaxed, train, range(7), n_steps=40)
+        assert len(forks) == 2
+        assert [run.seed for run in split] == list(range(7))
+        for one, three in zip(alone, split):
+            assert np.array_equal(one.relaxed_weights, three.relaxed_weights)
+            assert np.array_equal(one.binary_weights, three.binary_weights)
+        _assert_no_child_left()
+
+    def test_at_most_one_worker_per_run(self, monkeypatch):
+        _, relaxed, train, _ = _setup()
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
+        pool = train_pool(relaxed, train, [5, 9], n_steps=10)
+        assert len(forks) == 1
+        assert [run.seed for run in pool] == [5, 9]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "error, raised",
+        [
+            (RuntimeError("non-finite gradient in a child"), RuntimeError),
+            (_OddValueError("odd value in a child"), ValueError),
+        ],
+        ids=["same-type", "builtin-base"],
+    )
+    def test_child_error_reaches_parent(self, error, raised, monkeypatch):
+        parent = os.getpid()
+        train_block = classical._train_block
+
+        def failing_in_children(*args, **kwargs):
+            if os.getpid() != parent:
+                raise error
+            return train_block(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "_train_block", failing_in_children)
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
+        _, relaxed, train, _ = _setup()
+        with pytest.raises(raised) as caught:
+            train_pool(relaxed, train, range(7), n_steps=5)
+        assert type(caught.value) is raised
+        assert str(caught.value) == str(error)
+        _assert_no_child_left()
+
+    def test_parent_error_kills_and_reaps_workers(self, monkeypatch):
+        parent = os.getpid()
+        train_block = classical._train_block
+
+        def failing_in_parent(*args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("parent block failed")
+            return train_block(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "_train_block", failing_in_parent)
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
+        _, relaxed, train, _ = _setup()
+        with pytest.raises(RuntimeError, match="^parent block failed$"):
+            train_pool(relaxed, train, range(3000), n_steps=500)
+        _assert_no_child_left()
+
+    def test_non_finite_gradient_raised_with_workers(self, monkeypatch):
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
+        _, relaxed, train, _ = _setup()
+        with pytest.raises(RuntimeError, match="non-finite gradient"):
+            train_pool(relaxed, train, range(7), n_steps=5, learning_rate=1e200)
+        _assert_no_child_left()
+
+    def test_rejected_inputs_start_no_fork(self, monkeypatch):
+        _, relaxed, train, _ = _setup()
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
+        signed = Dataset(train.features, np.where(train.labels == 1, 1, -1))
+        with pytest.raises(ValueError, match="0/1 labels"):
+            train_pool(relaxed, signed, range(7), n_steps=5)
+        with pytest.raises(ValueError):
+            train_pool(relaxed, train, range(7), n_steps=0)
+        assert forks == []
+        train_pool(relaxed, train, range(7), n_steps=5)
+        assert len(forks) == 2
+
+    def test_workers_never_flush_inherited_stdout(self):
+        # stdout to a pipe is block-buffered (PYTHONUNBUFFERED unset): a child
+        # that flushed its copy of the buffer would print the line a second time
+        script = textwrap.dedent(
+            """
+            from aqtrain import classical
+            from aqtrain.classical import RelaxedModel, train_pool
+            from aqtrain.datasets import balanced_pixel_split
+            from aqtrain.nn import binary_pixel_model
+
+            classical._usable_cores = lambda: 3
+            train, _ = balanced_pixel_split(seed=0)
+            print("before the pool")
+            train_pool(RelaxedModel(binary_pixel_model()), train, range(7), n_steps=5)
+            """
+        )
+        src = str(Path(classical.__file__).resolve().parents[1])
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "before the pool\n"

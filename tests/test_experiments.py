@@ -252,6 +252,20 @@ class TestValidation:
                 f"decomposition budget of {limit('dense decomposition budget')}",
             ),
         ],
+        ids=[
+            "curves-curve-memory-cap",
+            "curves-curve-time-budget",
+            "nn-toy-toy-data-cap",
+            "enumerate-toy-data-cap",
+            "nn-toy-grid-toy-data-cap",
+            "nn-toy-krylov-budget",
+            "nn-binary-krylov-budget",
+            "curves-krylov-budget",
+            "pool-1-run-time-budget",
+            "curves-1-run-time-budget",
+            "paulispin-split-budget",
+            "spectrum-decomp-budget",
+        ],
     )
     def test_data_size_capped_before_running(self, config, message, monkeypatch, tmp_path):
         def never(*args, **kwargs):

@@ -11,10 +11,13 @@ its propagator from the representation and ``substeps_per_step``:
   splitting error inside the group), the driver's between two Walsh-Hadamard
   transforms; ``substeps_per_step`` refines the split.
 - The same pair with ``substeps_per_step=None`` evolves exactly, without
-  splitting: each step applies ``exp(-i H dt)`` through a Lanczos
-  (Krylov) expansion, :func:`expm_krylov`, on a matrix-free operator: the
-  target and identity diagonals, plus the driver's X diagonal between two
-  transforms.  No matrix is formed.
+  splitting: each step applies ``exp(-i H dt)`` as a Chebyshev series
+  (:func:`_chebyshev_step`) in a matrix-free ``H``: the target and identity
+  diagonals, plus the driver's X diagonal between two transforms.
+  The spectral bounds are exact (Weyl's inequality on the two parts), the
+  degree follows from them and dt before the step runs
+  (:func:`chebyshev_degree`), and the step keeps no basis and decomposes
+  nothing.  No matrix is formed.
 - A pair of dense Hermitian matrices evolves by piecewise Chebyshev
   interpolation of the step propagator ``U(s) = exp(-i H(s) dt)`` in the
   schedule value s (:func:`_evolve_dense`).  H(s) is linear in s, so U is
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -142,8 +145,8 @@ class AnnealSpec:
     - two PauliPolynomials (driver restricted to identity/single-X terms,
       which are diagonal in the Hadamard basis; diagonal target): the split
       step, ``substeps_per_step`` times per step, or, with
-      ``substeps_per_step=None``, the exact matrix-free Krylov step of
-      :func:`expm_krylov`;
+      ``substeps_per_step=None``, the exact matrix-free Chebyshev step of
+      :func:`_chebyshev_step`;
     - two dense Hermitian matrices: the step propagator interpolated in s
       from eigendecompositions at Chebyshev nodes (:func:`_evolve_dense`),
       exact to roundoff, so ``substeps_per_step`` must be 1 or ``None``.
@@ -268,57 +271,133 @@ def self_adjoint(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return matrix if matrix.imag.any() else matrix.real
 
 
-def expm_krylov(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dt: float,
-    v: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """``exp(-i H dt) v`` for a Hermitian ``H`` given only as ``matvec(x) = H x``.
+#: bound on the terms the exact step's Chebyshev series drops, relative to
+#: the norm of the state it propagates
+CHEBYSHEV_TOL = 1e-14
 
-    Lanczos iteration with full reorthogonalisation builds an orthonormal
-    Krylov basis V_m and the tridiagonal projection T_m = V_m^* H V_m, then
-    returns ``|v| V_m exp(-i T_m dt) e_1`` (Park & Light, J. Chem. Phys. 85,
-    1986; Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997).  It stops when
-    the a-posteriori error estimate ``beta_{m+1} |[exp(-i T_m dt) e_1]_m|``,
-    relative to ``|v|``, is at most ``tol``.  A happy breakdown (``v`` lies
-    in an invariant subspace, e.g. is an eigenvector) makes ``beta_{m+1}``
-    vanish, so the loop returns there, as it does once the basis spans the
-    whole space.  Raises ``RuntimeError`` if ``max_iter`` iterations do not
-    converge.
+
+def chebyshev_degree(reach: float, tol: float = CHEBYSHEV_TOL) -> int:
+    """Degree ``K`` of the Chebyshev series of ``exp(-i reach y)`` on
+    ``-1 <= y <= 1`` that the exact step keeps: the smallest ``K`` with
+    ``2 * sum_{k > K} (reach / 2)**k / k! <= tol``.
+
+    The series is ``sum_k (2 - delta_k0) (-i)**k J_k(reach) T_k(y)``, with
+    ``|T_k(y)| <= 1`` and ``|J_k(x)| <= (x / 2)**k / k!`` (Abramowitz & Stegun
+    9.1.62), so the terms past ``K`` change no state by more than ``tol``
+    times its norm.  The rule holds ``K`` at least ``reach / 2 - 1`` (each
+    term up to there is at least 1), and costs a few dozen flops per
+    bisection step at any reach.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    v = np.asarray(v, dtype=complex)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return v.copy()
-    dim = v.size
-    size = min(max_iter, dim)
-    # row-stacked basis: (V @ w.conj()).conj() @ V runs as two contiguous gemv
-    # calls, and the tridiagonal projection fills in place
-    basis = np.empty((size + 1, dim), dtype=complex)
-    basis[0] = v / norm
-    tridiagonal = np.zeros((size + 1, size + 1))
-    for m in range(size):
-        w = np.asarray(matvec(basis[m]), dtype=complex)
-        alpha = float(np.vdot(basis[m], w).real)
-        tridiagonal[m, m] = alpha
-        w = w - alpha * basis[m]
-        if m:
-            w -= tridiagonal[m, m - 1] * basis[m - 1]
-        w -= (basis[: m + 1] @ w.conj()).conj() @ basis[: m + 1]
-        beta = float(np.linalg.norm(w))
-        energies, vectors = np.linalg.eigh(tridiagonal[: m + 1, : m + 1])
-        coeffs = vectors @ (np.exp(-1j * dt * energies) * vectors[0])
-        if beta * abs(coeffs[-1]) <= tol or m + 1 == dim:
-            return norm * (coeffs @ basis[: m + 1])
-        tridiagonal[m, m + 1] = tridiagonal[m + 1, m] = beta
-        basis[m + 1] = w / beta
-    raise RuntimeError(
-        f"Krylov propagator did not reach tol={tol:g} in {max_iter} iterations"
-    )
+    if not math.isfinite(reach) or reach < 0:
+        raise ValueError(f"reach must be finite and non-negative, got {reach}")
+    half = reach / 2.0
+    if half == 0.0:
+        return 0
+    log_half, bound = math.log(half), tol / 2.0
+    log_bound = math.log(bound)
+
+    def fits(degree: int) -> bool:
+        log_term = (degree + 1) * log_half - math.lgamma(degree + 2)
+        if log_term > log_bound:
+            return False
+        # a first term below 1 lies past k = half, so the tail falls geometrically
+        term, total, k = math.exp(log_term), 0.0, degree + 1
+        while total + term > total:
+            total += term
+            k += 1
+            term *= half / k
+        return total <= bound
+
+    low, high = -1, max(1, math.ceil(half))
+    while not fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if fits(middle) else (middle, high)
+    return high
+
+
+def _series_weights(reach: float, degree: int) -> np.ndarray:
+    """``(-1)**(k // 2) (2 - delta_k0) J_k(reach)`` for ``k <= degree``: the
+    series coefficients ``(2 - delta_k0) (-i)**k J_k(reach)``, without the
+    factor ``-i`` of the odd ones.
+
+    ``J_k`` comes from Miller's backward recurrence
+    ``J_{k-1}(x) = (2k / x) J_k(x) - J_{k+1}(x)``, started 20 indices past
+    ``degree``, where J is negligible next to ``J_degree``, and normalized by
+    ``J_0 + 2 sum_k J_2k = 1`` (Abramowitz & Stegun 9.1.27, 9.1.46, 9.12).
+    It costs O(degree) scalar steps; a cosine sum would cost O(degree**2).
+    Degree 0 means ``reach <= tol``, where ``J_0 = 1 - reach**2 / 4`` is 1.
+    """
+    bessel = np.zeros(degree + 1)
+    if degree == 0:
+        bessel[0] = 1.0
+        return bessel
+    later, value, even = 0.0, 1.0, 0.0
+    for k in range(degree + 20, 0, -1):
+        # value is J_k up to a common factor; step to J_{k-1}
+        later, value = value, 2.0 * k / reach * value - later
+        if abs(value) > 1e250:  # rescale; what is already stored is tiny
+            later, value, even = later * 1e-250, value * 1e-250, even * 1e-250
+            bessel[k:] *= 1e-250
+        if k - 1 <= degree:
+            bessel[k - 1] = value
+        if k % 2 == 1 and k > 1:
+            even += value
+    bessel /= bessel[0] + 2.0 * even
+    bessel[1:] *= 2.0
+    bessel[2::4] *= -1.0
+    bessel[3::4] *= -1.0
+    return bessel
+
+
+def _chebyshev_step(
+    amps: np.ndarray,
+    local: np.ndarray,
+    xphase: np.ndarray,
+    lower: float,
+    upper: float,
+    dt: float,
+) -> np.ndarray:
+    """``exp(-i H dt) amps`` for ``H = diag(local) + W diag(xphase) W``, whose
+    spectrum lies in ``[lower, upper]``, by its Chebyshev series.
+
+    ``W`` is the Walsh-Hadamard transform.  With ``H = c + r Y``, ``Y`` has
+    its spectrum in [-1, 1] and ``exp(-i H dt) = exp(-i c dt) sum_k a_k
+    T_k(Y)``, ``a_k = (2 - delta_k0) (-i)**k J_k(r dt)`` (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967, 1984), truncated at :func:`chebyshev_degree`.
+    The terms follow ``T_{k+1}(Y) v = 2 Y T_k(Y) v - T_{k-1}(Y) v``, with the
+    shift ``c`` and the factor ``2 / r`` folded into the two phase vectors.
+    ``Y`` is real, so the real and imaginary parts of ``amps`` recur as the
+    two rows of one real pair, and a term is two real transforms of the pair
+    and four passes over it.  ``a_k`` is real at even k and imaginary at odd
+    k, so the even and odd terms are summed apart and joined at the end.  The
+    step holds three recurrence pairs and two sums, keeps no basis, and its
+    cost is known before it runs.
+    """
+    center, radius = (upper + lower) / 2.0, (upper - lower) / 2.0
+    reach = radius * dt
+    degree = chebyshev_degree(reach)
+    weights = _series_weights(reach, degree)
+    phase = np.exp(-1j * center * dt)
+    if degree == 0:
+        return (phase * weights[0]) * amps
+    local = np.tile((2.0 / radius) * (local - center), (2, 1))
+    xphase = np.tile((2.0 / radius) * xphase, (2, 1))
+    previous = np.stack([amps.real, amps.imag])
+    current = _walsh_hadamard(xphase * _walsh_hadamard(previous))
+    current += local * previous
+    current *= 0.5
+    sums = np.stack([weights[0] * previous, weights[1] * current])
+    for k in range(2, degree + 1):
+        following = _walsh_hadamard(xphase * _walsh_hadamard(current))
+        following += local * current
+        following -= previous
+        sums[k % 2] += weights[k] * following
+        previous, current = current, following
+    (even_re, even_im), (odd_re, odd_im) = sums
+    # even - i * odd, each the complex vector of its pair
+    return phase * ((even_re + odd_im) + 1j * (even_im - odd_re))
 
 
 #: bytes of step-indexed operators (interpolated propagators, split-step
@@ -437,14 +516,14 @@ def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
     dim = amps.size
 
     if spec.substeps_per_step is None:
+        # Weyl: the spectrum of (1 - s) driver + s target lies within the same
+        # mix of the two parts' bounds
+        lower = (1.0 - fractions) * (constant + xdiag.min()) + fractions * diagonal.min()
+        upper = (1.0 - fractions) * (constant + xdiag.max()) + fractions * diagonal.max()
         for k, s in enumerate(fractions):
             local = (1.0 - s) * constant + s * diagonal
-            scaled = (1.0 - s) / dim * xdiag
-
-            def matvec(v, local=local, scaled=scaled):
-                return local * v + _walsh_hadamard(scaled * _walsh_hadamard(v))
-
-            amps = expm_krylov(matvec, dt, amps)
+            xphase = (1.0 - s) / dim * xdiag
+            amps = _chebyshev_step(amps, local, xphase, lower[k], upper[k], dt)
             _keep(states, spec, k + 1, amps)
         return result
 

@@ -37,6 +37,7 @@ from .engine import (
     AnnealSpec,
     LinearSchedule,
     basis_state,
+    chebyshev_degree,
     evolve_adiabatic,
     evolve_real_time,
     instantaneous_spectrum,
@@ -244,6 +245,19 @@ SPLIT_STEP_OVERHEAD = 100
 #: of 4**num_qubits: sized by memory as much as by time (see below)
 DENSE_STEP_OVERHEAD = 1700
 
+#: the fixed cost of one term of the exact anneal step's Chebyshev series,
+#: whatever the register, in amplitudes: about 10 us over the 13-14 ns an
+#: amplitude costs at 6 and 10 qubits
+CHEBYSHEV_TERM_OVERHEAD = 800
+
+#: a bound on the range of each network model's loss over its weight
+#: configurations: the binary model's linear-binary loss counts false minus
+#: true positives over its 5 + 5 training images, so it lies in [-5, 5]; the
+#: toy model's output is a signed sum of two squares of +-x1 +- x2, each in
+#: [0, 4] on [-1, 1]**2, minus 1, so it lies in [-9, 7], and with labels of
+#: at most 2 in size a squared error, and so the MSE, lies in [0, 11**2]
+LOSS_RANGE_BOUND = {"binary": 10.0, "toy": 121.0}
+
 #: the fixed cost of one spectrum s point (its eigvalsh call and its CSV row),
 #: in units of 8**num_qubits: about 26 us over the 1.0 ns a unit a complex
 #: eigh costs at 1024**2
@@ -299,10 +313,18 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   passes: about 20 us at 1 qubit, 35-45 us at 7, 0.09-0.13 ms at 10 and
 #   13-18 ms at 16.  With SPLIT_STEP_OVERHEAD that is near 15 s at any
 #   register.
-# - Krylov step budget: 0.7-1.2 ms a step at 6 qubits and 2.1-3.0 ms at 10
-#   with the shipped time step of 1: near 40 s on the toy model, 6 s on the
-#   binary one.  A longer time step takes more Lanczos iterations: at the
-#   iteration limit a step takes about 20 ms at 6 qubits and 70 ms at 10.
+# - Krylov step budget: the exact step is a Chebyshev series (a polynomial
+#   in H, so still a Krylov-subspace method), whose degree
+#   engine.chebyshev_degree sets from the step's reach, its spectral
+#   half-width times dt.  validate prices it at an a-priori half-width: by
+#   Weyl, (1 - s) driver + s loss has at most (1 - s) n / 2 + s L / 2, so at
+#   most max(n, L) / 2, with L from LOSS_RANGE_BOUND (60.5 on the toy model,
+#   5 on the binary one; the shipped runs reach 5.8-6.1 and 5).  A term costs
+#   10-12 us at 6 qubits and 23-26 us at 10, 13-14 ns per unit of
+#   2**n + CHEBYSHEV_TERM_OVERHEAD; a step at dt = 1 keeps 22-23 terms and
+#   takes 0.28 ms at 6 qubits and 0.57 ms at 10, and at dt = 10 keeps 77-85
+#   terms and takes 0.91 and 1.8 ms.  The budget is near 30 s of priced terms;
+#   the toy model's loose loss bound prices its runs 2-4x over their cost.
 # - snapshot memory cap: ten thousand states at the dense evolution cap
 #   (166 MB), 216 000 at 5 qubits.  Kept states are rows of one array
 #   allocated before the first step; beyond the amplitudes, tracemalloc
@@ -336,7 +358,7 @@ LIMITS = {
     "real-time step budget": (6_000_000_000, ""),
     "dense decomposition budget": (32 * 8**DENSE_EVOLUTION_CAP, ""),
     "split step budget": (2**26, ""),
-    "Krylov step budget": (2**21, ""),
+    "Krylov step budget": (2**31, ""),
     "snapshot memory cap": (10_000 * (16 * 2**DENSE_EVOLUTION_CAP + SNAPSHOT_OVERHEAD_BYTES), " B"),
     "snapshot row cap": (800_000, " rows"),
     "grid point cap": (2**20, " points"),
@@ -527,8 +549,16 @@ def _sizes(effective: dict):
     if kind == "nn-toy":
         yield "grid_probe_side**2", effective["grid_probe_side"] ** 2, "toy-data memory cap"
     if kind in ("nn-toy", "nn-binary", "accuracy-curves"):
-        qubits = 6 if kind == "nn-toy" else 10  # the toy and binary models' weights
-        yield f"n_steps * 2**{qubits}", effective["n_steps"] * 2**qubits, "Krylov step budget"
+        model, qubits = ("toy", 6) if kind == "nn-toy" else ("binary", 10)
+        half_width = max(qubits, LOSS_RANGE_BOUND[model]) / 2.0
+        # a reach past 1e300 is over the budget at any step count and register
+        reach = min(half_width * effective["t_final"] / effective["n_steps"], 1e300)
+        yield (
+            f"n_steps * (chebyshev_degree({half_width:g} * t_final / n_steps) + 1) "
+            f"* (2**{qubits} + {CHEBYSHEV_TERM_OVERHEAD})",
+            effective["n_steps"] * (chebyshev_degree(reach) + 1) * (2**qubits + CHEBYSHEV_TERM_OVERHEAD),
+            "Krylov step budget",
+        )
     if kind == "anneal-paulispin":
         yield (
             f"n_steps * 2**num_qubits + {SPLIT_STEP_OVERHEAD} * n_steps",
@@ -756,7 +786,8 @@ def _network(effective: dict) -> _Network:
 
 def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> np.ndarray:
     """Final basis-state probabilities of the anneal into the compiled
-    diagonal Hamiltonian, by exact Krylov stepping.
+    diagonal Hamiltonian, by exact steps (each the Chebyshev series of its
+    propagator).
 
     The coarse schedules used for the network runs (10 to 20 steps) need the
     exact per-step exponential of the whole interpolated Hamiltonian;

@@ -14,7 +14,10 @@ kinds and is held to the same rule; the matrix kinds bring in ``numpy.fft``
 through their position read-outs.  It must also leave ``numpy.ma``
 unloaded: numpy imports it lazily (``np.unique`` reaches
 ``np.ma.is_masked``), at a cost of tens of milliseconds that every run
-would pay.
+would pay.  A shipped nn-binary run is held tighter still: it may load no
+numpy submodule that importing aqtrain does not, apart from ``numpy.random``,
+which its seeded split draws from.  A lazy import such as
+``numpy.polynomial`` (about 4 ms) would otherwise land inside its timed run.
 """
 
 import json
@@ -25,6 +28,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 DECLARED = {"numpy", "aqtrain"}
 CYTHON_RUNTIME = re.compile(r"cython_runtime|_cython_[0-9_]+")
 
@@ -99,3 +103,15 @@ def test_runs_load_only_numpy_and_the_standard_library(tmp_path):
     assert not extra, f"undeclared third-party imports: {extra}"
     assert "numpy.ma" not in loaded
     assert "numpy.fft" in loaded  # the read-outs' lazy import was checked too
+
+
+def test_network_run_loads_no_numpy_submodule_beyond_the_import(tmp_path):
+    config = json.loads((CONFIG_DIR / "nn_binary.json").read_text())
+    imported = loaded_modules("import aqtrain, aqtrain.cli, aqtrain.experiments, numpy.random")
+    ran = loaded_modules(
+        "from aqtrain.experiments import run_experiment\n"
+        f"run_experiment({config!r}, {str(tmp_path)!r})"
+    )
+    assert (tmp_path / "classes.json").exists()
+    extra = sorted(name for name in ran - imported if name.startswith("numpy"))
+    assert not extra, f"numpy submodules loaded inside the run: {extra}"

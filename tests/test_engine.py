@@ -22,12 +22,14 @@ from aqtrain.engine import (
     DENSE_EVOLUTION_CAP,
     DENSE_PANEL_NODES,
     LinearSchedule,
+    _chebyshev_step,
+    _series_weights,
     _split_driver_parts,
     _unit_phases,
     basis_state,
+    chebyshev_degree,
     evolve_adiabatic,
     evolve_real_time,
-    expm_krylov,
     instantaneous_spectrum,
     self_adjoint,
     snapshot_count,
@@ -39,11 +41,12 @@ from aqtrain.matrix_method import (
     MomentumTruncation,
     SchrodingerProblem,
     TiltedCosinePotential,
+    adaptive_simpson,
     gaussian_packet,
     ground_state,
     momentum_to_position,
 )
-from aqtrain.pauli import PauliPolynomial, _walsh_hadamard, pauli_x, pauli_z
+from aqtrain.pauli import PauliPolynomial, _kronecker_factors, _walsh_hadamard, pauli_x, pauli_z
 from aqtrain.varpoly import parse_polynomial
 
 QUARTIC_TEXT = "18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573"
@@ -259,7 +262,7 @@ class TestSplitEvolution:
 
     def test_exact_path_matches_dense_reference_on_coarse_steps(self):
         # two steps with |H dt| >= 20 each: far beyond any splitting, and
-        # long enough that the Lanczos expansion runs 15+ iterations
+        # long enough that the Chebyshev series keeps 40+ terms
         target, _ = quartic_target(6, strength=20.0)
         driver = transverse_driver(6)
         state = random_state(6, seed=7)
@@ -357,34 +360,132 @@ class TestDriverInHadamardBasis:
         assert np.max(np.abs(fast - dense)) <= 1e-12
 
 
-class TestKrylovPropagator:
-    def test_matches_eigendecomposition(self):
-        h = random_hermitian(64, seed=21)
-        v = random_state(6, seed=22).astype(complex)
-        dt = 0.7
+def walsh_matrix(num_qubits):
+    """The unnormalised Walsh-Hadamard transform as an explicit Kronecker power."""
+    out = np.ones((1, 1))
+    for _ in range(num_qubits):
+        out = np.kron(out, [[1.0, 1.0], [1.0, -1.0]])
+    return out
+
+
+def bessel_j(k, x):
+    """``J_k(x)`` from Bessel's integral ``(1/pi) int_0^pi cos(k t - x sin t) dt``."""
+    integral = adaptive_simpson(
+        lambda t: math.cos(k * t - x * math.sin(t)), 0.0, math.pi, tol=1e-12, min_depth=5
+    )
+    return integral.real / math.pi
+
+
+def degree_bound(reach, k):
+    """The bound ``(reach / 2)**k / k!`` on ``|J_k(reach)|`` the degree rule sums."""
+    return (reach / 2.0) ** k / math.factorial(k)
+
+
+REACHES = [0.1, 1.0, 10.0, 60.0]
+
+#: reaches for the quadrature oracle, whose cost grows with the reach
+QUADRATURE_REACHES = [0.1, 1.0, 10.0]
+
+
+class TestChebyshevStep:
+    @pytest.mark.parametrize("reach", REACHES)
+    def test_matches_eigendecomposition(self, reach):
+        # a random operator of the step's form diag(local) + W diag(xphase) W,
+        # at the step's spectral bounds, whose half-width times dt is reach
+        dim = 64
+        rng = np.random.default_rng(21)
+        local, xphase = rng.normal(size=dim), rng.normal(size=dim) / dim
+        walsh = walsh_matrix(6)
+        h = np.diag(local) + walsh @ np.diag(xphase) @ walsh
+        lower = local.min() + dim * xphase.min()
+        upper = local.max() + dim * xphase.max()
+        dt = reach / ((upper - lower) / 2.0)
         energies, vectors = np.linalg.eigh(h)
+        assert lower <= energies[0] and energies[-1] <= upper
+        v = random_state(6, seed=22)
         expected = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ v))
-        result = expm_krylov(lambda x: h @ x, dt, v)
-        assert np.max(np.abs(result - expected)) < 1e-10
+        result = _chebyshev_step(v, local, xphase, lower, upper, dt)
+        assert np.max(np.abs(result - expected)) < 1e-12
 
-    def test_eigenvector_needs_one_iteration(self):
-        h = random_hermitian(32, seed=23)
-        energies, vectors = np.linalg.eigh(h)
-        calls = []
+    @pytest.mark.parametrize("reach", QUADRATURE_REACHES)
+    def test_degree_rule_bounds_the_dropped_bessel_terms(self, reach):
+        tol = 1e-8
+        degree = chebyshev_degree(reach, tol)
+        # the smallest degree whose bound on the dropped terms is within tol
+        assert 2 * sum(degree_bound(reach, k) for k in range(degree + 1, degree + 60)) <= tol
+        assert 2 * sum(degree_bound(reach, k) for k in range(degree, degree + 60)) > tol
+        # and the dropped Bessel values themselves obey the bound
+        for k in (degree + 1, degree + 2):
+            assert abs(bessel_j(k, reach)) <= degree_bound(reach, k) + 1e-12
+        assert degree >= reach / 2.0 - 1.0
 
-        def matvec(x):
-            calls.append(1)
-            return h @ x
+    @pytest.mark.parametrize("reach", QUADRATURE_REACHES)
+    def test_series_weights_match_bessel_quadrature(self, reach):
+        degree = chebyshev_degree(reach)
+        weights = _series_weights(reach, degree)
+        assert weights.shape == (degree + 1,)
+        for k in sorted({0, 1, 2, 3, degree // 2, degree}):
+            expected = (-1) ** (k // 2) * (1 if k == 0 else 2) * bessel_j(k, reach)
+            assert abs(weights[k] - expected) < 1e-12
 
-        result = expm_krylov(matvec, 2.5, vectors[:, 3])
-        assert len(calls) == 1
-        assert np.allclose(result, np.exp(-2.5j * energies[3]) * vectors[:, 3], atol=1e-12)
+    @pytest.mark.parametrize("reach", [60.0, 5000.0])
+    def test_series_weights_sum_to_the_plane_wave(self, reach):
+        # Jacobi-Anger at theta = 0: exp(-i x) = sum_k (2 - delta_k0) (-i)**k J_k(x),
+        # so the even weights sum to cos x and the odd ones to sin x; at 5000 the
+        # backward recurrence rescales hundreds of orders of magnitude
+        weights = _series_weights(reach, chebyshev_degree(reach))
+        assert abs(weights[0::2].sum() - math.cos(reach)) < 1e-12
+        assert abs(weights[1::2].sum() - math.sin(reach)) < 1e-12
 
-    def test_raises_when_max_iter_is_too_small(self):
-        h = random_hermitian(64, seed=24)
-        v = random_state(6, seed=25).astype(complex)
-        with pytest.raises(RuntimeError, match="did not reach"):
-            expm_krylov(lambda x: h @ x, 1.0, v, max_iter=3)
+    def test_huge_reach_is_priced_without_overflow(self):
+        # the degree rule runs at any finite reach: a few dozen flops a bisection step
+        degree = chebyshev_degree(1e300)
+        assert 1e300 / 2 - 1 <= degree <= 1e300 * 2
+
+    def test_constant_hamiltonian_is_one_phase(self):
+        # radius 0: no term past the first, and no division by the radius
+        assert chebyshev_degree(0.0) == 0
+        v = random_state(3, seed=24)
+        result = _chebyshev_step(v, np.full(8, 0.7), np.zeros(8), 0.7, 0.7, 2.5)
+        assert np.max(np.abs(result - np.exp(-1.75j) * v)) <= 1e-15
+        constant = PauliPolynomial.identity(3, 0.7)
+        spec = AnnealSpec(
+            constant, constant, LinearSchedule(2.5), n_steps=3, substeps_per_step=None
+        )
+        final = evolve_adiabatic(spec, v).states[-1]
+        assert np.max(np.abs(final - np.exp(-1.75j) * v)) <= 1e-14
+
+    def test_separable_anneal_at_13_qubits_matches_per_qubit_eigh(self):
+        # sum_q h_q Z_q with the transverse driver: the exact evolution is a
+        # product of 1-qubit evolutions, each an exact oracle; 13 qubits take
+        # the transform's three-factor path
+        n, t_final, n_steps = 13, 8.0, 8
+        assert len(_kronecker_factors(2**n, np.dtype(float))) == 3
+        fields = np.random.default_rng(91).uniform(-1.0, 1.0, size=n)
+        target = PauliPolynomial.zero(n)
+        for qubit, field in enumerate(fields):
+            target = target + field * pauli_z(n, qubit)
+        spec = AnnealSpec(
+            transverse_driver(n),
+            target,
+            LinearSchedule(t_final),
+            n_steps=n_steps,
+            substeps_per_step=None,
+        )
+        final = evolve_adiabatic(spec, uniform_state(n)).states[-1]
+        dt = t_final / n_steps
+        expected = np.ones(1, dtype=complex)
+        for field in fields:
+            amps = np.full(2, 2**-0.5, dtype=complex)
+            for k in range(n_steps):
+                s = k / n_steps
+                h = (1.0 - s) * np.array([[0.5, -0.5], [-0.5, 0.5]]) + s * field * np.diag([1.0, -1.0])
+                energies, vectors = np.linalg.eigh(h)
+                amps = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ amps))
+            # qubit q is bit q of the index, so each new qubit goes on the left
+            expected = np.kron(amps, expected)
+        overlap = np.vdot(expected, final)
+        assert np.max(np.abs(final - overlap / abs(overlap) * expected)) <= 1e-12
 
 
 class TestDenseEvolution:

@@ -14,10 +14,13 @@ import pytest
 from aqtrain import cli, experiments, nn
 from aqtrain.classical import ClassicalRun
 from aqtrain.encodings import index_of_report_bitstring
+from aqtrain.engine import chebyshev_degree
 from aqtrain.experiments import (
+    CHEBYSHEV_TERM_OVERHEAD,
     EXPERIMENT_KINDS,
     LIMITS,
     DENSE_STEP_OVERHEAD,
+    LOSS_RANGE_BOUND,
     SCHEMAS,
     SNAPSHOT_OVERHEAD_BYTES,
     SPECTRUM_POINT_OVERHEAD,
@@ -36,6 +39,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def limit(name: str) -> int:
     """The value of one row of the limits table."""
     return LIMITS[name][0]
+
+
+def chebyshev_terms(reach: float) -> int:
+    """Terms the exact anneal step keeps at ``reach``."""
+    return chebyshev_degree(reach) + 1
 
 
 #: smallest config per kind that still exercises the full runner
@@ -207,18 +215,21 @@ class TestValidation:
             ),
             (
                 {"kind": "nn-toy", "n_steps": 10**9},
-                f"n_steps * 2**6 = {10**9 * 2**6} exceeds the Krylov step budget "
-                f"of {limit('Krylov step budget')}",
+                f"n_steps * (chebyshev_degree(60.5 * t_final / n_steps) + 1) * (2**6 + "
+                f"{CHEBYSHEV_TERM_OVERHEAD}) = {10**9 * chebyshev_terms(60.5 * 10.0 / 10**9) * (2**6 + CHEBYSHEV_TERM_OVERHEAD)} "
+                f"exceeds the Krylov step budget of {limit('Krylov step budget')}",
             ),
             (
                 {"kind": "nn-binary", "n_steps": 10**9},
-                f"n_steps * 2**10 = {10**9 * 2**10} exceeds the Krylov step budget "
-                f"of {limit('Krylov step budget')}",
+                f"n_steps * (chebyshev_degree(5 * t_final / n_steps) + 1) * (2**10 + "
+                f"{CHEBYSHEV_TERM_OVERHEAD}) = {10**9 * chebyshev_terms(5.0 * 15.0 / 10**9) * (2**10 + CHEBYSHEV_TERM_OVERHEAD)} "
+                f"exceeds the Krylov step budget of {limit('Krylov step budget')}",
             ),
             (
                 {"kind": "accuracy-curves", "n_steps": 10**9},
-                f"n_steps * 2**10 = {10**9 * 2**10} exceeds the Krylov step budget "
-                f"of {limit('Krylov step budget')}",
+                f"n_steps * (chebyshev_degree(5 * t_final / n_steps) + 1) * (2**10 + "
+                f"{CHEBYSHEV_TERM_OVERHEAD}) = {10**9 * chebyshev_terms(5.0 * 20.0 / 10**9) * (2**10 + CHEBYSHEV_TERM_OVERHEAD)} "
+                f"exceeds the Krylov step budget of {limit('Krylov step budget')}",
             ),
             # one run still pays the fixed cost of every training step
             (
@@ -365,7 +376,24 @@ class TestValidation:
                 f"{125_000_000 * (4 + DENSE_STEP_OVERHEAD)} exceeds the dense step budget "
                 f"of {limit('dense step budget')}",
             ),
-        ]
+        ],
+        ids=[
+            "matrix-step-budget",
+            "tunnel-step-budget",
+            "tunnel-snapshot-mem",
+            "matrix-wide-grid-rows",
+            "matrix-snapshot-rows",
+            "matrix-grid-cap",
+            "tunnel-grid-cap",
+            "mass-scan-grid-cap",
+            "spectrum-decomp",
+            "spectrum-12q-decomp",
+            "mass-scan-decomp",
+            "matrix-decomp-budget",
+            "paulispin-16q-split",
+            "tunnel-10q-realtime",
+            "matrix-1q-step-budget",
+        ],
     )
     def test_dense_sizes_capped_before_running(self, config, message, monkeypatch, tmp_path):
         def never(*args, **kwargs):
@@ -474,10 +502,31 @@ class TestValidation:
         assert validate_config(widest).ok
         # the toy-row cap does not apply where the binary model ignores n_points
         assert validate_config({"kind": "enumerate", "n_points": 10**9}).ok
-        for kind, qubits in (("nn-toy", 6), ("nn-binary", 10), ("accuracy-curves", 10)):
-            most = limit("Krylov step budget") // 2**qubits
-            assert validate_config({"kind": kind, "n_steps": most}).ok
-            assert not validate_config({"kind": kind, "n_steps": most + 1}).ok
+        # the priced half-width: the larger of the driver's and the loss bound's
+        assert max(6, LOSS_RANGE_BOUND["toy"]) / 2 == 60.5
+        assert max(10, LOSS_RANGE_BOUND["binary"]) / 2 == 5.0
+        # at dt = 1 every step is priced at the same number of terms
+        priced = (("nn-toy", 6, 60.5), ("nn-binary", 10, 5.0), ("accuracy-curves", 10, 5.0))
+        for kind, qubits, half_width in priced:
+            per_step = chebyshev_terms(half_width) * (2**qubits + CHEBYSHEV_TERM_OVERHEAD)
+            most = limit("Krylov step budget") // per_step
+            assert validate_config({"kind": kind, "n_steps": most, "t_final": float(most)}).ok
+            longer = {"kind": kind, "n_steps": most + 1, "t_final": float(most + 1)}
+            assert not validate_config(longer).ok
+
+    def test_krylov_budget_grows_with_the_time_step(self, tmp_path):
+        # 15 steps of dt = 133: each keeps about 900 series terms
+        config = {"kind": "nn-binary", "t_final": 2000.0, "n_steps": 15}
+        assert validate_config(config).ok
+        assert run_experiment(config, tmp_path).kind == "nn-binary"
+        classes = json.loads((tmp_path / "classes.json").read_text())["classes"]
+        assert sum(row["probability"] for row in classes) == pytest.approx(1.0, abs=1e-12)
+        # the same steps, 1000 times as long, cost 1000 times the terms
+        errors = validate_config(dict(config, t_final=2e6)).errors
+        assert any("Krylov step budget" in error for error in errors)
+        # and a reach past the float range fails the budget rather than raising
+        errors = validate_config({"kind": "nn-binary", "t_final": 1e308, "n_steps": 1}).errors
+        assert any("Krylov step budget" in error for error in errors)
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem)
     def test_shipped_configs_within_limits(self, path):

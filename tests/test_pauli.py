@@ -214,6 +214,16 @@ class TestWalshHadamard:
         assert np.max(np.abs(_walsh_hadamard(values) - expected)) <= 1e-12
         assert np.max(np.abs(_walsh_hadamard(values.real) - expected.real)) <= 1e-12
 
+    @pytest.mark.parametrize("num_qubits", [1, 7])
+    def test_transforms_each_row_of_a_batch(self, num_qubits):
+        # a real pair, as the exact anneal step transforms the real and
+        # imaginary parts of a state
+        rows = np.random.default_rng(20 + num_qubits).normal(size=(2, 2**num_qubits))
+        batch = _walsh_hadamard(rows)
+        assert batch.shape == rows.shape
+        expected = rows @ self.sylvester(num_qubits)
+        assert np.max(np.abs(batch - expected)) <= 1e-12
+
     def test_three_factors_square_to_scaled_identity(self):
         size = 2**13
         assert len(_kronecker_factors(size, np.dtype(complex))) == 3
@@ -221,6 +231,9 @@ class TestWalshHadamard:
         values = rng.normal(size=size) + 1j * rng.normal(size=size)
         twice = _walsh_hadamard(_walsh_hadamard(values)) / size
         assert np.max(np.abs(twice - values)) <= 1e-12
+        pair = np.stack([values.real, values.imag])
+        twice = _walsh_hadamard(_walsh_hadamard(pair)) / size
+        assert np.max(np.abs(twice - pair)) <= 1e-12
 
     def test_leaves_its_input_alone(self):
         values = np.arange(8.0)

@@ -4,20 +4,23 @@ Two Hamiltonian representations share one interface, and the anneal picks
 its propagator from the representation and ``substeps_per_step``:
 
 - A pair of :class:`~aqtrain.pauli.PauliPolynomial` objects, whose driver is
-  a transverse field (identity and single-qubit X terms) and whose target is
-  diagonal, evolves by default through a first-order split step.  The
-  driver's X part is a diagonal in the Hadamard basis, so both factors are
-  phase passes: the target's directly (all Z-terms commute, so there is no
-  splitting error inside the group), the driver's between two Walsh-Hadamard
-  transforms; ``substeps_per_step`` refines the split.
+  a transverse field ``c + sum_q x_q X_q`` and whose target is diagonal,
+  evolves by default through a first-order split step.  The driver's X part
+  is a Kronecker sum over any split of the register, so the register is cut
+  into the fewest factors of at most six qubits (:func:`_driver_factors`)
+  and its exponential is the Kronecker product of one small rotation block
+  per factor (Van Loan, J. Comput. Appl. Math. 123, 85, 2000).  A step is
+  one matrix product per factor, then the target's phase pass (all Z-terms
+  commute, so there is no splitting error inside the group);
+  ``substeps_per_step`` refines the split.
 - The same pair with ``substeps_per_step=None`` evolves exactly, without
   splitting: each step applies ``exp(-i H dt)`` as a Chebyshev series
   (:func:`_chebyshev_step`) in a matrix-free ``H``: the target and identity
-  diagonals, plus the driver's X diagonal between two transforms.
-  The spectral bounds are exact (Weyl's inequality on the two parts), the
-  degree follows from them and dt before the step runs
+  diagonals, plus one dense field block per driver factor, each applied by
+  one matrix product.  The spectral bounds are exact (Weyl's inequality on
+  the two parts), the degree follows from them and dt before the step runs
   (:func:`chebyshev_degree`), and the step keeps no basis and decomposes
-  nothing.  No matrix is formed.
+  nothing.  No register-sized matrix is formed.
 - A pair of dense Hermitian matrices evolves by piecewise Chebyshev
   interpolation of the step propagator ``U(s) = exp(-i H(s) dt)`` in the
   schedule value s (:func:`_evolve_dense`).  H(s) is linear in s, so U is
@@ -28,9 +31,10 @@ its propagator from the representation and ``substeps_per_step``:
   the interpolation error is below roundoff.
 
 The split and dense stepping loops apply their steps and nothing else:
-what depends only on the step index (the split step's phase vectors, the
-interpolated dense propagators, so that a dense step is one matrix-vector
-product) is built ahead of the loop, ``CHUNK_BYTES`` at a time.
+what depends only on the step index (the split step's rotation blocks and
+phase vectors, the interpolated dense propagators, so that a dense step is
+one matrix-vector product) is built ahead of the loop, ``CHUNK_BYTES`` at a
+time.
 
 Real-time evolution under a fixed Hamiltonian (:func:`evolve_real_time`,
 used by the ``tunnel`` experiment) is dense-only and rejects a
@@ -58,7 +62,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial, _walsh_hadamard, pauli_x
+from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial, _factor_widths, pauli_x
 
 #: largest register evolved through dense eigendecomposition
 DENSE_EVOLUTION_CAP = 10
@@ -143,8 +147,8 @@ class AnnealSpec:
     propagator:
 
     - two PauliPolynomials (driver restricted to identity/single-X terms,
-      which are diagonal in the Hadamard basis; diagonal target): the split
-      step, ``substeps_per_step`` times per step, or, with
+      which make a Kronecker sum over the register's factors; diagonal
+      target): the split step, ``substeps_per_step`` times per step, or, with
       ``substeps_per_step=None``, the exact matrix-free Chebyshev step of
       :func:`_chebyshev_step`;
     - two dense Hermitian matrices: the step propagator interpolated in s
@@ -236,39 +240,112 @@ def _keep(states: np.ndarray, spec: AnnealSpec, step: int, amps: np.ndarray):
         states[-(-step // spec.snapshot_stride)] = amps
 
 
-def _split_driver_parts(driver: PauliPolynomial) -> tuple[float, np.ndarray]:
-    """Identity coefficient of a driver, and its X part in the Hadamard basis.
+def _transverse_parts(driver: PauliPolynomial) -> tuple[float, np.ndarray]:
+    """Identity coefficient ``c`` of a driver ``c + sum_q x_q X_q``, and its
+    field ``x_q`` on each qubit.
 
-    ``sum_q x_q X_q = W diag(xdiag) W / 2**n`` with ``W`` the Walsh-Hadamard
-    transform and ``xdiag[b] = sum_q x_q (1 - 2 b_q)``: the transform of the
-    X coefficients indexed by X-mask, as :meth:`PauliPolynomial.diagonal`
-    does for Z.  Raises if the driver contains anything beyond identity and
-    single-qubit X terms, since only those are diagonal there.
+    Raises if the driver contains anything beyond identity and single-qubit
+    X terms: only those make a Kronecker sum over any split of the register.
     """
     constant = 0.0
-    x_coeffs = np.zeros(2**driver.num_qubits)
+    fields = np.zeros(driver.num_qubits)
     for term in driver.terms():
         if abs(term.coefficient.imag) > 1e-12:
             raise ValueError("driver must be Hermitian")
         if not term.factors:
             constant = term.coefficient.real
         elif len(term.factors) == 1 and term.factors[0][1] == "X":
-            x_coeffs[1 << term.factors[0][0]] = term.coefficient.real
+            fields[term.factors[0][0]] = term.coefficient.real
         else:
             raise ValueError(
                 "PauliPolynomial driver must contain only identity and single-qubit X terms"
             )
-    return constant, _walsh_hadamard(x_coeffs)
+    return constant, fields
+
+
+def _driver_factors(fields: np.ndarray) -> list[np.ndarray]:
+    """The fields of each Kronecker factor of the driver, most significant
+    first (:func:`aqtrain.pauli._factor_widths`: the fewest factors of at
+    most six qubits).
+
+    Factor ``f`` acts on axis ``f`` of a state reshaped to
+    ``(2**w_0, 2**w_1, ...)``; the last axis holds qubits ``0 .. w - 1``.
+    """
+    parts, top = [], fields.size
+    for width in _factor_widths(fields.size):
+        parts.append(fields[top - width : top])
+        top -= width
+    return parts
+
+
+def _factor_axes(sizes, leading: int = 1) -> list[tuple[int, int, int]]:
+    """``(leading, size, trailing)`` of each factor's axis in an array of
+    shape ``(leading, *sizes)``."""
+    axes = []
+    for j, size in enumerate(sizes):
+        axes.append((leading * math.prod(sizes[:j]), size, math.prod(sizes[j + 1 :])))
+    return axes
+
+
+def _factor_views(v: np.ndarray, sizes, leading: int = 1) -> list[np.ndarray]:
+    """``v`` reshaped for each factor's product: ``(leading, size)`` for the
+    last factor, ``(leading, size, trailing)`` for the others."""
+    return [
+        v.reshape(lead, size) if trail == 1 else v.reshape(lead, size, trail)
+        for lead, size, trail in _factor_axes(sizes, leading)
+    ]
+
+
+def _factor_product(matrix: np.ndarray, view: np.ndarray, out: np.ndarray):
+    """A symmetric factor ``matrix`` applied along the factor axis of a view
+    of :func:`_factor_views`, into the same view of ``out``: one matrix
+    product."""
+    if view.ndim == 2:
+        np.matmul(view, matrix, out=out)
+    else:
+        np.matmul(matrix, view, out=out)
+
+
+def _field_block(fields: np.ndarray) -> np.ndarray:
+    """``sum_q x_q X_q`` on one factor's qubits as a dense real matrix: entry
+    ``x_q`` where two indices differ in bit ``q`` only, zero elsewhere."""
+    index = np.arange(2**fields.size)
+    block = np.zeros((index.size, index.size))
+    for bit, field in enumerate(fields):
+        block[index, index ^ (1 << bit)] = field
+    return block
+
+
+def _rotation_blocks(angles: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """``exp(-i a sum_q x_q X_q)`` on one factor's qubits for each angle
+    ``a``, as a ``(len(angles), 2**w, 2**w)`` complex array.
+
+    It is the Kronecker product of ``cos(a x_q) I - i sin(a x_q) X_q``, so
+    entry ``(r, r')`` is the product over q of ``cos(a x_q)`` where bits q of
+    r and r' agree and ``-i sin(a x_q)`` where they differ: a function of
+    ``r ^ r'`` alone.  The ``2**w`` products are built by doubling, one
+    qubit at a time, and the blocks are one gather from them.
+    """
+    turns = np.multiply.outer(angles, fields)
+    cosines, sines = np.cos(turns), -1j * np.sin(turns)
+    table = np.ones((angles.size, 1), dtype=complex)
+    for q in range(fields.size):
+        table = np.concatenate([table * cosines[:, q, None], table * sines[:, q, None]], axis=1)
+    index = np.arange(table.shape[1])
+    return table[:, np.bitwise_xor.outer(index, index)]
 
 
 def self_adjoint(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Validate Hermiticity; return the matrix as a real array when its
     imaginary part is zero (a real symmetric matrix takes the real
-    eigensolver), else as a complex one."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(matrix - matrix.conj().T)) > tol:
+    eigensolver), else as a complex one.  A real input is checked in real
+    arithmetic and returned as it is."""
+    matrix = np.asarray(matrix)
+    real = not np.iscomplexobj(matrix)
+    matrix = matrix.astype(float if real else complex, copy=False)
+    if np.max(np.abs(matrix - (matrix.T if real else matrix.conj().T))) > tol:
         raise ValueError("matrix is not Hermitian")
-    return matrix if matrix.imag.any() else matrix.real
+    return matrix if real or matrix.imag.any() else matrix.real
 
 
 #: bound on the terms the exact step's Chebyshev series drops, relative to
@@ -354,26 +431,28 @@ def _series_weights(reach: float, degree: int) -> np.ndarray:
 def _chebyshev_step(
     amps: np.ndarray,
     local: np.ndarray,
-    xphase: np.ndarray,
+    blocks: list,
     lower: float,
     upper: float,
     dt: float,
 ) -> np.ndarray:
-    """``exp(-i H dt) amps`` for ``H = diag(local) + W diag(xphase) W``, whose
+    """``exp(-i H dt) amps`` for ``H = diag(local) + sum_f D_f``, whose
     spectrum lies in ``[lower, upper]``, by its Chebyshev series.
 
-    ``W`` is the Walsh-Hadamard transform.  With ``H = c + r Y``, ``Y`` has
-    its spectrum in [-1, 1] and ``exp(-i H dt) = exp(-i c dt) sum_k a_k
-    T_k(Y)``, ``a_k = (2 - delta_k0) (-i)**k J_k(r dt)`` (Tal-Ezer & Kosloff,
-    J. Chem. Phys. 81, 3967, 1984), truncated at :func:`chebyshev_degree`.
-    The terms follow ``T_{k+1}(Y) v = 2 Y T_k(Y) v - T_{k-1}(Y) v``, with the
-    shift ``c`` and the factor ``2 / r`` folded into the two phase vectors.
-    ``Y`` is real, so the real and imaginary parts of ``amps`` recur as the
-    two rows of one real pair, and a term is two real transforms of the pair
-    and four passes over it.  ``a_k`` is real at even k and imaginary at odd
-    k, so the even and odd terms are summed apart and joined at the end.  The
-    step holds three recurrence pairs and two sums, keeps no basis, and its
-    cost is known before it runs.
+    ``D_f`` is the symmetric matrix ``blocks[f]`` acting on factor f of the
+    register (:func:`_driver_factors`), so the sum is a Kronecker sum.  With
+    ``H = c + r Y``, ``Y`` has its spectrum in [-1, 1] and ``exp(-i H dt) =
+    exp(-i c dt) sum_k a_k T_k(Y)``, ``a_k = (2 - delta_k0) (-i)**k J_k(r
+    dt)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), truncated at
+    :func:`chebyshev_degree`.  The terms follow ``T_{k+1}(Y) v = 2 Y T_k(Y) v
+    - T_{k-1}(Y) v``, with the shift ``c`` and the factor ``2 / r`` folded
+    into ``local`` and the blocks.  ``Y`` is real, so the real and imaginary
+    parts of ``amps`` recur as the two rows of one real pair, and a term is
+    one matrix product per factor and five passes over the pair (one more
+    per factor past the first).  ``a_k`` is real at even k and imaginary at
+    odd k, so the even and odd terms are summed apart and joined at the end.
+    The step holds three recurrence pairs, a work pair and two sums,
+    keeps no basis, and its cost is known before it runs.
     """
     center, radius = (upper + lower) / 2.0, (upper - lower) / 2.0
     reach = radius * dt
@@ -382,19 +461,30 @@ def _chebyshev_step(
     phase = np.exp(-1j * center * dt)
     if degree == 0:
         return (phase * weights[0]) * amps
+    blocks = [(2.0 / radius) * block for block in blocks]
     local = np.tile((2.0 / radius) * (local - center), (2, 1))
-    xphase = np.tile((2.0 / radius) * xphase, (2, 1))
-    previous = np.stack([amps.real, amps.imag])
-    current = _walsh_hadamard(xphase * _walsh_hadamard(previous))
-    current += local * previous
-    current *= 0.5
-    sums = np.stack([weights[0] * previous, weights[1] * current])
+    pairs = [np.stack([amps.real, amps.imag])] + [np.empty((2, amps.size)) for _ in range(3)]
+    views = [_factor_views(pair, [block.shape[0] for block in blocks], 2) for pair in pairs]
+
+    def twice_y(v, out, work):
+        """``pairs[out] = 2 Y pairs[v]``, through ``pairs[work]``."""
+        for j, block in enumerate(blocks):
+            _factor_product(block, views[v][j], views[work if j else out][j])
+            if j:
+                pairs[out] += pairs[work]
+        np.multiply(local, pairs[v], out=pairs[work])
+        pairs[out] += pairs[work]
+
+    previous, current, following, work = range(4)
+    twice_y(previous, current, work)
+    pairs[current] *= 0.5
+    sums = [weights[0] * pairs[previous], weights[1] * pairs[current]]
     for k in range(2, degree + 1):
-        following = _walsh_hadamard(xphase * _walsh_hadamard(current))
-        following += local * current
-        following -= previous
-        sums[k % 2] += weights[k] * following
-        previous, current = current, following
+        twice_y(current, following, work)
+        pairs[following] -= pairs[previous]
+        np.multiply(pairs[following], weights[k], out=pairs[work])
+        sums[k % 2] += pairs[work]
+        previous, current, following = current, following, previous
     (even_re, even_im), (odd_re, odd_im) = sums
     # even - i * odd, each the complex vector of its pair
     return phase * ((even_re + odd_im) + 1j * (even_im - odd_re))
@@ -511,36 +601,44 @@ def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
         _evolve_dense(spec, fractions, states)
         return result
 
-    constant, xdiag = _split_driver_parts(spec.driver)
+    constant, fields = _transverse_parts(spec.driver)
+    parts = _driver_factors(fields)
     diagonal = spec.target.diagonal()
-    dim = amps.size
 
     if spec.substeps_per_step is None:
+        blocks = [_field_block(part) for part in parts]
         # Weyl: the spectrum of (1 - s) driver + s target lies within the same
-        # mix of the two parts' bounds
-        lower = (1.0 - fractions) * (constant + xdiag.min()) + fractions * diagonal.min()
-        upper = (1.0 - fractions) * (constant + xdiag.max()) + fractions * diagonal.max()
+        # mix of the two parts' bounds, and the driver's is c -+ sum_q |x_q|
+        spread = np.abs(fields).sum()
+        lower = (1.0 - fractions) * (constant - spread) + fractions * diagonal.min()
+        upper = (1.0 - fractions) * (constant + spread) + fractions * diagonal.max()
         for k, s in enumerate(fractions):
             local = (1.0 - s) * constant + s * diagonal
-            xphase = (1.0 - s) / dim * xdiag
-            amps = _chebyshev_step(amps, local, xphase, lower[k], upper[k], dt)
+            driven = [(1.0 - s) * block for block in blocks]
+            amps = _chebyshev_step(amps, local, driven, lower[k], upper[k], dt)
             _keep(states, spec, k + 1, amps)
         return result
 
     sub_dt = dt / spec.substeps_per_step
-    chunk = max(1, CHUNK_BYTES // (32 * dim))
+    # per step: the target phases and every factor's rotation block
+    chunk = max(1, CHUNK_BYTES // (16 * (amps.size + sum(4**part.size for part in parts))))
+    # the state ping-pongs between two buffers, one product a factor
+    buffers = [amps.copy(), np.empty_like(amps)]
+    views = [_factor_views(b, [2**part.size for part in parts]) for b in buffers]
+    held = 0
     for first in range(0, fractions.size, chunk):
         s = fractions[first : first + chunk]
         driver_weights = (1.0 - s) * sub_dt
-        rotations = _unit_phases(np.multiply.outer(-driver_weights, xdiag))
-        # the 1 / 2**n of the transform pair rides on the constant phase
+        rotations = [_rotation_blocks(driver_weights, part) for part in parts]
         phases = _unit_phases(np.multiply.outer(-s * sub_dt, diagonal))
-        phases *= (np.exp(-1j * driver_weights * constant) / dim)[:, None]
-        for k, rotation, phase in zip(range(first, first + s.size), rotations, phases):
+        phases *= np.exp(-1j * driver_weights * constant)[:, None]
+        for j, k in enumerate(range(first, first + s.size)):
             for _ in range(spec.substeps_per_step):
-                amps = _walsh_hadamard(rotation * _walsh_hadamard(amps))
-                amps *= phase
-            _keep(states, spec, k + 1, amps)
+                for f, rotation in enumerate(rotations):
+                    _factor_product(rotation[j], views[held][f], views[1 - held][f])
+                    held = 1 - held
+                buffers[held] *= phases[j]
+            _keep(states, spec, k + 1, buffers[held])
     return result
 
 
@@ -591,6 +689,20 @@ def evolve_real_time(
     return result
 
 
+def _dense_driver(driver: PauliPolynomial) -> np.ndarray:
+    """The real matrix of a transverse-field driver: ``c I`` plus each
+    factor's field block, widened to the register by Kronecker products.
+    Equal to ``driver.to_matrix().real``."""
+    constant, fields = _transverse_parts(driver)
+    parts = _driver_factors(fields)
+    dim = 2**fields.size
+    matrix = np.zeros((dim, dim))
+    np.fill_diagonal(matrix, constant)
+    for part, (above, size, below) in zip(parts, _factor_axes([2**p.size for p in parts])):
+        matrix += np.kron(np.kron(np.eye(above), _field_block(part)), np.eye(below))
+    return matrix
+
+
 def instantaneous_spectrum(
     driver: Hamiltonian, target: Hamiltonian, s_values, k_lowest: int = 4
 ) -> np.ndarray:
@@ -598,7 +710,8 @@ def instantaneous_spectrum(
     each requested s.
 
     The two Hamiltonians use one representation and one register, as in an
-    :class:`AnnealSpec`; a PauliPolynomial target must be diagonal.
+    :class:`AnnealSpec`; a PauliPolynomial driver must be a transverse field
+    and a PauliPolynomial target diagonal.
     Returns an array of shape ``(len(s_values), k_lowest)`` with each row
     sorted ascending.
     """
@@ -608,7 +721,7 @@ def instantaneous_spectrum(
     if isinstance(target, PauliPolynomial):
         if not target.is_diagonal():
             raise ValueError(_NON_DIAGONAL_TARGET)
-        driver, target = driver.to_matrix(), np.diag(target.diagonal())
+        driver, target = _dense_driver(driver), np.diag(target.diagonal())
     driver, target = self_adjoint(driver), self_adjoint(target)
     s_values = np.asarray(s_values, dtype=float)
     curves = np.empty((s_values.size, min(k_lowest, 2**num_qubits)))

@@ -238,7 +238,7 @@ SNAPSHOT_OVERHEAD_BYTES = 256
 CLASSICAL_STEP_OVERHEAD = 60
 
 #: the fixed cost of one split step, whatever the register, in amplitudes:
-#: about 20 us over the 0.2-0.27 us an amplitude costs at the state cap
+#: about 4-5 us over the 35-52 ns an amplitude costs at the state cap
 SPLIT_STEP_OVERHEAD = 100
 
 #: the fixed cost of one dense anneal step, whatever the register, in units
@@ -246,8 +246,8 @@ SPLIT_STEP_OVERHEAD = 100
 DENSE_STEP_OVERHEAD = 1700
 
 #: the fixed cost of one term of the exact anneal step's Chebyshev series,
-#: whatever the register, in amplitudes: about 10 us over the 13-14 ns an
-#: amplitude costs at 6 and 10 qubits
+#: whatever the register, in amplitudes: about 8-10 us over the 9-15 ns an
+#: amplitude costs between 6 and 10 qubits
 CHEBYSHEV_TERM_OVERHEAD = 800
 
 #: a bound on the range of each network model's loss over its weight
@@ -309,22 +309,26 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   the Toeplitz potential matrix, of norm at most |V(0)| + 2 sum |V(k>0)|.
 #   A spectrum s point also pays SPECTRUM_POINT_OVERHEAD, which bounds a
 #   1-qubit scan near 1.1 million points and 30 s.
-# - split step budget: a step is two Walsh-Hadamard transforms and two phase
-#   passes: about 20 us at 1 qubit, 35-45 us at 7, 0.09-0.13 ms at 10 and
-#   13-18 ms at 16.  With SPLIT_STEP_OVERHEAD that is near 15 s at any
-#   register.
+# - split step budget: a step is one rotation-block product per driver factor
+#   (one at up to 6 qubits, two at 7-12, three at 13-16) and one phase pass:
+#   3.9-4.7 us at 1 qubit, 17 us at 7, 63-68 us at 10, 0.26-0.34 ms at 13 and
+#   2.3-3.4 ms at 16 (marginal cost a step, min of 3-7 runs).  With
+#   SPLIT_STEP_OVERHEAD that is near 2-5 s at any register.
 # - Krylov step budget: the exact step is a Chebyshev series (a polynomial
 #   in H, so still a Krylov-subspace method), whose degree
 #   engine.chebyshev_degree sets from the step's reach, its spectral
 #   half-width times dt.  validate prices it at an a-priori half-width: by
 #   Weyl, (1 - s) driver + s loss has at most (1 - s) n / 2 + s L / 2, so at
 #   most max(n, L) / 2, with L from LOSS_RANGE_BOUND (60.5 on the toy model,
-#   5 on the binary one; the shipped runs reach 5.8-6.1 and 5).  A term costs
-#   10-12 us at 6 qubits and 23-26 us at 10, 13-14 ns per unit of
-#   2**n + CHEBYSHEV_TERM_OVERHEAD; a step at dt = 1 keeps 22-23 terms and
-#   takes 0.28 ms at 6 qubits and 0.57 ms at 10, and at dt = 10 keeps 77-85
-#   terms and takes 0.91 and 1.8 ms.  The budget is near 30 s of priced terms;
-#   the toy model's loose loss bound prices its runs 2-4x over their cost.
+#   5 on the binary one; the shipped runs reach 5.8-6.1 and 5).  A term is one
+#   product per driver factor (one at 6 qubits, two at 10) and five passes
+#   over the state's real pair: 8.5-15 us at 6 qubits and 16-29 us at 10,
+#   9-17 ns per unit of 2**n + CHEBYSHEV_TERM_OVERHEAD (min of 7 anneals of 15
+#   steps, random targets in [-2.5, 2.5], on a host in a slow phase).  A step
+#   at dt = 1 keeps 19-22 terms and takes 0.22-0.28 ms at 6 qubits and
+#   0.45-0.64 ms at 10, and at dt = 10 keeps 62-77 terms and takes 0.53-0.68
+#   and 1.2-1.7 ms.  The budget is near 20-35 s of priced terms; the toy
+#   model's loose loss bound prices its runs 2-4x over their cost.
 # - snapshot memory cap: ten thousand states at the dense evolution cap
 #   (166 MB), 216 000 at 5 qubits.  Kept states are rows of one array
 #   allocated before the first step; beyond the amplitudes, tracemalloc

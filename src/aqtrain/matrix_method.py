@@ -204,16 +204,20 @@ class SchrodingerProblem:
             raise ValueError("mass must be positive")
 
     def kinetic_matrix(self) -> np.ndarray:
-        """Diagonal kinetic term (2*pi*n)**2 / (2m)."""
+        """Diagonal kinetic term (2*pi*n)**2 / (2m), a real matrix."""
         modes = self.truncation.modes
-        return np.diag((2.0 * math.pi * modes) ** 2 / (2.0 * self.mass)).astype(complex)
+        return np.diag((2.0 * math.pi * modes) ** 2 / (2.0 * self.mass))
 
     def potential_matrix(self) -> np.ndarray:
-        """Toeplitz matrix Vhat(n - l), assembled Hermitian by construction."""
+        """Toeplitz matrix Vhat(n - l), assembled Hermitian by construction;
+        real when every Fourier coefficient is (a potential symmetric about
+        w = 1/2, such as the cosine), else complex."""
         dim = self.truncation.dim
         lower = np.array(
             [complex(self.potential.fourier_coefficient(d)) for d in range(dim)]
         )
+        if not lower.imag.any():
+            lower = lower.real
         distance = np.subtract.outer(np.arange(dim), np.arange(dim))
         return np.where(distance >= 0, lower[abs(distance)], lower[abs(distance)].conj())
 

@@ -187,9 +187,13 @@ class PauliPolynomial:
             raise ValueError("diagonal must be a vector whose length is a power of two")
         n = dim.bit_length() - 1
         coeffs = _walsh_hadamard(values) / dim
+        # patterns[m] holds qubit q's Z where bit q of m is set, in qubit order
+        patterns = [()]
+        for q in range(n):
+            patterns += [p + ((q, "Z"),) for p in patterns]
         poly = cls(n)
         poly._terms = {
-            tuple((q, "Z") for q in range(n) if m >> q & 1): complex(coeffs[m])
+            patterns[m]: complex(coeffs[m])
             for m in np.flatnonzero(np.abs(coeffs) >= DROP_TOLERANCE).tolist()
         }
         return poly
@@ -335,8 +339,19 @@ class PauliPolynomial:
         return diag.real
 
 
-#: widest Kronecker factor of the Walsh-Hadamard transform, in qubits
+#: widest Kronecker factor of the Walsh-Hadamard transform and of the
+#: engine's transverse driver, in qubits
 _FACTOR_QUBITS = 6
+
+
+def _factor_widths(num_qubits: int, at_least: int = 1) -> tuple:
+    """Widths in qubits, most significant first, of the fewest Kronecker
+    factors of a register that are at most :data:`_FACTOR_QUBITS` wide, and
+    at least ``at_least`` of them (never more than one a qubit); the widths
+    differ by at most one."""
+    count = max(min(num_qubits, at_least), -(-num_qubits // _FACTOR_QUBITS))
+    base, extra = divmod(num_qubits, count)
+    return tuple(base + (j < extra) for j in range(count))
 
 
 def _sylvester(qubits: int, dtype) -> np.ndarray:
@@ -356,13 +371,9 @@ def _kronecker_factors(size: int, dtype: np.dtype) -> tuple:
     There are two factors from 2 qubits up, and more once one would be wider
     than :data:`_FACTOR_QUBITS`; their widths differ by at most one.
     """
-    num_qubits = size.bit_length() - 1
-    count = max(min(num_qubits, 2), -(-num_qubits // _FACTOR_QUBITS))
-    base, extra = divmod(num_qubits, count)
     dtype = np.result_type(dtype, float)
     factors = []
-    for j in range(count):
-        qubits = base + (j < extra)
+    for qubits in _factor_widths(size.bit_length() - 1, at_least=2):
         size >>= qubits
         factors.append((size, _sylvester(qubits, dtype)))
     return tuple(factors)
@@ -375,9 +386,7 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     ``H^{(x)n} = H^{(x)n_1} (x) ... (x) H^{(x)n_k}``: each factor is a small
     Sylvester matrix, applied by ``matmul`` along its axis of the reshaped
     vector (Fino & Algazi, IEEE Trans. Comput. C-25, 1976).  No ``2**n``
-    square matrix is formed.  Leading axes are a batch: the rows of the real
-    ``(2, 2**n)`` pair of a state transform in one call, 1.6-2.5 times faster
-    than the complex state itself.
+    square matrix is formed.  Leading axes are a batch.
     """
     out = np.asarray(values)
     shape, size = out.shape, out.shape[-1]

@@ -18,6 +18,8 @@ would pay.  A shipped nn-binary run is held tighter still: it may load no
 numpy submodule that importing aqtrain does not, apart from ``numpy.random``,
 which its seeded split draws from.  A lazy import such as
 ``numpy.polynomial`` (about 4 ms) would otherwise land inside its timed run.
+The shipped Pauli-spin runs (``anneal_paulispin_quartic`` and
+``spectrum_quartic``) are held to the same rule, without ``numpy.random``.
 """
 
 import json
@@ -26,6 +28,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -105,13 +109,28 @@ def test_runs_load_only_numpy_and_the_standard_library(tmp_path):
     assert "numpy.fft" in loaded  # the read-outs' lazy import was checked too
 
 
-def test_network_run_loads_no_numpy_submodule_beyond_the_import(tmp_path):
-    config = json.loads((CONFIG_DIR / "nn_binary.json").read_text())
-    imported = loaded_modules("import aqtrain, aqtrain.cli, aqtrain.experiments, numpy.random")
+def numpy_loaded_inside(name: str, out: Path, imports: str = "") -> list:
+    """numpy submodules a shipped config's run loads that importing aqtrain
+    (and ``imports``) does not; the run writes into ``out``."""
+    config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    imported = loaded_modules(f"import aqtrain, aqtrain.cli, aqtrain.experiments{imports}")
     ran = loaded_modules(
         "from aqtrain.experiments import run_experiment\n"
-        f"run_experiment({config!r}, {str(tmp_path)!r})"
+        f"run_experiment({config!r}, {str(out)!r})"
     )
+    assert (out / "summary.json").exists()
+    return sorted(name for name in ran - imported if name.startswith("numpy"))
+
+
+def test_network_run_loads_no_numpy_submodule_beyond_the_import(tmp_path):
+    extra = numpy_loaded_inside("nn_binary", tmp_path, ", numpy.random")
     assert (tmp_path / "classes.json").exists()
-    extra = sorted(name for name in ran - imported if name.startswith("numpy"))
+    assert not extra, f"numpy submodules loaded inside the run: {extra}"
+
+
+@pytest.mark.parametrize("name", ["anneal_paulispin_quartic", "spectrum_quartic"])
+def test_pauli_spin_run_loads_no_numpy_submodule_beyond_the_import(tmp_path, name):
+    # the split step's rotation blocks and the spectrum's driver are built
+    # inside the run; neither draws random numbers
+    extra = numpy_loaded_inside(name, tmp_path)
     assert not extra, f"numpy submodules loaded inside the run: {extra}"

@@ -23,8 +23,13 @@ from aqtrain.engine import (
     DENSE_PANEL_NODES,
     LinearSchedule,
     _chebyshev_step,
+    _driver_factors,
+    _factor_product,
+    _factor_views,
+    _field_block,
+    _rotation_blocks,
     _series_weights,
-    _split_driver_parts,
+    _transverse_parts,
     _unit_phases,
     basis_state,
     chebyshev_degree,
@@ -46,7 +51,7 @@ from aqtrain.matrix_method import (
     ground_state,
     momentum_to_position,
 )
-from aqtrain.pauli import PauliPolynomial, _kronecker_factors, _walsh_hadamard, pauli_x, pauli_z
+from aqtrain.pauli import PauliPolynomial, pauli_x, pauli_z
 from aqtrain.varpoly import parse_polynomial
 
 QUARTIC_TEXT = "18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573"
@@ -105,22 +110,31 @@ def count_eigh(monkeypatch):
     return calls
 
 
+def apply_rotations(rotations, amps):
+    """Each factor's rotation block applied along its axis of ``amps``."""
+    sizes = [block.shape[0] for block in rotations]
+    for f, block in enumerate(rotations):
+        out = np.empty_like(amps)
+        _factor_product(block, _factor_views(amps, sizes)[f], _factor_views(out, sizes)[f])
+        amps = out
+    return amps
+
+
 def per_step_split(spec, amps):
-    """Snapshots of the split step as a loop that builds each step's phase
-    vectors itself, with the same element-wise arithmetic as the engine."""
-    constant, xdiag = _split_driver_parts(spec.driver)
+    """Snapshots of the split step as a loop that builds each step's rotation
+    blocks and phase vector itself, with the same arithmetic as the engine."""
+    constant, fields = _transverse_parts(spec.driver)
     diagonal = spec.target.diagonal()
-    dim = amps.size
     sub_dt = spec.dt / spec.substeps_per_step
     snapshots = []
     for k in range(spec.n_steps):
         s = spec.schedule(k * spec.dt)
-        driver_weight = (1.0 - s) * sub_dt
-        rotation = _unit_phases(-driver_weight * xdiag)
+        driver_weight = np.array([(1.0 - s) * sub_dt])
+        rotations = [_rotation_blocks(driver_weight, part)[0] for part in _driver_factors(fields)]
         phase = _unit_phases(-s * sub_dt * diagonal)
-        phase *= complex(np.exp(-1j * driver_weight * constant)) / dim
+        phase *= complex(np.exp(-1j * driver_weight[0] * constant))
         for _ in range(spec.substeps_per_step):
-            amps = _walsh_hadamard(rotation * _walsh_hadamard(amps))
+            amps = apply_rotations(rotations, amps)
             amps *= phase
         if (k + 1) % spec.snapshot_stride == 0 or k + 1 == spec.n_steps:
             snapshots.append(amps.copy())
@@ -321,51 +335,98 @@ class TestSplitEvolution:
 
     @pytest.mark.parametrize("substeps", [1, 3])
     def test_chunked_phases_equal_per_step_loop(self, monkeypatch, substeps):
-        # 4 qubits: 512 B of phase vectors a step, so four steps a chunk and
-        # a last chunk of three
-        monkeypatch.setattr(engine, "CHUNK_BYTES", 4 * 32 * 16)
-        target, _ = quartic_target(4, strength=3.0)
+        # 7 qubits, factors of 4 and 3: 16 * (128 + 256 + 64) B of phases and
+        # rotation blocks a step, so four steps a chunk and a last chunk of three
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 4 * 16 * (128 + 256 + 64))
+        target, _ = quartic_target(7, strength=3.0)
         spec = AnnealSpec(
-            transverse_driver(4),
+            transverse_driver(7),
             target,
             LinearSchedule(7.0),
             n_steps=23,
             substeps_per_step=substeps,
             snapshot_stride=5,
         )
-        uniform = uniform_state(4)
+        uniform = uniform_state(7)
         snapshots = evolve_adiabatic(spec, uniform).states[1:]
         expected = per_step_split(spec, uniform)
         assert len(snapshots) == len(expected) == 5
         for state, amps in zip(snapshots, expected):
             assert np.array_equal(state, amps)
 
+    def test_separable_split_anneal_at_16_qubits_matches_per_qubit_steps(self):
+        # sum_q h_q Z_q with the transverse driver: each first-order split step
+        # is a product of 1-qubit split steps, each an exact 2x2 oracle; 16
+        # qubits, the split-step cap, split the driver into three factors
+        n, t_final, n_steps = 16, 8.0, 5
+        assert [part.size for part in _driver_factors(np.ones(n))] == [6, 5, 5]
+        dt = t_final / n_steps
+        fields = np.random.default_rng(92).uniform(-1.0, 1.0, size=n)
+        target = PauliPolynomial.zero(n)
+        for qubit, field in enumerate(fields):
+            target = target + field * pauli_z(n, qubit)
+        # histories[q][k]: qubit q after k steps of its (I - X) / 2, then h_q Z
+        histories = []
+        for field in fields:
+            amps = np.full(2, 2**-0.5, dtype=complex)
+            history = [amps]
+            for k in range(n_steps):
+                s = k / n_steps
+                energies, vectors = np.linalg.eigh((1.0 - s) * np.array([[0.5, -0.5], [-0.5, 0.5]]))
+                amps = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ amps))
+                amps = np.exp(-1j * s * dt * field * np.array([1.0, -1.0])) * amps
+                history.append(amps)
+            histories.append(history)
+        for stride, kept in ((1, [0, 1, 2, 3, 4, 5]), (3, [0, 3, 5])):
+            spec = AnnealSpec(
+                transverse_driver(n),
+                target,
+                LinearSchedule(t_final),
+                n_steps=n_steps,
+                snapshot_stride=stride,
+            )
+            result = evolve_adiabatic(spec, uniform_state(n))
+            assert np.round(result.times / dt).astype(int).tolist() == kept
+            for step, state in zip(kept[1:], result.states[1:]):
+                expected = np.ones(1, dtype=complex)
+                for history in histories:
+                    # qubit q is bit q of the index, so each new qubit goes on the left
+                    expected = np.kron(history[step], expected)
+                overlap = np.vdot(expected, state)
+                assert np.max(np.abs(state - overlap / abs(overlap) * expected)) <= 1e-12
 
-class TestDriverInHadamardBasis:
-    @pytest.mark.parametrize("num_qubits", [1, 4, 7])
+
+def driver_with_fields(num_qubits, constant, seed):
+    """``constant - sum_q x_q X_q`` with unequal random fields ``x_q``."""
+    fields = np.random.default_rng(seed).uniform(0.2, 2.0, size=num_qubits)
+    driver = PauliPolynomial.identity(num_qubits, constant)
+    for qubit, field in enumerate(fields):
+        driver = driver - field * pauli_x(num_qubits, qubit)
+    return driver
+
+
+class TestDriverByFactors:
+    @pytest.mark.parametrize("num_qubits", [1, 4, 7, 8])
     def test_rotation_matches_dense_exponential(self, num_qubits):
-        # exp(-i a sum_q x_q X_q) = W exp(-i a xdiag) W / 2**n, with unequal x_q
-        rng = np.random.default_rng(30 + num_qubits)
-        x_coeffs = rng.uniform(0.2, 2.0, size=num_qubits)
-        driver = PauliPolynomial.identity(num_qubits, 0.7)
-        for qubit, coeff in enumerate(x_coeffs):
-            driver = driver - coeff * pauli_x(num_qubits, qubit)
-        constant, xdiag = _split_driver_parts(driver)
+        # exp(-i a sum_q x_q X_q) is the Kronecker product of the factors'
+        # rotation blocks: one factor up to 6 qubits, two at 7 and 8
+        driver = driver_with_fields(num_qubits, 0.7, seed=30 + num_qubits)
+        constant, fields = _transverse_parts(driver)
         assert constant == pytest.approx(0.7)
+        parts = _driver_factors(fields)
+        assert [part.size for part in parts] == ([num_qubits] if num_qubits <= 6 else [4, num_qubits - 4])
         v = random_state(num_qubits, seed=40 + num_qubits).astype(complex)
-        angle = 1.3
-        fast = _walsh_hadamard(np.exp(-1j * angle * xdiag) * _walsh_hadamard(v)) / v.size
+        angle = np.array([1.3])
+        fast = apply_rotations([_rotation_blocks(angle, part)[0] for part in parts], v)
         energies, vectors = np.linalg.eigh(driver.to_matrix() - 0.7 * np.eye(v.size))
-        dense = vectors @ (np.exp(-1j * angle * energies) * (vectors.conj().T @ v))
+        dense = vectors @ (np.exp(-1.3j * energies) * (vectors.conj().T @ v))
         assert np.max(np.abs(fast - dense)) <= 1e-12
 
-
-def walsh_matrix(num_qubits):
-    """The unnormalised Walsh-Hadamard transform as an explicit Kronecker power."""
-    out = np.ones((1, 1))
-    for _ in range(num_qubits):
-        out = np.kron(out, [[1.0, 1.0], [1.0, -1.0]])
-    return out
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 5, 6, 7, 8])
+    def test_spectrum_driver_equals_the_pauli_matrix(self, num_qubits):
+        # c I plus the Kronecker-widened field blocks, entry for entry
+        driver = driver_with_fields(num_qubits, 0.7, seed=50 + num_qubits)
+        assert np.array_equal(engine._dense_driver(driver), driver.to_matrix().real)
 
 
 def bessel_j(k, x):
@@ -390,22 +451,26 @@ QUADRATURE_REACHES = [0.1, 1.0, 10.0]
 class TestChebyshevStep:
     @pytest.mark.parametrize("reach", REACHES)
     def test_matches_eigendecomposition(self, reach):
-        # a random operator of the step's form diag(local) + W diag(xphase) W,
-        # at the step's spectral bounds, whose half-width times dt is reach
-        dim = 64
-        rng = np.random.default_rng(21)
-        local, xphase = rng.normal(size=dim), rng.normal(size=dim) / dim
-        walsh = walsh_matrix(6)
-        h = np.diag(local) + walsh @ np.diag(xphase) @ walsh
-        lower = local.min() + dim * xphase.min()
-        upper = local.max() + dim * xphase.max()
-        dt = reach / ((upper - lower) / 2.0)
-        energies, vectors = np.linalg.eigh(h)
-        assert lower <= energies[0] and energies[-1] <= upper
-        v = random_state(6, seed=22)
-        expected = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ v))
-        result = _chebyshev_step(v, local, xphase, lower, upper, dt)
-        assert np.max(np.abs(result - expected)) < 1e-12
+        # a random operator of the step's form diag(local) + sum_f D_f, on one
+        # factor at 6 qubits and two at 7, at the step's Weyl bounds, whose
+        # half-width times dt is reach
+        for num_qubits in (6, 7):
+            dim = 2**num_qubits
+            local = np.random.default_rng(21).normal(size=dim)
+            driver = driver_with_fields(num_qubits, 0.0, seed=20 + num_qubits)
+            _, fields = _transverse_parts(driver)
+            blocks = [_field_block(part) for part in _driver_factors(fields)]
+            assert len(blocks) == num_qubits - 5
+            h = np.diag(local) + driver.to_matrix()
+            spread = np.abs(fields).sum()
+            lower, upper = local.min() - spread, local.max() + spread
+            dt = reach / ((upper - lower) / 2.0)
+            energies, vectors = np.linalg.eigh(h)
+            assert lower <= energies[0] and energies[-1] <= upper
+            v = random_state(num_qubits, seed=22)
+            expected = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ v))
+            result = _chebyshev_step(v, local, blocks, lower, upper, dt)
+            assert np.max(np.abs(result - expected)) < 1e-12
 
     @pytest.mark.parametrize("reach", QUADRATURE_REACHES)
     def test_degree_rule_bounds_the_dropped_bessel_terms(self, reach):
@@ -446,7 +511,7 @@ class TestChebyshevStep:
         # radius 0: no term past the first, and no division by the radius
         assert chebyshev_degree(0.0) == 0
         v = random_state(3, seed=24)
-        result = _chebyshev_step(v, np.full(8, 0.7), np.zeros(8), 0.7, 0.7, 2.5)
+        result = _chebyshev_step(v, np.full(8, 0.7), [np.zeros((8, 8))], 0.7, 0.7, 2.5)
         assert np.max(np.abs(result - np.exp(-1.75j) * v)) <= 1e-15
         constant = PauliPolynomial.identity(3, 0.7)
         spec = AnnealSpec(
@@ -457,10 +522,10 @@ class TestChebyshevStep:
 
     def test_separable_anneal_at_13_qubits_matches_per_qubit_eigh(self):
         # sum_q h_q Z_q with the transverse driver: the exact evolution is a
-        # product of 1-qubit evolutions, each an exact oracle; 13 qubits take
-        # the transform's three-factor path
+        # product of 1-qubit evolutions, each an exact oracle; 13 qubits split
+        # the driver into three factors
         n, t_final, n_steps = 13, 8.0, 8
-        assert len(_kronecker_factors(2**n, np.dtype(float))) == 3
+        assert [part.size for part in _driver_factors(np.ones(n))] == [5, 4, 4]
         fields = np.random.default_rng(91).uniform(-1.0, 1.0, size=n)
         target = PauliPolynomial.zero(n)
         for qubit, field in enumerate(fields):
@@ -646,8 +711,8 @@ class TestDenseEvolution:
             assert np.max(np.abs(snap - expected)) < 1e-11
 
     def test_real_pair_takes_real_solver(self, monkeypatch):
-        # the cosine pair is real but stored complex: every node of the
-        # anneal and the real-time diagonalization take the real eigh
+        # the cosine pair is real: every node of the anneal and the
+        # real-time diagonalization take the real eigh
         problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(4))
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
         state = basis_state(4, problem.truncation.index_of(0))
@@ -831,6 +896,11 @@ class TestInstantaneousSpectrum:
         with pytest.raises(ValueError, match="target must be diagonal"):
             instantaneous_spectrum(transverse_driver(3), pauli_x(3, 1), [0.5])
 
+    def test_rejects_a_non_transverse_driver(self):
+        # the driver's matrix is built from its transverse fields, as the anneal's is
+        with pytest.raises(ValueError, match="driver"):
+            instantaneous_spectrum(pauli_z(3, 0) * pauli_z(3, 1), PauliPolynomial.zero(3), [0.5])
+
     def test_rejects_oversized_register(self):
         with pytest.raises(ValueError, match="spectrum"):
             instantaneous_spectrum(transverse_driver(13), PauliPolynomial.zero(13), [0.5])
@@ -842,5 +912,8 @@ def test_self_adjoint_returns_real_only_without_imaginary_part():
     assert np.array_equal(symmetric, [[1.0, 2.0], [2.0, 3.0]])
     hermitian = self_adjoint(np.array([[1.0, 1j], [-1j, 3.0]]))
     assert hermitian.dtype == np.complex128
-    with pytest.raises(ValueError, match="not Hermitian"):
-        self_adjoint(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    real = np.array([[1.0, 2.0], [2.0, 3.0]])
+    assert self_adjoint(real) is real
+    for dtype in (float, complex):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            self_adjoint(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype))

@@ -141,6 +141,27 @@ class TestHamiltonianAssembly:
         h = problem.hamiltonian()
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "potential, dtype",
+        [
+            (CosinePotential(), np.float64),
+            # the quartic well is not symmetric about w = 1/2, so its
+            # coefficients have imaginary parts; the tilt breaks the symmetry too
+            (QuarticPotential(50.0), np.complex128),
+            (TiltedCosinePotential(0.02), np.complex128),
+        ],
+        ids=["cosine", "quartic", "tilted"],
+    )
+    def test_matrices_are_real_exactly_when_the_coefficients_are(self, potential, dtype):
+        problem = SchrodingerProblem(potential, mass=10.0, truncation=MomentumTruncation(4))
+        coefficients = [complex(potential.fourier_coefficient(k)) for k in range(16)]
+        assert any(c.imag for c in coefficients) == (dtype == np.complex128)
+        assert problem.kinetic_matrix().dtype == np.float64
+        assert problem.potential_matrix().dtype == dtype
+        h = problem.hamiltonian()
+        assert h.dtype == dtype
+        assert np.max(np.abs(h - h.conj().T)) == 0.0
+
     def test_free_particle_spectrum(self):
         problem = SchrodingerProblem(
             QuarticPotential(0.0), mass=1.0, truncation=MomentumTruncation(3)
@@ -167,9 +188,9 @@ class TestGroundState:
         assert vec[pivot].real > 0
 
     def test_real_matrix_matches_complex_solve(self, monkeypatch):
-        # the cosine Hamiltonian is stored complex with a zero imaginary part
+        # the cosine Hamiltonian is real, and solved as it is
         h = SchrodingerProblem(CosinePotential(), 100.0, MomentumTruncation(6)).hamiltonian()
-        assert h.dtype == complex and not h.imag.any()
+        assert h.dtype == np.float64
         solved = []
         eigh = np.linalg.eigh
 
@@ -181,7 +202,7 @@ class TestGroundState:
         energy, vec = ground_state(h)
         monkeypatch.undo()
         assert solved == [np.float64]
-        energies, vectors = np.linalg.eigh(h)
+        energies, vectors = np.linalg.eigh(h.astype(complex))
         assert abs(energy - energies[0]) <= 1e-12
         assert abs(np.vdot(vectors[:, 0], vec)) >= 1.0 - 1e-12
         pivot = np.argmax(np.abs(vec))

@@ -192,6 +192,21 @@ class TestFromDiagonal:
             z_diag = np.diag(dense_reference(3, [(1.0, factors)])).real
             assert poly.coefficient(factors) == pytest.approx(np.mean(z_diag * values), abs=1e-14)
 
+    @pytest.mark.parametrize("num_qubits", range(1, 11))
+    def test_terms_equal_the_per_mask_construction(self, num_qubits):
+        # keys, values and insertion order of a dict built one mask at a time
+        dim = 2**num_qubits
+        values = np.random.default_rng(14 + num_qubits).normal(size=dim)
+        values[: dim // 2] = values[dim // 2 :]  # a zero coefficient, so one key is dropped
+        coeffs = _walsh_hadamard(values) / dim
+        expected = {
+            tuple((q, "Z") for q in range(num_qubits) if m >> q & 1): complex(coeffs[m])
+            for m in range(dim)
+            if abs(coeffs[m]) >= DROP_TOLERANCE
+        }
+        terms = PauliPolynomial.from_diagonal(values)._terms
+        assert list(terms.items()) == list(expected.items())
+
     def test_rejects_bad_shapes(self):
         for bad in (np.ones(3), np.ones((2, 2))):
             with pytest.raises(ValueError, match="power of two"):
@@ -216,8 +231,7 @@ class TestWalshHadamard:
 
     @pytest.mark.parametrize("num_qubits", [1, 7])
     def test_transforms_each_row_of_a_batch(self, num_qubits):
-        # a real pair, as the exact anneal step transforms the real and
-        # imaginary parts of a state
+        # leading axes are a batch, here a real pair
         rows = np.random.default_rng(20 + num_qubits).normal(size=(2, 2**num_qubits))
         batch = _walsh_hadamard(rows)
         assert batch.shape == rows.shape

@@ -1,17 +1,17 @@
 """Adiabatic and real-time evolution of qubit-register states.
 
 Two Hamiltonian representations share one interface, and the anneal picks
-its propagator from the representation and ``substeps_per_step``:
+its propagator from the shapes of its inputs and ``substeps_per_step``:
 
-- A pair of :class:`~aqtrain.pauli.PauliPolynomial` objects, whose driver is
-  a transverse field ``c + sum_q x_q X_q`` and whose target is diagonal,
-  evolves by default through a first-order split step.  The driver's X part
-  is a Kronecker sum over any split of the register, so the register is cut
-  into the fewest factors of at most six qubits (:func:`_driver_factors`)
-  and its exponential is the Kronecker product of one small rotation block
-  per factor (Van Loan, J. Comput. Appl. Math. 123, 85, 2000).  A step is
-  one matrix product per factor, then the target's phase pass (all Z-terms
-  commute, so there is no splitting error inside the group);
+- A transverse-field driver ``c + sum_q x_q X_q`` as its pair ``(c, x)``
+  (:func:`transverse_driver`), with a target given as its real diagonal of
+  ``2**n`` values, evolves by default through a first-order split step.
+  The driver's X part is a Kronecker sum over any split of the register,
+  so the register is cut into the fewest factors of at most six qubits
+  (:func:`_driver_factors`) and its exponential is the Kronecker product
+  of one small rotation block per factor (Van Loan, J. Comput. Appl. Math.
+  123, 85, 2000).  A step is one matrix product per factor, then the
+  target's phase pass (a diagonal has no splitting error inside it);
   ``substeps_per_step`` refines the split.
 - The same pair with ``substeps_per_step=None`` evolves exactly, without
   splitting: each step applies ``exp(-i H dt)`` as a Chebyshev series
@@ -37,10 +37,9 @@ one matrix-vector product) is built ahead of the loop, ``CHUNK_BYTES`` at a
 time.
 
 Real-time evolution under a fixed Hamiltonian (:func:`evolve_real_time`,
-used by the ``tunnel`` experiment) is dense-only and rejects a
-PauliPolynomial.  It diagonalizes the matrix once and evaluates each kept
-state in closed form at its time, so no step loop runs and a kept state
-is exact at its time.
+used by the ``tunnel`` experiment) is dense-only.  It diagonalizes the
+matrix once and evaluates each kept state in closed form at its time, so
+no step loop runs and a kept state is exact at its time.
 
 A state is a plain array of ``2**n`` complex amplitudes, ordered as in
 :mod:`aqtrain.encodings`.  Both evolutions take a normalized initial state,
@@ -62,7 +61,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial, _factor_widths, pauli_x
+from .pauli import MATRIX_QUBIT_CAP, _factor_widths
 
 #: largest register evolved through dense eigendecomposition
 DENSE_EVOLUTION_CAP = 10
@@ -70,22 +69,17 @@ DENSE_EVOLUTION_CAP = 10
 #: largest deviation from unit norm an initial state may have
 NORM_TOLERANCE = 1e-9
 
-Hamiltonian = Union[PauliPolynomial, np.ndarray]
 
-_NON_DIAGONAL_TARGET = "PauliPolynomial target must be diagonal (identity/Z terms only)"
-
-
-def transverse_driver(num_qubits: int) -> PauliPolynomial:
-    """The transverse-field start Hamiltonian (1/2) * sum_q (I - X_q).
+def transverse_driver(num_qubits: int) -> tuple[float, np.ndarray]:
+    """The transverse-field start Hamiltonian (1/2) * sum_q (I - X_q), as the
+    pair of its identity constant ``num_qubits / 2`` and its field ``-1/2``
+    on each qubit.
 
     Its ground state is the uniform superposition with eigenvalue 0; the
     top of its spectrum is ``num_qubits`` (every qubit in the X = -1
     state).
     """
-    driver = PauliPolynomial.identity(num_qubits, num_qubits / 2.0)
-    for qubit in range(num_qubits):
-        driver = driver - 0.5 * pauli_x(num_qubits, qubit)
-    return driver
+    return num_qubits / 2.0, np.full(num_qubits, -0.5)
 
 
 def uniform_state(num_qubits: int) -> np.ndarray:
@@ -115,9 +109,7 @@ class LinearSchedule:
         return t / self.t_final
 
 
-def _hamiltonian_qubits(h: Hamiltonian) -> int:
-    if isinstance(h, PauliPolynomial):
-        return h.num_qubits
+def _hamiltonian_qubits(h: np.ndarray) -> int:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("dense Hamiltonian must be a square matrix")
@@ -128,15 +120,43 @@ def _hamiltonian_qubits(h: Hamiltonian) -> int:
     return num_qubits
 
 
-def _pair_qubits(driver: Hamiltonian, target: Hamiltonian) -> int:
-    """The register of a driver and target that share one representation
-    and one register; raises if they do not."""
-    if isinstance(driver, PauliPolynomial) != isinstance(target, PauliPolynomial):
+def _real(values, what: str, ndim: int) -> np.ndarray:
+    """``values`` as a float array of ``ndim`` axes; raises unless they are
+    real and finite."""
+    array = np.asarray(values)
+    if array.ndim != ndim or array.dtype.kind not in "biuf" or not np.isfinite(array).all():
+        raise ValueError(f"{what} must be real, finite and {ndim}-D")
+    return array.astype(float, copy=False)
+
+
+def _transverse_field(driver) -> tuple[float, np.ndarray]:
+    """The checked constant and fields of a ``(constant, fields)`` driver."""
+    fields = _real(driver[1], "driver fields", 1)
+    if not fields.size:
+        raise ValueError("driver fields must cover at least one qubit")
+    return float(_real(driver[0], "driver constant", 0)), fields
+
+
+def _pair_qubits(driver, target) -> int:
+    """The register of a ``(constant, fields)`` driver with a 1-D diagonal
+    target, or of two dense matrices; raises if the two inputs differ in
+    representation or register."""
+    pair = isinstance(driver, tuple) and len(driver) == 2
+    if pair != (np.ndim(target) == 1):
         raise ValueError("driver and target use different representations")
-    num_qubits = _hamiltonian_qubits(driver)
-    if _hamiltonian_qubits(target) != num_qubits:
-        raise ValueError("driver and target act on different registers")
-    return num_qubits
+    if not pair:
+        num_qubits = _hamiltonian_qubits(driver)
+        if _hamiltonian_qubits(target) != num_qubits:
+            raise ValueError("driver and target act on different registers")
+        return num_qubits
+    fields = _transverse_field(driver)[1]
+    size = _real(target, "diagonal target", 1).size
+    if size != 2**fields.size:
+        raise ValueError(
+            f"driver and target act on different registers: {fields.size} driver "
+            f"fields need a target of {2**fields.size} values, not {size}"
+        )
+    return fields.size
 
 
 @dataclass(frozen=True)
@@ -146,18 +166,18 @@ class AnnealSpec:
     Both Hamiltonians must use the same representation, which selects the
     propagator:
 
-    - two PauliPolynomials (driver restricted to identity/single-X terms,
-      which make a Kronecker sum over the register's factors; diagonal
-      target): the split step, ``substeps_per_step`` times per step, or, with
-      ``substeps_per_step=None``, the exact matrix-free Chebyshev step of
-      :func:`_chebyshev_step`;
+    - a transverse field as its ``(constant, fields)`` pair (one field a
+      qubit, a Kronecker sum over the register's factors) and the target's
+      real diagonal of ``2**n`` values: the split step, ``substeps_per_step``
+      times per step, or, with ``substeps_per_step=None``, the exact
+      matrix-free Chebyshev step of :func:`_chebyshev_step`;
     - two dense Hermitian matrices: the step propagator interpolated in s
       from eigendecompositions at Chebyshev nodes (:func:`_evolve_dense`),
       exact to roundoff, so ``substeps_per_step`` must be 1 or ``None``.
     """
 
-    driver: Hamiltonian
-    target: Hamiltonian
+    driver: Union[tuple[float, np.ndarray], np.ndarray]
+    target: np.ndarray
     schedule: LinearSchedule
     n_steps: int = 10
     substeps_per_step: Optional[int] = 1
@@ -183,7 +203,7 @@ class AnnealSpec:
 
     @property
     def num_qubits(self) -> int:
-        return _hamiltonian_qubits(self.driver)
+        return _hamiltonian_qubits(self.driver) if self.is_dense() else len(self.driver[1])
 
     @property
     def dt(self) -> float:
@@ -194,7 +214,7 @@ class AnnealSpec:
         return np.asarray(self.schedule(np.arange(self.n_steps) * self.dt), dtype=float)
 
     def is_dense(self) -> bool:
-        return not isinstance(self.driver, PauliPolynomial)
+        return np.ndim(self.target) == 2
 
 
 @dataclass(frozen=True)
@@ -238,29 +258,6 @@ def _keep(states: np.ndarray, spec: AnnealSpec, step: int, amps: np.ndarray):
     """Store the state after ``step`` steps in its row, if the anneal keeps it."""
     if step % spec.snapshot_stride == 0 or step == spec.n_steps:
         states[-(-step // spec.snapshot_stride)] = amps
-
-
-def _transverse_parts(driver: PauliPolynomial) -> tuple[float, np.ndarray]:
-    """Identity coefficient ``c`` of a driver ``c + sum_q x_q X_q``, and its
-    field ``x_q`` on each qubit.
-
-    Raises if the driver contains anything beyond identity and single-qubit
-    X terms: only those make a Kronecker sum over any split of the register.
-    """
-    constant = 0.0
-    fields = np.zeros(driver.num_qubits)
-    for term in driver.terms():
-        if abs(term.coefficient.imag) > 1e-12:
-            raise ValueError("driver must be Hermitian")
-        if not term.factors:
-            constant = term.coefficient.real
-        elif len(term.factors) == 1 and term.factors[0][1] == "X":
-            fields[term.factors[0][0]] = term.coefficient.real
-        else:
-            raise ValueError(
-                "PauliPolynomial driver must contain only identity and single-qubit X terms"
-            )
-    return constant, fields
 
 
 def _driver_factors(fields: np.ndarray) -> list[np.ndarray]:
@@ -601,9 +598,9 @@ def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
         _evolve_dense(spec, fractions, states)
         return result
 
-    constant, fields = _transverse_parts(spec.driver)
+    constant, fields = _transverse_field(spec.driver)
     parts = _driver_factors(fields)
-    diagonal = spec.target.diagonal()
+    diagonal = np.asarray(spec.target, dtype=float)
 
     if spec.substeps_per_step is None:
         blocks = [_field_block(part) for part in parts]
@@ -662,14 +659,11 @@ def evolve_real_time(
     of ``round(t_total / dt)`` steps of length ``dt``, and after the last.
 
     ``initial`` is a normalized array of ``2**n`` amplitudes.
-    ``hamiltonian`` must be a dense Hermitian matrix (a PauliPolynomial is
-    rejected; pass its ``to_matrix()``).  It is diagonalized once,
+    ``hamiltonian`` must be a dense Hermitian matrix.  It is diagonalized once,
     ``H = V diag(E) V^*``, and each kept state is evaluated in closed form,
     ``V (exp(-i E t_k) * V^* psi_0)``, so it is exact at its time ``t_k``
     and the skipped steps cost nothing.  The initial state is kept too.
     """
-    if isinstance(hamiltonian, PauliPolynomial):
-        raise ValueError("real-time evolution needs a dense matrix, not a PauliPolynomial")
     if dt <= 0 or t_total <= 0:
         raise ValueError("t_total and dt must be positive")
     if snapshot_stride < 1:
@@ -689,11 +683,10 @@ def evolve_real_time(
     return result
 
 
-def _dense_driver(driver: PauliPolynomial) -> np.ndarray:
-    """The real matrix of a transverse-field driver: ``c I`` plus each
-    factor's field block, widened to the register by Kronecker products.
-    Equal to ``driver.to_matrix().real``."""
-    constant, fields = _transverse_parts(driver)
+def _dense_driver(constant: float, fields: np.ndarray) -> np.ndarray:
+    """The real matrix of the transverse-field driver ``constant + sum_q
+    fields[q] X_q``: ``constant * I`` plus each factor's field block, widened
+    to the register by Kronecker products."""
     parts = _driver_factors(fields)
     dim = 2**fields.size
     matrix = np.zeros((dim, dim))
@@ -703,25 +696,21 @@ def _dense_driver(driver: PauliPolynomial) -> np.ndarray:
     return matrix
 
 
-def instantaneous_spectrum(
-    driver: Hamiltonian, target: Hamiltonian, s_values, k_lowest: int = 4
-) -> np.ndarray:
+def instantaneous_spectrum(driver, target, s_values, k_lowest: int = 4) -> np.ndarray:
     """Lowest ``k_lowest`` eigenvalues of (1 - s) * driver + s * target for
     each requested s.
 
     The two Hamiltonians use one representation and one register, as in an
-    :class:`AnnealSpec`; a PauliPolynomial driver must be a transverse field
-    and a PauliPolynomial target diagonal.
+    :class:`AnnealSpec`: a ``(constant, fields)`` transverse field with a
+    diagonal target vector, or two dense matrices.
     Returns an array of shape ``(len(s_values), k_lowest)`` with each row
     sorted ascending.
     """
     num_qubits = _pair_qubits(driver, target)
     if num_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(f"spectrum supports at most {MATRIX_QUBIT_CAP} qubits")
-    if isinstance(target, PauliPolynomial):
-        if not target.is_diagonal():
-            raise ValueError(_NON_DIAGONAL_TARGET)
-        driver, target = _dense_driver(driver), np.diag(target.diagonal())
+    if np.ndim(target) == 1:
+        driver, target = _dense_driver(*_transverse_field(driver)), np.diag(target)
     driver, target = self_adjoint(driver), self_adjoint(target)
     s_values = np.asarray(s_values, dtype=float)
     curves = np.empty((s_values.size, min(k_lowest, 2**num_qubits)))

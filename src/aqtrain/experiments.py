@@ -71,7 +71,7 @@ from .nn import (
     term_stats,
     toy_two_layer_model,
 )
-from .pauli import MATRIX_QUBIT_CAP, PauliPolynomial
+from .pauli import MATRIX_QUBIT_CAP
 from .varpoly import VarPolynomial, parse_polynomial
 
 # -- schemas -------------------------------------------------------------------------
@@ -788,25 +788,26 @@ def _network(effective: dict) -> _Network:
     return _Network(model, table, train, test, loss_kind, weightspace)
 
 
-def _nn_anneal(hamiltonian: PauliPolynomial, effective: dict) -> np.ndarray:
-    """Final basis-state probabilities of the anneal into the compiled
-    diagonal Hamiltonian, by exact steps (each the Chebyshev series of its
-    propagator).
+def _nn_anneal(losses: np.ndarray, effective: dict) -> np.ndarray:
+    """Final basis-state probabilities of the anneal into the diagonal
+    Hamiltonian of the enumerated ``losses``, by exact steps (each the
+    Chebyshev series of its propagator).
 
     The coarse schedules used for the network runs (10 to 20 steps) need the
     exact per-step exponential of the whole interpolated Hamiltonian;
     splitting the driver and target factors at that step count visibly
     distorts the final populations.
     """
+    num_qubits = losses.size.bit_length() - 1
     spec = AnnealSpec(
-        driver=transverse_driver(hamiltonian.num_qubits),
-        target=hamiltonian,
+        driver=transverse_driver(num_qubits),
+        target=losses,
         schedule=LinearSchedule(effective["t_final"]),
         n_steps=effective["n_steps"],
         substeps_per_step=None,
         snapshot_stride=effective["n_steps"],
     )
-    final = evolve_adiabatic(spec, uniform_state(hamiltonian.num_qubits)).states[-1]
+    final = evolve_adiabatic(spec, uniform_state(num_qubits)).states[-1]
     return np.abs(final) ** 2
 
 
@@ -815,10 +816,9 @@ def _network_headline(effective: dict, out: _Output, net: _Network, probe, **gro
     ``probe`` to classes.json, and return the headline entries both network
     kinds report, the final probabilities and the classes."""
     losses = net.weightspace.losses
-    hamiltonian = PauliPolynomial.from_diagonal(losses)
-    probabilities = _nn_anneal(hamiltonian, effective)
+    probabilities = _nn_anneal(losses, effective)
     classes = group_degenerate(net.model, net.table, probabilities, probe, losses, **grouping)
-    stats = term_stats(net.model, net.train, hamiltonian)
+    stats = term_stats(net.model, net.train, losses)
     rows = [
         {
             "bitstring": cls.bitstring,
@@ -953,7 +953,7 @@ def _run_anneal_paulispin(effective, out: _Output):
     num_qubits = effective["num_qubits"]
     spec = AnnealSpec(
         driver=transverse_driver(num_qubits),
-        target=PauliPolynomial.from_diagonal(objective),
+        target=objective,
         schedule=LinearSchedule(effective["t_final"]),
         n_steps=effective["n_steps"],
         snapshot_stride=effective["n_steps"],
@@ -1021,12 +1021,8 @@ def _run_nn_binary(effective, out: _Output):
 def _run_spectrum(effective, out: _Output):
     _, _, objective = _paulispin_objective(effective)
     s_values = np.linspace(0.0, 1.0, effective["s_points"])
-    curves = instantaneous_spectrum(
-        transverse_driver(effective["num_qubits"]),
-        PauliPolynomial.from_diagonal(objective),
-        s_values,
-        effective["k_lowest"],
-    )
+    driver = transverse_driver(effective["num_qubits"])
+    curves = instantaneous_spectrum(driver, objective, s_values, effective["k_lowest"])
     columns = ("s",) + tuple(f"e{k}" for k in range(curves.shape[1]))
     out.csv("spectrum.csv", columns, ((s, *row) for s, row in zip(s_values, curves)))
     gaps = curves[:, 1] - curves[:, 0] if curves.shape[1] > 1 else np.zeros(len(s_values))
@@ -1077,7 +1073,7 @@ def _run_classical_pool(effective, out: _Output):
 
 def _run_accuracy_curves(effective, out: _Output):
     net = _network(effective)
-    probabilities = _nn_anneal(PauliPolynomial.from_diagonal(net.weightspace.losses), effective)
+    probabilities = _nn_anneal(net.weightspace.losses, effective)
     _, q_train, q_test = sample_pool(probabilities, net.weightspace, effective["pool"], effective["seed"])
     _, c_train, c_test = _classical_pool(effective, net, effective["pool"], effective["train_steps"])
 

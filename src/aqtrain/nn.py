@@ -9,9 +9,9 @@ dataset gives the loss as a single :class:`VarPolynomial`, ready to encode
 into a diagonal Hamiltonian whose ground state is the trained network.
 
 The numeric forward pass is implemented independently of the symbolic one
-(vectorized over weight configurations and inputs).  Runs compile the
-Hamiltonian from the enumerated losses (``PauliPolynomial.from_diagonal``);
-the symbolic path is the paper's construction and the oracle for it.
+(vectorized over weight configurations and inputs).  Runs anneal into the
+enumerated losses as the Hamiltonian's diagonal; the symbolic path is the
+paper's construction and the oracle for it.
 
 The per-sample term counts behind the paper's M**(d**L) bound come from one
 symbolic pass with the inputs as variables too: evaluating at a sample is a
@@ -29,9 +29,9 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from . import pauli
 from .datasets import Dataset, zero_one_labels
 from .encodings import EncodingTable, report_bitstring
-from .pauli import PauliPolynomial
 from .varpoly import DROP_TOLERANCE, VarPolynomial
 
 ENUMERATION_QUBIT_CAP = 20
@@ -299,7 +299,7 @@ def build_loss(model: ModelSpec, dataset: Dataset, kind: str) -> VarPolynomial:
     return total
 
 
-def compile_hamiltonian(loss: VarPolynomial, table: EncodingTable) -> PauliPolynomial:
+def compile_hamiltonian(loss: VarPolynomial, table: EncodingTable) -> pauli.PauliPolynomial:
     """Encode each weight variable, yielding the diagonal target Hamiltonian.
 
     This is the paper's construction; runs compile the same operator from
@@ -654,8 +654,9 @@ def per_sample_terms(model: ModelSpec, features) -> tuple[np.ndarray, np.ndarray
     return counts, degrees
 
 
-def term_stats(model: ModelSpec, dataset: Dataset, hamiltonian: PauliPolynomial) -> TermStats:
-    """Measure per-sample network size and the size of the run's Hamiltonian.
+def term_stats(model: ModelSpec, dataset: Dataset, losses: np.ndarray) -> TermStats:
+    """Measure per-sample network size and the size of the run's Hamiltonian,
+    whose diagonal is ``losses``.
 
     The per-sample output polynomial stays below M**(d**L) monomials (M the
     widest fan-in, d the largest activation degree, L the layer count); the
@@ -663,15 +664,19 @@ def term_stats(model: ModelSpec, dataset: Dataset, hamiltonian: PauliPolynomial)
     2**num_qubits.  The network is expanded symbolically once, with the
     inputs as variables, and its coefficients are evaluated on every sample
     (:func:`per_sample_terms`); the reported figures are the largest term
-    count and degree over the samples.
+    count and degree over the samples.  The Hamiltonian's terms are the
+    Walsh coefficients of ``losses`` that ``PauliPolynomial.from_diagonal``
+    keeps.
     """
     counts, degrees = per_sample_terms(model, dataset.features)
     fan_in = max(layer.fan_in for layer in model.layers)
     degree = max(layer.activation.polynomial_degree(layer.fan_in) for layer in model.layers)
+    losses = np.asarray(losses, dtype=float)
+    walsh = pauli._walsh_hadamard(losses) / losses.size
     return TermStats(
         network_term_count=int(counts.max(initial=0)),
         network_degree=int(degrees.max(initial=0)),
-        hamiltonian_term_count=hamiltonian.num_terms,
+        hamiltonian_term_count=int(np.count_nonzero(np.abs(walsh) >= pauli.DROP_TOLERANCE)),
         generic_bound=fan_in ** (degree ** len(model.layers)),
-        diagonal_bound=2**hamiltonian.num_qubits,
+        diagonal_bound=losses.size,
     )

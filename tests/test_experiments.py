@@ -31,9 +31,11 @@ from aqtrain.experiments import (
     validate_config,
     write_csv,
 )
+from aqtrain.pauli import PauliPolynomial
 from aqtrain.varpoly import VarPolynomial
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def limit(name: str) -> int:
@@ -778,6 +780,38 @@ def test_runs_compile_from_enumerated_losses(monkeypatch, tmp_path):
     for kind in ("nn-toy", "nn-binary", "anneal-paulispin"):
         headline = run_experiment(SMALL[kind], tmp_path / kind).summary["headline"]
         assert headline.get("term_bounds_ok", True) is True
+
+
+def test_runs_build_no_pauli_polynomial(monkeypatch, tmp_path):
+    # the engine takes the loss or objective vector and the driver's fields
+    # as they are; a Pauli sum is the symbolic compiler's output and an oracle
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a run built a PauliPolynomial")
+
+    monkeypatch.setattr(PauliPolynomial, "__init__", refuse)
+    for kind in ("nn-binary", "nn-toy", "accuracy-curves", "anneal-paulispin", "spectrum"):
+        assert run_experiment(SMALL[kind], tmp_path / kind).summary["headline"]
+
+
+def test_perfbench_tracer_wraps_a_run(monkeypatch, tmp_path):
+    # the benchmark's tracer wraps aqtrain names and reads AnnealSpec fields;
+    # a rename it does not follow fails here, before a benchmark run does
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        run_experiment(SMALL["nn-binary"], tmp_path)
+    finally:
+        traced.uninstall()
+    metrics = traced.layer_metrics()
+    assert metrics["engine.evolve_adiabatic.calls"] == 1
+    assert metrics["engine.evolve_adiabatic.steps"] == 3
+    assert metrics["engine.evolve_adiabatic.amp_steps"] == 3 * 1024
+    assert traced.calls["nn.term_stats"] == 1
+    assert metrics["pauli.diagonal.calls"] == 0
+    assert metrics["pauli.to_matrix.calls"] == 0
 
 
 class TestCli:

@@ -601,7 +601,7 @@ class TestTermStats:
     def test_toy_counts_and_bounds(self):
         model, table, data = _toy_setup(n=50)
         losses = enumerate_weightspace(model, table, data, data, "mse").losses
-        stats = term_stats(model, data, PauliPolynomial.from_diagonal(losses))
+        stats = term_stats(model, data, losses)
         assert stats.network_term_count == 7
         assert stats.network_degree == 3
         assert stats.generic_bound == 16  # fan-in 2, degree 2, two layers
@@ -611,11 +611,26 @@ class TestTermStats:
     def test_binary_counts_and_bounds(self):
         model, table, train, test = _binary_setup()
         losses = enumerate_weightspace(model, table, train, test, "linear-binary").losses
-        stats = term_stats(model, train, PauliPolynomial.from_diagonal(losses))
+        stats = term_stats(model, train, losses)
         assert stats.network_degree <= 10
         assert stats.hamiltonian_term_count <= 1024
         assert stats.generic_bound == 4**16
+        assert stats.diagonal_bound == 1024
         assert stats.within_bounds
+
+    def test_toy_term_count_matches_the_symbolic_compiler(self):
+        # the Walsh count of the enumerated losses against the terms the
+        # paper's construction compiles
+        model, table, data = _toy_setup(n=200)
+        losses = enumerate_weightspace(model, table, data, data, "mse").losses
+        compiled = compile_hamiltonian(build_loss(model, data, "mse"), table)
+        assert term_stats(model, data, losses).hamiltonian_term_count == compiled.num_terms == 11
+
+    def test_binary_term_count_matches_the_z_string_expansion(self):
+        model, table, train, test = _binary_setup()
+        losses = enumerate_weightspace(model, table, train, test, "linear-binary").losses
+        count = term_stats(model, train, losses).hamiltonian_term_count
+        assert count == PauliPolynomial.from_diagonal(losses).num_terms == 1024
 
 
 def _per_sample_oracle(model, features):
@@ -662,7 +677,7 @@ class TestPerSampleTerms:
 
     def test_multiplications_do_not_grow_with_the_sample_count(self, monkeypatch):
         model, table, _ = _toy_setup(n=10)
-        hamiltonian = PauliPolynomial.identity(table.total_qubits, 1.0)
+        losses = np.ones(2**table.total_qubits)
         original = VarPolynomial.__mul__
         calls = []
 
@@ -674,7 +689,7 @@ class TestPerSampleTerms:
         counts = []
         for n in (10, 1000):
             calls.clear()
-            term_stats(model, circle_dataset(n, seed=0), hamiltonian)
+            term_stats(model, circle_dataset(n, seed=0), losses)
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
@@ -684,7 +699,7 @@ class TestPerSampleTerms:
         model = ModelSpec(input_dim=2, layers=(layer,))
         data = circle_dataset(5, seed=0)
         with pytest.raises(ValueError, match="x_0"):
-            term_stats(model, data, PauliPolynomial.identity(2, 1.0))
+            term_stats(model, data, np.ones(4))
 
     def test_feature_width_validated(self):
         with pytest.raises(ValueError):

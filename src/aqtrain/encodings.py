@@ -87,36 +87,6 @@ def encode_variable(encoding: VariableEncoding, total_qubits: int) -> PauliPolyn
     raise TypeError(f"unknown encoding {encoding!r}")
 
 
-def decode_bits(encoding: VariableEncoding, bits) -> float:
-    """Variable value on the basis state described by raw |0>/|1> labels.
-
-    ``bits[q]`` is the label of qubit ``q``; label 0 maps to projector
-    eigenvalue 1.
-    """
-    if isinstance(encoding, FractionalBinary):
-        total = 0
-        for place, qubit in enumerate(qubits_of(encoding)):
-            total += (1 - bits[qubit]) << place
-        return total / 2.0**encoding.num_qubits
-    if isinstance(encoding, SpinPM1):
-        return 1.0 - 2.0 * bits[encoding.qubit]
-    if isinstance(encoding, Binary01):
-        return 1.0 - bits[encoding.qubit]
-    raise TypeError(f"unknown encoding {encoding!r}")
-
-
-def bin_centers(encoding: VariableEncoding) -> list[float]:
-    """All representable values, in increasing order."""
-    if isinstance(encoding, FractionalBinary):
-        n = 2**encoding.num_qubits
-        return [r / n for r in range(n)]
-    if isinstance(encoding, SpinPM1):
-        return [-1.0, 1.0]
-    if isinstance(encoding, Binary01):
-        return [0.0, 1.0]
-    raise TypeError(f"unknown encoding {encoding!r}")
-
-
 def decode_all(encoding: VariableEncoding, total_qubits: int) -> np.ndarray:
     """Decoded value for every basis index of the register (vectorized)."""
     indices = np.arange(2**total_qubits, dtype=np.int64)
@@ -179,12 +149,6 @@ class EncodingTable:
     def single_fractional(cls, name: str, num_qubits: int) -> "EncodingTable":
         return cls([(name, FractionalBinary(num_qubits, 0))], num_qubits)
 
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries.items())
-
     def __getitem__(self, name: str) -> VariableEncoding:
         return self._entries[name]
 
@@ -194,11 +158,6 @@ class EncodingTable:
     @property
     def names(self) -> list[str]:
         return list(self._entries)
-
-    def decode_index(self, index: int) -> dict[str, float]:
-        """Variable assignment on one basis state."""
-        bits = basis_bits(index, self.total_qubits)
-        return {name: decode_bits(enc, bits) for name, enc in self._entries.items()}
 
     def decode_columns(self) -> dict[str, np.ndarray]:
         """Assignment arrays indexed by basis index, one column per variable."""

@@ -826,7 +826,7 @@ def _network_headline(effective: dict, out: _Output, net: _Network, probe, **gro
             "energy": cls.energy,
             "degeneracy": cls.degeneracy,
             "prediction_hash": cls.prediction_hash,
-            "weights": {name: float(v) for name, v in cls.weights.items()},
+            "weights": cls.weights,
         }
         for cls in classes[: effective["max_classes"] or None]
     ]

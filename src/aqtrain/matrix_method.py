@@ -95,9 +95,6 @@ class Potential:
     def fourier_coefficient(self, k: int) -> complex:
         raise NotImplementedError
 
-    def __call__(self, w):
-        return self.value(w)
-
 
 class CosinePotential(Potential):
     """V(w) = 1 + cos(4*pi*w): two degenerate minima at w = 1/4 and 3/4."""
@@ -333,8 +330,9 @@ PACKET_OVERLAP_LIMIT = 1e-6
 def gaussian_packet(center: float, width: float, truncation: MomentumTruncation) -> np.ndarray:
     """Momentum amplitudes of ``psi(w) ~ exp(-width * (w - center)**2)``.
 
-    ``width`` is the exponent coefficient; use :func:`quartic_sho_width` or
-    :func:`cosine_sho_width` for the harmonic ground state of a well.  The
+    ``width`` is the exponent coefficient.  The harmonic ground state of a
+    well has width sqrt(lambda * pi * m) at the false minimum of the quartic
+    of strength ``lambda``, and 2 * pi * sqrt(m) in a cosine minimum.  The
     packet must be narrow enough that its periodic images are negligible:
     the relative density ``exp(-width/2)`` half a period away from the
     center must not exceed ``PACKET_OVERLAP_LIMIT``.
@@ -352,16 +350,6 @@ def gaussian_packet(center: float, width: float, truncation: MomentumTruncation)
         -(math.pi**2) * modes**2 / width
     )
     return amplitudes / np.linalg.norm(amplitudes)
-
-
-def quartic_sho_width(strength: float, mass: float) -> float:
-    """Harmonic-approximation packet width sqrt(strength * pi * mass)."""
-    return math.sqrt(strength * math.pi * mass)
-
-
-def cosine_sho_width(mass: float) -> float:
-    """Packet width of the harmonic approximation in a cosine minimum."""
-    return 2.0 * math.pi * math.sqrt(mass)
 
 
 def mass_scaling_exponent(masses, peaks) -> float:

@@ -302,8 +302,9 @@ def build_loss(model: ModelSpec, dataset: Dataset, kind: str) -> VarPolynomial:
 def compile_hamiltonian(loss: VarPolynomial, table: EncodingTable) -> pauli.PauliPolynomial:
     """Encode each weight variable, yielding the diagonal target Hamiltonian.
 
-    This is the paper's construction; runs compile the same operator from
-    the enumerated losses, and this path is the oracle for its coefficients.
+    This is the paper's construction.  Runs compile no operator: they anneal
+    into the enumerated loss vector, the diagonal of this one, and this path
+    is the oracle for its Z-string coefficients.
     """
     missing = loss.variables - set(table.names)
     if missing:
@@ -493,7 +494,8 @@ def group_degenerate(
         raise ValueError(f"degeneracy grouping supports at most {ENUMERATION_QUBIT_CAP} qubits")
     if len(probabilities) != 2**n:
         raise ValueError("probabilities do not match the encoding table register")
-    outputs = forward_configs(model, table.decode_columns(), probe_features)
+    columns = table.decode_columns()
+    outputs = forward_configs(model, columns, probe_features)
     if leading_outputs is not None:
         outputs = np.concatenate([leading_outputs, outputs], axis=1)
     # +0.0 maps -0.0 to 0.0 so byte-level keys are canonical
@@ -509,7 +511,7 @@ def group_degenerate(
         DegeneracyClass(
             representative_index=representative,
             bitstring=report_bitstring(representative, n),
-            weights=table.decode_index(representative),
+            weights={name: float(column[representative]) for name, column in columns.items()},
             probability=float(total),
             energy=float(energies[representative]),
             degeneracy=count,

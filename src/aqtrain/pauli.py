@@ -112,19 +112,6 @@ class PauliString:
             out = np.kron(out, _MATRICES[axes.get(q, "I")])
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PauliString)
-            and self.coefficient == other.coefficient
-            and self.factors == other.factors
-        )
-
-    def __repr__(self):
-        if not self.factors:
-            return f"PauliString({self.coefficient})"
-        ops = "*".join(f"{a}{q}" for q, a in self.factors)
-        return f"PauliString({self.coefficient}, {ops})"
-
 
 def _check_matrix_cap(num_qubits: int):
     if num_qubits > MATRIX_QUBIT_CAP:
@@ -213,10 +200,6 @@ class PauliPolynomial:
 
     # -- views ----------------------------------------------------------------
 
-    def terms(self) -> list[PauliString]:
-        """Terms as PauliStrings in canonical (lexicographic) order."""
-        return [PauliString(c, p) for p, c in sorted(self._terms.items())]
-
     @property
     def num_terms(self) -> int:
         return len(self._terms)
@@ -285,11 +268,6 @@ class PauliPolynomial:
             return self * other
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, PauliPolynomial):
-            return NotImplemented
-        return self.num_qubits == other.num_qubits and self._terms == other._terms
-
     def allclose(self, other: "PauliPolynomial", tol: float = 1e-9) -> bool:
         if self.num_qubits != other.num_qubits:
             return False
@@ -297,15 +275,6 @@ class PauliPolynomial:
         return all(
             abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol for k in keys
         )
-
-    def __repr__(self):
-        if not self._terms:
-            return f"PauliPolynomial({self.num_qubits}, 0)"
-        parts = []
-        for pattern, coeff in sorted(self._terms.items()):
-            ops = "*".join(f"{a}{q}" for q, a in pattern) or "1"
-            parts.append(f"({coeff})*{ops}")
-        return f"PauliPolynomial({self.num_qubits}, {' + '.join(parts)})"
 
     # -- numeric rendering ------------------------------------------------------
 
@@ -356,9 +325,9 @@ def _factor_widths(num_qubits: int, at_least: int = 1) -> tuple:
 
 def _sylvester(qubits: int, dtype) -> np.ndarray:
     """The read-only ``2**qubits`` Sylvester matrix ``(-1)**parity(i & k)``."""
-    out = np.ones((1, 1), dtype=dtype)
-    for _ in range(qubits):
-        out = np.block([[out, out], [out, -out]])
+    i = np.arange(2**qubits)
+    # bitwise_count returns uint8, so pick the sign rather than form 1 - 2 * count
+    out = np.where(np.bitwise_count(np.bitwise_and.outer(i, i)) & 1, -1.0, 1.0).astype(dtype)
     out.setflags(write=False)
     return out
 

@@ -82,10 +82,6 @@ class VarPolynomial:
     def variable(cls, name: str) -> "VarPolynomial":
         return cls({((name, 1),): 1.0})
 
-    @classmethod
-    def monomial(cls, coefficient: float, powers: Mapping[str, int]) -> "VarPolynomial":
-        return cls({tuple(powers.items()): coefficient})
-
     def _accumulate(self, key: MonomialKey, coeff: float):
         self._terms[key] = self._terms.get(key, 0.0) + coeff
 
@@ -166,19 +162,6 @@ class VarPolynomial:
             return self * other
         return NotImplemented
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = VarPolynomial.constant(1.0)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, VarPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
     def allclose(self, other: "VarPolynomial", tol: float = 1e-9) -> bool:
         keys = set(self._terms) | set(other._terms)
         return all(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol for k in keys)
@@ -235,9 +218,6 @@ class VarPolynomial:
                 factors.append(name if exponent == 1 else f"{name}^{exponent}")
             out.append(" * ".join(factors))
         return " ".join(out)
-
-    def __repr__(self):
-        return f"VarPolynomial({self})"
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")

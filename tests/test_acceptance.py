@@ -280,7 +280,7 @@ def test_cosine_anneal_symmetry_and_tilted_well_selection(tmp_path_factory, emit
 
     # selection regime: the bias beats tunnelling, so the deeper well wins
     potential = TiltedCosinePotential(config["tilt"])
-    bias = float(potential(0.75) - potential(0.25))
+    bias = float(potential.value(0.75) - potential.value(0.25))
     bias_ratio = bias / tunnelling_splitting(SELECTION_MASS, config["num_qubits"])
     selected_window = selecting.summary["headline"]["mass_near_true_minimum"]
 

@@ -13,10 +13,7 @@ from aqtrain.encodings import (
     EncodingTable,
     FractionalBinary,
     SpinPM1,
-    basis_bits,
-    bin_centers,
     decode_all,
-    decode_bits,
     encode_variable,
     index_of_report_bitstring,
     qubits_of,
@@ -37,56 +34,47 @@ class TestFractionalBinary:
         for n in (1, 2, 3):
             enc = FractionalBinary(n, 0)
             diag = encode_variable(enc, n).diagonal()
-            for index in range(2**n):
-                assert decode_bits(enc, basis_bits(index, n)) == pytest.approx(diag[index])
+            assert np.allclose(decode_all(enc, n), diag)
 
     def test_decode_example(self):
         # projector eigenvalues (t2, t1, t0) = (1, 0, 1) decode to 5/8;
-        # eigenvalue 1 corresponds to raw bit 0
-        bits = [0, 1, 0]  # (t0, t1, t2) = (1, 0, 1)
-        assert decode_bits(FractionalBinary(3, 0), bits) == pytest.approx(5 / 8)
+        # eigenvalue 1 corresponds to raw bit 0, so only qubit 1's bit is set
+        assert decode_all(FractionalBinary(3, 0), 3)[0b010] == pytest.approx(5 / 8)
 
     def test_all_ones_decode(self):
-        bits = [0, 0]  # both projector eigenvalues 1
-        assert decode_bits(FractionalBinary(2, 0), bits) == pytest.approx(3 / 4)
+        # basis index 0: both projector eigenvalues 1
+        assert decode_all(FractionalBinary(2, 0), 2)[0] == pytest.approx(3 / 4)
 
     def test_bin_grid(self):
-        centers = bin_centers(FractionalBinary(3, 0))
-        assert centers[0] == 0.0
-        assert centers[-1] == pytest.approx(1 - 1 / 8)
-        assert np.allclose(np.diff(centers), 1 / 8)
+        # every grid value r / 8 once, exactly
+        centers = np.sort(decode_all(FractionalBinary(3, 0), 3))
+        assert np.array_equal(centers, np.arange(8) / 8)
 
     def test_spectrum_covers_all_bins(self):
         diag = encode_variable(FractionalBinary(3, 0), 3).diagonal()
-        assert sorted(diag) == pytest.approx(bin_centers(FractionalBinary(3, 0)))
+        assert sorted(diag) == pytest.approx(np.arange(8) / 8)
 
     def test_offset_register(self):
         enc = FractionalBinary(2, 1)
         assert qubits_of(enc) == (1, 2)
-        diag = encode_variable(enc, 3).diagonal()
-        for index in range(8):
-            assert decode_bits(enc, basis_bits(index, 3)) == pytest.approx(diag[index])
+        assert np.allclose(decode_all(enc, 3), encode_variable(enc, 3).diagonal())
 
 
 class TestSingleQubitEncodings:
     def test_spin_values(self):
         enc = SpinPM1(0)
-        assert decode_bits(enc, [0]) == 1.0
-        assert decode_bits(enc, [1]) == -1.0
-        assert bin_centers(enc) == [-1.0, 1.0]
+        assert decode_all(enc, 1).tolist() == [1.0, -1.0]
         assert np.allclose(encode_variable(enc, 1).diagonal(), [1.0, -1.0])
 
     def test_binary01_values(self):
         enc = Binary01(0)
-        assert decode_bits(enc, [0]) == 1.0
-        assert decode_bits(enc, [1]) == 0.0
+        assert decode_all(enc, 1).tolist() == [1.0, 0.0]
         assert np.allclose(encode_variable(enc, 1).diagonal(), [1.0, 0.0])
 
     def test_decode_all_vectorized(self):
+        # on a wider register, each value is the operator's eigenvalue there
         for enc in (SpinPM1(1), Binary01(0), FractionalBinary(2, 1)):
-            values = decode_all(enc, 3)
-            for index in range(8):
-                assert values[index] == decode_bits(enc, basis_bits(index, 3))
+            assert np.array_equal(decode_all(enc, 3), encode_variable(enc, 3).diagonal())
 
 
 class TestReportBitstrings:
@@ -108,15 +96,16 @@ class TestEncodingTable:
         assert table.names == ["a", "b", "c"]
         assert table["b"] == SpinPM1(1)
 
-    def test_decode_index(self):
+    def test_decode_columns(self):
         table = EncodingTable(
             [("w", FractionalBinary(2, 0)), ("s", SpinPM1(2)), ("b", Binary01(3))], 4
         )
+        columns = table.decode_columns()
+        assert list(columns) == ["w", "s", "b"]
         # index 0b0110: qubit0=0, qubit1=1, qubit2=1, qubit3=0
-        assignment = table.decode_index(0b0110)
-        assert assignment["w"] == pytest.approx(1 / 4)  # t = (1, 0) -> 1/4
-        assert assignment["s"] == -1.0
-        assert assignment["b"] == 1.0
+        assert columns["w"][0b0110] == pytest.approx(1 / 4)  # t = (1, 0) -> 1/4
+        assert columns["s"][0b0110] == -1.0
+        assert columns["b"][0b0110] == 1.0
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlaps"):
@@ -129,11 +118,3 @@ class TestEncodingTable:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             EncodingTable([("a", SpinPM1(0)), ("a", SpinPM1(1))], 2)
-
-    def test_decode_columns_match_decode_index(self):
-        table = EncodingTable([("w", FractionalBinary(2, 0)), ("s", SpinPM1(2))], 3)
-        columns = table.decode_columns()
-        for index in range(8):
-            assignment = table.decode_index(index)
-            for name, values in columns.items():
-                assert values[index] == assignment[name]

@@ -20,12 +20,10 @@ from aqtrain.matrix_method import (
     SchrodingerProblem,
     TiltedCosinePotential,
     adaptive_simpson,
-    cosine_sho_width,
     gaussian_packet,
     ground_state,
     mass_scaling_exponent,
     momentum_to_position,
-    quartic_sho_width,
     window_masses,
 )
 from aqtrain.varpoly import parse_polynomial
@@ -268,7 +266,8 @@ class TestGroundState:
 class TestGaussianPacket:
     def test_unit_norm_and_location(self):
         trunc = MomentumTruncation(5)
-        width = quartic_sho_width(4.0, 100.0)
+        # the harmonic width sqrt(lambda * pi * m) at the false minimum
+        width = math.sqrt(4.0 * math.pi * 100.0)
         amps = gaussian_packet(QUARTIC_FALSE_MINIMUM, width, trunc)
         assert np.linalg.norm(amps) == pytest.approx(1.0)
         w, density = momentum_to_position(amps)
@@ -301,10 +300,6 @@ class TestGaussianPacket:
     def test_wide_packet_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             gaussian_packet(0.25, 20.0, MomentumTruncation(5))
-
-    def test_sho_width_helpers(self):
-        assert quartic_sho_width(4.0, 100.0) == pytest.approx(math.sqrt(400 * math.pi))
-        assert cosine_sho_width(100.0) == pytest.approx(20 * math.pi)
 
 
 class TestMomentumToPosition:

@@ -14,6 +14,7 @@ from aqtrain.pauli import (
     PauliPolynomial,
     PauliString,
     _kronecker_factors,
+    _sylvester,
     _walsh_hadamard,
     binary_projector,
     pauli_x,
@@ -228,6 +229,17 @@ class TestWalshHadamard:
         expected = self.sylvester(num_qubits) @ values
         assert np.max(np.abs(_walsh_hadamard(values) - expected)) <= 1e-12
         assert np.max(np.abs(_walsh_hadamard(values.real) - expected.real)) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_factor_matches_the_block_recurrence(self, num_qubits, dtype):
+        # H_{k+1} = [[H_k, H_k], [H_k, -H_k]] from H_0 = [[1]]
+        expected = np.ones((1, 1))
+        for _ in range(num_qubits):
+            expected = np.block([[expected, expected], [expected, -expected]])
+        factor = _sylvester(num_qubits, np.dtype(dtype))
+        assert factor.dtype == dtype and not factor.flags.writeable
+        assert np.array_equal(factor, expected)
 
     @pytest.mark.parametrize("num_qubits", [1, 7])
     def test_transforms_each_row_of_a_batch(self, num_qubits):

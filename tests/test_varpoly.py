@@ -12,7 +12,7 @@ def random_polynomial(rng, names, max_terms=6, max_power=3):
     poly = VarPolynomial.zero()
     for _ in range(rng.integers(1, max_terms + 1)):
         powers = {n: int(rng.integers(0, max_power + 1)) for n in names}
-        poly = poly + VarPolynomial.monomial(float(rng.normal()), powers)
+        poly = poly + VarPolynomial({tuple(powers.items()): float(rng.normal())})
     return poly
 
 
@@ -35,7 +35,7 @@ class TestArithmetic:
 
     def test_square_binomial(self):
         w = VarPolynomial.variable("w")
-        p = (1 + w) ** 2
+        p = (1 + w) * (1 + w)
         assert p.term_count == 3
         assert p.degree == 2
         assert p.coefficient({}) == 1.0
@@ -58,7 +58,7 @@ class TestArithmetic:
         rng = np.random.default_rng(5)
         x, y = VarPolynomial.variable("x"), VarPolynomial.variable("y")
         polys = [random_polynomial(rng, ["x", "y", "x_0"]) for _ in range(5)]
-        polys += [VarPolynomial.constant(2.5), x * y + 1.0, x**2 - y]
+        polys += [VarPolynomial.constant(2.5), x * y + 1.0, x * x - y]
         for p in polys:
             for q in polys:
                 oracle = VarPolynomial()
@@ -67,7 +67,7 @@ class TestArithmetic:
                         oracle._accumulate(_canonical_key(ka + kb), ca * cb)
                 oracle._prune()
                 assert list((p * q)._terms.items()) == list(oracle._terms.items())
-        product = (x * y + 1.0) * (x**2 - y)
+        product = (x * y + 1.0) * (x * x - y)
         assert product.coefficient({"x": 3, "y": 1}) == 1.0
         assert product.coefficient({"x": 2}) == 1.0
         assert product.coefficient({}) == 0.0
@@ -126,9 +126,8 @@ class TestSubstituteEncodings:
         for _ in range(10):
             poly = random_polynomial(rng, ["w", "s", "b"], max_terms=5, max_power=3)
             diag = poly.substitute_encodings(table).diagonal()
-            for index in range(16):
-                expected = poly.evaluate(table.decode_index(index))
-                assert diag[index] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            expected = poly.evaluate(table.decode_columns())
+            assert diag == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_binary_powers_collapse(self):
         # T^2 = T: on a 0/1 variable, w^2 compiles to the same operator as w

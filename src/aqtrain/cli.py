@@ -19,36 +19,41 @@ from .experiments import (
     validate_config,
 )
 
-#: which config field `--seed` overrides, per kind
+#: which config field `--seed` overrides, per kind (per model for enumerate)
 SEED_FIELDS = {
     "nn-toy": "seed",
     "nn-binary": "split_seed",
     "classical-pool": "first_seed",
     "accuracy-curves": "seed",
+    "enumerate toy": "seed",
+    "enumerate binary": "split_seed",
 }
 
 #: kinds whose dataset labeling honours `--band-prob`
-BAND_FIELDS = {"nn-toy": "band_rule", "enumerate": "band_rule"}
+BAND_FIELDS = {"nn-toy": "band_rule", "enumerate toy": "band_rule"}
 
 
 def _apply_overrides(config: dict, args) -> list:
     """Fold command-line overrides into the config; returns warning lines."""
+    if not isinstance(config, dict):
+        return []  # validate_config reports it
     warnings = []
     kind = config.get("kind")
-    if args.seed is not None:
-        field = SEED_FIELDS.get(kind)
-        if kind == "enumerate":
-            field = "seed" if config.get("model", SCHEMAS["enumerate"]["model"]) == "toy" else "split_seed"
+    key, target = (kind if isinstance(kind, str) else None), f"kind {kind!r}"
+    if kind == "enumerate":
+        model = config.get("model", SCHEMAS[kind]["model"])
+        key, target = f"{kind} {model}", f"{target} with model {model!r}"
+    for flag, value, fields in (
+        ("--seed", args.seed, SEED_FIELDS),
+        ("--band-prob", args.band_prob, BAND_FIELDS),
+    ):
+        if value is None:
+            continue
+        field = fields.get(key)
         if field is None:
-            warnings.append(f"--seed has no effect for kind {kind!r}")
+            warnings.append(f"{flag} has no effect for {target}")
         else:
-            config[field] = args.seed
-    if args.band_prob is not None:
-        field = BAND_FIELDS.get(kind)
-        if field is None:
-            warnings.append(f"--band-prob has no effect for kind {kind!r}")
-        else:
-            config[field] = args.band_prob
+            config[field] = value
     return warnings
 
 

@@ -220,6 +220,12 @@ CHOICES = {
 POTENTIAL_PARAMETERS = {"tilt": "tilted-cosine", "scale": "quartic"}
 _MATRIX_POTENTIAL_KINDS = ("tunnel", "anneal-matrix")
 
+#: the one enumerate model that reads each data parameter; with the other
+#: model the parameter is left out of the effective config, and a config
+#: that sets it gets a note
+MODEL_PARAMETERS = dict.fromkeys(("dataset", "n_points", "seed", "band_rule"), "toy")
+MODEL_PARAMETERS["split_seed"] = "binary"
+
 #: the register-size cap of each kind with a num_qubits parameter
 _REGISTER_CAPS = {
     "tunnel": "dense evolution cap",
@@ -467,18 +473,19 @@ def validate_config(config) -> ValidationReport:
     value ranges, and returns the effective config whose canonical JSON
     defines the config hash.  For the matrix-method kinds the effective
     config lists only the potential parameters the chosen potential uses;
-    setting one it ignores is an error.  A config with no such error is
-    then checked against every row of ``LIMITS`` that its sizes reach
-    (register, classical pool, curve draws, toy rows, steps, dense
-    decompositions, grid points, snapshots); each excess is reported
-    with its expression, value, limit and unit.
+    setting one it ignores is an error.  For enumerate it lists only the
+    data parameters the chosen model reads; one it ignores gets a note.  A
+    config with no error is then checked against every row of ``LIMITS``
+    that its sizes reach (register, classical pool, curve draws, toy rows,
+    steps, dense decompositions, grid points, snapshots); each excess is
+    reported with its expression, value, limit and unit.
     """
     notes: list = []
     errors: list = []
     if not isinstance(config, dict):
         return ValidationReport({}, notes, ["config must be a JSON object"])
     kind = config.get("kind")
-    if kind not in SCHEMAS:
+    if not isinstance(kind, str) or kind not in SCHEMAS:
         known = ", ".join(EXPERIMENT_KINDS)
         return ValidationReport({}, notes, [f"unknown kind {kind!r}; expected one of: {known}"])
     schema = SCHEMAS[kind]
@@ -487,6 +494,7 @@ def validate_config(config) -> ValidationReport:
             errors.append(f"unknown parameter {key!r} for kind {kind!r}")
 
     potential = config.get("potential", schema.get("potential"))
+    model = config.get("model", schema.get("model"))
     effective = {"kind": kind}
     for name, default in schema.items():
         reader = POTENTIAL_PARAMETERS.get(name)
@@ -496,6 +504,11 @@ def validate_config(config) -> ValidationReport:
                     f"{name} has no effect with potential {potential!r}; "
                     f"only potential {reader!r} reads it"
                 )
+            continue
+        reader = MODEL_PARAMETERS.get(name)
+        if kind == "enumerate" and reader and model != reader:
+            if name in config:
+                notes.append(f"{name} has no effect with model {model!r}; left out")
             continue
         if name in config:
             value = config[name]

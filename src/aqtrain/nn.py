@@ -3,10 +3,11 @@
 A model is declared layer by layer; each weight or bias entry is either a
 named variable or a fixed constant.  For a fixed numeric input the forward
 pass is then an exact polynomial in the weight variables — directly for
-polynomial activations, and through the majority-indicator expansion for
-step activations on 0/1 data.  Summing per-sample polynomials over a
-dataset gives the loss as a single :class:`VarPolynomial`, ready to encode
-into a diagonal Hamiltonian whose ground state is the trained network.
+polynomial activations, and through the majority indicator's multilinear
+(Möbius) expansion for step activations on 0/1 data.  Summing per-sample
+polynomials over a dataset gives the loss as a single :class:`VarPolynomial`,
+ready to encode into a diagonal Hamiltonian whose ground state is the
+trained network.
 
 The numeric forward pass is implemented independently of the symbolic one
 (vectorized over weight configurations and inputs).  Runs anneal into the
@@ -16,14 +17,14 @@ paper's construction and the oracle for it.
 The per-sample term counts behind the paper's M**(d**L) bound come from one
 symbolic pass with the inputs as variables too: evaluating at a sample is a
 ring homomorphism R[w, x] -> R[w], so that polynomial's coefficients,
-evaluated with numpy on every sample, give each per-sample polynomial
-(:func:`per_sample_terms`).
+evaluated with numpy on every sample (each input's powers from a table of
+repeated products), give each per-sample polynomial (:func:`per_sample_terms`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -105,25 +106,33 @@ Activation = Union[Identity, Square, StepMajority]
 def theta_polynomial(n: int, inputs: Sequence) -> VarPolynomial:
     """Indicator polynomial for "at least half of n binary inputs are set".
 
-    Expands sum_{m=0}^{floor(n/2)} sum_{|S|=m} prod_{j not in S} T_j
-    prod_{k in S} (1 - T_k).  On any 0/1 assignment exactly one product
-    survives (S = the complement of the set inputs), so the value is 1
-    precisely when at least ceil(n/2) inputs are 1.  Inputs may be variable
-    names or 0/1-valued polynomials (e.g. weight-times-input products).
+    With k = ceil(n/2), the threshold's multilinear (Möbius) expansion
+    sum_{|S|>=k} (-1)**(|S|-k) C(|S|-1, k-1) prod_{j in S} T_j.  With m inputs
+    set it sums to sum_{s=k}^{m} (-1)**(s-k) C(m, s) C(s-1, k-1): 1 if m >= k,
+    else 0.  So it equals the subset expansion sum_{|S|<=floor(n/2)}
+    prod_{j not in S} T_j prod_{i in S} (1 - T_i), of which one product
+    survives each 0/1 assignment: both are multilinear and agree on {0,1}^n.
+    Each subset product is built once, from its prefix's; a prefix too short
+    to reach k inputs is not extended.  Inputs may be variable names or
+    0/1-valued polynomials (e.g. weight-times-input products).
     """
     if n < 1:
         raise ValueError("fan-in must be at least 1")
     polys = [VarPolynomial.variable(p) if isinstance(p, str) else p for p in inputs]
     if len(polys) != n:
         raise ValueError(f"expected {n} inputs, got {len(polys)}")
-    one = VarPolynomial.constant(1.0)
+    k = (n + 1) // 2
     total = VarPolynomial.zero()
-    for m in range(n // 2 + 1):
-        for subset in itertools.combinations(range(n), m):
-            term = one
-            for j in range(n):
-                term = term * ((one - polys[j]) if j in subset else polys[j])
-            total = total + term
+    # (prod_{j in S} T_j, |S|, max S) for each subset that can still reach k
+    stack = [(polys[j], 1, j) for j in range(n - k + 1)]
+    while stack:
+        product, size, last = stack.pop()
+        if product.term_count == 0:
+            continue  # every superset's product is zero too
+        if size >= k:
+            total = total + product * float((-1) ** (size - k) * math.comb(size - 1, k - 1))
+        for j in range(last + 1, min(n, n - k + size + 1)):
+            stack.append((product * polys[j], size + 1, j))
     return total
 
 
@@ -424,10 +433,12 @@ def enumerate_weightspace(
     columns = table.decode_columns()
     train_out = forward_configs(model, columns, train.features)
     test_out = train_out if test is train else forward_configs(model, columns, test.features)
+    train_accuracy = _accuracy_matrix(train_out, train.labels)
+    test_accuracy = train_accuracy if test is train else _accuracy_matrix(test_out, test.labels)
     return WeightspaceTable(
         losses=_numeric_loss(train_out, train.labels, loss_kind),
-        train_accuracy=_accuracy_matrix(train_out, train.labels),
-        test_accuracy=_accuracy_matrix(test_out, test.labels),
+        train_accuracy=train_accuracy,
+        test_accuracy=test_accuracy,
         train_outputs=train_out,
     )
 
@@ -646,8 +657,13 @@ def per_sample_terms(model: ModelSpec, features) -> tuple[np.ndarray, np.ndarray
         term_column[t] = monomial_column[weight_part]
         coefficients[t] = coeff
 
-    # (samples, terms) values of coeff * prod_j x_j**e_j, summed per weight monomial
-    values = coefficients * np.prod(features[:, None, :] ** exponents, axis=2)
+    # powers[:, j, e] = x_j**e by repeated products; (samples, terms) values
+    # of coeff * prod_j x_j**e_j, summed per weight monomial
+    powers = [np.ones_like(features)]
+    for _ in range(exponents.max(initial=0)):
+        powers.append(powers[-1] * features)
+    powers = np.stack(powers, axis=2)
+    values = coefficients * np.prod(powers[:, np.arange(len(inputs)), exponents], axis=2)
     per_monomial = np.zeros((features.shape[0], len(monomial_degree)))
     np.add.at(per_monomial, (slice(None), term_column), values)
     survives = np.abs(per_monomial) >= DROP_TOLERANCE

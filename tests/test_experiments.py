@@ -136,6 +136,7 @@ class TestValidation:
         report = validate_config({"kind": "warp-drive"})
         assert not report.ok
         assert "unknown kind" in report.errors[0]
+        assert "unknown kind" in validate_config({"kind": ["nn-toy"]}).errors[0]
 
     def test_missing_kind_rejected(self):
         assert not validate_config({"mass": 5.0}).ok
@@ -589,6 +590,23 @@ class TestValidation:
             f"only potential {reader!r} reads it"
         ]
 
+    def test_effective_config_lists_only_parameters_the_model_reads(self):
+        toy_keys = {"dataset", "n_points", "seed", "band_rule"}
+        binary = validate_config({"kind": "enumerate", "model": "binary"})
+        assert set(binary.effective) == {"kind", "model", "split_seed"}
+        assert binary.notes == ["split_seed defaulted to 0"]
+        toy = validate_config({"kind": "enumerate", "model": "toy"})
+        assert set(toy.effective) == {"kind", "model"} | toy_keys
+        # a key the model ignores is noted and left out, so it cannot move the hash
+        ignored = validate_config({"kind": "enumerate", "band_rule": "max", "seed": 5})
+        assert ignored.ok
+        assert ignored.effective == binary.effective
+        assert "band_rule has no effect with model 'binary'; left out" in ignored.notes
+        assert "seed has no effect with model 'binary'; left out" in ignored.notes
+        ignored = validate_config({"kind": "enumerate", "model": "toy", "split_seed": 3})
+        assert ignored.ok and ignored.effective == toy.effective
+        assert "split_seed has no effect with model 'toy'; left out" in ignored.notes
+
     def test_list_parameters_checked(self):
         assert not validate_config({"kind": "mass-scan", "masses": [25.0]}).ok
         assert not validate_config({"kind": "mass-scan", "masses": [25.0, -1.0]}).ok
@@ -875,6 +893,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "warning: --seed has no effect" in out
         assert "warning: --band-prob has no effect" in out
+
+    def test_band_prob_on_a_binary_enumerate_warns(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"kind": "enumerate", "model": "binary"})
+        assert cli.main(["validate", path]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["validate", path, "--band-prob", "max", "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "warning: --band-prob has no effect for kind 'enumerate' with model 'binary'" in out
+        assert "band_rule" not in out
+        assert "split_seed = 4" in out
+        # the ignored flag leaves the hash as it is without the flag
+        with_seed = self.write_config(tmp_path, {"kind": "enumerate", "model": "binary", "split_seed": 4})
+        assert cli.main(["validate", with_seed]) == 0
+        assert out.splitlines()[-1] == capsys.readouterr().out.splitlines()[-1]
+        assert plain.splitlines()[-1] != out.splitlines()[-1]
+
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        for config in ([1], {"kind": ["nn-toy"]}):
+            path = self.write_config(tmp_path, config)
+            assert cli.main(["validate", path, "--seed", "3"]) == 2
+            assert "error:" in capsys.readouterr().out
 
     def test_list_experiments(self, capsys):
         assert cli.main(["list-experiments"]) == 0

@@ -72,6 +72,34 @@ class TestThetaPolynomial:
             expected = 1.0 if sum(bits) >= n / 2 else 0.0
             assert value == pytest.approx(expected, abs=1e-12)
 
+    @staticmethod
+    def _subset_expansion(polys):
+        # the definition: one product per set of at most floor(n/2) unset inputs
+        n, one = len(polys), VarPolynomial.constant(1.0)
+        total = VarPolynomial.zero()
+        for m in range(n // 2 + 1):
+            for unset in itertools.combinations(range(n), m):
+                term = one
+                for j, poly in enumerate(polys):
+                    term = term * ((one - poly) if j in unset else poly)
+                total = total + term
+        return total
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_subset_expansion_on_names(self, n):
+        names = [f"t{i}" for i in range(n)]
+        expected = self._subset_expansion([VarPolynomial.variable(name) for name in names])
+        assert theta_polynomial(n, names).items() == expected.items()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_subset_expansion_on_products(self, n):
+        # weight-times-input products w_j * x_j for every 0/1 input x
+        for x in itertools.product([0.0, 1.0], repeat=n):
+            polys = [VarPolynomial.variable(f"w{j}") * x_j for j, x_j in enumerate(x)]
+            expected = self._subset_expansion(polys)
+            assert theta_polynomial(n, polys).items() == expected.items()
+            assert all(coeff == round(coeff) for _, coeff in expected.items())
+
     def test_accepts_product_inputs(self):
         # majority over weight-times-input products, inputs fixed to 1 and 0
         w1, w2 = VarPolynomial.variable("w1"), VarPolynomial.variable("w2")
@@ -353,6 +381,7 @@ class TestEnumerateWeightspace:
         model, table, data = _toy_setup(n=40)
         shared = enumerate_weightspace(model, table, data, data, "mse")
         assert len(calls) == 1
+        assert shared.test_accuracy is shared.train_accuracy
         copy = circle_dataset(40, seed=0)
         separate = enumerate_weightspace(model, table, data, copy, "mse")
         assert len(calls) == 3
@@ -670,6 +699,17 @@ class TestPerSampleTerms:
         # an all-zero input leaves only the constant bias
         assert (counts[0], degrees[0]) == (1, 0)
 
+    def test_fourth_powers_match_symbolic_forward(self):
+        # a Square layer over a Square layer raises each input to the 4th
+        # power; at 1e-4 that power falls below DROP_TOLERANCE
+        first = LayerSpec(weights=(("a", "b"), ("c", 0.5)), biases=(0.0, "e"), activation=Square())
+        second = LayerSpec(weights=(("f", "g"),), biases=("h",), activation=Square())
+        model = ModelSpec(input_dim=2, layers=(first, second))
+        rows = [(0.0, 0.0), (-1.0, 0.5), (2.0, -3.0), (1e-4, 1e-4), (1e-4, 0.0), (0.0, -1e-4), (-0.3, 1e-2)]
+        self._assert_rows_match(model, np.array(rows))
+        counts, _ = per_sample_terms(model, [(1e-4, 0.0), (1.0, 0.0)])
+        assert counts[0] < counts[1]
+
     def test_zero_polynomial_has_no_terms_and_degree_zero(self):
         layer = LayerSpec(weights=(("a", "b"),), biases=(0.0,), activation=Identity())
         model = ModelSpec(input_dim=2, layers=(layer,))
@@ -695,6 +735,26 @@ class TestPerSampleTerms:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("stage,most", [("term_stats", 173), ("build_loss", 305)])
+    def test_multiplied_term_pairs_stay_bounded(self, monkeypatch, stage, most):
+        # a timing-free cost guard on the binary model and the shipped split:
+        # the term pairs every polynomial product multiplies, summed
+        model, table, train, _ = _binary_setup()
+        original = VarPolynomial.__mul__
+        pairs = []
+
+        def counting(self, other):
+            if isinstance(other, VarPolynomial):
+                pairs.append(self.term_count * other.term_count)
+            return original(self, other)
+
+        monkeypatch.setattr(VarPolynomial, "__mul__", counting)
+        if stage == "term_stats":
+            term_stats(model, train, np.ones(2**table.total_qubits))
+        else:
+            build_loss(model, train, "linear-binary")
+        assert 0 < sum(pairs) <= most
 
     def test_weight_named_like_an_input_is_rejected(self):
         layer = LayerSpec(weights=(("x_0", "w"),), biases=(0.0,), activation=Square())

@@ -56,6 +56,9 @@ UNREACHED = {
     "nn:symbolic_forward": "oracle",
     "varpoly:VarPolynomial.__rmul__": "oracle",
     "varpoly:VarPolynomial.__rsub__": "oracle",
+    # build_loss's mse residual ``output - float(label)``
+    "varpoly:VarPolynomial.__neg__": "oracle",
+    "varpoly:VarPolynomial.__sub__": "oracle",
     "varpoly:VarPolynomial.allclose": "oracle",
     "varpoly:VarPolynomial.coefficient": "oracle",
     "varpoly:VarPolynomial.substitute_encodings": "oracle",

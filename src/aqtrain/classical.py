@@ -57,6 +57,10 @@ DEFAULT_STEEPNESS = 10.0
 DEFAULT_PENALTY = 50.0
 DEFAULT_STEPS = 500
 DEFAULT_LEARNING_RATE = 0.05
+#: Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -284,35 +288,32 @@ class Adam:
     second_moment: np.ndarray
     step: int = 0
     learning_rate: float = DEFAULT_LEARNING_RATE
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._scratch = np.empty((2,) + self.first_moment.shape)
 
     @classmethod
-    def initial(cls, shape, **hyper) -> "Adam":
-        return cls(np.zeros(shape), np.zeros(shape), **hyper)
+    def initial(cls, shape, learning_rate: float = DEFAULT_LEARNING_RATE) -> "Adam":
+        return cls(np.zeros(shape), np.zeros(shape), learning_rate=learning_rate)
 
     def update(self, weights: np.ndarray, grads: np.ndarray):
         """One Adam step: advances the moments and overwrites ``weights``."""
         self.step += 1
         first, second = self.first_moment, self.second_moment
         scaled, denominator = self._scratch
-        first *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=scaled)
+        first *= ADAM_BETA1
+        np.multiply(grads, 1.0 - ADAM_BETA1, out=scaled)
         first += scaled
-        second *= self.beta2
+        second *= ADAM_BETA2
         np.multiply(grads, grads, out=scaled)
-        scaled *= 1.0 - self.beta2
+        scaled *= 1.0 - ADAM_BETA2
         second += scaled
         # w -= lr * first_hat / (sqrt(second_hat) + eps), bias-corrected moments
-        np.divide(second, 1.0 - self.beta2**self.step, out=denominator)
+        np.divide(second, 1.0 - ADAM_BETA2**self.step, out=denominator)
         np.sqrt(denominator, out=denominator)
-        denominator += self.epsilon
-        np.divide(first, 1.0 - self.beta1**self.step, out=scaled)
+        denominator += ADAM_EPSILON
+        np.divide(first, 1.0 - ADAM_BETA1**self.step, out=scaled)
         scaled *= self.learning_rate
         scaled /= denominator
         weights -= scaled
@@ -332,7 +333,7 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _train_block(relaxed, features, signs, seeds, n_steps, hyper) -> np.ndarray:
+def _train_block(relaxed, features, signs, seeds, n_steps, learning_rate) -> np.ndarray:
     """The (runs, P) trained weights of one block of seeds, in seed order."""
     batch = _Batch(relaxed, features, signs, len(seeds))
     batch.load(
@@ -340,7 +341,7 @@ def _train_block(relaxed, features, signs, seeds, n_steps, hyper) -> np.ndarray:
             [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
         )
     )
-    adam = Adam.initial(batch.weights.shape, **hyper)
+    adam = Adam.initial(batch.weights.shape, learning_rate)
     for _ in range(n_steps):
         batch.gradient()
         adam.update(batch.weights, batch.grad)
@@ -415,9 +416,6 @@ def train_pool(
     seeds,
     n_steps: int = DEFAULT_STEPS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> list[ClassicalRun]:
     """Train one run per seed (batched; identical to running them singly).
 
@@ -432,10 +430,9 @@ def train_pool(
     if n_steps < 1:
         raise ValueError("need at least one step")
     signs = _signs(dataset.labels)
-    hyper = dict(learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
     def train(block):
-        return _train_block(relaxed, dataset.features, signs, block, n_steps, hyper)
+        return _train_block(relaxed, dataset.features, signs, block, n_steps, learning_rate)
 
     count = min(_usable_cores(), len(seeds)) if hasattr(os, "fork") else 1
     bounds = [len(seeds) * i // count for i in range(count + 1)]

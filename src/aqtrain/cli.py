@@ -29,7 +29,7 @@ SEED_FIELDS = {
     "enumerate binary": "split_seed",
 }
 
-#: kinds whose dataset labeling honours `--band-prob`
+#: kinds whose dataset labeling honours `--band-prob`, with dataset "band"
 BAND_FIELDS = {"nn-toy": "band_rule", "enumerate toy": "band_rule"}
 
 
@@ -50,7 +50,9 @@ def _apply_overrides(config: dict, args) -> list:
         if value is None:
             continue
         field = fields.get(key)
-        if field is None:
+        if field == "band_rule" and config.get("dataset", SCHEMAS[kind]["dataset"]) != "band":
+            warnings.append(f"{flag} has no effect without dataset 'band'")
+        elif field is None:
             warnings.append(f"{flag} has no effect for {target}")
         else:
             config[field] = value

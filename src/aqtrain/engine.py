@@ -61,7 +61,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, _factor_widths
+from .pauli import MATRIX_QUBIT_CAP, _factor_product, _factor_views, _factor_widths
 
 #: largest register evolved through dense eigendecomposition
 DENSE_EVOLUTION_CAP = 10
@@ -275,34 +275,6 @@ def _driver_factors(fields: np.ndarray) -> list[np.ndarray]:
     return parts
 
 
-def _factor_axes(sizes, leading: int = 1) -> list[tuple[int, int, int]]:
-    """``(leading, size, trailing)`` of each factor's axis in an array of
-    shape ``(leading, *sizes)``."""
-    axes = []
-    for j, size in enumerate(sizes):
-        axes.append((leading * math.prod(sizes[:j]), size, math.prod(sizes[j + 1 :])))
-    return axes
-
-
-def _factor_views(v: np.ndarray, sizes, leading: int = 1) -> list[np.ndarray]:
-    """``v`` reshaped for each factor's product: ``(leading, size)`` for the
-    last factor, ``(leading, size, trailing)`` for the others."""
-    return [
-        v.reshape(lead, size) if trail == 1 else v.reshape(lead, size, trail)
-        for lead, size, trail in _factor_axes(sizes, leading)
-    ]
-
-
-def _factor_product(matrix: np.ndarray, view: np.ndarray, out: np.ndarray):
-    """A symmetric factor ``matrix`` applied along the factor axis of a view
-    of :func:`_factor_views`, into the same view of ``out``: one matrix
-    product."""
-    if view.ndim == 2:
-        np.matmul(view, matrix, out=out)
-    else:
-        np.matmul(matrix, view, out=out)
-
-
 def _field_block(fields: np.ndarray) -> np.ndarray:
     """``sum_q x_q X_q`` on one factor's qubits as a dense real matrix: entry
     ``x_q`` where two indices differ in bit ``q`` only, zero elsewhere."""
@@ -461,7 +433,7 @@ def _chebyshev_step(
     blocks = [(2.0 / radius) * block for block in blocks]
     local = np.tile((2.0 / radius) * (local - center), (2, 1))
     pairs = [np.stack([amps.real, amps.imag])] + [np.empty((2, amps.size)) for _ in range(3)]
-    views = [_factor_views(pair, [block.shape[0] for block in blocks], 2) for pair in pairs]
+    views = [_factor_views(pair, [block.shape[0] for block in blocks]) for pair in pairs]
 
     def twice_y(v, out, work):
         """``pairs[out] = 2 Y pairs[v]``, through ``pairs[work]``."""
@@ -685,14 +657,15 @@ def evolve_real_time(
 
 def _dense_driver(constant: float, fields: np.ndarray) -> np.ndarray:
     """The real matrix of the transverse-field driver ``constant + sum_q
-    fields[q] X_q``: ``constant * I`` plus each factor's field block, widened
-    to the register by Kronecker products."""
+    fields[q] X_q``: ``constant * I`` plus each factor's field block applied
+    to the identity's rows, one matrix product a factor as in a step."""
     parts = _driver_factors(fields)
-    dim = 2**fields.size
-    matrix = np.zeros((dim, dim))
-    np.fill_diagonal(matrix, constant)
-    for part, (above, size, below) in zip(parts, _factor_axes([2**p.size for p in parts])):
-        matrix += np.kron(np.kron(np.eye(above), _field_block(part)), np.eye(below))
+    sizes = [2**part.size for part in parts]
+    identity = np.eye(2**fields.size)
+    matrix, work = constant * identity, np.empty_like(identity)
+    for part, rows, out in zip(parts, _factor_views(identity, sizes), _factor_views(work, sizes)):
+        _factor_product(_field_block(part), rows, out)
+        matrix += work
     return matrix
 
 

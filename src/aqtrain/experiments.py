@@ -474,7 +474,9 @@ def validate_config(config) -> ValidationReport:
     defines the config hash.  For the matrix-method kinds the effective
     config lists only the potential parameters the chosen potential uses;
     setting one it ignores is an error.  For enumerate it lists only the
-    data parameters the chosen model reads; one it ignores gets a note.  A
+    data parameters the chosen model reads, and for nn-toy and a toy
+    enumerate ``band_rule`` only with dataset ``"band"``; a parameter left
+    out that the config sets gets a note.  A
     config with no error is then checked against every row of ``LIMITS``
     that its sizes reach (register, classical pool, curve draws, toy rows,
     steps, dense decompositions, grid points, snapshots); each excess is
@@ -495,6 +497,7 @@ def validate_config(config) -> ValidationReport:
 
     potential = config.get("potential", schema.get("potential"))
     model = config.get("model", schema.get("model"))
+    dataset = config.get("dataset", schema.get("dataset"))
     effective = {"kind": kind}
     for name, default in schema.items():
         reader = POTENTIAL_PARAMETERS.get(name)
@@ -509,6 +512,10 @@ def validate_config(config) -> ValidationReport:
         if kind == "enumerate" and reader and model != reader:
             if name in config:
                 notes.append(f"{name} has no effect with model {model!r}; left out")
+            continue
+        if name == "band_rule" and dataset != "band":
+            if name in config:
+                notes.append(f"band_rule has no effect with dataset {dataset!r}; left out")
             continue
         if name in config:
             value = config[name]

@@ -86,17 +86,7 @@ def _monomial_fourier(power: int, k: int) -> complex:
     return value
 
 
-class Potential:
-    """A potential on the unit interval with known Fourier coefficients."""
-
-    def value(self, w):
-        raise NotImplementedError
-
-    def fourier_coefficient(self, k: int) -> complex:
-        raise NotImplementedError
-
-
-class CosinePotential(Potential):
+class CosinePotential:
     """V(w) = 1 + cos(4*pi*w): two degenerate minima at w = 1/4 and 3/4."""
 
     def value(self, w):
@@ -110,7 +100,7 @@ class CosinePotential(Potential):
         return 0.0
 
 
-class PolynomialPotential(Potential):
+class PolynomialPotential:
     """A polynomial in one named variable, restricted to [0, 1]."""
 
     def __init__(self, poly: VarPolynomial, variable: str = "w"):
@@ -147,7 +137,7 @@ class QuarticPotential(PolynomialPotential):
         self.strength = strength
 
 
-class TiltedCosinePotential(Potential):
+class TiltedCosinePotential:
     """Cosine well plus a linear tilt eps*w that breaks the degeneracy."""
 
     def __init__(self, tilt: float = 0.02):
@@ -192,7 +182,7 @@ class MomentumTruncation:
 class SchrodingerProblem:
     """A massive particle on the unit interval in a truncated momentum basis."""
 
-    potential: Potential
+    potential: CosinePotential | PolynomialPotential | TiltedCosinePotential
     mass: float
     truncation: MomentumTruncation
 

@@ -1,8 +1,14 @@
-"""Algebra of complex-weighted sums of Pauli strings on a fixed register.
+"""Algebra of real-weighted sums of Z-strings on a fixed register.
 
-A *Pauli string* is a tensor product of single-qubit operators drawn from
-``{I, X, Y, Z}`` together with a complex coefficient; a *Pauli polynomial*
-is a sum of such strings over a register of ``num_qubits`` qubits.
+A *Z-string* is the tensor product of ``Z`` on some qubits and ``I`` on the
+rest, named by its *mask*: bit ``q`` set means ``Z`` on qubit ``q``.  A
+*Pauli polynomial* is a real sum of Z-strings over a register of
+``num_qubits`` qubits.  Every operator the compiler builds is one: the
+encodings are projectors ``(I +- Z)/2`` or spins ``Z``, and a real function
+of bits has exactly one such expansion, its Walsh expansion (Hadfield, ACM
+Trans. Quantum Comput. 2, 18, 2021).  Z-strings commute and square to the
+identity, so the product of two is the string on the XOR of their masks,
+weighted by the product of their coefficients.
 
 Sign conventions (fixed package-wide):
 
@@ -14,12 +20,7 @@ Sign conventions (fixed package-wide):
 
 from __future__ import annotations
 
-import functools
-from typing import Mapping
-
 import numpy as np
-
-AXES = "IXYZ"
 
 #: coefficients with magnitude below this are dropped during canonicalization
 DROP_TOLERANCE = 1e-12
@@ -28,105 +29,12 @@ DROP_TOLERANCE = 1e-12
 #: register; 2**12 x 2**12 complex = 256 MiB
 MATRIX_QUBIT_CAP = 12
 
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# single-qubit products: (left, right) -> (axis, phase)
-_SINGLE_PRODUCT = {}
-for _a in AXES:
-    _SINGLE_PRODUCT[("I", _a)] = (_a, 1)
-    _SINGLE_PRODUCT[(_a, "I")] = (_a, 1)
-    _SINGLE_PRODUCT[(_a, _a)] = ("I", 1)
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _SINGLE_PRODUCT[(_a, _b)] = (_c, 1j)
-    _SINGLE_PRODUCT[(_b, _a)] = (_c, -1j)
-
-
-def _canonical_factors(factors) -> tuple[tuple[int, str], ...]:
-    """Sort factor list by qubit, validate axes, drop identities."""
-    if isinstance(factors, Mapping):
-        factors = factors.items()
-    cleaned = []
-    seen = set()
-    for qubit, axis in factors:
-        qubit = int(qubit)
-        if axis == "I":
-            continue
-        if axis not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown Pauli axis {axis!r}")
-        if qubit < 0:
-            raise ValueError("qubit indices must be non-negative")
-        if qubit in seen:
-            raise ValueError(f"duplicate qubit {qubit} in Pauli string")
-        seen.add(qubit)
-        cleaned.append((qubit, axis))
-    return tuple(sorted(cleaned))
-
-
-class PauliString:
-    """A single Pauli string ``coefficient * P_{q1} P_{q2} ...``.
-
-    ``factors`` maps qubit index to one of ``"X"``, ``"Y"``, ``"Z"``;
-    identity factors are left implicit.
-    """
-
-    __slots__ = ("coefficient", "factors")
-
-    def __init__(self, coefficient: complex, factors=()):
-        self.coefficient = complex(coefficient)
-        self.factors = _canonical_factors(factors)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        left = dict(self.factors)
-        coeff = self.coefficient * other.coefficient
-        for qubit, axis in other.factors:
-            if qubit in left:
-                new_axis, phase = _SINGLE_PRODUCT[(left[qubit], axis)]
-                coeff *= phase
-                if new_axis == "I":
-                    del left[qubit]
-                else:
-                    left[qubit] = new_axis
-            else:
-                left[qubit] = axis
-        return PauliString(coeff, left)
-
-    def max_qubit(self) -> int:
-        return self.factors[-1][0] if self.factors else -1
-
-    def to_matrix(self, num_qubits: int) -> np.ndarray:
-        """Dense matrix on ``num_qubits`` qubits (qubit 0 = least significant)."""
-        if self.max_qubit() >= num_qubits:
-            raise ValueError("string acts outside the register")
-        _check_matrix_cap(num_qubits)
-        axes = {q: a for q, a in self.factors}
-        out = np.array([[self.coefficient]])
-        # qubit 0 is least significant, so it sits rightmost in the kron chain
-        for q in range(num_qubits - 1, -1, -1):
-            out = np.kron(out, _MATRICES[axes.get(q, "I")])
-        return out
-
-
-def _check_matrix_cap(num_qubits: int):
-    if num_qubits > MATRIX_QUBIT_CAP:
-        raise ValueError(
-            f"dense matrix for {num_qubits} qubits exceeds the {MATRIX_QUBIT_CAP}-qubit cap"
-        )
-
 
 class PauliPolynomial:
-    """Canonical sum of Pauli strings over a fixed register.
+    """Canonical sum of Z-strings over a fixed register.
 
-    Terms are kept in a dict keyed by the canonical factor tuple; terms
-    whose coefficient magnitude drops below :data:`DROP_TOLERANCE` are
-    removed.  Iteration order is lexicographic in the
-    ``(qubit, axis)`` pattern.
+    Terms are kept in a dict from Z mask to real coefficient; terms whose
+    coefficient magnitude drops below :data:`DROP_TOLERANCE` are removed.
     """
 
     __slots__ = ("num_qubits", "_terms")
@@ -135,16 +43,11 @@ class PauliPolynomial:
         if num_qubits < 1:
             raise ValueError("register needs at least one qubit")
         self.num_qubits = int(num_qubits)
-        self._terms: dict[tuple[tuple[int, str], ...], complex] = {}
-        if terms is None:
-            return
-        if isinstance(terms, Mapping):
-            items = ((k, v) for k, v in terms.items())
-            for pattern, coeff in items:
-                self._accumulate(_canonical_factors(pattern), complex(coeff))
-        else:
-            for term in terms:
-                self._accumulate_string(term)
+        self._terms: dict[int, float] = {}
+        for mask, coeff in (terms or {}).items():
+            if not 0 <= mask < 1 << self.num_qubits:
+                raise ValueError("term acts outside the register")
+            self._terms[int(mask)] = float(coeff)
         self._prune()
 
     # -- construction helpers -------------------------------------------------
@@ -154,44 +57,26 @@ class PauliPolynomial:
         return cls(num_qubits)
 
     @classmethod
-    def identity(cls, num_qubits: int, coefficient: complex = 1.0) -> "PauliPolynomial":
-        poly = cls(num_qubits)
-        poly._accumulate((), complex(coefficient))
-        poly._prune()
-        return poly
+    def identity(cls, num_qubits: int, coefficient: float = 1.0) -> "PauliPolynomial":
+        return cls(num_qubits, {0: coefficient})
 
     @classmethod
     def from_diagonal(cls, values) -> "PauliPolynomial":
         """Z-string expansion of a real diagonal; the inverse of :meth:`diagonal`.
 
-        The Z-string on ``zmask`` gets the Walsh-Hadamard transform of
-        ``values`` at ``zmask``, divided by ``len(values)``.  Those patterns
-        are canonical by construction, so the terms are filled in directly.
+        The Z-string on ``mask`` gets the Walsh-Hadamard transform of
+        ``values`` at ``mask``, divided by ``len(values)``.
         """
         values = np.asarray(values, dtype=float)
         dim = values.size
         if values.ndim != 1 or dim < 2 or dim & (dim - 1):
             raise ValueError("diagonal must be a vector whose length is a power of two")
-        n = dim.bit_length() - 1
         coeffs = _walsh_hadamard(values) / dim
-        # patterns[m] holds qubit q's Z where bit q of m is set, in qubit order
-        patterns = [()]
-        for q in range(n):
-            patterns += [p + ((q, "Z"),) for p in patterns]
-        poly = cls(n)
+        poly = cls(dim.bit_length() - 1)
         poly._terms = {
-            patterns[m]: complex(coeffs[m])
-            for m in np.flatnonzero(np.abs(coeffs) >= DROP_TOLERANCE).tolist()
+            m: float(coeffs[m]) for m in np.flatnonzero(np.abs(coeffs) >= DROP_TOLERANCE).tolist()
         }
         return poly
-
-    def _accumulate_string(self, term: PauliString):
-        if term.max_qubit() >= self.num_qubits:
-            raise ValueError("term acts outside the register")
-        self._accumulate(term.factors, term.coefficient)
-
-    def _accumulate(self, pattern, coeff: complex):
-        self._terms[pattern] = self._terms.get(pattern, 0.0) + coeff
 
     def _prune(self):
         dead = [k for k, v in self._terms.items() if abs(v) < DROP_TOLERANCE]
@@ -204,14 +89,8 @@ class PauliPolynomial:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, pattern) -> complex:
-        return self._terms.get(_canonical_factors(pattern), 0.0)
-
-    def is_diagonal(self) -> bool:
-        return all(all(a == "Z" for _, a in p) for p in self._terms)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+    def coefficient(self, mask: int) -> float:
+        return self._terms.get(mask, 0.0)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -220,15 +99,15 @@ class PauliPolynomial:
             raise ValueError("polynomials act on different registers")
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, (int, float)):
             other = PauliPolynomial.identity(self.num_qubits, other)
         if not isinstance(other, PauliPolynomial):
             return NotImplemented
         self._require_same_register(other)
         out = PauliPolynomial(self.num_qubits)
         out._terms = dict(self._terms)
-        for pattern, coeff in other._terms.items():
-            out._accumulate(pattern, coeff)
+        for mask, coeff in other._terms.items():
+            out._terms[mask] = out._terms.get(mask, 0.0) + coeff
         out._prune()
         return out
 
@@ -238,7 +117,7 @@ class PauliPolynomial:
         return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, (int, float)):
             other = PauliPolynomial.identity(self.num_qubits, other)
         return self + (-other)
 
@@ -246,25 +125,24 @@ class PauliPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, (int, float)):
             out = PauliPolynomial(self.num_qubits)
-            out._terms = {p: c * other for p, c in self._terms.items()}
+            out._terms = {m: c * other for m, c in self._terms.items()}
             out._prune()
             return out
         if not isinstance(other, PauliPolynomial):
             return NotImplemented
         self._require_same_register(other)
         out = PauliPolynomial(self.num_qubits)
-        for pa, ca in self._terms.items():
-            left = PauliString(ca, pa)
-            for pb, cb in other._terms.items():
-                prod = left * PauliString(cb, pb)
-                out._accumulate(prod.factors, prod.coefficient)
+        terms = out._terms
+        for ma, ca in self._terms.items():
+            for mb, cb in other._terms.items():
+                terms[ma ^ mb] = terms.get(ma ^ mb, 0.0) + ca * cb
         out._prune()
         return out
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, (int, float)):
             return self * other
         return NotImplemented
 
@@ -279,107 +157,93 @@ class PauliPolynomial:
     # -- numeric rendering ------------------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix of the polynomial (qubit 0 = least significant bit)."""
-        _check_matrix_cap(self.num_qubits)
-        dim = 2**self.num_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for pattern, coeff in self._terms.items():
-            out += PauliString(coeff, pattern).to_matrix(self.num_qubits)
-        return out
+        """Dense real matrix of the polynomial (qubit 0 = least significant bit)."""
+        if self.num_qubits > MATRIX_QUBIT_CAP:
+            raise ValueError(
+                f"dense matrix for {self.num_qubits} qubits exceeds the {MATRIX_QUBIT_CAP}-qubit cap"
+            )
+        return np.diag(self.diagonal())
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal of an I/Z-only polynomial as a real vector.
+        """The polynomial's diagonal as a real vector.
 
-        Each Z-string contributes ``coeff * (-1)**parity(index & zmask)``:
-        the Walsh-Hadamard transform of the coefficients indexed by Z-mask.
+        Each Z-string contributes ``coeff * (-1)**parity(index & mask)``:
+        the Walsh-Hadamard transform of the coefficients indexed by mask.
         """
-        coeffs = np.zeros(2**self.num_qubits, dtype=complex)
-        for pattern, coeff in self._terms.items():
-            mask = 0
-            for qubit, axis in pattern:
-                if axis != "Z":
-                    raise ValueError("polynomial has X/Y factors and is not diagonal")
-                mask |= 1 << qubit
-            coeffs[mask] = coeff
-        diag = _walsh_hadamard(coeffs)
-        residual = np.max(np.abs(diag.imag))
-        if residual > 1e-9:
-            raise ValueError("diagonal polynomial has non-real spectrum")
-        return diag.real
+        coeffs = np.zeros(2**self.num_qubits)
+        coeffs[list(self._terms)] = list(self._terms.values())
+        return _walsh_hadamard(coeffs)
 
+
+# -- Kronecker factors of the register ------------------------------------------
 
 #: widest Kronecker factor of the Walsh-Hadamard transform and of the
 #: engine's transverse driver, in qubits
 _FACTOR_QUBITS = 6
 
 
-def _factor_widths(num_qubits: int, at_least: int = 1) -> tuple:
+def _factor_widths(num_qubits: int) -> tuple:
     """Widths in qubits, most significant first, of the fewest Kronecker
-    factors of a register that are at most :data:`_FACTOR_QUBITS` wide, and
-    at least ``at_least`` of them (never more than one a qubit); the widths
-    differ by at most one."""
-    count = max(min(num_qubits, at_least), -(-num_qubits // _FACTOR_QUBITS))
+    factors of a register that are at most :data:`_FACTOR_QUBITS` wide; the
+    widths differ by at most one."""
+    count = -(-num_qubits // _FACTOR_QUBITS)
     base, extra = divmod(num_qubits, count)
     return tuple(base + (j < extra) for j in range(count))
 
 
-def _sylvester(qubits: int, dtype) -> np.ndarray:
-    """The read-only ``2**qubits`` Sylvester matrix ``(-1)**parity(i & k)``."""
+def _factor_views(v: np.ndarray, sizes) -> list[np.ndarray]:
+    """``v`` reshaped for each factor's product, one view a factor of
+    ``sizes`` (most significant first, acting on the last axis of ``v``):
+    ``(-1, size)`` for the last factor, ``(-1, size, trailing)`` for the
+    others.  Leading axes of ``v`` fold into the first axis."""
+    views, trailing = [], 1
+    for size in reversed(sizes):
+        views.append(v.reshape(-1, size) if trailing == 1 else v.reshape(-1, size, trailing))
+        trailing *= size
+    return views[::-1]
+
+
+def _factor_product(matrix: np.ndarray, view: np.ndarray, out: np.ndarray):
+    """A symmetric factor ``matrix`` applied along the factor axis of a view
+    of :func:`_factor_views`, into the same view of ``out``: one matrix
+    product."""
+    if view.ndim == 2:
+        np.matmul(view, matrix, out=out)
+    else:
+        np.matmul(matrix, view, out=out)
+
+
+def _sylvester(qubits: int) -> np.ndarray:
+    """The ``2**qubits`` Sylvester matrix ``(-1)**parity(i & k)``."""
     i = np.arange(2**qubits)
     # bitwise_count returns uint8, so pick the sign rather than form 1 - 2 * count
-    out = np.where(np.bitwise_count(np.bitwise_and.outer(i, i)) & 1, -1.0, 1.0).astype(dtype)
-    out.setflags(write=False)
-    return out
-
-
-@functools.cache
-def _kronecker_factors(size: int, dtype: np.dtype) -> tuple:
-    """``(trailing size, Sylvester matrix)`` of each factor of the ``size``-point
-    transform, most significant first.
-
-    There are two factors from 2 qubits up, and more once one would be wider
-    than :data:`_FACTOR_QUBITS`; their widths differ by at most one.
-    """
-    dtype = np.result_type(dtype, float)
-    factors = []
-    for qubits in _factor_widths(size.bit_length() - 1, at_least=2):
-        size >>= qubits
-        factors.append((size, _sylvester(qubits, dtype)))
-    return tuple(factors)
+    return np.where(np.bitwise_count(np.bitwise_and.outer(i, i)) & 1, -1.0, 1.0)
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Unnormalised transform ``out[k] = sum_i (-1)**parity(i & k) * values[i]``
-    along the last axis.
+    of a real vector whose length is a power of two.
 
     ``H^{(x)n} = H^{(x)n_1} (x) ... (x) H^{(x)n_k}``: each factor is a small
-    Sylvester matrix, applied by ``matmul`` along its axis of the reshaped
-    vector (Fino & Algazi, IEEE Trans. Comput. C-25, 1976).  No ``2**n``
-    square matrix is formed.  Leading axes are a batch.
+    Sylvester matrix, applied by one matrix product along its axis of the
+    reshaped vector (Fino & Algazi, IEEE Trans. Comput. C-25, 1976).  No
+    ``2**n`` square matrix is formed.
     """
-    out = np.asarray(values)
-    shape, size = out.shape, out.shape[-1]
-    for trailing, sylvester in _kronecker_factors(size, out.dtype):
-        if trailing == 1:
-            out = out.reshape(-1, sylvester.shape[0]) @ sylvester
-        else:
-            out = sylvester @ out.reshape(-1, sylvester.shape[0], trailing)
-    return out.reshape(shape)
+    out = np.array(values, dtype=float)
+    work = np.empty_like(out)
+    widths = _factor_widths(out.size.bit_length() - 1)
+    sizes = [2**w for w in widths]
+    for j, width in enumerate(widths):
+        _factor_product(_sylvester(width), _factor_views(out, sizes)[j], _factor_views(work, sizes)[j])
+        out, work = work, out
+    return out
 
 
 # -- convenience constructors --------------------------------------------------
 
 
-def single_pauli(num_qubits: int, qubit: int, axis: str, coefficient: complex = 1.0) -> PauliPolynomial:
-    return PauliPolynomial(num_qubits, [PauliString(coefficient, [(qubit, axis)])])
-
-
-def pauli_x(num_qubits: int, qubit: int) -> PauliPolynomial:
-    return single_pauli(num_qubits, qubit, "X")
-
-
 def pauli_z(num_qubits: int, qubit: int) -> PauliPolynomial:
-    return single_pauli(num_qubits, qubit, "Z")
+    return PauliPolynomial(num_qubits, {1 << qubit: 1.0})
 
 
 def binary_projector(num_qubits: int, qubit: int, sign: int = +1) -> PauliPolynomial:
@@ -391,5 +255,4 @@ def binary_projector(num_qubits: int, qubit: int, sign: int = +1) -> PauliPolyno
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    half = PauliPolynomial.identity(num_qubits, 0.5)
-    return half + single_pauli(num_qubits, qubit, "Z", 0.5 * sign)
+    return PauliPolynomial(num_qubits, {0: 0.5, 1 << qubit: 0.5 * sign})

@@ -25,9 +25,9 @@ class TestFractionalBinary:
     def test_two_qubit_operator(self):
         # w = (T0 + 2 T1)/4 = 3/8 I + 1/8 Z0 + 1/4 Z1
         op = encode_variable(FractionalBinary(2, 0), 2)
-        assert op.coefficient(()) == pytest.approx(3 / 8)
-        assert op.coefficient([(0, "Z")]) == pytest.approx(1 / 8)
-        assert op.coefficient([(1, "Z")]) == pytest.approx(1 / 4)
+        assert op.coefficient(0b00) == pytest.approx(3 / 8)
+        assert op.coefficient(0b01) == pytest.approx(1 / 8)
+        assert op.coefficient(0b10) == pytest.approx(1 / 4)
         assert op.num_terms == 3
 
     def test_decode_matches_operator_spectrum(self):

@@ -24,8 +24,6 @@ from aqtrain.engine import (
     LinearSchedule,
     _chebyshev_step,
     _driver_factors,
-    _factor_product,
-    _factor_views,
     _field_block,
     _rotation_blocks,
     _series_weights,
@@ -50,8 +48,9 @@ from aqtrain.matrix_method import (
     ground_state,
     momentum_to_position,
 )
-from aqtrain.pauli import PauliPolynomial, pauli_x, pauli_z
+from aqtrain.pauli import PauliPolynomial, _factor_product, _factor_views, pauli_z
 from aqtrain.varpoly import parse_polynomial
+from kron_reference import dense_reference
 
 QUARTIC_TEXT = "18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573"
 
@@ -140,22 +139,21 @@ def per_step_split(spec, amps):
     return snapshots
 
 
-def driver_polynomial(driver):
-    """The Pauli sum ``c + sum_q x_q X_q`` of a ``(c, x)`` driver pair: the
-    independent side of the engine's field form."""
+def driver_matrix(driver):
+    """The matrix of ``c + sum_q x_q X_q`` for a ``(c, x)`` driver pair, from
+    the explicit Kronecker chain: the independent side of the engine's field
+    form."""
     constant, fields = driver
-    poly = PauliPolynomial.identity(len(fields), constant)
-    for qubit, field in enumerate(fields):
-        poly = poly + field * pauli_x(len(fields), qubit)
-    return poly
+    terms = [(constant, {})] + [(field, {q: "X"}) for q, field in enumerate(fields)]
+    return dense_reference(len(fields), terms)
 
 
-def transverse_polynomial(num_qubits):
+def transverse_matrix(num_qubits):
     """The transverse driver (1/2) sum_q (I - X_q), built term by term."""
-    poly = PauliPolynomial.zero(num_qubits)
+    terms = []
     for qubit in range(num_qubits):
-        poly = poly + 0.5 * (PauliPolynomial.identity(num_qubits) - pauli_x(num_qubits, qubit))
-    return poly
+        terms += [(0.5, {}), (-0.5, {qubit: "X"})]
+    return dense_reference(num_qubits, terms)
 
 
 def separable_diagonal(fields):
@@ -190,9 +188,8 @@ class TestTransverseDriver:
         # matrix as the Pauli sum built term by term
         constant, fields = transverse_driver(num_qubits)
         assert constant == num_qubits / 2 and fields.tolist() == [-0.5] * num_qubits
-        polynomial = transverse_polynomial(num_qubits)
-        assert driver_polynomial((constant, fields)).allclose(polynomial, 1e-15)
-        expected = polynomial.to_matrix()
+        expected = transverse_matrix(num_qubits)
+        assert np.max(np.abs(driver_matrix((constant, fields)) - expected)) <= 1e-15
         assert np.max(np.abs(engine._dense_driver(constant, fields) - expected)) <= 1e-15
 
     def test_uniform_is_ground_state_with_zero_energy(self):
@@ -320,7 +317,7 @@ class TestSplitEvolution:
         target, _ = quartic_target(4)
         uniform = uniform_state(4)
         reference = reference_anneal(
-            transverse_polynomial(4).to_matrix(), target.to_matrix(), 6.0, 6, uniform
+            transverse_matrix(4), target.to_matrix(), 6.0, 6, uniform
         )
         infidelities = []
         for substeps in (1, 2, 4, 8):
@@ -354,15 +351,15 @@ class TestSplitEvolution:
         # two steps with |H dt| >= 20 each: far beyond any splitting, and
         # long enough that the Chebyshev series keeps 40+ terms
         target, _ = quartic_target(6, strength=20.0)
-        driver = transverse_polynomial(6)
+        driver = transverse_matrix(6)
         state = random_state(6, seed=7)
         t_final, n_steps = 12.0, 2
         dt = t_final / n_steps
         for s in np.arange(n_steps) / n_steps:
-            h = (1.0 - s) * driver.to_matrix() + s * target.to_matrix()
+            h = (1.0 - s) * driver + s * target.to_matrix()
             assert np.max(np.abs(np.linalg.eigvalsh(h))) * dt >= 20.0
         reference = reference_anneal(
-            driver.to_matrix(), target.to_matrix(), t_final, n_steps, state
+            driver, target.to_matrix(), t_final, n_steps, state
         )
         spec = AnnealSpec(
             transverse_driver(6),
@@ -473,16 +470,17 @@ class TestDriverByFactors:
         v = random_state(num_qubits, seed=40 + num_qubits).astype(complex)
         angle = np.array([1.3])
         fast = apply_rotations([_rotation_blocks(angle, part)[0] for part in parts], v)
-        matrix = driver_polynomial(driver).to_matrix() - 0.7 * np.eye(v.size)
+        matrix = driver_matrix(driver) - 0.7 * np.eye(v.size)
         energies, vectors = np.linalg.eigh(matrix)
         dense = vectors @ (np.exp(-1.3j * energies) * (vectors.conj().T @ v))
         assert np.max(np.abs(fast - dense)) <= 1e-12
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 5, 6, 7, 8])
     def test_spectrum_driver_equals_the_pauli_matrix(self, num_qubits):
-        # c I plus the Kronecker-widened field blocks, entry for entry
+        # c I plus the field blocks applied factor by factor, entry for entry
+        # against the explicit 2x2 Kronecker chain
         driver = driver_with_fields(num_qubits, 0.7, seed=50 + num_qubits)
-        expected = driver_polynomial(driver).to_matrix().real
+        expected = driver_matrix(driver)
         assert np.array_equal(engine._dense_driver(*driver), expected)
 
 
@@ -518,7 +516,7 @@ class TestChebyshevStep:
             fields = driver[1]
             blocks = [_field_block(part) for part in _driver_factors(fields)]
             assert len(blocks) == num_qubits - 5
-            h = np.diag(local) + driver_polynomial(driver).to_matrix()
+            h = np.diag(local) + driver_matrix(driver)
             spread = np.abs(fields).sum()
             lower, upper = local.min() - spread, local.max() + spread
             dt = reach / ((upper - lower) / 2.0)
@@ -655,7 +653,7 @@ class TestDenseEvolution:
         pauli_spec = AnnealSpec(
             transverse_driver(3), target.diagonal(), LinearSchedule(4.0), n_steps=4000
         )
-        driver = transverse_polynomial(3).to_matrix()
+        driver = transverse_matrix(3)
         dense_spec = AnnealSpec(driver, target.to_matrix(), LinearSchedule(4.0), n_steps=4000)
         uniform = uniform_state(3)
         split_final = evolve_adiabatic(pauli_spec, uniform).states[-1]
@@ -961,13 +959,13 @@ class TestInstantaneousSpectrum:
 
     def test_pauli_pair_matches_complex_eigvalsh(self):
         target, _ = quartic_target(5, strength=10.0)
-        driver = transverse_polynomial(5)
+        driver = transverse_matrix(5)
         s_values = np.linspace(0.0, 1.0, 7)
         curves = instantaneous_spectrum(
             transverse_driver(5), target.diagonal(), s_values, k_lowest=4
         )
         expected = [
-            np.linalg.eigvalsh((1.0 - s) * driver.to_matrix() + s * target.to_matrix())[:4]
+            np.linalg.eigvalsh((1.0 - s) * driver + s * target.to_matrix())[:4]
             for s in s_values
         ]
         assert np.max(np.abs(curves - np.array(expected))) <= 1e-12

@@ -127,7 +127,8 @@ def read_csv(path):
 
 class TestValidation:
     def test_defaults_filled_and_reported(self):
-        report = validate_config({"kind": "nn-toy"})
+        # the band dataset reads every nn-toy parameter
+        report = validate_config({"kind": "nn-toy", "dataset": "band"})
         assert report.ok
         assert set(report.effective) == set(SCHEMAS["nn-toy"]) | {"kind"}
         assert any("seed defaulted to 0" in note for note in report.notes)
@@ -536,7 +537,7 @@ class TestValidation:
         assert validate_config(json.loads(path.read_text())).ok
 
     def test_choice_parameters_checked(self):
-        assert not validate_config({"kind": "nn-toy", "band_rule": "sometimes"}).ok
+        assert not validate_config({"kind": "nn-toy", "dataset": "band", "band_rule": "sometimes"}).ok
         assert not validate_config({"kind": "nn-toy", "dataset": "spiral"}).ok
         assert validate_config({"kind": "nn-toy", "band_rule": "max"}).ok
 
@@ -591,7 +592,8 @@ class TestValidation:
         ]
 
     def test_effective_config_lists_only_parameters_the_model_reads(self):
-        toy_keys = {"dataset", "n_points", "seed", "band_rule"}
+        # band_rule too, with dataset "band" (see the next test)
+        toy_keys = {"dataset", "n_points", "seed"}
         binary = validate_config({"kind": "enumerate", "model": "binary"})
         assert set(binary.effective) == {"kind", "model", "split_seed"}
         assert binary.notes == ["split_seed defaulted to 0"]
@@ -606,6 +608,19 @@ class TestValidation:
         ignored = validate_config({"kind": "enumerate", "model": "toy", "split_seed": 3})
         assert ignored.ok and ignored.effective == toy.effective
         assert "split_seed has no effect with model 'toy'; left out" in ignored.notes
+
+    @pytest.mark.parametrize("base", [{"kind": "nn-toy"}, {"kind": "enumerate", "model": "toy"}])
+    def test_band_rule_left_out_without_the_band_dataset(self, base):
+        # only the band dataset reads band_rule, so with circle it cannot move the hash
+        circle = validate_config(base)
+        assert circle.effective["dataset"] == "circle" and "band_rule" not in circle.effective
+        ignored = validate_config({**base, "band_rule": "max"})
+        assert ignored.ok and ignored.effective == circle.effective
+        assert "band_rule has no effect with dataset 'circle'; left out" in ignored.notes
+        band = validate_config({**base, "dataset": "band"})
+        band_max = validate_config({**base, "dataset": "band", "band_rule": "max"})
+        assert (band.effective["band_rule"], band_max.effective["band_rule"]) == ("min", "max")
+        assert config_hash(band.effective) != config_hash(band_max.effective)
 
     def test_list_parameters_checked(self):
         assert not validate_config({"kind": "mass-scan", "masses": [25.0]}).ok
@@ -893,6 +908,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "warning: --seed has no effect" in out
         assert "warning: --band-prob has no effect" in out
+
+    @pytest.mark.parametrize("config", [{"kind": "nn-toy"}, {"kind": "enumerate", "model": "toy"}])
+    def test_band_prob_without_the_band_dataset_warns(self, tmp_path, capsys, config):
+        path = self.write_config(tmp_path, config)
+        assert cli.main(["validate", path]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["validate", path, "--band-prob", "max"]) == 0
+        out = capsys.readouterr().out
+        assert "warning: --band-prob has no effect without dataset 'band'" in out
+        assert "band_rule" not in out
+        # the ignored flag leaves the hash as it is without the flag
+        assert out.splitlines()[-1] == plain.splitlines()[-1]
 
     def test_band_prob_on_a_binary_enumerate_warns(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"kind": "enumerate", "model": "binary"})

@@ -33,8 +33,6 @@ REASONS = {
     "child process",
     # perfbench imports or wraps it by name
     "perfbench",
-    # an abstract method that subclasses override
-    "interface",
 }
 
 #: "module:Qualname" of every function no run reaches -> its reason
@@ -66,7 +64,7 @@ UNREACHED = {
     "varpoly:VarPolynomial.__str__": "oracle",
     # the numeric forward pass of the per-sample symbolic_forward tests
     "nn:predict": "oracle",
-    # the Pauli algebra behind the compiler, and the dense and Walsh oracles
+    # the Z-string algebra behind the compiler, and the dense and Walsh oracles
     "pauli:PauliPolynomial.__init__": "oracle",
     "pauli:PauliPolynomial.__add__": "oracle",
     "pauli:PauliPolynomial.__mul__": "oracle",
@@ -74,28 +72,16 @@ UNREACHED = {
     "pauli:PauliPolynomial.__rmul__": "oracle",
     "pauli:PauliPolynomial.__rsub__": "oracle",
     "pauli:PauliPolynomial.__sub__": "oracle",
-    "pauli:PauliPolynomial._accumulate": "oracle",
-    "pauli:PauliPolynomial._accumulate_string": "oracle",
     "pauli:PauliPolynomial._prune": "oracle",
     "pauli:PauliPolynomial._require_same_register": "oracle",
     "pauli:PauliPolynomial.allclose": "oracle",
     "pauli:PauliPolynomial.coefficient": "oracle",
     "pauli:PauliPolynomial.from_diagonal": "oracle",
     "pauli:PauliPolynomial.identity": "oracle",
-    "pauli:PauliPolynomial.is_diagonal": "oracle",
-    "pauli:PauliPolynomial.is_hermitian": "oracle",
     "pauli:PauliPolynomial.num_terms": "oracle",
     "pauli:PauliPolynomial.zero": "oracle",
-    "pauli:PauliString.__init__": "oracle",
-    "pauli:PauliString.__mul__": "oracle",
-    "pauli:PauliString.max_qubit": "oracle",
-    "pauli:PauliString.to_matrix": "oracle",
-    "pauli:_canonical_factors": "oracle",
-    "pauli:_check_matrix_cap": "oracle",
     "pauli:binary_projector": "oracle",
-    "pauli:pauli_x": "oracle",
     "pauli:pauli_z": "oracle",
-    "pauli:single_pauli": "oracle",
     # perfbench/tracer.py wraps these two by name; tests use them as oracles
     "pauli:PauliPolynomial.diagonal": "perfbench",
     "pauli:PauliPolynomial.to_matrix": "perfbench",
@@ -108,8 +94,6 @@ UNREACHED = {
     "matrix_method:CosinePotential.value": "oracle",
     "matrix_method:PolynomialPotential.value": "oracle",
     "matrix_method:TiltedCosinePotential.value": "oracle",
-    "matrix_method:Potential.fourier_coefficient": "interface",
-    "matrix_method:Potential.value": "interface",
 }
 
 #: configs for the CHOICES values and potentials that no shipped config uses,
@@ -182,12 +166,6 @@ def _drive_cli(tmp_path, capsys):
 
 
 def test_every_unreached_function_is_named(tmp_path, capsys, monkeypatch):
-    # a cached function called earlier in this process would not be called again
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("aqtrain"):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
     # the classical pool forks its workers on any host, even a one-core one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     called = set()

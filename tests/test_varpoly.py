@@ -159,11 +159,3 @@ class TestSubstituteEncodings:
         compiled = PauliPolynomial.from_diagonal(poly.evaluate(table.decode_columns()))
         oracle = poly.substitute_encodings(table)
         assert compiled.allclose(oracle, 1e-9) and compiled.num_terms == oracle.num_terms
-
-    def test_compiled_operator_is_diagonal(self):
-        table = EncodingTable.single_fractional("w", 3)
-        poly = parse_polynomial("18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573")
-        op = poly.substitute_encodings(table)
-        assert op.is_diagonal()
-        # every coefficient of a real polynomial in Z-operators is real
-        assert op.is_hermitian()

@@ -12,6 +12,8 @@ from aqtrain.engine import basis_state
 from aqtrain.pauli import (
     DROP_TOLERANCE,
     PauliPolynomial,
+    _factor_product,
+    _factor_views,
     _factor_widths,
     _sylvester,
     _walsh_hadamard,
@@ -66,6 +68,22 @@ class TestPauliPolynomial:
         assert product.allclose(PauliPolynomial(3, {0b101: 6.0}), 0.0)
         square = pauli_z(3, 2) * pauli_z(3, 2)
         assert square.allclose(PauliPolynomial.identity(3), 0.0)
+
+    def test_rejects_an_empty_register(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            PauliPolynomial(0)
+
+    def test_product_commutes_and_associates(self):
+        rng = np.random.default_rng(15)
+        a, b, c = (random_polynomial(rng, 4, 5)[0] for _ in range(3))
+        assert (a * b).allclose(b * a, 1e-12)
+        assert ((a * b) * c).allclose(a * (b * c), 1e-12)
+
+    def test_product_distributes_over_addition(self):
+        rng = np.random.default_rng(16)
+        a, b, c = (random_polynomial(rng, 4, 5)[0] for _ in range(3))
+        assert (a * (b + c)).allclose(a * b + a * c, 1e-12)
+        assert ((b + c) * a).allclose(b * a + c * a, 1e-12)
 
     def test_polynomial_product_matches_matrix_oracle(self):
         rng = np.random.default_rng(11)
@@ -139,7 +157,7 @@ class TestWalshHadamard:
         parity = np.array([[bin(i & k).count("1") % 2 for k in index] for i in index])
         return 1.0 - 2.0 * parity
 
-    @pytest.mark.parametrize("num_qubits", [1, 2, 7, 8])
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 6, 7, 8])
     def test_matches_explicit_sylvester_matrix(self, num_qubits):
         values = np.random.default_rng(num_qubits).normal(size=2**num_qubits)
         expected = self.sylvester(num_qubits) @ values
@@ -164,6 +182,71 @@ class TestWalshHadamard:
         values = np.arange(8.0)
         _walsh_hadamard(values)
         assert np.array_equal(values, np.arange(8.0))
+
+
+class TestFactorLayout:
+    @staticmethod
+    def random_factors(rng, widths):
+        """One random symmetric matrix a factor, most significant first."""
+        factors = []
+        for width in widths:
+            m = rng.normal(size=(2**width, 2**width))
+            factors.append(m + m.T)
+        return factors
+
+    @staticmethod
+    def apply(factors, v):
+        """All factors applied in turn through the register's views."""
+        sizes = [f.shape[0] for f in factors]
+        out, work = np.array(v, dtype=float), np.empty(np.shape(v))
+        for j, factor in enumerate(factors):
+            _factor_product(factor, _factor_views(out, sizes)[j], _factor_views(work, sizes)[j])
+            out, work = work, out
+        return out
+
+    @pytest.mark.parametrize("num_qubits", [1, 5, 6, 7, 12, 13, 18, 19])
+    def test_widths_are_the_fewest_balanced_factors(self, num_qubits):
+        widths = _factor_widths(num_qubits)
+        assert sum(widths) == num_qubits and max(widths) <= 6
+        assert len(widths) == -(-num_qubits // 6)
+        # the extra qubits go to the most significant factors
+        assert list(widths) == sorted(widths, reverse=True)
+        assert widths[0] - widths[-1] <= 1
+
+    @pytest.mark.parametrize("num_qubits", [1, 3, 6, 7, 10, 13])
+    def test_products_match_the_kronecker_chain(self, num_qubits):
+        rng = np.random.default_rng(20 + num_qubits)
+        widths = _factor_widths(num_qubits)
+        factors = self.random_factors(rng, widths)
+        dim = 2**num_qubits
+        # column i of M_1 (x) ... (x) M_k is the chain of the factors' columns
+        # picked by i's digits, most significant factor first
+        for index in rng.integers(dim, size=4):
+            column, rest = np.ones(1), int(index)
+            digits = []
+            for width in reversed(widths):
+                digits.append(rest % 2**width)
+                rest //= 2**width
+            for factor, digit in zip(factors, reversed(digits)):
+                column = np.kron(column, factor[:, digit])
+            basis = np.zeros(dim)
+            basis[index] = 1.0
+            assert np.max(np.abs(self.apply(factors, basis) - column)) <= 1e-12
+        if num_qubits <= 10:
+            chain = np.ones((1, 1))
+            for factor in factors:
+                chain = np.kron(chain, factor)
+            v = rng.normal(size=dim)
+            assert np.max(np.abs(self.apply(factors, v) - chain @ v)) <= 1e-10
+
+    @pytest.mark.parametrize("num_qubits", [4, 7, 13])
+    def test_leading_axes_fold_into_the_first_view(self, num_qubits):
+        rng = np.random.default_rng(30 + num_qubits)
+        factors = self.random_factors(rng, _factor_widths(num_qubits))
+        rows = rng.normal(size=(3, 2**num_qubits))
+        together = self.apply(factors, rows)
+        for row, done in zip(rows, together):
+            assert np.max(np.abs(self.apply(factors, row) - done)) <= 1e-12
 
 
 class TestBinaryProjector:

@@ -29,7 +29,7 @@ SEED_FIELDS = {
     "enumerate binary": "split_seed",
 }
 
-#: kinds whose dataset labeling honours `--band-prob`, with dataset "band"
+#: kinds whose dataset labeling honours `--band-prob`
 BAND_FIELDS = {"nn-toy": "band_rule", "enumerate toy": "band_rule"}
 
 
@@ -50,9 +50,7 @@ def _apply_overrides(config: dict, args) -> list:
         if value is None:
             continue
         field = fields.get(key)
-        if field == "band_rule" and config.get("dataset", SCHEMAS[kind]["dataset"]) != "band":
-            warnings.append(f"{flag} has no effect without dataset 'band'")
-        elif field is None:
+        if field is None:
             warnings.append(f"{flag} has no effect for {target}")
         else:
             config[field] = value

@@ -476,7 +476,7 @@ def validate_config(config) -> ValidationReport:
     setting one it ignores is an error.  For enumerate it lists only the
     data parameters the chosen model reads, and for nn-toy and a toy
     enumerate ``band_rule`` only with dataset ``"band"``; a parameter left
-    out that the config sets gets a note.  A
+    out that the config sets is still checked, and gets a note.  A
     config with no error is then checked against every row of ``LIMITS``
     that its sizes reach (register, classical pool, curve draws, toy rows,
     steps, dense decompositions, grid points, snapshots); each excess is
@@ -510,23 +510,27 @@ def validate_config(config) -> ValidationReport:
             continue
         reader = MODEL_PARAMETERS.get(name)
         if kind == "enumerate" and reader and model != reader:
-            if name in config:
-                notes.append(f"{name} has no effect with model {model!r}; left out")
-            continue
-        if name == "band_rule" and dataset != "band":
-            if name in config:
-                notes.append(f"band_rule has no effect with dataset {dataset!r}; left out")
-            continue
+            ignored = f"model {model!r}"
+        elif name == "band_rule" and dataset != "band":
+            ignored = f"dataset {dataset!r}"
+        else:
+            ignored = None
         if name in config:
             value = config[name]
+        elif ignored:
+            continue
         else:
             value = default
             notes.append(f"{name} defaulted to {default!r}")
+        # a value left out is still checked, so a typo shows before the model or dataset changes
         value = _coerce(name, value, errors)
         choices = CHOICES.get((kind, name))
         if choices and value not in choices:
             errors.append(f"{name} must be one of {choices}, got {value!r}")
-        effective[name] = value
+        if ignored:
+            notes.append(f"{name} has no effect with {ignored}; left out")
+        else:
+            effective[name] = value
 
     if kind in ("anneal-paulispin", "spectrum") and isinstance(effective["potential"], str):
         if effective["potential"] != "quartic":

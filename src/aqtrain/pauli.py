@@ -229,14 +229,16 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     reshaped vector (Fino & Algazi, IEEE Trans. Comput. C-25, 1976).  No
     ``2**n`` square matrix is formed.
     """
-    out = np.array(values, dtype=float)
-    work = np.empty_like(out)
-    widths = _factor_widths(out.size.bit_length() - 1)
-    sizes = [2**w for w in widths]
+    # the vector ping-pongs between two buffers, one product a factor
+    buffers = [np.array(values, dtype=float)]
+    buffers.append(np.empty_like(buffers[0]))
+    widths = _factor_widths(buffers[0].size.bit_length() - 1)
+    views = [_factor_views(b, [2**w for w in widths]) for b in buffers]
+    held = 0
     for j, width in enumerate(widths):
-        _factor_product(_sylvester(width), _factor_views(out, sizes)[j], _factor_views(work, sizes)[j])
-        out, work = work, out
-    return out
+        _factor_product(_sylvester(width), views[held][j], views[1 - held][j])
+        held = 1 - held
+    return buffers[held]
 
 
 # -- convenience constructors --------------------------------------------------

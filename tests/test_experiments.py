@@ -537,7 +537,11 @@ class TestValidation:
         assert validate_config(json.loads(path.read_text())).ok
 
     def test_choice_parameters_checked(self):
+        assert not validate_config({"kind": "nn-toy", "band_rule": "sometimes"}).ok
         assert not validate_config({"kind": "nn-toy", "dataset": "band", "band_rule": "sometimes"}).ok
+        # a key the model leaves out is still checked
+        assert not validate_config({"kind": "enumerate", "model": "binary", "band_rule": "sometimes"}).ok
+        assert not validate_config({"kind": "enumerate", "model": "binary", "n_points": 0}).ok
         assert not validate_config({"kind": "nn-toy", "dataset": "spiral"}).ok
         assert validate_config({"kind": "nn-toy", "band_rule": "max"}).ok
 
@@ -916,8 +920,8 @@ class TestCli:
         plain = capsys.readouterr().out
         assert cli.main(["validate", path, "--band-prob", "max"]) == 0
         out = capsys.readouterr().out
-        assert "warning: --band-prob has no effect without dataset 'band'" in out
-        assert "band_rule" not in out
+        assert "note: band_rule has no effect with dataset 'circle'; left out" in out
+        assert "band_rule " not in out.split("effective config:")[1]
         # the ignored flag leaves the hash as it is without the flag
         assert out.splitlines()[-1] == plain.splitlines()[-1]
 

@@ -50,10 +50,10 @@ from .datasets import Dataset, zero_one_labels
 from .nn import ModelSpec, StepMajority
 
 DEFAULT_STEEPNESS = 10.0
-# The quartic well is weak compared to the data term on this architecture:
-# unit strength leaves a quarter of the trained weights far from {0, 1},
-# so the default is strong enough to make rounding at 1/2 a no-op in
-# practice while leaving the selection curves unchanged.
+# The quartic well w^2 (w - 1)^2 at this strength puts a barrier of 50/16
+# at w = 1/2, which pins the pool: 948 of the 1000 runs of the shipped
+# classical_pool end at their initial weights rounded at 1/2.  (At unit
+# strength a quarter of the trained weights end far from {0, 1}.)
 DEFAULT_PENALTY = 50.0
 DEFAULT_STEPS = 500
 DEFAULT_LEARNING_RATE = 0.05

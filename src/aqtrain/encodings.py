@@ -6,16 +6,12 @@ projector ``T_q = (I + Z_q)/2``.  Because ``Z|0> = +|0>``, a qubit in
 package therefore report *projector eigenvalues* (1 means satisfied), not
 raw ``|0>/|1>`` labels.
 
-Variants
---------
-``FractionalBinary(num_qubits, qubit_offset)``
-    w = 2**-N * sum_l 2**l T_(offset+l); values on the grid
-    {0, 1/2**N, ..., 1 - 1/2**N}.  Qubit offset+l carries place value
-    2**l (little-endian within the variable).
-``SpinPM1(qubit)``
-    w = Z_qubit with values {-1, +1}.
-``Binary01(qubit)``
-    w = T_qubit with values {0, 1}.
+Every variable sits on an affine grid ``Grid(bits, offset, low, step)``,
+w = low + step * j with j = sum_l 2**l T_(offset+l): qubit offset+l carries
+place value 2**l (little-endian within the variable).  The grids in use are
+the spin ``Grid(1, q, -1, 2)`` (values {-1, +1}, operator ``Z_q``), the bit
+``Grid(1, q, 0, 1)`` and the fraction ``Grid(N, 0, 0, 2**-N)`` on
+{0, 1/2**N, ..., 1 - 1/2**N}; on each, ``low + step * j`` is exact in float64.
 
 Qubit order (fixed package-wide): a register of ``n`` qubits has ``2**n``
 computational basis states, and qubit ``q`` holds the bit
@@ -26,7 +22,7 @@ significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -34,77 +30,43 @@ from . import pauli
 from .pauli import PauliPolynomial
 
 
-def basis_bits(index: int, num_qubits: int) -> tuple[int, ...]:
-    """Raw |0>/|1> labels of each qubit for a basis-state index."""
-    return tuple((index >> q) & 1 for q in range(num_qubits))
-
-
 @dataclass(frozen=True)
-class FractionalBinary:
-    num_qubits: int
-    qubit_offset: int = 0
+class Grid:
+    """``2**bits`` values ``low + step * j`` on qubits ``offset, offset + 1, ...``."""
 
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("FractionalBinary needs at least one qubit")
+    bits: int
+    offset: int
+    low: float
+    step: float
 
-
-@dataclass(frozen=True)
-class SpinPM1:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class Binary01:
-    qubit: int
+    @property
+    def qubits(self) -> range:
+        """Qubits used by the grid, in place-value order."""
+        return range(self.offset, self.offset + self.bits)
 
 
-VariableEncoding = Union[FractionalBinary, SpinPM1, Binary01]
-
-
-def qubits_of(encoding: VariableEncoding) -> tuple[int, ...]:
-    """Qubits used by the encoding, in place-value order."""
-    if isinstance(encoding, FractionalBinary):
-        return tuple(range(encoding.qubit_offset, encoding.qubit_offset + encoding.num_qubits))
-    return (encoding.qubit,)
-
-
-def encode_variable(encoding: VariableEncoding, total_qubits: int) -> PauliPolynomial:
+def encode_variable(grid: Grid, total_qubits: int) -> PauliPolynomial:
     """The diagonal operator whose eigenvalue is the decoded variable value."""
-    for q in qubits_of(encoding):
-        if not 0 <= q < total_qubits:
-            raise ValueError("encoding uses qubits outside the register")
-    if isinstance(encoding, FractionalBinary):
-        scale = 2.0**-encoding.num_qubits
-        poly = PauliPolynomial.zero(total_qubits)
-        for place, qubit in enumerate(qubits_of(encoding)):
-            poly = poly + pauli.binary_projector(total_qubits, qubit) * (scale * 2**place)
-        return poly
-    if isinstance(encoding, SpinPM1):
-        return pauli.pauli_z(total_qubits, encoding.qubit)
-    if isinstance(encoding, Binary01):
-        return pauli.binary_projector(total_qubits, encoding.qubit)
-    raise TypeError(f"unknown encoding {encoding!r}")
+    if grid.offset < 0 or grid.offset + grid.bits > total_qubits:
+        raise ValueError("encoding uses qubits outside the register")
+    poly = PauliPolynomial.identity(total_qubits, grid.low)
+    for place, qubit in enumerate(grid.qubits):
+        poly = poly + pauli.binary_projector(total_qubits, qubit) * (grid.step * 2**place)
+    return poly
 
 
-def decode_all(encoding: VariableEncoding, total_qubits: int) -> np.ndarray:
+def decode_all(grid: Grid, total_qubits: int) -> np.ndarray:
     """Decoded value for every basis index of the register (vectorized)."""
     indices = np.arange(2**total_qubits, dtype=np.int64)
-    if isinstance(encoding, FractionalBinary):
-        values = np.zeros(indices.shape)
-        for place, qubit in enumerate(qubits_of(encoding)):
-            values += (1 - ((indices >> qubit) & 1)) * 2.0**place
-        return values / 2.0**encoding.num_qubits
-    if isinstance(encoding, SpinPM1):
-        return 1.0 - 2.0 * ((indices >> encoding.qubit) & 1)
-    if isinstance(encoding, Binary01):
-        return 1.0 - ((indices >> encoding.qubit) & 1)
-    raise TypeError(f"unknown encoding {encoding!r}")
+    ones = 2**grid.bits - 1
+    # a projector eigenvalue of 1 is a raw bit of 0, so j is the complement
+    j = ones - ((indices >> grid.offset) & ones)
+    return grid.low + grid.step * j.astype(np.float64)
 
 
 def report_bitstring(index: int, num_qubits: int) -> str:
     """Projector-eigenvalue bitstring of a basis state, qubit 0 first."""
-    return "".join("1" if b == 0 else "0" for b in basis_bits(index, num_qubits))
+    return "".join("0" if (index >> q) & 1 else "1" for q in range(num_qubits))
 
 
 def index_of_report_bitstring(bits: str) -> int:
@@ -117,39 +79,28 @@ def index_of_report_bitstring(bits: str) -> int:
 
 
 class EncodingTable:
-    """Ordered map variable name -> encoding over one shared register.
+    """Ordered map variable name -> grid over one shared register.
 
     The qubit ranges of the entries must be pairwise disjoint and together
     cover ``[0, total_qubits)``.
     """
 
-    def __init__(self, entries: Iterable[tuple[str, VariableEncoding]], total_qubits: int):
-        self._entries: dict[str, VariableEncoding] = {}
+    def __init__(self, entries: Iterable[tuple[str, Grid]]):
+        self._entries: dict[str, Grid] = {}
         covered: set[int] = set()
-        for name, encoding in entries:
+        for name, grid in entries:
             if name in self._entries:
                 raise ValueError(f"duplicate variable name {name!r}")
-            used = set(qubits_of(encoding))
+            used = set(grid.qubits)
             if used & covered:
                 raise ValueError(f"encoding for {name!r} overlaps earlier qubits")
             covered |= used
-            self._entries[name] = encoding
-        if covered != set(range(total_qubits)):
+            self._entries[name] = grid
+        if covered != set(range(len(covered))):
             raise ValueError("encodings must cover the register exactly")
-        self.total_qubits = total_qubits
+        self.total_qubits = len(covered)
 
-    @classmethod
-    def uniform(cls, names: Iterable[str], kind: str) -> "EncodingTable":
-        """One single-qubit encoding per name, qubits assigned in order."""
-        maker = {"spin-pm1": SpinPM1, "binary01": Binary01}[kind]
-        names = list(names)
-        return cls([(n, maker(q)) for q, n in enumerate(names)], len(names))
-
-    @classmethod
-    def single_fractional(cls, name: str, num_qubits: int) -> "EncodingTable":
-        return cls([(name, FractionalBinary(num_qubits, 0))], num_qubits)
-
-    def __getitem__(self, name: str) -> VariableEncoding:
+    def __getitem__(self, name: str) -> Grid:
         return self._entries[name]
 
     def __contains__(self, name: str) -> bool:
@@ -161,4 +112,13 @@ class EncodingTable:
 
     def decode_columns(self) -> dict[str, np.ndarray]:
         """Assignment arrays indexed by basis index, one column per variable."""
-        return {name: decode_all(enc, self.total_qubits) for name, enc in self._entries.items()}
+        return {name: decode_all(grid, self.total_qubits) for name, grid in self._entries.items()}
+
+    def index_of(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Basis index of each row of on-grid ``columns``; the inverse of
+        :meth:`decode_columns`."""
+        index = 0
+        for name, grid in self._entries.items():
+            j = np.rint((np.asarray(columns[name]) - grid.low) / grid.step).astype(np.int64)
+            index = index | ((2**grid.bits - 1 - j) << grid.offset)
+        return index

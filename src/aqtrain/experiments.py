@@ -29,7 +29,7 @@ from .datasets import (
     pixel_images,
     write_dataset_csv,
 )
-from .encodings import EncodingTable, report_bitstring
+from .encodings import EncodingTable, Grid, report_bitstring
 from .engine import (
     CHUNK_BYTES,
     DENSE_EVOLUTION_CAP,
@@ -577,7 +577,9 @@ def _sizes(effective: dict):
     if kind == "nn-toy":
         yield "grid_probe_side**2", effective["grid_probe_side"] ** 2, "toy-data memory cap"
     if kind in ("nn-toy", "nn-binary", "accuracy-curves"):
-        model, qubits = ("toy", 6) if kind == "nn-toy" else ("binary", 10)
+        model = "toy" if kind == "nn-toy" else "binary"
+        network = toy_two_layer_model() if model == "toy" else binary_pixel_model()
+        qubits = len(network.variable_names)
         half_width = max(qubits, LOSS_RANGE_BOUND[model]) / 2.0
         # a reach past 1e300 is over the budget at any step count and register
         reach = min(half_width * effective["t_final"] / effective["n_steps"], 1e300)
@@ -777,7 +779,8 @@ def _paulispin_objective(effective: dict):
     the fractional register, and the objective's value there."""
     poly = _objective_polynomial(effective)
     variable = sorted(poly.variables)[0]
-    columns = EncodingTable.single_fractional(variable, effective["num_qubits"]).decode_columns()
+    bits = effective["num_qubits"]
+    columns = EncodingTable([(variable, Grid(bits, 0, 0, 2**-bits))]).decode_columns()
     return variable, columns[variable], poly.evaluate(columns)
 
 
@@ -865,16 +868,6 @@ def _network_headline(effective: dict, out: _Output, net: _Network, probe, **gro
     return headline, probabilities, classes
 
 
-def _binary_pool_indices(runs) -> np.ndarray:
-    """Basis index of each run's binarized weights, matching the register order.
-
-    Weight q sits on qubit q, and a weight of 1 is the projector eigenvalue
-    of label 0, so bit q of the index is set exactly where weight q is 0.
-    """
-    binary = np.stack([run.binary_weights for run in runs])
-    return (1 - binary).astype(np.int64) @ (1 << np.arange(binary.shape[1]))
-
-
 def _classical_pool(effective: dict, net: _Network, runs: int, steps: int):
     """``runs`` relaxed Adam runs of ``steps`` steps from consecutive seeds,
     and the enumerated train and test accuracy of each run's binarized
@@ -882,7 +875,8 @@ def _classical_pool(effective: dict, net: _Network, runs: int, steps: int):
     relaxed = RelaxedModel(net.model, steepness=effective["steepness"], penalty=effective["penalty"])
     seeds = range(effective["first_seed"], effective["first_seed"] + runs)
     pool = train_pool(relaxed, net.train, seeds, n_steps=steps, learning_rate=effective["learning_rate"])
-    indices = _binary_pool_indices(pool)
+    binary = np.stack([run.binary_weights for run in pool])
+    indices = net.table.index_of(dict(zip(net.table.names, binary.T)))
     return pool, net.weightspace.train_accuracy[indices], net.weightspace.test_accuracy[indices]
 
 

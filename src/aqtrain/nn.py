@@ -32,7 +32,7 @@ import numpy as np
 
 from . import pauli
 from .datasets import Dataset, zero_one_labels
-from .encodings import EncodingTable, report_bitstring
+from .encodings import EncodingTable, Grid, report_bitstring
 from .varpoly import DROP_TOLERANCE, VarPolynomial
 
 ENUMERATION_QUBIT_CAP = 20
@@ -247,8 +247,10 @@ def binary_pixel_model() -> ModelSpec:
 
 
 def model_encoding_table(model: ModelSpec, kind: str) -> EncodingTable:
-    """One single-qubit encoding per variable, qubits in declaration order."""
-    return EncodingTable.uniform(model.variable_names, kind=kind)
+    """One single-qubit grid of ``kind`` per variable, qubits in declaration order."""
+    low, step = {"spin-pm1": (-1, 2), "binary01": (0, 1)}[kind]
+    names = model.variable_names
+    return EncodingTable((name, Grid(1, q, low, step)) for q, name in enumerate(names))
 
 
 # -- symbolic path ---------------------------------------------------------------

@@ -4,7 +4,7 @@ A *Z-string* is the tensor product of ``Z`` on some qubits and ``I`` on the
 rest, named by its *mask*: bit ``q`` set means ``Z`` on qubit ``q``.  A
 *Pauli polynomial* is a real sum of Z-strings over a register of
 ``num_qubits`` qubits.  Every operator the compiler builds is one: the
-encodings are projectors ``(I +- Z)/2`` or spins ``Z``, and a real function
+encodings are weighted sums of projectors ``(I + Z)/2``, and a real function
 of bits has exactly one such expansion, its Walsh expansion (Hadfield, ACM
 Trans. Quantum Comput. 2, 18, 2021).  Z-strings commute and square to the
 identity, so the product of two is the string on the XOR of their masks,
@@ -248,13 +248,7 @@ def pauli_z(num_qubits: int, qubit: int) -> PauliPolynomial:
     return PauliPolynomial(num_qubits, {1 << qubit: 1.0})
 
 
-def binary_projector(num_qubits: int, qubit: int, sign: int = +1) -> PauliPolynomial:
-    """Projector ``(I + sign*Z_qubit) / 2``.
-
-    With ``sign=+1`` this projects onto ``|0>`` (eigenvalue 1 on ``|0>``);
-    with ``sign=-1`` onto ``|1>``.  The two projectors are idempotent,
-    mutually annihilating, and sum to the identity.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return PauliPolynomial(num_qubits, {0: 0.5, 1 << qubit: 0.5 * sign})
+def binary_projector(num_qubits: int, qubit: int) -> PauliPolynomial:
+    """Projector ``(I + Z_qubit) / 2`` onto ``|0>`` of the qubit (eigenvalue 1
+    on ``|0>``)."""
+    return PauliPolynomial(num_qubits, {0: 0.5, 1 << qubit: 0.5})

@@ -9,22 +9,34 @@ import numpy as np
 import pytest
 
 from aqtrain.encodings import (
-    Binary01,
     EncodingTable,
-    FractionalBinary,
-    SpinPM1,
+    Grid,
     decode_all,
     encode_variable,
     index_of_report_bitstring,
-    qubits_of,
     report_bitstring,
 )
 
 
+def fraction(bits, offset=0):
+    """The fraction grid {0, 1/2**bits, ..., 1 - 1/2**bits}."""
+    return Grid(bits, offset, 0, 2**-bits)
+
+
+def spin(qubit):
+    return Grid(1, qubit, -1, 2)
+
+
+def bit(qubit):
+    return Grid(1, qubit, 0, 1)
+
+
 class TestFractionalBinary:
+    """The fraction grid Grid(N, offset, 0, 2**-N) on [0, 1)."""
+
     def test_two_qubit_operator(self):
         # w = (T0 + 2 T1)/4 = 3/8 I + 1/8 Z0 + 1/4 Z1
-        op = encode_variable(FractionalBinary(2, 0), 2)
+        op = encode_variable(fraction(2), 2)
         assert op.coefficient(0b00) == pytest.approx(3 / 8)
         assert op.coefficient(0b01) == pytest.approx(1 / 8)
         assert op.coefficient(0b10) == pytest.approx(1 / 4)
@@ -32,49 +44,72 @@ class TestFractionalBinary:
 
     def test_decode_matches_operator_spectrum(self):
         for n in (1, 2, 3):
-            enc = FractionalBinary(n, 0)
+            enc = fraction(n)
             diag = encode_variable(enc, n).diagonal()
             assert np.allclose(decode_all(enc, n), diag)
 
     def test_decode_example(self):
         # projector eigenvalues (t2, t1, t0) = (1, 0, 1) decode to 5/8;
         # eigenvalue 1 corresponds to raw bit 0, so only qubit 1's bit is set
-        assert decode_all(FractionalBinary(3, 0), 3)[0b010] == pytest.approx(5 / 8)
+        assert decode_all(fraction(3), 3)[0b010] == pytest.approx(5 / 8)
 
     def test_all_ones_decode(self):
         # basis index 0: both projector eigenvalues 1
-        assert decode_all(FractionalBinary(2, 0), 2)[0] == pytest.approx(3 / 4)
+        assert decode_all(fraction(2), 2)[0] == pytest.approx(3 / 4)
 
     def test_bin_grid(self):
         # every grid value r / 8 once, exactly
-        centers = np.sort(decode_all(FractionalBinary(3, 0), 3))
+        centers = np.sort(decode_all(fraction(3), 3))
         assert np.array_equal(centers, np.arange(8) / 8)
 
     def test_spectrum_covers_all_bins(self):
-        diag = encode_variable(FractionalBinary(3, 0), 3).diagonal()
+        diag = encode_variable(fraction(3), 3).diagonal()
         assert sorted(diag) == pytest.approx(np.arange(8) / 8)
 
     def test_offset_register(self):
-        enc = FractionalBinary(2, 1)
-        assert qubits_of(enc) == (1, 2)
+        enc = fraction(2, 1)
+        assert tuple(enc.qubits) == (1, 2)
         assert np.allclose(decode_all(enc, 3), encode_variable(enc, 3).diagonal())
 
 
 class TestSingleQubitEncodings:
     def test_spin_values(self):
-        enc = SpinPM1(0)
+        enc = spin(0)
         assert decode_all(enc, 1).tolist() == [1.0, -1.0]
-        assert np.allclose(encode_variable(enc, 1).diagonal(), [1.0, -1.0])
+        op = encode_variable(enc, 1)
+        assert np.allclose(op.diagonal(), [1.0, -1.0])
+        # -1 + 2 (I + Z)/2 is Z alone: the identity coefficients cancel exactly
+        assert op.num_terms == 1 and op.coefficient(0b1) == 1.0
 
     def test_binary01_values(self):
-        enc = Binary01(0)
+        enc = bit(0)
         assert decode_all(enc, 1).tolist() == [1.0, 0.0]
         assert np.allclose(encode_variable(enc, 1).diagonal(), [1.0, 0.0])
 
     def test_decode_all_vectorized(self):
         # on a wider register, each value is the operator's eigenvalue there
-        for enc in (SpinPM1(1), Binary01(0), FractionalBinary(2, 1)):
+        for enc in (spin(1), bit(0), fraction(2, 1)):
             assert np.array_equal(decode_all(enc, 3), encode_variable(enc, 3).diagonal())
+        # two bits on [-1, 1], {-1, -1/3, 1/3, 1}: a step of 2/3 is not a
+        # binary fraction, so the two sides agree to rounding, not bit for bit
+        enc = Grid(2, 1, -1, 2 / 3)
+        assert np.max(np.abs(decode_all(enc, 3) - encode_variable(enc, 3).diagonal())) <= 1e-15
+
+    def test_rejects_qubits_outside_the_register(self):
+        with pytest.raises(ValueError, match="outside the register"):
+            encode_variable(fraction(2, 1), 2)
+
+
+def test_shipped_grids_match_their_closed_forms():
+    # low + step * j is exact in float64 on every grid a run uses, so the
+    # decoded columns equal the closed forms of the spin, the bit and the
+    # 7-qubit fraction bit for bit
+    indices = np.arange(2**7, dtype=np.int64)
+    raw = (indices[:, None] >> np.arange(7)) & 1
+    assert np.array_equal(decode_all(spin(3), 7), 1.0 - 2.0 * raw[:, 3])
+    assert np.array_equal(decode_all(bit(3), 7), 1.0 - raw[:, 3])
+    fraction_closed_form = ((1 - raw) * 2.0 ** np.arange(7)).sum(axis=1) / 2.0**7
+    assert np.array_equal(decode_all(fraction(7), 7), fraction_closed_form)
 
 
 class TestReportBitstrings:
@@ -91,15 +126,13 @@ class TestReportBitstrings:
 
 class TestEncodingTable:
     def test_uniform_builders(self):
-        table = EncodingTable.uniform(["a", "b", "c"], "spin-pm1")
+        table = EncodingTable([("a", spin(0)), ("b", spin(1)), ("c", spin(2))])
         assert table.total_qubits == 3
         assert table.names == ["a", "b", "c"]
-        assert table["b"] == SpinPM1(1)
+        assert table["b"] == Grid(1, 1, -1, 2)
 
     def test_decode_columns(self):
-        table = EncodingTable(
-            [("w", FractionalBinary(2, 0)), ("s", SpinPM1(2)), ("b", Binary01(3))], 4
-        )
+        table = EncodingTable([("w", fraction(2)), ("s", spin(2)), ("b", bit(3))])
         columns = table.decode_columns()
         assert list(columns) == ["w", "s", "b"]
         # index 0b0110: qubit0=0, qubit1=1, qubit2=1, qubit3=0
@@ -107,14 +140,21 @@ class TestEncodingTable:
         assert columns["s"][0b0110] == -1.0
         assert columns["b"][0b0110] == 1.0
 
+    def test_index_of_inverts_decode_columns(self):
+        table = EncodingTable(
+            [("s", spin(0)), ("w", fraction(2, 1)), ("b", bit(3)), ("v", Grid(2, 4, -1, 2 / 3))]
+        )
+        indices = table.index_of(table.decode_columns())
+        assert np.array_equal(indices, np.arange(2**6))
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlaps"):
-            EncodingTable([("a", SpinPM1(0)), ("b", FractionalBinary(2, 0))], 3)
+            EncodingTable([("a", spin(0)), ("b", fraction(2))])
 
     def test_gap_rejected(self):
         with pytest.raises(ValueError, match="cover"):
-            EncodingTable([("a", SpinPM1(0)), ("b", SpinPM1(2))], 3)
+            EncodingTable([("a", spin(0)), ("b", spin(2))])
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            EncodingTable([("a", SpinPM1(0)), ("a", SpinPM1(1))], 2)
+            EncodingTable([("a", spin(0)), ("a", spin(1))])

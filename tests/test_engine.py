@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from aqtrain import engine
-from aqtrain.encodings import EncodingTable
+from aqtrain.encodings import EncodingTable, Grid
 from aqtrain.engine import (
     AnnealSpec,
     DENSE_EVOLUTION_CAP,
@@ -57,7 +57,7 @@ QUARTIC_TEXT = "18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573"
 
 def quartic_target(num_qubits, strength=1.0):
     """The quartic double well compiled onto a fractional register."""
-    table = EncodingTable.single_fractional("w", num_qubits)
+    table = EncodingTable([("w", Grid(num_qubits, 0, 0, 2**-num_qubits))])
     poly = strength * parse_polynomial(QUARTIC_TEXT)
     return poly.substitute_encodings(table), table
 

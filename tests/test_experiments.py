@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from aqtrain import cli, experiments, nn
-from aqtrain.classical import ClassicalRun
 from aqtrain.encodings import index_of_report_bitstring
 from aqtrain.engine import chebyshev_degree
 from aqtrain.experiments import (
@@ -775,9 +774,9 @@ class TestWriteCsv:
 def test_pool_indices_match_report_bitstrings():
     rng = np.random.default_rng(8)
     rows = np.vstack([np.zeros(10), np.ones(10), rng.integers(0, 2, size=(50, 10))])
-    runs = [ClassicalRun(seed, row, row) for seed, row in enumerate(rows)]
     expected = [index_of_report_bitstring("".join(str(int(b)) for b in row)) for row in rows]
-    indices = experiments._binary_pool_indices(runs)
+    table = nn.model_encoding_table(nn.binary_pixel_model(), "binary01")
+    indices = table.index_of(dict(zip(table.names, rows.T)))
     assert indices.dtype == np.int64
     assert indices.tolist() == expected
     assert expected[:2] == [2**10 - 1, 0]

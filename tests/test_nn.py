@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aqtrain.datasets import Dataset, balanced_pixel_split, band_dataset, circle_dataset, pixel_images
-from aqtrain.encodings import EncodingTable, report_bitstring
+from aqtrain.encodings import EncodingTable, Grid, report_bitstring
 from aqtrain.nn import (
     PREDICTION_DECIMALS,
     PROBABILITY_DECIMALS,
@@ -268,13 +268,13 @@ class TestCompileHamiltonian:
         assert hamiltonian.num_terms == compiled.num_terms
 
     def test_constant_loss_is_identity_multiple(self):
-        table = EncodingTable.uniform(["w"], kind="spin-pm1")
+        table = EncodingTable([("w", Grid(1, 0, -1, 2))])
         hamiltonian = compile_hamiltonian(VarPolynomial.constant(2.5), table)
         assert hamiltonian.num_terms == 1
         assert hamiltonian.coefficient(0) == pytest.approx(2.5)
 
     def test_missing_encoding_rejected(self):
-        table = EncodingTable.uniform(["w"], kind="spin-pm1")
+        table = EncodingTable([("w", Grid(1, 0, -1, 2))])
         with pytest.raises(ValueError):
             compile_hamiltonian(VarPolynomial.variable("v"), table)
 
@@ -389,7 +389,7 @@ class TestEnumerateWeightspace:
 
     def test_register_cap(self):
         model = toy_two_layer_model()
-        table = EncodingTable.uniform([f"v{i}" for i in range(21)], kind="binary01")
+        table = EncodingTable((f"v{i}", Grid(1, i, 0, 1)) for i in range(21))
         data = circle_dataset(5, seed=0)
         with pytest.raises(ValueError):
             enumerate_weightspace(model, table, data, data, "mse")

@@ -251,26 +251,22 @@ class TestFactorLayout:
 
 class TestBinaryProjector:
     def test_matrix_forms(self):
-        t = binary_projector(1, 0, +1)
-        tbar = binary_projector(1, 0, -1)
+        t = binary_projector(1, 0)
+        tbar = 1 - t
         assert np.allclose(t.to_matrix(), np.diag([1.0, 0.0]))
         assert np.allclose(tbar.to_matrix(), np.diag([0.0, 1.0]))
 
     def test_projector_algebra(self):
-        t = binary_projector(2, 1, +1)
-        tbar = binary_projector(2, 1, -1)
+        t = binary_projector(2, 1)
+        tbar = 1 - t
         assert (t * t).allclose(t)
         assert (t * tbar).num_terms == 0
         assert (t + tbar).allclose(PauliPolynomial.identity(2))
 
     def test_eigenvalue_one_on_zero_state(self):
         # Z|0> = +|0>, so (I+Z)/2 keeps |0> and kills |1>
-        t = binary_projector(1, 0, +1)
+        t = binary_projector(1, 0)
         zero = basis_state(1, 0)
         one = basis_state(1, 1)
         assert np.allclose(t.to_matrix() @ zero, zero)
         assert np.allclose(t.to_matrix() @ one, 0)
-
-    def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError, match="sign"):
-            binary_projector(1, 0, 2)

@@ -47,7 +47,6 @@ UNREACHED = {
     "datasets:Dataset.__len__": "oracle",
     "encodings:EncodingTable.__contains__": "oracle",
     "encodings:EncodingTable.__getitem__": "oracle",
-    "encodings:EncodingTable.names": "oracle",
     "encodings:encode_variable": "oracle",
     "nn:build_loss": "oracle",
     "nn:compile_hamiltonian": "oracle",

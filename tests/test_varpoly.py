@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aqtrain.encodings import Binary01, EncodingTable, FractionalBinary, SpinPM1
+from aqtrain.encodings import EncodingTable, Grid
 from aqtrain.pauli import PauliPolynomial
 from aqtrain.varpoly import VarPolynomial, _canonical_key, parse_polynomial
 
@@ -121,7 +121,7 @@ class TestSubstituteEncodings:
         # evaluated at the decoded assignment of every basis state
         rng = np.random.default_rng(8)
         table = EncodingTable(
-            [("w", FractionalBinary(2, 0)), ("s", SpinPM1(2)), ("b", Binary01(3))], 4
+            [("w", Grid(2, 0, 0, 2**-2)), ("s", Grid(1, 2, -1, 2)), ("b", Grid(1, 3, 0, 1))]
         )
         for _ in range(10):
             poly = random_polynomial(rng, ["w", "s", "b"], max_terms=5, max_power=3)
@@ -131,30 +131,30 @@ class TestSubstituteEncodings:
 
     def test_binary_powers_collapse(self):
         # T^2 = T: on a 0/1 variable, w^2 compiles to the same operator as w
-        table = EncodingTable.uniform(["w"], "binary01")
+        table = EncodingTable([("w", Grid(1, 0, 0, 1))])
         w = VarPolynomial.variable("w")
         assert (w * w).substitute_encodings(table).allclose(w.substitute_encodings(table))
 
     def test_spin_squares_to_identity(self):
-        table = EncodingTable.uniform(["s"], "spin-pm1")
+        table = EncodingTable([("s", Grid(1, 0, -1, 2))])
         s = VarPolynomial.variable("s")
         op = (s * s).substitute_encodings(table)
         assert np.allclose(op.diagonal(), 1.0)
 
     def test_constant_polynomial(self):
-        table = EncodingTable.uniform(["w"], "binary01")
+        table = EncodingTable([("w", Grid(1, 0, 0, 1))])
         op = VarPolynomial.constant(2.5).substitute_encodings(table)
         assert np.allclose(op.diagonal(), 2.5)
 
     def test_missing_encoding_raises(self):
-        table = EncodingTable.uniform(["w"], "binary01")
+        table = EncodingTable([("w", Grid(1, 0, 0, 1))])
         with pytest.raises(KeyError, match="u"):
             VarPolynomial.variable("u").substitute_encodings(table)
 
     def test_paulispin_target_matches_enumerated_objective(self):
         # the anneal-paulispin target compiles the objective on every basis
         # state; the symbolic substitution is its oracle
-        table = EncodingTable.single_fractional("w", 7)
+        table = EncodingTable([("w", Grid(7, 0, 0, 2**-7))])
         poly = parse_polynomial("18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573") * 50.0
         compiled = PauliPolynomial.from_diagonal(poly.evaluate(table.decode_columns()))
         oracle = poly.substitute_encodings(table)

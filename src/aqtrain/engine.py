@@ -673,18 +673,18 @@ def instantaneous_spectrum(driver, target, s_values, k_lowest: int = 4) -> np.nd
     """Lowest ``k_lowest`` eigenvalues of (1 - s) * driver + s * target for
     each requested s.
 
-    The two Hamiltonians use one representation and one register, as in an
+    The two Hamiltonians are a Pauli pair on one register, as in an
     :class:`AnnealSpec`: a ``(constant, fields)`` transverse field with a
-    diagonal target vector, or two dense matrices.
+    diagonal target vector; two dense matrices are rejected.
     Returns an array of shape ``(len(s_values), k_lowest)`` with each row
     sorted ascending.
     """
     num_qubits = _pair_qubits(driver, target)
+    if np.ndim(target) != 1:
+        raise ValueError("spectrum takes a (constant, fields) driver and a diagonal target")
     if num_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(f"spectrum supports at most {MATRIX_QUBIT_CAP} qubits")
-    if np.ndim(target) == 1:
-        driver, target = _dense_driver(*_transverse_field(driver)), np.diag(target)
-    driver, target = self_adjoint(driver), self_adjoint(target)
+    driver, target = _dense_driver(*_transverse_field(driver)), np.diag(target)
     s_values = np.asarray(s_values, dtype=float)
     curves = np.empty((s_values.size, min(k_lowest, 2**num_qubits)))
     for row, s in zip(curves, s_values):

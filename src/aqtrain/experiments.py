@@ -46,15 +46,14 @@ from .engine import (
     uniform_state,
 )
 from .matrix_method import (
-    CosinePotential,
     MomentumTruncation,
-    QuarticPotential,
+    Potential,
     SchrodingerProblem,
-    TiltedCosinePotential,
     gaussian_packet,
     ground_state,
     mass_scaling_exponent,
     momentum_to_position,
+    quartic_polynomial,
     window_masses,
 )
 from .nn import (
@@ -758,19 +757,19 @@ class _Output:
 
 # -- shared construction ----------------------------------------------------------------
 
-def _matrix_potential(effective: dict):
+def _matrix_potential(effective: dict) -> Potential:
     name = effective["potential"]
     if name == "cosine":
-        return CosinePotential()
+        return Potential(VarPolynomial.constant(1.0), 1.0)
     if name == "tilted-cosine":
-        return TiltedCosinePotential(effective["tilt"])
-    return QuarticPotential(effective["scale"])
+        return Potential(1.0 + effective["tilt"] * VarPolynomial.variable("w"), 1.0)
+    return Potential(quartic_polynomial(effective["scale"]))
 
 
 def _objective_polynomial(effective: dict) -> VarPolynomial:
     """Scaled objective for the Pauli-spin kinds, in one named variable."""
     if effective["potential"] == "quartic":
-        return QuarticPotential(effective["scale"]).poly
+        return quartic_polynomial(effective["scale"])
     return parse_polynomial(effective["potential"]) * effective["scale"]
 
 
@@ -1054,10 +1053,11 @@ def _run_spectrum(effective, out: _Output):
 
 def _run_mass_scan(effective, out: _Output):
     truncation = MomentumTruncation(effective["num_qubits"])
+    cosine = Potential(VarPolynomial.constant(1.0), 1.0)
     rows = []
     peaks = []
     for mass in effective["masses"]:
-        problem = SchrodingerProblem(CosinePotential(), mass, truncation)
+        problem = SchrodingerProblem(cosine, mass, truncation)
         _, vector = ground_state(problem.hamiltonian())
         w, density = momentum_to_position(vector, effective["grid_points"])
         peak = int(np.argmax(density))

@@ -11,6 +11,13 @@ is a dense ``2**N x 2**N`` Hermitian matrix; mode ``n`` sits at matrix
 index ``n + 2**(N-1)``.  This gives continuous-valued minima (unlike the
 bin-grid encodings of :mod:`aqtrain.encodings`) at the price of dense
 matrix arithmetic.
+
+Every potential has the one form :class:`Potential`, ``V(w) = p(w) + a *
+cos(4*pi*w)`` with ``p`` a polynomial in one variable: the cosine well is
+``p = 1, a = 1``, the tilted well ``p = 1 + tilt * w, a = 1`` and the
+quartic double well ``p = quartic_polynomial(strength), a = 0``.  The
+cosine well's two minima, at w = 1/4 and 3/4, are degenerate; the tilt
+breaks the degeneracy.
 """
 
 from __future__ import annotations
@@ -86,70 +93,36 @@ def _monomial_fourier(power: int, k: int) -> complex:
     return value
 
 
-class CosinePotential:
-    """V(w) = 1 + cos(4*pi*w): two degenerate minima at w = 1/4 and 3/4."""
-
-    def value(self, w):
-        return 1.0 + np.cos(4.0 * math.pi * np.asarray(w, dtype=float))
-
-    def fourier_coefficient(self, k: int) -> complex:
-        if k == 0:
-            return 1.0
-        if abs(k) == 2:
-            return 0.5
-        return 0.0
-
-
-class PolynomialPotential:
-    """A polynomial in one named variable, restricted to [0, 1]."""
-
-    def __init__(self, poly: VarPolynomial, variable: str = "w"):
-        extra = poly.variables - {variable}
-        if extra:
-            raise ValueError(f"potential depends on unexpected variables {sorted(extra)}")
-        self.poly = poly
-        self.variable = variable
-        # coefficient list indexed by power
-        self._coeffs = np.zeros(poly.degree + 1)
-        for key, coeff in poly.items():
-            power = key[0][1] if key else 0
-            self._coeffs[power] += coeff
-
-    def value(self, w):
-        return np.polynomial.polynomial.polyval(np.asarray(w, dtype=float), self._coeffs)
-
-    def fourier_coefficient(self, k: int) -> complex:
-        return complex(
-            sum(c * _monomial_fourier(p, k) for p, c in enumerate(self._coeffs) if c)
-        )
-
-
-class QuarticPotential(PolynomialPotential):
-    """lambda * (18 w^4 - 35 w^3 + 22 w^2 - 5 w + 0.372573).
+def quartic_polynomial(strength: float) -> VarPolynomial:
+    """strength * (18 w^4 - 35 w^3 + 22 w^2 - 5 w + 0.372573).
 
     A double well with a false minimum near ``w = 0.1848`` (value close to
     zero by construction) and the global minimum at ``w = 0.8``.
     """
-
-    def __init__(self, strength: float = 1.0):
-        poly = VarPolynomial({(("w", p),) if p else (): strength * c for p, c in enumerate(QUARTIC_COEFFS)})
-        super().__init__(poly, "w")
-        self.strength = strength
+    return VarPolynomial({(("w", p),) if p else (): strength * c for p, c in enumerate(QUARTIC_COEFFS)})
 
 
-class TiltedCosinePotential:
-    """Cosine well plus a linear tilt eps*w that breaks the degeneracy."""
+class Potential:
+    """V(w) = poly(w) + cosine * cos(4*pi*w), ``poly`` in at most one variable of any name."""
 
-    def __init__(self, tilt: float = 0.02):
-        self.tilt = tilt
-        self._cosine = CosinePotential()
+    def __init__(self, poly: VarPolynomial, cosine: float = 0.0):
+        if len(poly.variables) > 1:
+            raise ValueError(f"potential depends on more than one variable: {sorted(poly.variables)}")
+        self.poly = poly
+        self.cosine = cosine
+        # by power, as Python floats so the Fourier coefficients are Python numbers
+        coeffs = [0.0] * (poly.degree + 1)
+        for key, coeff in poly.items():
+            coeffs[key[0][1] if key else 0] += float(coeff)
+        self._coeffs = tuple(coeffs)
 
     def value(self, w):
         w = np.asarray(w, dtype=float)
-        return self._cosine.value(w) + self.tilt * w
+        return np.polynomial.polynomial.polyval(w, self._coeffs) + self.cosine * np.cos(4.0 * math.pi * w)
 
     def fourier_coefficient(self, k: int) -> complex:
-        return self._cosine.fourier_coefficient(k) + self.tilt * _monomial_fourier(1, k)
+        value = sum(c * _monomial_fourier(p, k) for p, c in enumerate(self._coeffs) if c)
+        return value + self.cosine / 2 if abs(k) == 2 else value
 
 
 @dataclass(frozen=True)
@@ -182,7 +155,7 @@ class MomentumTruncation:
 class SchrodingerProblem:
     """A massive particle on the unit interval in a truncated momentum basis."""
 
-    potential: CosinePotential | PolynomialPotential | TiltedCosinePotential
+    potential: Potential
     mass: float
     truncation: MomentumTruncation
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import pauli
 from .datasets import Dataset, zero_one_labels
 from .encodings import EncodingTable, Grid, report_bitstring
-from .varpoly import DROP_TOLERANCE, VarPolynomial
+from .varpoly import VarPolynomial
 
 ENUMERATION_QUBIT_CAP = 20
 
@@ -665,7 +665,7 @@ def per_sample_terms(model: ModelSpec, features) -> tuple[np.ndarray, np.ndarray
     values = coefficients * np.prod(powers[:, np.arange(len(inputs)), exponents], axis=2)
     per_monomial = np.zeros((features.shape[0], len(monomial_degree)))
     np.add.at(per_monomial, (slice(None), term_column), values)
-    survives = np.abs(per_monomial) >= DROP_TOLERANCE
+    survives = np.abs(per_monomial) >= pauli.DROP_TOLERANCE
     counts = survives.sum(axis=1)
     degrees = np.max(np.where(survives, monomial_degree, 0), axis=1, initial=0)
     return counts, degrees

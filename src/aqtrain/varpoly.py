@@ -7,7 +7,7 @@ to obtain a Pauli polynomial.
 
 A monomial is stored as a tuple of ``(name, exponent)`` pairs sorted by
 name; coefficients are real and merged in double precision, with
-magnitudes below ``DROP_TOLERANCE`` removed.
+magnitudes below ``pauli.DROP_TOLERANCE`` removed.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import re
 from typing import Mapping
 
 from .encodings import EncodingTable, encode_variable
-from .pauli import PauliPolynomial
-
-DROP_TOLERANCE = 1e-12
+from .pauli import DROP_TOLERANCE, PauliPolynomial
 
 MonomialKey = tuple[tuple[str, int], ...]
 

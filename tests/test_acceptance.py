@@ -19,13 +19,13 @@ import pytest
 from aqtrain import experiments
 from aqtrain.experiments import run_experiment
 from aqtrain.matrix_method import (
-    CosinePotential,
     MomentumTruncation,
+    Potential,
     SchrodingerProblem,
-    TiltedCosinePotential,
     ground_state,
     momentum_to_position,
 )
+from aqtrain.varpoly import VarPolynomial
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -236,16 +236,22 @@ def deep_well_window_mass(amplitudes, grid_points):
     return float(np.trapezoid(np.where(inside, density, 0.0), w))
 
 
+def tilted_cosine(tilt):
+    """The tilted-cosine well 1 + tilt * w + cos(4 pi w)."""
+    return Potential(1.0 + tilt * VarPolynomial.variable("w"), 1.0)
+
+
 def exact_ground_window_mass(tilt, mass, num_qubits, grid_points):
     """Window mass of the exact ground state of the tilted-cosine Hamiltonian."""
-    problem = SchrodingerProblem(TiltedCosinePotential(tilt), mass, MomentumTruncation(num_qubits))
+    problem = SchrodingerProblem(tilted_cosine(tilt), mass, MomentumTruncation(num_qubits))
     _, ground = ground_state(problem.hamiltonian())
     return deep_well_window_mass(ground, grid_points)
 
 
 def tunnelling_splitting(mass, num_qubits):
     """Gap between the two lowest levels of the untilted cosine well pair."""
-    problem = SchrodingerProblem(CosinePotential(), mass, MomentumTruncation(num_qubits))
+    cosine = Potential(VarPolynomial.constant(1.0), 1.0)
+    problem = SchrodingerProblem(cosine, mass, MomentumTruncation(num_qubits))
     levels = np.linalg.eigvalsh(problem.hamiltonian())
     return float(levels[1] - levels[0])
 
@@ -279,7 +285,7 @@ def test_cosine_anneal_symmetry_and_tilted_well_selection(tmp_path_factory, emit
     distance_bound = np.sqrt(max(0.0, 1.0 - overlap))
 
     # selection regime: the bias beats tunnelling, so the deeper well wins
-    potential = TiltedCosinePotential(config["tilt"])
+    potential = tilted_cosine(config["tilt"])
     bias = float(potential.value(0.75) - potential.value(0.25))
     bias_ratio = bias / tunnelling_splitting(SELECTION_MASS, config["num_qubits"])
     selected_window = selecting.summary["headline"]["mass_near_true_minimum"]

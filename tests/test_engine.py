@@ -39,20 +39,22 @@ from aqtrain.engine import (
     uniform_state,
 )
 from aqtrain.matrix_method import (
-    CosinePotential,
     MomentumTruncation,
+    Potential,
     SchrodingerProblem,
-    TiltedCosinePotential,
     adaptive_simpson,
     gaussian_packet,
     ground_state,
     momentum_to_position,
 )
 from aqtrain.pauli import PauliPolynomial, _factor_product, _factor_views, pauli_z
-from aqtrain.varpoly import parse_polynomial
+from aqtrain.varpoly import VarPolynomial, parse_polynomial
 from kron_reference import dense_reference
 
 QUARTIC_TEXT = "18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573"
+
+#: the cosine well 1 + cos(4 pi w)
+COSINE = Potential(VarPolynomial.constant(1.0), 1.0)
 
 
 def quartic_target(num_qubits, strength=1.0):
@@ -665,7 +667,9 @@ class TestDenseEvolution:
         config = json.loads(config_path.read_text())
         truncation = MomentumTruncation(config["num_qubits"])
         problem = SchrodingerProblem(
-            TiltedCosinePotential(config["tilt"]), config["mass"], truncation
+            Potential(1.0 + config["tilt"] * VarPolynomial.variable("w"), 1.0),
+            config["mass"],
+            truncation,
         )
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
         initial = basis_state(config["num_qubits"], truncation.index_of(0))
@@ -686,7 +690,7 @@ class TestDenseEvolution:
     def test_panels_share_one_node_block(self):
         # two interpolated panels at 8 qubits: each 13-node block of 256 x 256
         # complex propagators is 13.6 MB, and the anneal may hold only one
-        problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(8))
+        problem = SchrodingerProblem(COSINE, 10.0, MomentumTruncation(8))
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
         n_steps = 30
         dt = 1.5 / dense_reach(driver, target, 1.0)
@@ -789,7 +793,7 @@ class TestDenseEvolution:
     def test_real_pair_takes_real_solver(self, monkeypatch):
         # the cosine pair is real: every node of the anneal and the
         # real-time diagonalization take the real eigh
-        problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(4))
+        problem = SchrodingerProblem(COSINE, 10.0, MomentumTruncation(4))
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
         state = basis_state(4, problem.truncation.index_of(0))
         spec = AnnealSpec(driver, target, LinearSchedule(2.0), n_steps=5)
@@ -874,7 +878,7 @@ class TestInitialStateAndKeptStates:
 
 class TestRealTimeEvolution:
     def test_eigenstate_density_is_static(self):
-        problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(4))
+        problem = SchrodingerProblem(COSINE, 10.0, MomentumTruncation(4))
         h = problem.hamiltonian()
         _, vec = ground_state(h)
         states = evolve_real_time(h, vec, t_total=5.0, dt=0.05, snapshot_stride=20).states
@@ -887,7 +891,7 @@ class TestRealTimeEvolution:
         assert abs(np.linalg.norm(final) - 1.0) < 1e-6
 
     def test_packet_tunnels_to_other_minimum_and_returns(self):
-        problem = SchrodingerProblem(CosinePotential(), 10.0, MomentumTruncation(5))
+        problem = SchrodingerProblem(COSINE, 10.0, MomentumTruncation(5))
         h = problem.hamiltonian()
         energies = np.linalg.eigvalsh(h)
         period = 2.0 * math.pi / (energies[1] - energies[0])
@@ -975,6 +979,8 @@ class TestInstantaneousSpectrum:
             instantaneous_spectrum(transverse_driver(2), np.eye(4), [0.5])
         with pytest.raises(ValueError, match="registers"):
             instantaneous_spectrum(transverse_driver(2), np.zeros(8), [0.5])
+        with pytest.raises(ValueError, match="diagonal target"):
+            instantaneous_spectrum(transverse_matrix(2), np.eye(4), [0.5])
 
     def test_rejects_oversized_register(self):
         with pytest.raises(ValueError, match="spectrum"):

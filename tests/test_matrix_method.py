@@ -12,21 +12,35 @@ import pytest
 from aqtrain import matrix_method
 
 from aqtrain.matrix_method import (
-    CosinePotential,
-    MomentumTruncation,
-    PolynomialPotential,
+    QUARTIC_COEFFS,
     QUARTIC_FALSE_MINIMUM,
-    QuarticPotential,
+    MomentumTruncation,
+    Potential,
     SchrodingerProblem,
-    TiltedCosinePotential,
     adaptive_simpson,
     gaussian_packet,
     ground_state,
     mass_scaling_exponent,
     momentum_to_position,
+    quartic_polynomial,
     window_masses,
 )
-from aqtrain.varpoly import parse_polynomial
+from aqtrain.varpoly import VarPolynomial, parse_polynomial
+
+
+def cosine():
+    """The cosine well 1 + cos(4 pi w)."""
+    return Potential(VarPolynomial.constant(1.0), 1.0)
+
+
+def tilted(tilt):
+    """The tilted-cosine well 1 + tilt * w + cos(4 pi w)."""
+    return Potential(1.0 + tilt * VarPolynomial.variable("w"), 1.0)
+
+
+def quartic(strength):
+    """The quartic double well of the given strength."""
+    return Potential(quartic_polynomial(strength))
 
 
 def quadrature_fourier(potential, k):
@@ -40,7 +54,7 @@ def quadrature_fourier(potential, k):
 
 class TestFourierCoefficients:
     def test_cosine_closed_form(self):
-        v = CosinePotential()
+        v = cosine()
         assert v.fourier_coefficient(0) == pytest.approx(1.0)
         assert v.fourier_coefficient(2) == pytest.approx(0.5)
         assert v.fourier_coefficient(-2) == pytest.approx(0.5)
@@ -49,22 +63,22 @@ class TestFourierCoefficients:
 
     @pytest.mark.parametrize("k", [0, 1, -2, 3])
     def test_cosine_against_quadrature(self, k):
-        v = CosinePotential()
+        v = cosine()
         assert v.fourier_coefficient(k) == pytest.approx(quadrature_fourier(v, k), abs=1e-9)
 
     @pytest.mark.parametrize("k", [0, 1, 2, -3, 5])
     def test_quartic_against_quadrature(self, k):
-        v = QuarticPotential(strength=1.0)
+        v = quartic(1.0)
         assert v.fourier_coefficient(k) == pytest.approx(quadrature_fourier(v, k), abs=1e-9)
 
     def test_quartic_zero_mode_is_mean(self):
-        v = QuarticPotential(strength=1.0)
+        v = quartic(1.0)
         expected = 18 / 5 - 35 / 4 + 22 / 3 - 5 / 2 + 0.372573
         assert v.fourier_coefficient(0) == pytest.approx(expected, abs=1e-12)
 
     def test_tilt_coefficient(self):
         eps = 0.02
-        v = TiltedCosinePotential(eps)
+        v = tilted(eps)
         # the linear part contributes eps * i / (2 pi k) for k != 0
         assert v.fourier_coefficient(1) == pytest.approx(1j * eps / (2 * math.pi), abs=1e-12)
         assert v.fourier_coefficient(2) == pytest.approx(0.5 + 1j * eps / (4 * math.pi), abs=1e-12)
@@ -75,12 +89,57 @@ class TestFourierCoefficients:
 
     def test_polynomial_potential_from_text(self):
         poly = parse_polynomial("2*w^2 - w + 0.25")
-        v = PolynomialPotential(poly)
+        v = Potential(poly)
         for k in (0, 1, 4):
             assert v.fourier_coefficient(k) == pytest.approx(quadrature_fourier(v, k), abs=1e-9)
 
+    def test_potential_takes_one_variable_of_any_name(self):
+        x = Potential(parse_polynomial("2*x^2 - x + 0.25"))
+        w = Potential(parse_polynomial("2*w^2 - w + 0.25"))
+        for k in (0, 1, -3):
+            assert x.fourier_coefficient(k) == w.fourier_coefficient(k)
+        with pytest.raises(ValueError, match="more than one variable"):
+            Potential(parse_polynomial("w * x"))
+
+    @pytest.mark.parametrize(
+        "name, num_qubits",
+        [("cosine", 5), ("cosine", 7), ("tilted", 5), ("quartic", 7)],
+    )
+    def test_shipped_potentials_match_their_closed_forms(self, name, num_qubits):
+        """Bit-equal to the coefficients each shipped potential had as its own
+        class, at the sizes the shipped configs assemble, and plain Python
+        numbers (a numpy scalar overflows with a warning in a reach product)."""
+        tilt, scale = 0.02, 50.0
+
+        def cosine_form(k):
+            return 1.0 if k == 0 else 0.5 if abs(k) == 2 else 0.0
+
+        if name == "cosine":
+            potential, closed_form = cosine(), cosine_form
+        elif name == "tilted":
+            potential = tilted(tilt)
+
+            def closed_form(k):
+                return cosine_form(k) + tilt * matrix_method._monomial_fourier(1, k)
+
+        else:
+            potential = quartic(scale)
+            coeffs = np.zeros(len(QUARTIC_COEFFS))
+            for p, c in enumerate(QUARTIC_COEFFS):
+                coeffs[p] += scale * c
+
+            def closed_form(k):
+                return complex(
+                    sum(c * matrix_method._monomial_fourier(p, k) for p, c in enumerate(coeffs) if c)
+                )
+
+        for k in range(-(2**num_qubits) + 1, 2**num_qubits):
+            coefficient = potential.fourier_coefficient(k)
+            assert not isinstance(coefficient, np.generic)
+            assert coefficient == closed_form(k)
+
     def test_real_potential_coefficients_conjugate(self):
-        v = QuarticPotential(3.0)
+        v = quartic(3.0)
         for k in (1, 2, 3):
             assert v.fourier_coefficient(-k) == pytest.approx(
                 np.conj(v.fourier_coefficient(k)), abs=1e-12
@@ -89,17 +148,17 @@ class TestFourierCoefficients:
 
 class TestQuarticShape:
     def test_false_minimum_value_is_tuned_to_zero(self):
-        v = QuarticPotential(1.0)
+        v = quartic(1.0)
         assert abs(v.value(QUARTIC_FALSE_MINIMUM)) < 1e-4
 
     def test_false_minimum_is_stationary(self):
-        v = QuarticPotential(1.0)
+        v = quartic(1.0)
         h = 1e-6
         derivative = (v.value(QUARTIC_FALSE_MINIMUM + h) - v.value(QUARTIC_FALSE_MINIMUM - h)) / (2 * h)
         assert abs(derivative) < 1e-2
 
     def test_global_minimum_is_deeper_and_near_08(self):
-        v = QuarticPotential(1.0)
+        v = quartic(1.0)
         grid = np.linspace(0.0, 1.0, 100001)
         values = v.value(grid)
         w_star = grid[int(np.argmin(values))]
@@ -107,7 +166,7 @@ class TestQuarticShape:
         assert v.value(w_star) < v.value(QUARTIC_FALSE_MINIMUM) - 0.05
 
     def test_strength_scales_linearly(self):
-        weak, strong = QuarticPotential(1.0), QuarticPotential(4.0)
+        weak, strong = quartic(1.0), quartic(4.0)
         w = np.array([0.1, 0.5, 0.9])
         assert np.allclose(strong.value(w), 4.0 * weak.value(w))
 
@@ -122,7 +181,7 @@ class TestHamiltonianAssembly:
             trunc.index_of(4)
 
     def test_elements_match_reference(self):
-        problem = SchrodingerProblem(CosinePotential(), mass=2.0, truncation=MomentumTruncation(3))
+        problem = SchrodingerProblem(cosine(), mass=2.0, truncation=MomentumTruncation(3))
         h = problem.hamiltonian()
         trunc = problem.truncation
         for n in trunc.modes:
@@ -134,7 +193,7 @@ class TestHamiltonianAssembly:
 
     def test_hermitian(self):
         problem = SchrodingerProblem(
-            TiltedCosinePotential(0.02), mass=10.0, truncation=MomentumTruncation(4)
+            tilted(0.02), mass=10.0, truncation=MomentumTruncation(4)
         )
         h = problem.hamiltonian()
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
@@ -142,11 +201,11 @@ class TestHamiltonianAssembly:
     @pytest.mark.parametrize(
         "potential, dtype",
         [
-            (CosinePotential(), np.float64),
+            (cosine(), np.float64),
             # the quartic well is not symmetric about w = 1/2, so its
             # coefficients have imaginary parts; the tilt breaks the symmetry too
-            (QuarticPotential(50.0), np.complex128),
-            (TiltedCosinePotential(0.02), np.complex128),
+            (quartic(50.0), np.complex128),
+            (tilted(0.02), np.complex128),
         ],
         ids=["cosine", "quartic", "tilted"],
     )
@@ -162,7 +221,7 @@ class TestHamiltonianAssembly:
 
     def test_free_particle_spectrum(self):
         problem = SchrodingerProblem(
-            QuarticPotential(0.0), mass=1.0, truncation=MomentumTruncation(3)
+            quartic(0.0), mass=1.0, truncation=MomentumTruncation(3)
         )
         h = problem.hamiltonian()
         kinetic = sorted((2 * math.pi * n) ** 2 / 2.0 for n in problem.truncation.modes)
@@ -187,7 +246,7 @@ class TestGroundState:
 
     def test_real_matrix_matches_complex_solve(self, monkeypatch):
         # the cosine Hamiltonian is real, and solved as it is
-        h = SchrodingerProblem(CosinePotential(), 100.0, MomentumTruncation(6)).hamiltonian()
+        h = SchrodingerProblem(cosine(), 100.0, MomentumTruncation(6)).hamiltonian()
         assert h.dtype == np.float64
         solved = []
         eigh = np.linalg.eigh
@@ -215,13 +274,13 @@ class TestGroundState:
         # V = 1 + cos(4 pi w) = 8 pi^2 (w - 1/4)^2 + O((w - 1/4)^4) around a
         # minimum, so the zero-point energy is about 2 pi / sqrt(m)
         mass = 1600.0
-        problem = SchrodingerProblem(CosinePotential(), mass, MomentumTruncation(6))
+        problem = SchrodingerProblem(cosine(), mass, MomentumTruncation(6))
         energy, _ = ground_state(problem.hamiltonian())
         estimate = 2 * math.pi / math.sqrt(mass)
         assert abs(energy - estimate) / estimate < 0.05
 
     def test_cosine_density_has_two_equal_peaks(self):
-        problem = SchrodingerProblem(CosinePotential(), 100.0, MomentumTruncation(5))
+        problem = SchrodingerProblem(cosine(), 100.0, MomentumTruncation(5))
         _, vec = ground_state(problem.hamiltonian())
         w, density = momentum_to_position(vec)
         interior = density[1:-1]
@@ -233,7 +292,7 @@ class TestGroundState:
 
     @staticmethod
     def _cosine_peak(mass, num_qubits=7):
-        problem = SchrodingerProblem(CosinePotential(), mass, MomentumTruncation(num_qubits))
+        problem = SchrodingerProblem(cosine(), mass, MomentumTruncation(num_qubits))
         _, vec = ground_state(problem.hamiltonian())
         _, density = momentum_to_position(vec, grid_points=2048)
         return density.max()

@@ -51,7 +51,6 @@ UNREACHED = {
     "nn:build_loss": "oracle",
     "nn:compile_hamiltonian": "oracle",
     "nn:symbolic_forward": "oracle",
-    "varpoly:VarPolynomial.__rmul__": "oracle",
     "varpoly:VarPolynomial.__rsub__": "oracle",
     # build_loss's mse residual ``output - float(label)``
     "varpoly:VarPolynomial.__neg__": "oracle",
@@ -90,9 +89,7 @@ UNREACHED = {
     "matrix_method:adaptive_simpson": "oracle",
     "matrix_method:adaptive_simpson.recurse": "oracle",
     "matrix_method:adaptive_simpson.simpson": "oracle",
-    "matrix_method:CosinePotential.value": "oracle",
-    "matrix_method:PolynomialPotential.value": "oracle",
-    "matrix_method:TiltedCosinePotential.value": "oracle",
+    "matrix_method:Potential.value": "oracle",
 }
 
 #: configs for the CHOICES values and potentials that no shipped config uses,

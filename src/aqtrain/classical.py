@@ -9,16 +9,24 @@ so no autodiff machinery is warranted).
 
 Runs are vectorized with the run axis last and contiguous: a batch holds
 its weights as one (P, runs) array and each layer's activations as
-(units, samples, runs).  The first layer reads the (samples, fan_in)
-feature matrix every run shares, so its forward pass and its weight
-gradient are each one ``matmul`` call, a 2-D GEMM per unit with the runs as
-columns.  Deeper layers, the deltas and the per-sample sums of the weight
-gradient are broadcast multiply-accumulates over (samples, runs) planes.
+(units, samples, runs).  Each layer computes the negated sigmoid argument
+-k (u - n/2), with -k folded into its weights, and turns it into the
+logistic 1 / (1 + exp(-k (u - n/2))) in place by ``exp``, ``+1`` and
+``reciprocal``.  Where exp overflows to inf the sigmoid is exactly 0, so
+the kernel runs with overflow ignored.  The first layer reads the
+(samples, fan_in) feature matrix every run shares, with a column of ones
+appended, so its forward pass is one ``matmul`` call, a 2-D GEMM per unit
+with the runs as columns against -k W over a constant row k n/2; its
+weight gradient is another.  Deeper layers, the deltas and the per-sample
+sums of the weight gradient are broadcast multiply-accumulates over
+(samples, runs) planes, and the upstream deltas reuse the scaled weights.
 The gradient, the penalty term and the Adam moments live in buffers
 allocated once per batch, and :class:`Adam` updates them in place, so the
 training loop allocates nothing per step.  :func:`relaxed_loss` and
 :func:`gradient` run the same kernel, transposing their flat (..., P)
-weights at the boundary.
+weights at the boundary.  :func:`gradient` checks each result for
+non-finite entries; a training block checks its weights once, after the
+last step, since a non-finite gradient leaves its weight NaN for good.
 
 Each run's slice is bit-equal to training that run alone: every
 multiply-accumulate is elementwise in the runs, and the tests check the
@@ -28,19 +36,21 @@ blocking.
 A pool is split into one contiguous block of seeds per usable core
 (``os.sched_getaffinity``, at most one per run), trained side by side.  This
 process trains the first block; each other one is trained in a child made
-with ``os.fork``, which sends its (runs, P) weights back over a pipe as raw
-float64 bytes, or its error as the nearest builtin exception type and the
-message, and ends through ``os._exit``.  The blocks are joined in seed order,
-so the pool is bit-equal to one trained as one block.  On any error the
-children are killed and reaped before it is raised.  Without ``os.fork``, or
-on one core, the pool trains as one block in process.  Python 3.12 and later
-document a ``DeprecationWarning`` for ``os.fork`` in a multi-threaded
-process; OpenBLAS starts worker threads, so it would apply there (unverified:
-this module has only been run on Python 3.11).
+with ``os.fork``, which sends its (2, runs, P) initial and trained weights
+back over a pipe as raw float64 bytes, or its error as the nearest builtin
+exception type and the message, and ends through ``os._exit``.  The blocks
+are joined in seed order into the one (2, runs, P) array :func:`train_pool`
+returns, so the pool is bit-equal to one trained as one block.  On any
+error the children are killed and reaped before it is raised.  Without
+``os.fork``, or on one core, the pool trains as one block in process.
+Python 3.12 and later document a ``DeprecationWarning`` for ``os.fork`` in
+a multi-threaded process; OpenBLAS starts worker threads, so it would apply
+there (unverified: this module has only been run on Python 3.11).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -119,11 +129,18 @@ class _Batch:
     run fills two identical columns, so that it takes the GEMM and the
     row-by-row sample sums of any pool, not BLAS's matrix-vector kernel and
     numpy's pairwise sum, whose rounding differs.
+
+    Each forward pass refreshes every layer's -k W from ``weights`` (the
+    first layer's in the GEMM operand above its constant row k n/2).  The
+    upstream deltas then carry -k, and so does the output layer's (samples,
+    columns) plane of sample signs, so every delta is (-k upstream) z (z - 1).
+    Callers ignore overflow and call :meth:`check_finite` themselves.
     """
 
     def __init__(self, relaxed: RelaxedModel, features, signs: np.ndarray, runs: int):
         self.relaxed = relaxed
         self.runs = runs
+        steepness = relaxed.steepness
         self.features = np.ascontiguousarray(features, dtype=float)
         samples = self.features.shape[0]
         columns = max(runs, 2)
@@ -134,16 +151,22 @@ class _Batch:
         self.layer_weights = self._per_layer(self.weights)
         self.layer_grads = self._per_layer(self.grad)
         layers = relaxed.model.layers
+        first = layers[0]
+        self.inputs = np.hstack([self.features, np.ones((samples, 1))])
+        self.operand = np.empty((first.fan_out, first.fan_in + 1, columns))
+        self.operand[:, -1] = 0.5 * steepness * first.fan_in
+        # -k W of each layer, refreshed from ``weights`` by every forward pass
+        self.scaled = [self.operand[:, :-1]]
+        self.scaled += [np.empty((layer.fan_out, layer.fan_in, columns)) for layer in layers[1:]]
         self.activations = [np.empty((layer.fan_out, samples, columns)) for layer in layers]
         self.deltas = [np.empty_like(z) for z in self.activations]
         # a stack of (samples, columns) planes for each deeper layer's products
         self.scratch = [
             np.empty((max(layer.fan_out, layer.fan_in), samples, columns)) for layer in layers[1:]
         ]
-        self.finite = np.empty(self.weights.shape, dtype=bool)
         self.signs = signs
-        # d loss / d output is the sign of each sample, times the sigmoid's k
-        self.output_scale = (signs * relaxed.steepness)[:, None]
+        # d loss / d output is the sign of each sample; times -k, see above
+        self.output_scale = np.repeat((-steepness * signs)[:, None], columns, axis=1)
 
     def _per_layer(self, buffer: np.ndarray) -> list[np.ndarray]:
         # (out, in, columns) views: each layer's rows of the buffer are contiguous
@@ -160,58 +183,58 @@ class _Batch:
 
     def forward(self):
         """Fill ``activations`` from ``weights``."""
-        relaxed = self.relaxed
-        layers = zip(relaxed.model.layers, self.layer_weights, self.activations)
-        for position, (layer, weight, z) in enumerate(layers):
+        steepness = self.relaxed.steepness
+        for weight, scaled in zip(self.layer_weights, self.scaled):
+            np.multiply(weight, -steepness, out=scaled)
+        for position, (scaled, z) in enumerate(zip(self.scaled, self.activations)):
             if position == 0:
-                # (samples, fan_in) @ (fan_in, columns) for each unit
-                np.matmul(self.features, weight, out=z)
+                # (samples, fan_in + 1) @ (fan_in + 1, columns) for each unit
+                np.matmul(self.inputs, self.operand, out=z)
             else:
-                # z[o] = sum over i of weight[o, i] * below[i], accumulated in i
+                # z[o] = sum over i of scaled[o, i] * below[i], accumulated in i
                 below = self.activations[position - 1]
-                products = self.scratch[position - 1][: layer.fan_out]
-                np.multiply(weight[:, 0, None, :], below[0], out=z)
-                for i in range(1, layer.fan_in):
-                    np.multiply(weight[:, i, None, :], below[i], out=products)
+                products = self.scratch[position - 1][: len(z)]
+                np.multiply(scaled[:, 0, None, :], below[0], out=z)
+                for i in range(1, len(below)):
+                    np.multiply(scaled[:, i, None, :], below[i], out=products)
                     z += products
-            # sigmoid(u) = 1/2 + tanh(u/2)/2 never overflows and needs no mask
-            z -= 0.5 * layer.fan_in
-            z *= 0.5 * relaxed.steepness
-            np.tanh(z, out=z)
-            z *= 0.5
-            z += 0.5
+                z += 0.5 * steepness * len(below)
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
 
     def gradient(self):
         """Fill ``grad`` with the gradient of the relaxed loss at ``weights``.
 
-        Overwrites ``activations`` on the way back.
+        Overwrites ``activations`` on the way back.  Checks nothing: a
+        non-finite weight or gradient is left for :meth:`check_finite`.
         """
-        # non-finite weights are reported by the check below, not by numpy warnings
-        with np.errstate(invalid="ignore", over="ignore"):
-            self.forward()
-            self._backward()
-            self._add_penalty()
-        np.isfinite(self.grad, out=self.finite)
-        if not self.finite.all():
-            largest = np.max(np.abs(self.weights[:, : self.runs]))
+        self.forward()
+        self._backward()
+        self._add_penalty()
+
+    def check_finite(self, values: np.ndarray):
+        """Raise ``RuntimeError`` unless the (P, columns) ``values`` are all finite."""
+        if not np.isfinite(values).all():
+            weights = np.abs(self.weights[:, : self.runs])
+            largest = np.max(weights, where=np.isfinite(weights), initial=0.0)
             raise RuntimeError(
-                f"non-finite gradient (max |w| = {largest:.3g}); "
+                f"non-finite gradient (largest finite |w| = {largest:.3g}); "
                 "lower the learning rate or steepness"
             )
 
     def _backward(self):
-        steepness = self.relaxed.steepness
         last = len(self.activations) - 1
         for position in range(last, -1, -1):
             z, delta = self.activations[position], self.deltas[position]
-            # delta = upstream * k * z * (1 - z); the upstream delta is the sample
-            # sign at the output and was left in ``delta`` by the layer above
+            # delta = upstream * k * z * (1 - z) = (-k upstream) * z * (z - 1);
+            # the output plane holds -k times the sample sign, and the layer
+            # above left -k upstream in ``delta``
             if position == last:
                 np.multiply(z, self.output_scale, out=delta)
             else:
-                delta *= steepness
                 delta *= z
-            np.subtract(1.0, z, out=z)  # this layer's output is not read again
+            np.subtract(z, 1.0, out=z)  # this layer's output is not read again
             delta *= z
             grad = self.layer_grads[position]
             if position == 0:
@@ -224,11 +247,11 @@ class _Batch:
             for unit_delta, unit_grad in zip(delta, grad):
                 np.multiply(unit_delta, below, out=products)
                 np.add.reduce(products, axis=1, out=unit_grad)
-            # the layer below's upstream delta: sum over o of weight[o, i] * delta[o]
-            weight, upstream = self.layer_weights[position], self.deltas[position - 1]
-            np.multiply(weight[0, :, None, :], delta[0], out=upstream)
+            # the layer below's -k upstream: sum over o of scaled[o, i] * delta[o]
+            scaled, upstream = self.scaled[position], self.deltas[position - 1]
+            np.multiply(scaled[0, :, None, :], delta[0], out=upstream)
             for o in range(1, len(delta)):
-                np.multiply(weight[o, :, None, :], delta[o], out=products)
+                np.multiply(scaled[o, :, None, :], delta[o], out=products)
                 upstream += products
 
     def _add_penalty(self):
@@ -260,7 +283,8 @@ def relaxed_loss(relaxed: RelaxedModel, dataset: Dataset, weights) -> float | np
     """
     weights = np.asarray(weights, dtype=float)
     batch = _batch(relaxed, dataset, weights)
-    batch.forward()
+    with np.errstate(over="ignore"):
+        batch.forward()
     outputs = batch.activations[-1][0, :, : batch.runs]
     data_term = (batch.signs @ outputs).reshape(weights.shape[:-1])
     penalty = relaxed.penalty * np.sum(weights**2 * (weights - 1.0) ** 2, axis=-1)
@@ -272,7 +296,10 @@ def gradient(relaxed: RelaxedModel, dataset: Dataset, weights) -> np.ndarray:
     """Hand-derived gradient of :func:`relaxed_loss`, in the same (..., P) layout."""
     weights = np.asarray(weights, dtype=float)
     batch = _batch(relaxed, dataset, weights)
-    batch.gradient()
+    # non-finite weights are reported by the check below, not by numpy warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        batch.gradient()
+    batch.check_finite(batch.grad)
     return batch.unload(batch.grad).reshape(weights.shape)
 
 
@@ -309,23 +336,16 @@ class Adam:
         np.multiply(grads, grads, out=scaled)
         scaled *= 1.0 - ADAM_BETA2
         second += scaled
-        # w -= lr * first_hat / (sqrt(second_hat) + eps), bias-corrected moments
-        np.divide(second, 1.0 - ADAM_BETA2**self.step, out=denominator)
-        np.sqrt(denominator, out=denominator)
-        denominator += ADAM_EPSILON
-        np.divide(first, 1.0 - ADAM_BETA1**self.step, out=scaled)
-        scaled *= self.learning_rate
-        scaled /= denominator
+        # w -= lr * first_hat / (sqrt(second_hat) + eps) with the bias corrections
+        # of first_hat and second_hat folded into the step size and the epsilon
+        # (Kingma & Ba, end of section 2)
+        root = math.sqrt(1.0 - ADAM_BETA2**self.step)
+        step_size = self.learning_rate * root / (1.0 - ADAM_BETA1**self.step)
+        np.sqrt(second, out=denominator)
+        denominator += ADAM_EPSILON * root
+        np.divide(first, denominator, out=scaled)
+        scaled *= step_size
         weights -= scaled
-
-
-@dataclass(frozen=True)
-class ClassicalRun:
-    """Outcome of one relaxed training run."""
-
-    seed: int
-    relaxed_weights: np.ndarray
-    binary_weights: np.ndarray
 
 
 def _usable_cores() -> int:
@@ -334,18 +354,22 @@ def _usable_cores() -> int:
 
 
 def _train_block(relaxed, features, signs, seeds, n_steps, learning_rate) -> np.ndarray:
-    """The (runs, P) trained weights of one block of seeds, in seed order."""
+    """The (2, runs, P) initial and trained weights of one block of seeds, in seed order."""
     batch = _Batch(relaxed, features, signs, len(seeds))
-    batch.load(
-        np.stack(
-            [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
-        )
+    initial = np.stack(
+        [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
     )
+    batch.load(initial)
     adam = Adam.initial(batch.weights.shape, learning_rate)
-    for _ in range(n_steps):
-        batch.gradient()
-        adam.update(batch.weights, batch.grad)
-    return batch.unload(batch.weights)
+    # a non-finite gradient entry makes Adam divide inf by inf or carry a NaN,
+    # and its weight stays NaN from then on, so one check after the last step
+    # sees every such step
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(n_steps):
+            batch.gradient()
+            adam.update(batch.weights, batch.grad)
+    batch.check_finite(batch.weights)
+    return np.stack([initial, batch.unload(batch.weights)])
 
 
 class _Worker:
@@ -389,7 +413,7 @@ class _Worker:
             data = reader.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if os.waitstatus_to_exitcode(status) == 0 and len(data) == 8 * shape[0] * shape[1]:
+        if os.waitstatus_to_exitcode(status) == 0 and len(data) == 8 * math.prod(shape):
             return np.frombuffer(data).reshape(shape)
         import builtins
 
@@ -416,13 +440,14 @@ def train_pool(
     seeds,
     n_steps: int = DEFAULT_STEPS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
-) -> list[ClassicalRun]:
+) -> np.ndarray:
     """Train one run per seed (batched; identical to running them singly).
 
     Each run starts from uniform [0, 1] weights drawn from its own seeded
-    generator, takes a fixed budget of full-batch Adam steps, and binarizes
-    by rounding at 1/2.  The seeds are split into one contiguous block per
-    usable core, trained side by side (see the module docstring).
+    generator and takes a fixed budget of full-batch Adam steps.  The seeds
+    are split into one contiguous block per usable core, trained side by side
+    (see the module docstring).  Returns a (2, runs, P) array in seed order:
+    each run's initial weights, then its trained relaxed weights.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -443,14 +468,9 @@ def train_pool(
             workers.append(_Worker(train, block))
         parts = [train(blocks[0])]
         for worker, block in zip(workers, blocks[1:]):
-            parts.append(worker.join((len(block), relaxed.num_parameters)))
+            parts.append(worker.join((2, len(block), relaxed.num_parameters)))
     except BaseException:
         for worker in workers:
             worker.kill()
         raise
-    weights = np.concatenate(parts)
-    binary = np.where(weights >= 0.5, 1.0, 0.0)
-    return [
-        ClassicalRun(seed, weights[row].copy(), binary[row].copy())
-        for row, seed in enumerate(seeds)
-    ]
+    return np.concatenate(parts, axis=1)

@@ -239,7 +239,8 @@ _REGISTER_CAPS = {
 SNAPSHOT_OVERHEAD_BYTES = 256
 
 #: the fixed cost of one classical training step, whatever the pool size, in
-#: run-steps: about 90 us over the 1.5 us a run-step costs at the memory cap
+#: run-steps: 90 us at the 1.5 us a run-step is priced at, above the 36-43 us
+#: measured (see below)
 CLASSICAL_STEP_OVERHEAD = 60
 
 #: the fixed cost of one split step, whatever the register, in amplitudes:
@@ -271,16 +272,16 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 # Why each limit has its size, from costs measured on 2 cores with OpenBLAS:
 # - classical pool: train_pool splits the seeds into one block per usable
 #   core, trained side by side by this process and forked children.  A
-#   block's step costs 65-85 us whatever its size, plus per run 0.29-0.35 us
-#   at 1000 runs, 0.40-0.48 us at 16 000 and 0.77-0.88 us at the memory cap.
-#   On 2 cores, two blocks of half the pool step in 80-130 us plus 0.14-0.20
-#   us a pool run at 1000 runs and 0.20-0.22 us at 16 000, but at the memory
-#   cap no faster than one block (0.67-0.93 us a pool run).  Forking and
-#   joining the children costs about 5 ms a call; each run also costs 22-30
-#   us and 1.9 kB once.  The budget prices one block at 1.5 us a run-step,
-#   above all of these: (runs + CLASSICAL_STEP_OVERHEAD) * steps within it
-#   keeps training near 60 s on one core, and the memory cap keeps one block
-#   near 220 MB max RSS (the parent of two blocks: 145 MB).
+#   block's step costs 36-43 us whatever its size, plus per run 0.21-0.27 us
+#   at 1000 runs, 0.33-0.35 us at 16 000 and 0.57-0.59 us at the memory cap.
+#   On 2 cores, two blocks of half the pool step in 0.12-0.15 us a pool run
+#   at 16 000 runs, but at the memory cap no faster than one block (0.51-0.65
+#   us a pool run).  Forking and joining the children costs about 5 ms a
+#   call; each run also costs 13-20 us and 2.0 kB once.  The budget prices
+#   one block at 1.5 us a run-step, above all of these: (runs +
+#   CLASSICAL_STEP_OVERHEAD) * steps within it keeps training near 60 s on
+#   one core, and the memory cap keeps one block near 230 MB max RSS (the
+#   parent of two blocks: 136 MB, its child 126 MB).
 # - curves: one (repetitions, n) block of pool draws at a time, 16 B and
 #   15-25 ns a draw, drawn for both pools: near 160 MB and 50 s.
 # - toy data: about 3.6 kB and 14 us per forwarded row (dataset or nn-toy grid
@@ -868,15 +869,20 @@ def _network_headline(effective: dict, out: _Output, net: _Network, probe, **gro
 
 
 def _classical_pool(effective: dict, net: _Network, runs: int, steps: int):
-    """``runs`` relaxed Adam runs of ``steps`` steps from consecutive seeds,
-    and the enumerated train and test accuracy of each run's binarized
-    weights."""
+    """``runs`` relaxed Adam runs of ``steps`` steps from consecutive seeds:
+    their trained weights, their weights binarized at 1/2, the share of runs
+    whose binarized weights are their initial weights rounded at 1/2, and the
+    enumerated train and test accuracy of each binarized run."""
     relaxed = RelaxedModel(net.model, steepness=effective["steepness"], penalty=effective["penalty"])
     seeds = range(effective["first_seed"], effective["first_seed"] + runs)
-    pool = train_pool(relaxed, net.train, seeds, n_steps=steps, learning_rate=effective["learning_rate"])
-    binary = np.stack([run.binary_weights for run in pool])
+    initial, weights = train_pool(
+        relaxed, net.train, seeds, n_steps=steps, learning_rate=effective["learning_rate"]
+    )
+    binary = np.where(weights >= 0.5, 1, 0)
+    pinned = float(np.mean(np.all(binary == (initial >= 0.5), axis=1)))
     indices = net.table.index_of(dict(zip(net.table.names, binary.T)))
-    return pool, net.weightspace.train_accuracy[indices], net.weightspace.test_accuracy[indices]
+    accuracy = net.weightspace.train_accuracy[indices], net.weightspace.test_accuracy[indices]
+    return weights, binary, pinned, *accuracy
 
 
 # -- runners -------------------------------------------------------------------------
@@ -1072,20 +1078,20 @@ def _run_mass_scan(effective, out: _Output):
 
 def _run_classical_pool(effective, out: _Output):
     net = _network(effective)
-    runs, train_acc, test_acc = _classical_pool(effective, net, effective["n_runs"], effective["n_steps"])
+    weights, binary, pinned, train_acc, test_acc = _classical_pool(
+        effective, net, effective["n_runs"], effective["n_steps"]
+    )
     columns = ("seed", *net.model.variable_names, "train_accuracy", "test_accuracy")
-    rows = [
-        (run.seed, *(int(b) for b in run.binary_weights), ta, va)
-        for run, ta, va in zip(runs, train_acc, test_acc)
-    ]
-    out.csv("pool.csv", columns, rows)
-    relaxed_weights = np.stack([run.relaxed_weights for run in runs])
-    distance = np.minimum(np.abs(relaxed_weights), np.abs(relaxed_weights - 1.0))
+    seeds = range(effective["first_seed"], effective["first_seed"] + len(binary))
+    rows = zip(seeds, binary.tolist(), train_acc.tolist(), test_acc.tolist())
+    out.csv("pool.csv", columns, [(seed, *bits, ta, va) for seed, bits, ta, va in rows])
+    distance = np.minimum(np.abs(weights), np.abs(weights - 1.0))
     return {
         "mean_train_accuracy": float(train_acc.mean()),
         "mean_test_accuracy": float(test_acc.mean()),
         "max_train_accuracy": float(train_acc.max()),
         "near_binary_fraction": float(np.mean(distance <= 0.1)),
+        "pinned_fraction": pinned,
     }
 
 
@@ -1093,7 +1099,9 @@ def _run_accuracy_curves(effective, out: _Output):
     net = _network(effective)
     probabilities = _nn_anneal(net.weightspace.losses, effective)
     _, q_train, q_test = sample_pool(probabilities, net.weightspace, effective["pool"], effective["seed"])
-    _, c_train, c_test = _classical_pool(effective, net, effective["pool"], effective["train_steps"])
+    _, _, pinned, c_train, c_test = _classical_pool(
+        effective, net, effective["pool"], effective["train_steps"]
+    )
 
     columns = ("n", "train_mean", "train_std", "test_mean", "test_std")
     n_values = effective["n_values"]
@@ -1112,6 +1120,7 @@ def _run_accuracy_curves(effective, out: _Output):
         "quantum_train_mean_n8": by_n.get(8),
         "classical_plateau_train_mean": float(classical[-1][1]),
         "quantum_above_classical_from_n2": bool(ordering),
+        "pinned_fraction": pinned,
     }
 
 

@@ -168,21 +168,25 @@ def test_quantum_pool_beats_classical_training(curves_run, emit):
         head["quantum_train_mean_n8"] >= 0.99
         and 0.75 <= head["classical_plateau_train_mean"] <= 0.90
         and head["quantum_above_classical_from_n2"]
+        and head["pinned_fraction"] == 0.948
     )
     emit(
         "accuracy-curves",
         ok,
         "quantum best-of-8 %.4f (>=0.99), classical plateau %.4f (0.75..0.90), "
-        "quantum above classical for n>=2: %s"
+        "quantum above classical for n>=2: %s, classical pinned fraction %.3f (the "
+        "classical-pool's 0.948)"
         % (
             head["quantum_train_mean_n8"],
             head["classical_plateau_train_mean"],
             head["quantum_above_classical_from_n2"],
+            head["pinned_fraction"],
         ),
     )
     assert head["quantum_train_mean_n8"] >= 0.99
     assert 0.75 <= head["classical_plateau_train_mean"] <= 0.90
     assert head["quantum_above_classical_from_n2"]
+    assert head["pinned_fraction"] == 0.948
 
 
 #: capture window of the deeper well of the tilted cosine: |w - 0.25| < 0.1
@@ -210,13 +214,15 @@ def test_shipped_classical_pool_is_pinned(tmp_path_factory, monkeypatch, emit):
     train_pool = experiments.train_pool
     monkeypatch.setattr(experiments, "train_pool", keep)
     head = run_config("classical_pool.json", tmp_path_factory).summary["headline"]
-    binary = np.stack([run.binary_weights for run in pools[0]])
+    binary = np.where(pools[0][1] >= 0.5, 1.0, 0.0)
     digest = hashlib.sha256(binary.tobytes()).hexdigest()
     expected = {
         "mean_train_accuracy": 0.5958,
         "mean_test_accuracy": 0.72825,
         "max_train_accuracy": 0.8,
         "near_binary_fraction": 1.0,
+        # 948 runs end at their initial weights rounded at 1/2
+        "pinned_fraction": 0.948,
     }
     ok = head == expected and binary.shape == (1000, 10) and digest == CLASSICAL_POOL_BINARY_SHA256
     emit(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,27 @@ class TestGradient:
         expected = 2.0 * (4 * weights**3 - 6 * weights**2 + 2 * weights)
         assert np.allclose(grad, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("build", [binary_pixel_model, _three_layer_model])
+    def test_saturated_sigmoids_stay_finite(self, build):
+        # at |w| = 200 the sigmoid argument reaches thousands, where exp(-a)
+        # overflows to inf and the sigmoid is exactly 0 or 1
+        relaxed = RelaxedModel(build())
+        train, _ = balanced_pixel_split(seed=0)
+        signs = np.random.default_rng(4).choice([-1.0, 1.0], (3, relaxed.num_parameters))
+        weights = 200.0 * signs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            losses = relaxed_loss(relaxed, train, weights)
+            grads = gradient(relaxed, train, weights)
+            steep = RelaxedModel(build(), steepness=1000.0)
+            pool = train_pool(steep, train, range(3), n_steps=5)
+        assert np.isfinite(losses).all() and np.isfinite(grads).all()
+        assert np.isfinite(pool).all()
+        for row, flat in zip(grads, weights):
+            with np.errstate(over="ignore"):
+                reference = _reference_gradient(relaxed, train, flat)
+            np.testing.assert_allclose(row, reference, rtol=1e-12, atol=1e-12)
+
     def test_non_finite_weights_raise(self):
         _, relaxed, train, _ = _setup()
         weights = np.full(10, 0.5)
@@ -258,18 +280,25 @@ class TestAdam:
 class TestTrainRun:
     def test_seeded_reproducibility(self):
         _, relaxed, train, _ = _setup()
-        one = train_pool(relaxed, train, [11])[0]
-        two = train_pool(relaxed, train, [11])[0]
-        assert np.array_equal(one.relaxed_weights, two.relaxed_weights)
-        assert np.array_equal(one.binary_weights, two.binary_weights)
+        one = train_pool(relaxed, train, [11])
+        two = train_pool(relaxed, train, [11])
+        assert one.shape == (2, 1, 10)
+        assert np.array_equal(one, two)
+
+    def test_returns_initial_and_trained_weights(self):
+        _, relaxed, train, _ = _setup()
+        initial, trained = train_pool(relaxed, train, [4, 5, 6], n_steps=3)
+        for row, seed in enumerate((4, 5, 6)):
+            drawn = np.random.default_rng(seed).uniform(0.0, 1.0, 10)
+            assert np.array_equal(initial[row], drawn)
+        assert not np.array_equal(trained, initial)
 
     def test_pool_slices_equal_single_runs(self):
         _, relaxed, train, _ = _setup()
         pool = train_pool(relaxed, train, [4, 5, 6], n_steps=120)
-        for seed in (4, 5, 6):
-            single = train_pool(relaxed, train, [seed], n_steps=120)[0]
-            match = next(r for r in pool if r.seed == seed)
-            assert np.array_equal(single.relaxed_weights, match.relaxed_weights)
+        for row, seed in enumerate((4, 5, 6)):
+            single = train_pool(relaxed, train, [seed], n_steps=120)
+            assert np.array_equal(single[:, 0], pool[:, row])
 
     def test_large_pool_slices_equal_single_runs(self, monkeypatch):
         # 2 * 257 first-layer rows go through BLAS row blocking in one GEMM;
@@ -279,9 +308,8 @@ class TestTrainRun:
         _, relaxed, train, _ = _setup()
         pool = train_pool(relaxed, train, range(257), n_steps=30)
         for seed in (0, 128, 256):
-            single = train_pool(relaxed, train, [seed], n_steps=30)[0]
-            assert pool[seed].seed == seed
-            assert np.array_equal(single.relaxed_weights, pool[seed].relaxed_weights)
+            single = train_pool(relaxed, train, [seed], n_steps=30)
+            assert np.array_equal(single[:, 0], pool[:, seed])
 
     @pytest.mark.parametrize("build", [binary_pixel_model, _three_layer_model])
     def test_pool_matches_plain_loop_oracle(self, build):
@@ -290,9 +318,9 @@ class TestTrainRun:
         relaxed = RelaxedModel(build())
         train, _ = balanced_pixel_split(seed=0)
         n_steps, learning_rate, beta1, beta2, epsilon = 25, 0.05, 0.9, 0.999, 1e-8
-        pool = train_pool(relaxed, train, range(5), n_steps=n_steps)
-        for run in pool:
-            weights = np.random.default_rng(run.seed).uniform(0.0, 1.0, relaxed.num_parameters)
+        _, pool = train_pool(relaxed, train, range(5), n_steps=n_steps)
+        for seed, trained in enumerate(pool):
+            weights = np.random.default_rng(seed).uniform(0.0, 1.0, relaxed.num_parameters)
             first = np.zeros_like(weights)
             second = np.zeros_like(weights)
             for step in range(1, n_steps + 1):
@@ -302,8 +330,8 @@ class TestTrainRun:
                 first_hat = first / (1.0 - beta1**step)
                 second_hat = second / (1.0 - beta2**step)
                 weights = weights - learning_rate * first_hat / (np.sqrt(second_hat) + epsilon)
-            np.testing.assert_allclose(run.relaxed_weights, weights, rtol=0.0, atol=1e-12)
-            assert np.array_equal(run.binary_weights, np.where(weights >= 0.5, 1.0, 0.0))
+            np.testing.assert_allclose(trained, weights, rtol=0.0, atol=1e-12)
+            assert np.array_equal(trained >= 0.5, weights >= 0.5)
 
     def test_rejects_labels_before_any_step(self, monkeypatch):
         _, relaxed, train, _ = _setup()
@@ -324,23 +352,29 @@ class TestTrainRun:
 
     def test_weights_binarize(self):
         _, relaxed, train, _ = _setup()
-        runs = train_pool(relaxed, train, range(60))
-        weights = np.stack([r.relaxed_weights for r in runs])
+        _, weights = train_pool(relaxed, train, range(60))
         near = np.minimum(np.abs(weights), np.abs(weights - 1.0)) <= 0.1
         assert near.mean() >= 0.90
-        binary = np.stack([r.binary_weights for r in runs])
-        assert set(np.unique(binary)) <= {0.0, 1.0}
 
     def test_binarized_accuracy_spread(self):
         model, relaxed, train, test = _setup()
-        runs = train_pool(relaxed, train, range(40))
-        binary = np.stack([r.binary_weights for r in runs])
+        _, weights = train_pool(relaxed, train, range(40))
+        binary = np.where(weights >= 0.5, 1.0, 0.0)
         outputs = forward_configs(model, dict(zip(model.variable_names, binary.T)), train.features)
         train_acc = np.mean(outputs == train.labels, axis=1)
         assert np.all((0.0 <= train_acc) & (train_acc <= 1.0))
         # local minima: decent but imperfect training accuracy overall
         assert 0.4 <= train_acc.mean() <= 0.9
         assert train_acc.max() < 1.0
+
+    def test_non_finite_gradient_raised_in_one_block(self, monkeypatch):
+        # one block checks its weights once, after the last step
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 1)
+        forks = _count_forks(monkeypatch)
+        _, relaxed, train, _ = _setup()
+        with pytest.raises(RuntimeError, match="non-finite gradient"):
+            train_pool(relaxed, train, range(7), n_steps=5, learning_rate=1e200)
+        assert forks == []
 
     def test_rejects_empty_seed_list(self):
         _, relaxed, train, _ = _setup()
@@ -383,10 +417,8 @@ class TestWorkers:
         monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
         split = train_pool(relaxed, train, range(7), n_steps=40)
         assert len(forks) == 2
-        assert [run.seed for run in split] == list(range(7))
-        for one, three in zip(alone, split):
-            assert np.array_equal(one.relaxed_weights, three.relaxed_weights)
-            assert np.array_equal(one.binary_weights, three.binary_weights)
+        assert split.shape == (2, 7, 10)
+        assert np.array_equal(alone, split)
         _assert_no_child_left()
 
     def test_at_most_one_worker_per_run(self, monkeypatch):
@@ -395,7 +427,8 @@ class TestWorkers:
         monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
         pool = train_pool(relaxed, train, [5, 9], n_steps=10)
         assert len(forks) == 1
-        assert [run.seed for run in pool] == [5, 9]
+        for row, seed in enumerate((5, 9)):
+            assert np.array_equal(pool[:, row], train_pool(relaxed, train, [seed], n_steps=10)[:, 0])
         _assert_no_child_left()
 
     @pytest.mark.parametrize(

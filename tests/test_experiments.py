@@ -838,10 +838,13 @@ def test_perfbench_tracer_wraps_a_run(monkeypatch, tmp_path):
     traced = tracer.Tracer()
     traced.install()
     try:
-        run_experiment(SMALL["nn-binary"], tmp_path)
+        run_experiment(SMALL["nn-binary"], tmp_path / "nn-binary")
+        # the tracer binds train_pool's seeds and n_steps by name
+        run_experiment(SMALL["classical-pool"], tmp_path / "classical-pool")
     finally:
         traced.uninstall()
     metrics = traced.layer_metrics()
+    assert metrics["classical.adam_steps"] == 4 * 5
     assert metrics["engine.evolve_adiabatic.calls"] == 1
     assert metrics["engine.evolve_adiabatic.steps"] == 3
     assert metrics["engine.evolve_adiabatic.amp_steps"] == 3 * 1024

@@ -24,9 +24,9 @@ The gradient, the penalty term and the Adam moments live in buffers
 allocated once per batch, and :class:`Adam` updates them in place, so the
 training loop allocates nothing per step.  :func:`relaxed_loss` and
 :func:`gradient` run the same kernel, transposing their flat (..., P)
-weights at the boundary.  :func:`gradient` checks each result for
-non-finite entries; a training block checks its weights once, after the
-last step, since a non-finite gradient leaves its weight NaN for good.
+weights at the boundary, and check each result for non-finite entries;
+a training block checks its weights once, after the last step, since a
+non-finite gradient leaves its weight NaN for good.
 
 Each run's slice is bit-equal to training that run alone: every
 multiply-accumulate is elementwise in the runs, and the tests check the
@@ -213,13 +213,14 @@ class _Batch:
         self._backward()
         self._add_penalty()
 
-    def check_finite(self, values: np.ndarray):
-        """Raise ``RuntimeError`` unless the (P, columns) ``values`` are all finite."""
+    def check_finite(self, values: np.ndarray, what: str = "gradient"):
+        """Raise ``RuntimeError`` unless the batch's ``values``, named ``what``
+        in the message, are all finite."""
         if not np.isfinite(values).all():
             weights = np.abs(self.weights[:, : self.runs])
             largest = np.max(weights, where=np.isfinite(weights), initial=0.0)
             raise RuntimeError(
-                f"non-finite gradient (largest finite |w| = {largest:.3g}); "
+                f"non-finite {what} (largest finite |w| = {largest:.3g}); "
                 "lower the learning rate or steepness"
             )
 
@@ -283,8 +284,10 @@ def relaxed_loss(relaxed: RelaxedModel, dataset: Dataset, weights) -> float | np
     """
     weights = np.asarray(weights, dtype=float)
     batch = _batch(relaxed, dataset, weights)
-    with np.errstate(over="ignore"):
+    # non-finite weights are reported by the check below, not by numpy warnings
+    with np.errstate(invalid="ignore", over="ignore"):
         batch.forward()
+    batch.check_finite(batch.activations[-1], "loss")
     outputs = batch.activations[-1][0, :, : batch.runs]
     data_term = (batch.signs @ outputs).reshape(weights.shape[:-1])
     penalty = relaxed.penalty * np.sum(weights**2 * (weights - 1.0) ** 2, axis=-1)

@@ -35,7 +35,6 @@ from .engine import (
     DENSE_EVOLUTION_CAP,
     DENSE_PANEL_NODES,
     AnnealSpec,
-    LinearSchedule,
     basis_state,
     chebyshev_degree,
     evolve_adiabatic,
@@ -75,19 +74,6 @@ from .varpoly import VarPolynomial, parse_polynomial
 
 # -- schemas -------------------------------------------------------------------------
 
-EXPERIMENT_KINDS = (
-    "tunnel",
-    "anneal-matrix",
-    "anneal-paulispin",
-    "nn-toy",
-    "nn-binary",
-    "spectrum",
-    "mass-scan",
-    "classical-pool",
-    "accuracy-curves",
-    "enumerate",
-)
-
 DESCRIPTIONS = {
     "tunnel": "real-time evolution of a packet started in one well of a 1D potential",
     "anneal-matrix": "kinetic-to-full anneal of a 1D Schrodinger problem, final position density",
@@ -122,7 +108,6 @@ SCHEMAS = {
         "scale": 8.0,
         "mass": 100.0,
         "num_qubits": 5,
-        "schedule": "linear",
         "t_final": 50.0,
         "n_steps": 500,
         "snapshot_stride": 0,
@@ -132,7 +117,6 @@ SCHEMAS = {
         "potential": "quartic",
         "scale": 50.0,
         "num_qubits": 7,
-        "schedule": "linear",
         "t_final": 50.0,
         "n_steps": 1000,
     },
@@ -141,7 +125,6 @@ SCHEMAS = {
         "n_points": 1000,
         "seed": 0,
         "band_rule": "min",
-        "schedule": "linear",
         "t_final": 10.0,
         "n_steps": 10,
         "grid_probe_side": 21,
@@ -149,7 +132,6 @@ SCHEMAS = {
     },
     "nn-binary": {
         "split_seed": 0,
-        "schedule": "linear",
         "t_final": 15.0,
         "n_steps": 15,
         "max_classes": 0,
@@ -199,15 +181,13 @@ SCHEMAS = {
     },
 }
 
+EXPERIMENT_KINDS = tuple(SCHEMAS)
+
 CHOICES = {
     ("tunnel", "potential"): ("cosine", "quartic"),
     ("anneal-matrix", "potential"): ("cosine", "tilted-cosine", "quartic"),
-    ("anneal-matrix", "schedule"): ("linear",),
-    ("anneal-paulispin", "schedule"): ("linear",),
     ("nn-toy", "dataset"): ("circle", "band"),
     ("nn-toy", "band_rule"): ("min", "max"),
-    ("nn-toy", "schedule"): ("linear",),
-    ("nn-binary", "schedule"): ("linear",),
     ("enumerate", "model"): ("toy", "binary"),
     ("enumerate", "dataset"): ("circle", "band"),
     ("enumerate", "band_rule"): ("min", "max"),
@@ -829,7 +809,7 @@ def _nn_anneal(losses: np.ndarray, effective: dict) -> np.ndarray:
     spec = AnnealSpec(
         driver=transverse_driver(num_qubits),
         target=losses,
-        schedule=LinearSchedule(effective["t_final"]),
+        t_final=effective["t_final"],
         n_steps=effective["n_steps"],
         substeps_per_step=None,
         snapshot_stride=effective["n_steps"],
@@ -927,7 +907,7 @@ def _run_anneal_matrix(effective, out: _Output):
     spec = AnnealSpec(
         driver=problem.kinetic_matrix(),
         target=target,
-        schedule=LinearSchedule(effective["t_final"]),
+        t_final=effective["t_final"],
         n_steps=effective["n_steps"],
         snapshot_stride=stride,
     )
@@ -977,7 +957,7 @@ def _run_anneal_paulispin(effective, out: _Output):
     spec = AnnealSpec(
         driver=transverse_driver(num_qubits),
         target=objective,
-        schedule=LinearSchedule(effective["t_final"]),
+        t_final=effective["t_final"],
         n_steps=effective["n_steps"],
         snapshot_stride=effective["n_steps"],
     )

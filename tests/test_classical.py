@@ -243,6 +243,17 @@ class TestGradient:
         with pytest.raises(RuntimeError):
             gradient(relaxed, train, weights)
 
+    @pytest.mark.parametrize("function", [relaxed_loss, gradient])
+    def test_infinite_weight_raises_without_a_numpy_warning(self, function):
+        # inf times a zero pixel is NaN; the finite check reports it, not numpy
+        _, relaxed, train, _ = _setup()
+        weights = np.full(10, 0.5)
+        weights[3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="^non-finite"):
+                function(relaxed, train, weights)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_weights(self):

@@ -21,7 +21,6 @@ from aqtrain.engine import (
     AnnealSpec,
     DENSE_EVOLUTION_CAP,
     DENSE_PANEL_NODES,
-    LinearSchedule,
     _chebyshev_step,
     _driver_factors,
     _field_block,
@@ -128,7 +127,7 @@ def per_step_split(spec, amps):
     sub_dt = spec.dt / spec.substeps_per_step
     snapshots = []
     for k in range(spec.n_steps):
-        s = spec.schedule(k * spec.dt)
+        s = k * spec.dt / spec.t_final
         driver_weight = np.array([(1.0 - s) * sub_dt])
         rotations = [_rotation_blocks(driver_weight, part)[0] for part in _driver_factors(fields)]
         phase = _unit_phases(-s * sub_dt * diagonal)
@@ -226,21 +225,25 @@ BAD_INPUTS = {
 
 
 class TestAnnealSpecValidation:
-    def test_linear_schedule_endpoints(self):
-        schedule = LinearSchedule(8.0)
-        assert schedule(0.0) == 0.0
-        assert schedule(8.0) == 1.0
-        with pytest.raises(ValueError):
-            LinearSchedule(0.0)
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("pair", ["pauli", "dense"])
+    def test_rejects_a_t_final_that_is_not_finite_and_positive(self, pair, t_final):
+        # an infinite t_final makes every step fraction inf / inf = NaN
+        if pair == "pauli":
+            driver, target = transverse_driver(2), np.zeros(4)
+        else:
+            driver = target = random_hermitian(4, seed=1)
+        with pytest.raises(ValueError, match="t_final must be finite and positive"):
+            AnnealSpec(driver, target, t_final)
 
     def test_mixed_representations_rejected(self):
         driver = transverse_driver(2)
         with pytest.raises(ValueError, match="representation"):
-            AnnealSpec(driver, np.eye(4), LinearSchedule(1.0))
+            AnnealSpec(driver, np.eye(4), 1.0)
 
     def test_register_mismatch_rejected(self):
         with pytest.raises(ValueError, match="register"):
-            AnnealSpec(transverse_driver(2), np.zeros(8), LinearSchedule(1.0))
+            AnnealSpec(transverse_driver(2), np.zeros(8), 1.0)
 
     @pytest.mark.parametrize("entry", ["anneal", "spectrum"])
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -250,12 +253,12 @@ class TestAnnealSpecValidation:
         driver, target, message = BAD_INPUTS[case]
         with pytest.raises(ValueError, match=message):
             if entry == "anneal":
-                AnnealSpec(driver, target, LinearSchedule(1.0))
+                AnnealSpec(driver, target, 1.0)
             else:
                 instantaneous_spectrum(driver, target, [0.5])
 
     def test_integer_inputs_are_real(self):
-        spec = AnnealSpec((1, [0, -1]), np.arange(4), LinearSchedule(1.0), n_steps=2)
+        spec = AnnealSpec((1, [0, -1]), np.arange(4), 1.0, n_steps=2)
         final = evolve_adiabatic(spec, uniform_state(2)).states[-1]
         assert abs(np.linalg.norm(final) - 1.0) <= 1e-12
         assert spec.num_qubits == 2
@@ -264,18 +267,18 @@ class TestAnnealSpecValidation:
     def test_counts_must_be_positive(self, field):
         kwargs = {field: 0}
         with pytest.raises(ValueError):
-            AnnealSpec(transverse_driver(2), np.zeros(4), LinearSchedule(1.0), **kwargs)
+            AnnealSpec(transverse_driver(2), np.zeros(4), 1.0, **kwargs)
 
     def test_dense_pair_rejects_substeps(self):
         # eigendecomposition is exact; a substep count would be silently ignored
         h = random_hermitian(4, seed=1)
         with pytest.raises(ValueError, match="substeps"):
-            AnnealSpec(h, h, LinearSchedule(1.0), substeps_per_step=4)
+            AnnealSpec(h, h, 1.0, substeps_per_step=4)
         for substeps in (1, None):
-            AnnealSpec(h, h, LinearSchedule(1.0), substeps_per_step=substeps)
+            AnnealSpec(h, h, 1.0, substeps_per_step=substeps)
 
     def test_pre_step_times(self):
-        spec = AnnealSpec(transverse_driver(2), np.zeros(4), LinearSchedule(10.0), n_steps=10)
+        spec = AnnealSpec(transverse_driver(2), np.zeros(4), 10.0, n_steps=10)
         assert np.allclose(spec.step_fractions(), np.arange(10) / 10.0)
 
 
@@ -287,7 +290,7 @@ class TestSplitEvolution:
         spec = AnnealSpec(
             transverse_driver(4),
             np.zeros(16),
-            LinearSchedule(10.0),
+            10.0,
             n_steps=10,
             substeps_per_step=substeps,
             snapshot_stride=3,
@@ -307,7 +310,7 @@ class TestSplitEvolution:
             spec = AnnealSpec(
                 driver,
                 target.diagonal(),
-                LinearSchedule(3.0),
+                3.0,
                 n_steps=3,
                 substeps_per_step=substeps,
             )
@@ -326,7 +329,7 @@ class TestSplitEvolution:
             spec = AnnealSpec(
                 transverse_driver(4),
                 target.diagonal(),
-                LinearSchedule(6.0),
+                6.0,
                 n_steps=6,
                 substeps_per_step=substeps,
             )
@@ -341,7 +344,7 @@ class TestSplitEvolution:
         spec = AnnealSpec(
             transverse_driver(5),
             target.diagonal(),
-            LinearSchedule(10.0),
+            10.0,
             n_steps=1000,
             substeps_per_step=substeps,
             snapshot_stride=1000,
@@ -366,7 +369,7 @@ class TestSplitEvolution:
         spec = AnnealSpec(
             transverse_driver(6),
             target.diagonal(),
-            LinearSchedule(t_final),
+            t_final,
             n_steps=n_steps,
             substeps_per_step=None,
         )
@@ -385,7 +388,7 @@ class TestSplitEvolution:
             spec = AnnealSpec(
                 driver,
                 target,
-                LinearSchedule(t_final),
+                t_final,
                 n_steps=int(t_final / 0.05),
                 snapshot_stride=10**6,
             )
@@ -404,7 +407,7 @@ class TestSplitEvolution:
         spec = AnnealSpec(
             transverse_driver(7),
             target.diagonal(),
-            LinearSchedule(7.0),
+            7.0,
             n_steps=23,
             substeps_per_step=substeps,
             snapshot_stride=5,
@@ -441,7 +444,7 @@ class TestSplitEvolution:
             spec = AnnealSpec(
                 transverse_driver(n),
                 target,
-                LinearSchedule(t_final),
+                t_final,
                 n_steps=n_steps,
                 snapshot_stride=stride,
             )
@@ -573,7 +576,7 @@ class TestChebyshevStep:
         spec = AnnealSpec(
             (0.7, np.zeros(3)),
             np.full(8, 0.7),
-            LinearSchedule(2.5),
+            2.5,
             n_steps=3,
             substeps_per_step=None,
         )
@@ -611,7 +614,7 @@ def assert_separable_exact_anneal(fields, diagonal, t_final, n_steps):
     spec = AnnealSpec(
         transverse_driver(n),
         diagonal,
-        LinearSchedule(t_final),
+        t_final,
         n_steps=n_steps,
         substeps_per_step=None,
     )
@@ -636,7 +639,7 @@ class TestDenseEvolution:
         driver = random_hermitian(8, seed=3)
         target = random_hermitian(8, seed=4)
         state = random_state(3, seed=5)
-        spec = AnnealSpec(driver, target, LinearSchedule(2.0), n_steps=7)
+        spec = AnnealSpec(driver, target, 2.0, n_steps=7)
         result = evolve_adiabatic(spec, state)
         expected = reference_anneal(
             driver.astype(complex), target.astype(complex), 2.0, 7, state
@@ -646,17 +649,15 @@ class TestDenseEvolution:
     def test_ground_state_is_stationary(self):
         h = random_hermitian(8, seed=9)
         _, vec = ground_state(h)
-        spec = AnnealSpec(h, h, LinearSchedule(5.0), n_steps=20)
+        spec = AnnealSpec(h, h, 5.0, n_steps=20)
         final = evolve_adiabatic(spec, vec).states[-1]
         assert abs(np.vdot(final, vec)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_split_and_dense_paths_agree_in_the_small_step_limit(self):
         target, _ = quartic_target(3, strength=5.0)
-        pauli_spec = AnnealSpec(
-            transverse_driver(3), target.diagonal(), LinearSchedule(4.0), n_steps=4000
-        )
+        pauli_spec = AnnealSpec(transverse_driver(3), target.diagonal(), 4.0, n_steps=4000)
         driver = transverse_matrix(3)
-        dense_spec = AnnealSpec(driver, target.to_matrix(), LinearSchedule(4.0), n_steps=4000)
+        dense_spec = AnnealSpec(driver, target.to_matrix(), 4.0, n_steps=4000)
         uniform = uniform_state(3)
         split_final = evolve_adiabatic(pauli_spec, uniform).states[-1]
         dense_final = evolve_adiabatic(dense_spec, uniform).states[-1]
@@ -673,9 +674,7 @@ class TestDenseEvolution:
         )
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
         initial = basis_state(config["num_qubits"], truncation.index_of(0))
-        spec = AnnealSpec(
-            driver, target, LinearSchedule(config["t_final"]), n_steps=config["n_steps"]
-        )
+        spec = AnnealSpec(driver, target, config["t_final"], n_steps=config["n_steps"])
         calls = count_eigh(monkeypatch)
         final = evolve_adiabatic(spec, initial).states[-1]
         panels = math.ceil(dense_reach(driver, target, spec.dt))
@@ -696,7 +695,7 @@ class TestDenseEvolution:
         dt = 1.5 / dense_reach(driver, target, 1.0)
         panels = math.ceil(dense_reach(driver, target, dt))
         assert panels == 2 and panel_steps(n_steps, panels).min() > DENSE_PANEL_NODES
-        spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
+        spec = AnnealSpec(driver, target, n_steps * dt, n_steps=n_steps)
         initial = basis_state(8, problem.truncation.index_of(0))
         tracemalloc.start()
         try:
@@ -715,7 +714,7 @@ class TestDenseEvolution:
         reach = dense_reach(driver, target, dt)
         panels = math.ceil(reach)
         assert reach >= 3.0 and panel_steps(n_steps, panels).min() >= 40
-        spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
+        spec = AnnealSpec(driver, target, n_steps * dt, n_steps=n_steps)
         calls = count_eigh(monkeypatch)
         final = evolve_adiabatic(spec, state).states[-1]
         assert len(calls) == DENSE_PANEL_NODES * panels
@@ -736,7 +735,7 @@ class TestDenseEvolution:
         panels = math.ceil(dense_reach(driver, target, dt))
         occupied = panel_steps(n_steps, panels)
         assert occupied.max() <= DENSE_PANEL_NODES
-        spec = AnnealSpec(driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps)
+        spec = AnnealSpec(driver, target, n_steps * dt, n_steps=n_steps)
         calls = count_eigh(monkeypatch)
         final = evolve_adiabatic(spec, state).states[-1]
         assert len(calls) <= min(DENSE_PANEL_NODES * occupied.size, n_steps)
@@ -752,9 +751,7 @@ class TestDenseEvolution:
         state = random_state(3, seed=53)
         n_steps, stride = 90, 25
         dt = 2.5 / dense_reach(driver, target, 1.0)
-        spec = AnnealSpec(
-            driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps, snapshot_stride=stride
-        )
+        spec = AnnealSpec(driver, target, n_steps * dt, n_steps=n_steps, snapshot_stride=stride)
         result = evolve_adiabatic(spec, state)
         assert [round(t / dt) for t in result.times] == [0, 25, 50, 75, 90]
         for t, snap in zip(result.times[1:], result.states[1:]):
@@ -778,9 +775,7 @@ class TestDenseEvolution:
         driver, target = random_hermitian(8, seed=61), random_hermitian(8, seed=62)
         state = random_state(3, seed=63)
         dt = reach / dense_reach(driver, target, 1.0)
-        spec = AnnealSpec(
-            driver, target, LinearSchedule(n_steps * dt), n_steps=n_steps, snapshot_stride=7
-        )
+        spec = AnnealSpec(driver, target, n_steps * dt, n_steps=n_steps, snapshot_stride=7)
         result = evolve_adiabatic(spec, state)
         assert len(result.states) == 2 + n_steps // 7
         for t, snap in zip(result.times[1:], result.states[1:]):
@@ -796,7 +791,7 @@ class TestDenseEvolution:
         problem = SchrodingerProblem(COSINE, 10.0, MomentumTruncation(4))
         driver, target = problem.kinetic_matrix(), problem.hamiltonian()
         state = basis_state(4, problem.truncation.index_of(0))
-        spec = AnnealSpec(driver, target, LinearSchedule(2.0), n_steps=5)
+        spec = AnnealSpec(driver, target, 2.0, n_steps=5)
         dtypes = count_eigh(monkeypatch)
         final = evolve_adiabatic(spec, state).states[-1]
         kept = evolve_real_time(target, state, 0.3, 0.1).states[-1]
@@ -811,7 +806,7 @@ class TestDenseEvolution:
     def test_rejects_oversized_register(self):
         dim = 2 ** (DENSE_EVOLUTION_CAP + 1)
         big = np.zeros((dim, dim))
-        spec = AnnealSpec(big, big, LinearSchedule(1.0), n_steps=1)
+        spec = AnnealSpec(big, big, 1.0, n_steps=1)
         with pytest.raises(ValueError, match="dense evolution"):
             evolve_adiabatic(spec, basis_state(DENSE_EVOLUTION_CAP + 1, 0))
 
@@ -830,7 +825,7 @@ def evolution(path, initial, n_steps=1, stride=1):
     spec = AnnealSpec(
         driver,
         target,
-        LinearSchedule(n_steps * 0.05),
+        n_steps * 0.05,
         n_steps=n_steps,
         substeps_per_step=substeps,
         snapshot_stride=stride,

@@ -124,6 +124,10 @@ def read_csv(path):
     return header, columns, rows
 
 
+def test_kind_tables_share_keys_and_order():
+    assert EXPERIMENT_KINDS == tuple(experiments.DESCRIPTIONS) == tuple(experiments._RUNNERS)
+
+
 class TestValidation:
     def test_defaults_filled_and_reported(self):
         # the band dataset reads every nn-toy parameter
@@ -150,6 +154,10 @@ class TestValidation:
         for kind in ("nn-toy", "nn-binary"):
             errors = validate_config({"kind": kind, "loss": "mse"}).errors
             assert errors == [f"unknown parameter 'loss' for kind {kind!r}"]
+        # every anneal runs the linear ramp s = t / t_final, which no key selects
+        for kind in ("anneal-matrix", "anneal-paulispin", "nn-toy", "nn-binary"):
+            errors = validate_config({"kind": kind, "schedule": "linear"}).errors
+            assert errors == [f"unknown parameter 'schedule' for kind {kind!r}"]
 
     def test_register_cap_rejected_with_message(self):
         report = validate_config({"kind": "anneal-matrix", "num_qubits": 30})
@@ -534,6 +542,11 @@ class TestValidation:
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem)
     def test_shipped_configs_within_limits(self, path):
         assert validate_config(json.loads(path.read_text())).ok
+
+    def test_every_choice_offers_two_values(self):
+        # a key with one allowed value selects nothing
+        for (kind, name), values in experiments.CHOICES.items():
+            assert name in SCHEMAS[kind] and len(values) >= 2, (kind, name)
 
     def test_choice_parameters_checked(self):
         assert not validate_config({"kind": "nn-toy", "band_rule": "sometimes"}).ok

@@ -284,14 +284,14 @@ def relaxed_loss(relaxed: RelaxedModel, dataset: Dataset, weights) -> float | np
     """
     weights = np.asarray(weights, dtype=float)
     batch = _batch(relaxed, dataset, weights)
-    # non-finite weights are reported by the check below, not by numpy warnings
+    # non-finite or huge weights are reported by the check below, not by numpy warnings
     with np.errstate(invalid="ignore", over="ignore"):
         batch.forward()
-    batch.check_finite(batch.activations[-1], "loss")
-    outputs = batch.activations[-1][0, :, : batch.runs]
-    data_term = (batch.signs @ outputs).reshape(weights.shape[:-1])
-    penalty = relaxed.penalty * np.sum(weights**2 * (weights - 1.0) ** 2, axis=-1)
-    total = data_term + penalty
+        outputs = batch.activations[-1][0, :, : batch.runs]
+        data_term = (batch.signs @ outputs).reshape(weights.shape[:-1])
+        penalty = relaxed.penalty * np.sum(weights**2 * (weights - 1.0) ** 2, axis=-1)
+        total = data_term + penalty
+    batch.check_finite(total, "loss")
     return float(total) if total.ndim == 0 else total
 
 

@@ -264,9 +264,9 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   parent of two blocks: 136 MB, its child 126 MB).
 # - curves: one (repetitions, n) block of pool draws at a time, 16 B and
 #   15-25 ns a draw, drawn for both pools: near 160 MB and 50 s.
-# - toy data: about 3.6 kB and 14 us per forwarded row (dataset or nn-toy grid
-#   probe), measured on nn-toy at 10 000 and 40 000 rows: 177 MB and 0.6 s
-#   at the cap.
+# - toy data: about 2.0 kB and 5 us per forwarded row (dataset or nn-toy grid
+#   probe), measured on nn-toy at 10 000 and 40 000 rows (54 and 115 MB max
+#   RSS, 0.054 and 0.20 s a run, medians of 9): 115 MB and 0.2 s at the cap.
 # - dense step budget: a step is one product with its interpolated
 #   propagator; a chunk of those comes from one GEMM against the 13-node
 #   block, one per anneal and reused by every panel (218 MB at 10 qubits; the

@@ -59,7 +59,7 @@ class Identity:
         return total
 
     def apply_numeric(self, pre, fan_in):
-        return pre
+        """Leave ``pre`` as it is: every activation works on ``pre`` in place."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class Square:
         return total * total
 
     def apply_numeric(self, pre, fan_in):
-        return pre**2
+        np.square(pre, out=pre)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class StepMajority:
         return theta_polynomial(fan_in, contributions)
 
     def apply_numeric(self, pre, fan_in):
-        return np.where(np.asarray(pre) >= 0.5 * fan_in, 1.0, 0.0)
+        np.greater_equal(pre, 0.5 * fan_in, out=pre)
 
 
 Activation = Union[Identity, Square, StepMajority]
@@ -332,9 +332,13 @@ def forward_configs(
     """Numeric outputs for many weight assignments at once.
 
     ``columns[name][c]`` is the value of a variable in configuration c; the
-    result has shape (configs, samples) for a single-output model.  The
-    first layer reads the shared (samples, width) features without copying
-    them per configuration; deeper layers read (configs, samples, width).
+    result has shape (configs, samples) for a single-output model, and
+    (configs, samples, outputs) otherwise.  Each layer holds its
+    pre-activations as one contiguous (configs, samples) plane per unit and
+    activates them in place; the first layer reads each input feature as a
+    contiguous (samples,) column shared by every configuration.  Every
+    weight-times-input product goes through one reused scratch plane, and a
+    unit's plane sums 0 + w_0 x_0 + w_1 x_1 + ... + bias in that order.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[1] != model.input_dim:
@@ -350,18 +354,20 @@ def forward_configs(
         """A (configs, 1) column for a variable, the constant otherwise."""
         return per_config[entry] if isinstance(entry, str) else float(entry)
 
-    # values: (samples, width) features, then (configs, samples, width)
-    values = features
+    # values[j]: input j, a (samples,) column, then a (configs, samples) plane
+    values = np.ascontiguousarray(features.T)
+    scratch = np.empty((n_configs, features.shape[0]))
     for layer in model.layers:
-        pre = np.zeros((n_configs, features.shape[0], layer.fan_out))
-        for i, (row, bias) in enumerate(zip(layer.weights, layer.biases)):
-            acc = np.zeros((n_configs, features.shape[0]))
-            for j, entry in enumerate(row):
-                acc += value(entry) * values[..., j]
-            acc += value(bias)
-            pre[:, :, i] = acc
-        values = layer.activation.apply_numeric(pre, layer.fan_in)
-    return values[:, :, 0] if model.output_dim == 1 else values
+        # filled, not np.zeros: a sum into calloc'd pages faults twice a page,
+        # once to read the shared zero page and once to copy it on write
+        pre = np.full((layer.fan_out,) + scratch.shape, 0.0)
+        for plane, row, bias in zip(pre, layer.weights, layer.biases):
+            for entry, inputs in zip(row, values):
+                plane += np.multiply(value(entry), inputs, out=scratch)
+            plane += value(bias)
+        layer.activation.apply_numeric(pre, layer.fan_in)
+        values = pre
+    return values[0] if model.output_dim == 1 else np.moveaxis(values, 0, -1).copy()
 
 
 def predict(model: ModelSpec, weights: Mapping[str, float], x) -> float:
@@ -494,10 +500,11 @@ def group_degenerate(
     ``probe_features``, and only ``probe_features`` is forwarded here.
 
     Each configuration's outputs are rounded to PREDICTION_DECIMALS, and the
-    bytes of that rounded row are its class key: one ``np.void`` scalar per
-    row, so the sort compares whole rows as byte strings.  Rounding can
-    leave -0.0, whose bytes differ from 0.0's though the values are equal,
-    so -0.0 is mapped to 0.0 first.
+    bytes of that rounded row are its class key in a dict that labels the
+    classes in order of first appearance, so equal rows are found by hashing
+    and nothing is sorted before the final ranking.  Rounding can leave
+    -0.0, whose bytes differ from 0.0's though the values are equal, so
+    -0.0 is mapped to 0.0 first.
     """
     n = table.total_qubits
     if n > ENUMERATION_QUBIT_CAP:
@@ -508,14 +515,19 @@ def group_degenerate(
     outputs = forward_configs(model, columns, probe_features)
     if leading_outputs is not None:
         outputs = np.concatenate([leading_outputs, outputs], axis=1)
-    # +0.0 maps -0.0 to 0.0 so byte-level keys are canonical
-    rounded = np.round(outputs.reshape(2**n, -1), PREDICTION_DECIMALS) + 0.0
+    rounded = outputs.reshape(2**n, -1)  # this call's own outputs, rounded in place
     if rounded.shape[1] == 0:
         raise ValueError("degeneracy grouping needs at least one probe row")
-    keys = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
+    np.round(rounded, PREDICTION_DECIMALS, out=rounded)
+    rounded += 0.0  # maps -0.0 to 0.0 so byte-level keys are canonical
+    # one bytes object per row: the rows viewed as np.void scalars, listed
+    keys = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1]))).ravel().tolist()
+    labels: dict[bytes, int] = {}
+    inverse = np.array([labels.setdefault(key, len(labels)) for key in keys])
+    # labels count up in order of first appearance, so label k first appears
+    # where the running maximum of the labels reaches k
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(inverse), prepend=-1))
+    counts = np.bincount(inverse)
     totals = np.bincount(inverse, weights=probabilities)
     classes = [
         DegeneracyClass(

@@ -254,6 +254,17 @@ class TestGradient:
             with pytest.raises(RuntimeError, match="^non-finite"):
                 function(relaxed, train, weights)
 
+    @pytest.mark.parametrize("function", [relaxed_loss, gradient])
+    def test_huge_weight_raises_without_a_numpy_warning(self, function):
+        # the binarization penalty w**2 (w - 1)**2 overflows at a finite weight
+        _, relaxed, train, _ = _setup()
+        weights = np.full(10, 0.5)
+        weights[3] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="^non-finite"):
+                function(relaxed, train, weights)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_weights(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,82 @@ class TestPredictAccuracy:
         assert outputs.shape == (2, 17)
 
 
+def _loop_forward(model, columns, features):
+    """Oracle: each configuration forwarded on its own, one unit at a time,
+    each unit summed as 0 + w_0 x_0 + w_1 x_1 + ... + bias."""
+    features = np.asarray(features, dtype=float)
+    n_configs = len(next(iter(columns.values())))
+    outputs = []
+    for c in range(n_configs):
+
+        def value(entry):
+            return float(columns[entry][c]) if isinstance(entry, str) else float(entry)
+
+        values = [features[:, j] for j in range(model.input_dim)]
+        for layer in model.layers:
+            units = []
+            for row, bias in zip(layer.weights, layer.biases):
+                total = np.zeros(len(features))
+                for entry, inputs in zip(row, values):
+                    total = total + value(entry) * inputs
+                total = total + value(bias)
+                if isinstance(layer.activation, Square):
+                    total = total * total
+                elif isinstance(layer.activation, StepMajority):
+                    total = np.where(total >= 0.5 * layer.fan_in, 1.0, 0.0)
+                units.append(total)
+            values = units
+        outputs.append(np.stack(values, axis=-1))
+    result = np.array(outputs)
+    return result[:, :, 0] if model.output_dim == 1 else result
+
+
+def _assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+
+
+class TestForwardConfigs:
+    def test_toy_model_matches_a_per_configuration_loop(self):
+        model, table, data = _toy_setup(seed=3, n=1000)
+        columns = table.decode_columns()
+        _assert_bit_equal(forward_configs(model, columns, data.features), _loop_forward(model, columns, data.features))
+
+    def test_binary_model_matches_a_per_configuration_loop(self):
+        model, table, _, _ = _binary_setup()
+        columns = table.decode_columns()
+        images = pixel_images().features
+        outputs = forward_configs(model, columns, images)
+        assert outputs.shape == (1024, 16)
+        _assert_bit_equal(outputs, _loop_forward(model, columns, images))
+
+    def test_two_output_model_matches_a_per_configuration_loop(self):
+        # constant weights, variable biases and exact zero inputs, two outputs
+        hidden = LayerSpec(weights=(("a", 0.5, "b"), ("c", "d", -1.0)), biases=("e", 0.25), activation=Square())
+        output = LayerSpec(weights=(("f", "g"), (2.0, "h")), biases=(-1.0, "i"), activation=Identity())
+        model = ModelSpec(input_dim=3, layers=(hidden, output))
+        columns = model_encoding_table(model, "spin-pm1").decode_columns()
+        features = np.vstack([np.random.default_rng(8).normal(size=(12, 3)), np.zeros(3), [0.0, -1.0, 0.0]])
+        outputs = forward_configs(model, columns, features)
+        assert outputs.shape == (512, 14, 2)
+        _assert_bit_equal(outputs, _loop_forward(model, columns, features))
+
+    def test_peak_memory_is_a_few_planes(self):
+        # one plane is one unit's (configs, rows) pre-activations
+        model, table, data = _toy_setup(n=10_000)
+        columns = table.decode_columns()
+        plane = 64 * 10_000 * 8
+        tracemalloc.start()
+        try:
+            forward_configs(model, columns, data.features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the first layer's two planes, the scratch plane and the output plane
+        # take 4; a (configs, rows, fan_out) tensor beside its activated copy takes 6
+        assert peak < 4.5 * plane
+
+
 class TestEnumerateWeightspace:
     def test_toy_table_shape_and_optimum(self):
         model, table, data = _toy_setup(n=400)
@@ -543,6 +620,29 @@ class TestGroupDegenerate:
             assert got.probability == want.probability  # exact: same additions, same order
             assert got.energy == want.energy
             assert got.prediction_hash == want.prediction_hash
+
+    @staticmethod
+    def _void_key_partition(model, table, probe):
+        """Oracle: np.unique over one np.void key per rounded row, a sort of
+        the rows as byte strings."""
+        outputs = forward_configs(model, table.decode_columns(), probe)
+        rounded = np.round(outputs, PREDICTION_DECIMALS) + 0.0
+        keys = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1]))).ravel()
+        _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+        return first, inverse, counts
+
+    def test_binary_model_matches_dict_grouping_and_void_key_partition(self):
+        model, table, train, test = _binary_setup()
+        losses = enumerate_weightspace(model, table, train, test, "linear-binary").losses
+        probe = pixel_images().features
+        probabilities = self._random_probabilities(10, seed=21)
+        classes = group_degenerate(model, table, probabilities, probe, losses)
+        assert classes == self._dict_grouping(model, table, probabilities, probe, losses)
+        first, inverse, counts = self._void_key_partition(model, table, probe)
+        assert max(counts) > 1
+        totals = np.bincount(inverse, weights=probabilities)
+        expected = {int(i): (int(n), float(t)) for i, n, t in zip(first, counts, totals)}
+        assert {c.representative_index: (c.degeneracy, c.probability) for c in classes} == expected
 
     def test_negative_zero_and_duplicate_rows_share_a_class(self):
         layer = LayerSpec(weights=(("a", "b", "c"),), biases=(0.0,), activation=Identity())

@@ -34,7 +34,10 @@ The split and dense stepping loops apply their steps and nothing else:
 what depends only on the step index (the split step's rotation blocks and
 phase vectors, the interpolated dense propagators, so that a dense step is
 one matrix-vector product) is built ahead of the loop, ``CHUNK_BYTES`` at a
-time.
+time.  That is 512 KB, a quarter of the 2 MB L2 cache of the host it was
+measured on, so a chunk is still in cache when its steps read it (the sweep
+is at ``CHUNK_BYTES``).  The chunk size moves the time only, never a bit of
+a state.
 
 Real-time evolution under a fixed Hamiltonian (:func:`evolve_real_time`,
 used by the ``tunnel`` experiment) is dense-only.  It diagonalizes the
@@ -447,8 +450,16 @@ def _chebyshev_step(
 
 #: bytes of step-indexed operators (interpolated propagators, split-step
 #: phases, real-time phases) built ahead of a stepping loop at a time; also
-#: the stacked states of :func:`aqtrain.matrix_method.window_masses`
-CHUNK_BYTES = 1 << 20
+#: the stacked states of :func:`aqtrain.matrix_method.window_masses`.  A
+#: quarter of the 2 MB L2 cache of the Xeon host it was tuned on, so a chunk
+#: stays cached between the GEMM that writes it and the steps that read it:
+#: the shipped tilted anneal (4000 steps at 5 qubits) took 12.3-13.2 ms at
+#: 512 KB (32 propagators a chunk), 13.1 at 256 KB, 13.8-14.3 at 128 KB,
+#: 15.5-16.7 at 1 MB and 15.2-16.3 at 2 MB (medians of 9 calls, at 1 and 2
+#: BLAS threads).  Every chunk size gives the same bits.  From 8 qubits
+#: (dense) and 15 (split) a chunk holds only its floor of 2 propagators or 1
+#: step.
+CHUNK_BYTES = 1 << 19
 
 #: Chebyshev nodes per panel of the dense anneal; with each panel's reach at
 #: most 1 the interpolation error bound 2 (1/4)**13 / 13! is about 5e-18
@@ -496,7 +507,9 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, states: np.ndarray):
     Approximation Theory and Approximation Practice, SIAM 2013, ch. 7-8),
     one ``eigh`` per node.  The step propagators ``U_k = sum_j w_kj U_j``
     of a chunk of steps come from one real GEMM of the Lagrange weights
-    against the node block, so each step is one matrix-vector product.
+    against the node block, so each step is one matrix-vector product.  No
+    product has a lone row (numpy would take gemv, which rounds differently),
+    so a propagator's bits do not depend on the chunk it is built in.
     A panel with no more steps than nodes takes its steps' own s values as
     the nodes, so its weights are unit rows and no run decomposes more
     matrices than it has steps.  One node block serves every panel, so a
@@ -529,12 +542,16 @@ def _evolve_dense(spec: AnnealSpec, fractions: np.ndarray, states: np.ndarray):
         flat = block[: nodes.size].reshape(nodes.size, -1).view(float)
         weights = _lagrange_weights(nodes, fractions[steps])
         for first in range(0, steps.size, chunk):
-            rows = weights[first : first + chunk]
+            # numpy hands a one-row product to gemv, which rounds unlike the
+            # GEMM, so a lone last row is multiplied along with the row before it
+            lead = int(0 < first == steps.size - 1)
+            rows = weights[first - lead : first + chunk]
             interpolated = propagators[: rows.shape[0]]
             np.matmul(rows, flat, out=interpolated.reshape(rows.shape[0], -1).view(float))
-            for propagator, k in zip(interpolated, steps[first : first + chunk]):
-                amps = propagator @ amps
-                _keep(states, spec, k + 1, amps)
+            # Python-int step numbers: a numpy int64 makes each _keep three times dearer
+            for step, propagator in enumerate(interpolated[lead:], int(steps[first]) + 1):
+                amps = propagator.dot(amps)  # the same zgemv as @, at less call overhead
+                _keep(states, spec, step, amps)
 
 
 def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
@@ -574,7 +591,8 @@ def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
             _keep(states, spec, k + 1, amps)
         return result
 
-    sub_dt = dt / spec.substeps_per_step
+    substeps = spec.substeps_per_step
+    sub_dt = dt / substeps
     # per step: the target phases and every factor's rotation block
     chunk = max(1, CHUNK_BYTES // (16 * (amps.size + sum(4**part.size for part in parts))))
     # the state ping-pongs between two buffers, one product a factor
@@ -588,7 +606,7 @@ def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
         phases = _unit_phases(np.multiply.outer(-s * sub_dt, diagonal))
         phases *= np.exp(-1j * driver_weights * constant)[:, None]
         for j, k in enumerate(range(first, first + s.size)):
-            for _ in range(spec.substeps_per_step):
+            for _ in range(substeps):
                 for f, rotation in enumerate(rotations):
                     _factor_product(rotation[j], views[held][f], views[1 - held][f])
                     held = 1 - held
@@ -662,9 +680,14 @@ def instantaneous_spectrum(driver, target, s_values, k_lowest: int = 4) -> np.nd
         raise ValueError("spectrum takes a (constant, fields) driver and a diagonal target")
     if num_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(f"spectrum supports at most {MATRIX_QUBIT_CAP} qubits")
-    driver, target = _dense_driver(*_transverse_field(driver)), np.diag(target)
+    driver, target = _dense_driver(*_transverse_field(driver)), np.asarray(target, dtype=float)
     s_values = np.asarray(s_values, dtype=float)
     curves = np.empty((s_values.size, min(k_lowest, 2**num_qubits)))
+    # H(s) is built in one buffer: the scaled driver, plus s * target on its diagonal
+    hamiltonian = np.empty_like(driver)
+    diagonal = hamiltonian.reshape(-1)[:: target.size + 1]
     for row, s in zip(curves, s_values):
-        row[:] = np.linalg.eigvalsh((1.0 - s) * driver + s * target)[: row.size]
+        np.multiply(driver, 1.0 - s, out=hamiltonian)
+        diagonal += s * target
+        row[:] = np.linalg.eigvalsh(hamiltonian)[: row.size]
     return curves

@@ -48,6 +48,7 @@ from .matrix_method import (
     MomentumTruncation,
     Potential,
     SchrodingerProblem,
+    check_packet_width,
     gaussian_packet,
     ground_state,
     mass_scaling_exponent,
@@ -275,13 +276,15 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   measured 2.8 ns per dim**2 at 8 qubits and 2.9 ns at 10, against 3.4 and
 #   3.6 ns for the earlier per-node GEMV step on the same host, so the budget
 #   now bounds the stepping far below 50 s.  A step also has a fixed cost:
-#   2.3-2.6 us at 1 qubit (marginal over 50 000 to 250 000 steps), against
-#   6.8-8.1 ns per dim**2 at 10 qubits on the same, busier host, a ratio near
-#   330 (1700 from the 4.9 us and 2.9 ns of an earlier measurement).  Memory
-#   sets DENSE_STEP_OVERHEAD higher than that ratio: tracemalloc measured 370
-#   B a step at 1 qubit (the panel's Lagrange weights, the step fractions and
-#   index arrays), so 1700 holds a 1-qubit anneal at the budget to 293 427
-#   steps (110 MB; the run took 0.65 s) and still admits 476 at 10 qubits.
+#   0.75-0.76 us at 1 qubit (marginal over 50 000 to 250 000 steps, min of 3;
+#   2.3-2.6 us in an earlier measurement, and 1.0-1.4 us with a numpy-int step
+#   number and an @ step), against 6.8-8.1 ns per dim**2 at 10 qubits on a
+#   busier host, a ratio near 100 (330 and 1700 in earlier measurements).
+#   Memory sets DENSE_STEP_OVERHEAD higher than that ratio: tracemalloc
+#   measured 370 B a step at 1 qubit (the panel's Lagrange weights, the step
+#   fractions and index arrays), so 1700 holds a 1-qubit anneal at the budget
+#   to 293 427 steps (110 MB; the run took 0.65 s) and still admits 476 at 10
+#   qubits.
 # - real-time step budget: a tunnel run has no step loop.  It costs one eigh,
 #   then per kept state one dim**2 product for the state and three for its
 #   well masses, plus a timeseries row, so it is charged per kept state:
@@ -297,8 +300,9 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   1-qubit scan near 1.1 million points and 30 s.
 # - split step budget: a step is one rotation-block product per driver factor
 #   (one at up to 6 qubits, two at 7-12, three at 13-16) and one phase pass:
-#   3.9-4.7 us at 1 qubit, 17 us at 7, 63-68 us at 10, 0.26-0.34 ms at 13 and
-#   2.3-3.4 ms at 16 (marginal cost a step, min of 3-7 runs).  With
+#   3.9-4.7 us at 1 qubit, 8.1-8.5 us at 7 (17 us in an earlier
+#   measurement), 63-68 us at 10, 0.26-0.34 ms at 13 and 2.3-3.4 ms at 16
+#   (marginal cost a step, min of 3-7 runs).  With
 #   SPLIT_STEP_OVERHEAD that is near 2-5 s at any register.
 # - Krylov step budget: the exact step is a Chebyshev series (a polynomial
 #   in H, so still a Krylov-subspace method), whose degree
@@ -527,7 +531,26 @@ def validate_config(config) -> ValidationReport:
                 errors.append(f"{expression} = {value} exceeds the {name} of {limit}{unit}")
                 if expression == "num_qubits":
                     break  # 2**num_qubits could be astronomical
+    if not errors:
+        errors.extend(_construction_errors(effective))
     return ValidationReport(effective, notes, errors)
+
+
+def _construction_errors(effective: dict) -> list:
+    """What a runner would reject while building a config's problem, for a
+    config whose sizes are within ``LIMITS``."""
+    errors = []
+    if effective["kind"] == "tunnel":
+        try:
+            check_packet_width(effective["packet_width"])
+        except ValueError as exc:
+            errors.append(f"packet_width {effective['packet_width']}: {exc}")
+    if effective["kind"] == "spectrum" and effective["k_lowest"] > 2 ** effective["num_qubits"]:
+        errors.append(
+            f"k_lowest {effective['k_lowest']} exceeds the {2 ** effective['num_qubits']} "
+            f"eigenvalues of a {effective['num_qubits']}-qubit register"
+        )
+    return errors
 
 
 def _sizes(effective: dict):
@@ -1040,14 +1063,18 @@ def _run_spectrum(effective, out: _Output):
 def _run_mass_scan(effective, out: _Output):
     truncation = MomentumTruncation(effective["num_qubits"])
     cosine = Potential(VarPolynomial.constant(1.0), 1.0)
+    problems = [SchrodingerProblem(cosine, mass, truncation) for mass in effective["masses"]]
+    # the potential matrix does not depend on the mass; each mass adds its kinetic diagonal
+    potential = problems[0].potential_matrix()
     rows = []
     peaks = []
-    for mass in effective["masses"]:
-        problem = SchrodingerProblem(cosine, mass, truncation)
-        _, vector = ground_state(problem.hamiltonian())
+    for problem in problems:
+        hamiltonian = potential.copy()
+        hamiltonian.reshape(-1)[:: truncation.dim + 1] += problem.kinetic_energies()
+        _, vector = ground_state(hamiltonian)
         w, density = momentum_to_position(vector, effective["grid_points"])
         peak = int(np.argmax(density))
-        rows.append((mass, float(w[peak]), float(density[peak])))
+        rows.append((problem.mass, float(w[peak]), float(density[peak])))
         peaks.append(float(density[peak]))
     out.csv("scan.csv", ("mass", "peak_w", "peak_density"), rows)
     return {

@@ -163,10 +163,13 @@ class SchrodingerProblem:
         if self.mass <= 0:
             raise ValueError("mass must be positive")
 
+    def kinetic_energies(self) -> np.ndarray:
+        """The kinetic term's diagonal (2*pi*n)**2 / (2m), mode by mode."""
+        return (2.0 * math.pi * self.truncation.modes) ** 2 / (2.0 * self.mass)
+
     def kinetic_matrix(self) -> np.ndarray:
         """Diagonal kinetic term (2*pi*n)**2 / (2m), a real matrix."""
-        modes = self.truncation.modes
-        return np.diag((2.0 * math.pi * modes) ** 2 / (2.0 * self.mass))
+        return np.diag(self.kinetic_energies())
 
     def potential_matrix(self) -> np.ndarray:
         """Toeplitz matrix Vhat(n - l), assembled Hermitian by construction;
@@ -290,6 +293,19 @@ def window_masses(amplitudes, grid_points: int, windows) -> np.ndarray:
 PACKET_OVERLAP_LIMIT = 1e-6
 
 
+def check_packet_width(width: float) -> None:
+    """Raise ``ValueError`` unless ``width`` is positive and the packet's
+    relative density ``exp(-width/2)`` half a period from its center is at
+    most ``PACKET_OVERLAP_LIMIT``."""
+    if width <= 0:
+        raise ValueError("width must be positive")
+    overlap = math.exp(-width / 2.0)
+    if overlap > PACKET_OVERLAP_LIMIT:
+        raise ValueError(
+            f"packet too wide: periodic-image overlap {overlap:.2e} above {PACKET_OVERLAP_LIMIT}"
+        )
+
+
 def gaussian_packet(center: float, width: float, truncation: MomentumTruncation) -> np.ndarray:
     """Momentum amplitudes of ``psi(w) ~ exp(-width * (w - center)**2)``.
 
@@ -298,15 +314,9 @@ def gaussian_packet(center: float, width: float, truncation: MomentumTruncation)
     of strength ``lambda``, and 2 * pi * sqrt(m) in a cosine minimum.  The
     packet must be narrow enough that its periodic images are negligible:
     the relative density ``exp(-width/2)`` half a period away from the
-    center must not exceed ``PACKET_OVERLAP_LIMIT``.
+    center must not exceed ``PACKET_OVERLAP_LIMIT`` (:func:`check_packet_width`).
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    overlap = math.exp(-width / 2.0)
-    if overlap > PACKET_OVERLAP_LIMIT:
-        raise ValueError(
-            f"packet too wide: periodic-image overlap {overlap:.2e} above {PACKET_OVERLAP_LIMIT}"
-        )
+    check_packet_width(width)
     modes = truncation.modes
     # Fourier transform of the narrow Gaussian, extending the range to the line
     amplitudes = np.exp(-2j * math.pi * modes * center) * np.exp(

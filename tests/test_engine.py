@@ -140,6 +140,22 @@ def per_step_split(spec, amps):
     return snapshots
 
 
+def shipped_tilted_anneal():
+    """The anneal of ``configs/anneal_matrix_tilted.json`` and its initial state."""
+    config_path = Path(__file__).resolve().parent.parent / "configs" / "anneal_matrix_tilted.json"
+    config = json.loads(config_path.read_text())
+    truncation = MomentumTruncation(config["num_qubits"])
+    problem = SchrodingerProblem(
+        Potential(1.0 + config["tilt"] * VarPolynomial.variable("w"), 1.0),
+        config["mass"],
+        truncation,
+    )
+    spec = AnnealSpec(
+        problem.kinetic_matrix(), problem.hamiltonian(), config["t_final"], n_steps=config["n_steps"]
+    )
+    return spec, basis_state(config["num_qubits"], truncation.index_of(0))
+
+
 def driver_matrix(driver):
     """The matrix of ``c + sum_q x_q X_q`` for a ``(c, x)`` driver pair, from
     the explicit Kronecker chain: the independent side of the engine's field
@@ -419,6 +435,20 @@ class TestSplitEvolution:
         for state, amps in zip(snapshots, expected):
             assert np.array_equal(state, amps)
 
+    @pytest.mark.parametrize(
+        "chunk_bytes", [4 * 16 * (128 + 256 + 64), 1 << 20], ids=["four-steps", "1MB"]
+    )
+    def test_states_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk_bytes):
+        # 7 qubits, factors of 4 and 3: 16 * (128 + 256 + 64) B a step, so 73
+        # steps a chunk at 512 KB
+        target, _ = quartic_target(7, strength=50.0)
+        spec = AnnealSpec(transverse_driver(7), target.diagonal(), 50.0, n_steps=1000)
+        uniform = uniform_state(7)
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 19)
+        shipped = evolve_adiabatic(spec, uniform).states
+        monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+        assert np.array_equal(evolve_adiabatic(spec, uniform).states, shipped)
+
     def test_separable_split_anneal_at_16_qubits_matches_per_qubit_steps(self):
         # sum_q h_q Z_q with the transverse driver: each first-order split step
         # is a product of 1-qubit split steps, each an exact 2x2 oracle; 16
@@ -664,27 +694,30 @@ class TestDenseEvolution:
         assert abs(np.vdot(split_final, dense_final)) ** 2 == pytest.approx(1.0, abs=1e-6)
 
     def test_shipped_tilted_anneal_matches_per_step_oracle(self, monkeypatch):
-        config_path = Path(__file__).resolve().parent.parent / "configs" / "anneal_matrix_tilted.json"
-        config = json.loads(config_path.read_text())
-        truncation = MomentumTruncation(config["num_qubits"])
-        problem = SchrodingerProblem(
-            Potential(1.0 + config["tilt"] * VarPolynomial.variable("w"), 1.0),
-            config["mass"],
-            truncation,
-        )
-        driver, target = problem.kinetic_matrix(), problem.hamiltonian()
-        initial = basis_state(config["num_qubits"], truncation.index_of(0))
-        spec = AnnealSpec(driver, target, config["t_final"], n_steps=config["n_steps"])
+        spec, initial = shipped_tilted_anneal()
+        driver, target = spec.driver, spec.target
         calls = count_eigh(monkeypatch)
         final = evolve_adiabatic(spec, initial).states[-1]
         panels = math.ceil(dense_reach(driver, target, spec.dt))
         assert len(calls) <= DENSE_PANEL_NODES * panels
         monkeypatch.undo()
-        expected = reference_anneal(
-            driver, target, config["t_final"], config["n_steps"], initial
-        )
+        expected = reference_anneal(driver, target, spec.t_final, spec.n_steps, initial)
         assert np.max(np.abs(final - expected)) < 1e-10
         assert abs(np.linalg.norm(final) - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "chunk_bytes",
+        [16 * 32 * 32, 3 * 16 * 32 * 32, 1 << 20],
+        ids=["one-propagator", "three-propagators", "1MB"],
+    )
+    def test_states_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk_bytes):
+        # a step reads its propagator alone, whatever chunk the GEMM wrote it in;
+        # one propagator's bytes still give the floor of two a chunk
+        spec, initial = shipped_tilted_anneal()
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 19)
+        shipped = evolve_adiabatic(spec, initial).states
+        monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+        assert np.array_equal(evolve_adiabatic(spec, initial).states, shipped)
 
     def test_panels_share_one_node_block(self):
         # two interpolated panels at 8 qubits: each 13-node block of 256 x 256
@@ -968,6 +1001,23 @@ class TestInstantaneousSpectrum:
             for s in s_values
         ]
         assert np.max(np.abs(curves - np.array(expected))) <= 1e-12
+
+    def test_in_place_build_matches_the_summed_matrix(self):
+        # H(s) is the scaled driver with s * target added to its diagonal; at
+        # s = 1 its off-diagonal zeros are 0 * (-1/2) = -0.0, where the sum
+        # (1 - s) * driver + s * diag(target) has +0.0, and eigvalsh gives
+        # the same bits either way
+        target = np.random.default_rng(5).uniform(-2.0, 2.0, 32)
+        driver = engine._dense_driver(*transverse_driver(5))
+        s_values = [0.0, 0.5, 1.0]
+        curves = instantaneous_spectrum(transverse_driver(5), target, s_values, k_lowest=32)
+        for s, curve in zip(s_values, curves):
+            summed = (1.0 - s) * driver + s * np.diag(target)
+            assert np.array_equal(curve, np.linalg.eigvalsh(summed))
+        in_place = driver * 0.0
+        in_place[np.diag_indices(32)] += target
+        assert np.signbit(in_place).any() and not np.signbit(summed[in_place == 0.0]).any()
+        assert np.array_equal(np.linalg.eigvalsh(in_place), curves[-1])
 
     def test_rejects_a_mismatched_pair(self):
         with pytest.raises(ValueError, match="representations"):

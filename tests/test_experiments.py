@@ -572,6 +572,32 @@ class TestValidation:
         overflow = validate_config({"kind": "tunnel", "t_total": 1e308, "dt": 1e-10})
         assert "real-time step budget" in overflow.errors[0]
 
+    @pytest.mark.parametrize(
+        "config, name",
+        [
+            ({"kind": "spectrum", "num_qubits": 2, "k_lowest": 50, "s_points": 3}, "k_lowest"),
+            ({"kind": "spectrum", "num_qubits": 2, "k_lowest": 5, "s_points": 3}, "k_lowest"),
+            ({"kind": "tunnel", "packet_width": 5.0}, "packet_width"),
+            ({"kind": "tunnel", "packet_width": 27.6}, "packet_width"),
+        ],
+        ids=["k_lowest-50", "k_lowest-one-past", "packet_width-5", "packet_width-one-past"],
+    )
+    def test_config_its_runner_cannot_build_rejected(self, config, name, tmp_path):
+        errors = validate_config(config).errors
+        assert len(errors) == 1 and errors[0].startswith(f"{name} ")
+        with pytest.raises(ValueError, match=name):
+            run_experiment(config, tmp_path)
+
+    def test_construction_checks_are_inclusive(self, tmp_path):
+        spectrum = {"kind": "spectrum", "num_qubits": 2, "k_lowest": 4, "s_points": 3}
+        run_experiment(spectrum, tmp_path / "spectrum")
+        _, columns, _ = read_csv(tmp_path / "spectrum" / "spectrum.csv")
+        assert columns == ["s", "e0", "e1", "e2", "e3"]
+        # exp(-27.64 / 2) = 9.97e-7 is within the overlap limit of 1e-6
+        tunnel = dict(SMALL["tunnel"], packet_width=27.64)
+        assert validate_config(tunnel).ok
+        run_experiment(tunnel, tmp_path / "tunnel")
+
     def test_polynomial_objectives_parsed(self):
         assert validate_config({"kind": "anneal-paulispin", "potential": "3*w^2 - w"}).ok
         two_vars = validate_config({"kind": "anneal-paulispin", "potential": "w + v"})

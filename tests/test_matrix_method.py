@@ -18,6 +18,7 @@ from aqtrain.matrix_method import (
     Potential,
     SchrodingerProblem,
     adaptive_simpson,
+    check_packet_width,
     gaussian_packet,
     ground_state,
     mass_scaling_exponent,
@@ -359,6 +360,16 @@ class TestGaussianPacket:
     def test_wide_packet_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             gaussian_packet(0.25, 20.0, MomentumTruncation(5))
+
+    def test_overlap_limit_is_inclusive(self):
+        # exp(-width / 2) is 9.97e-7 at 27.64 and 1.02e-6 at 27.6
+        check_packet_width(27.64)
+        gaussian_packet(0.25, 27.64, MomentumTruncation(5))
+        for width in (27.6, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                check_packet_width(width)
+            with pytest.raises(ValueError):
+                gaussian_packet(0.25, width, MomentumTruncation(5))
 
 
 class TestMomentumToPosition:

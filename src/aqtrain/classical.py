@@ -33,14 +33,19 @@ multiply-accumulate is elementwise in the runs, and the tests check the
 GEMM on pools small enough and large enough (257 runs) to cross its column
 blocking.
 
-A pool is split into one contiguous block of seeds per usable core
-(``os.sched_getaffinity``, at most one per run), trained side by side.  This
-process trains the first block; each other one is trained in a child made
-with ``os.fork``, which sends its (2, runs, P) initial and trained weights
-back over a pipe as raw float64 bytes, or its error as the nearest builtin
-exception type and the message, and ends through ``os._exit``.  The blocks
-are joined in seed order into the one (2, runs, P) array :func:`train_pool`
-returns, so the pool is bit-equal to one trained as one block.  On any
+Every run's initial weights are those its own ``np.random.default_rng(seed)``
+draws.  :func:`seeded_uniforms` draws them bit-equal for all seeds at once,
+running numpy's SeedSequence and PCG64 on arrays of seeds, so a pool pays no
+generator per run.  This process draws them all, once, and then splits the
+pool into one contiguous block of runs per usable core
+(``os.sched_getaffinity``, at most one per run), trained side by side.  It
+trains the first block itself; each other one is trained in a child made
+with ``os.fork``, which inherits its block's initial weights and sends only
+its (runs, P) trained weights back over a pipe as raw float64 bytes, or its
+error as the nearest builtin exception type and the message, and ends
+through ``os._exit``.  The trained blocks are joined in seed order under the
+initial weights into the one (2, runs, P) array :func:`train_pool` returns,
+so the pool is bit-equal to one trained as one block.  On any
 error the children are killed and reaped before it is raised.  Without
 ``os.fork``, or on one core, the pool trains as one block in process.
 Python 3.12 and later document a ``DeprecationWarning`` for ``os.fork`` in
@@ -351,17 +356,99 @@ class Adam:
         weights -= scaled
 
 
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence: its hash and mix multipliers, over 32-bit words
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit multiplier (O'Neill, "PCG", HMC-CS-2014-0905, 2014)
+_PCG_MULT_HIGH, _PCG_MULT_LOW = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _seed_state(seeds: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each uint64 seed,
+    as four arrays of words."""
+    multiplier = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal multiplier
+        value = value ^ multiplier
+        multiplier = multiplier * _HASH_MULT_A & _MASK32
+        value = value * multiplier
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    # the entropy is the seed's 32-bit words, low first, padded with zeros to the pool
+    low = (seeds & _MASK32).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, (seeds >> 32).astype(np.uint32), zero, zero)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    multiplier, words = _HASH_INIT_B, []
+    for position in range(8):
+        value = pool[position % 4] ^ multiplier
+        multiplier = multiplier * _HASH_MULT_B & _MASK32
+        value = value * multiplier
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
+
+
+def _pcg_step(high, low, inc_high, inc_low):
+    """PCG64's state step, state * multiplier + increment mod 2**128, on
+    (high, low) uint64 halves; the carry out of low * multiplier comes
+    from 32-bit halves."""
+    low0, low1 = low & _MASK32, low >> 32
+    mult0, mult1 = _PCG_MULT_LOW & _MASK32, _PCG_MULT_LOW >> 32
+    cross0, cross1 = low0 * mult1, low1 * mult0
+    middle = (low0 * mult0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    carry = low1 * mult1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
+    high = carry + low * _PCG_MULT_HIGH + high * _PCG_MULT_LOW + inc_high
+    low = low * _PCG_MULT_LOW + inc_low
+    return high + (low < inc_low), low
+
+
+def seeded_uniforms(seeds, count: int) -> np.ndarray:
+    """``np.random.default_rng(seed).uniform(0.0, 1.0, count)`` for every seed
+    in [0, 2**64) at once, bit-equal: one (len(seeds), count) array.
+
+    Runs numpy's SeedSequence and PCG64 seeding on arrays of seeds, then
+    ``count`` XSL-RR outputs of each stream, each turned into a double as
+    (x >> 11) * 2**-53, as the generator's ``uniform`` does over [0, 1).
+    """
+    seeds = [int(s) for s in seeds]
+    if seeds and (min(seeds) < 0 or max(seeds) >= 2**64):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    draws = np.empty((count, len(seeds)))
+    # the uint64 arithmetic wraps, as the generator's does
+    with np.errstate(over="ignore"):
+        state_high, state_low, seq_high, seq_low = _seed_state(np.array(seeds, dtype=np.uint64))
+        # seeding: state 0, increment 2 seq + 1, a step, add the state words, a step
+        inc_high, inc_low = seq_high << 1 | seq_low >> 63, seq_low << 1 | 1
+        low = state_low + inc_low
+        high = inc_high + state_high + (low < inc_low)
+        high, low = _pcg_step(high, low, inc_high, inc_low)
+        for row in draws:
+            high, low = _pcg_step(high, low, inc_high, inc_low)
+            rotation = high >> 58
+            word = high ^ low
+            word = word >> rotation | word << (64 - rotation & 63)
+            np.multiply(word >> 11, 2.0**-53, out=row)
+    return draws.T
+
+
 def _usable_cores() -> int:
     """The cores this process may run on: one block of a pool each."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _train_block(relaxed, features, signs, seeds, n_steps, learning_rate) -> np.ndarray:
-    """The (2, runs, P) initial and trained weights of one block of seeds, in seed order."""
-    batch = _Batch(relaxed, features, signs, len(seeds))
-    initial = np.stack(
-        [np.random.default_rng(s).uniform(0.0, 1.0, relaxed.num_parameters) for s in seeds]
-    )
+def _train_block(relaxed, features, signs, initial, n_steps, learning_rate) -> np.ndarray:
+    """The (runs, P) trained weights of one block of runs from their (runs, P) initial weights."""
+    batch = _Batch(relaxed, features, signs, len(initial))
     batch.load(initial)
     adam = Adam.initial(batch.weights.shape, learning_rate)
     # a non-finite gradient entry makes Adam divide inf by inf or carry a NaN,
@@ -372,7 +459,7 @@ def _train_block(relaxed, features, signs, seeds, n_steps, learning_rate) -> np.
             batch.gradient()
             adam.update(batch.weights, batch.grad)
     batch.check_finite(batch.weights)
-    return np.stack([initial, batch.unload(batch.weights)])
+    return batch.unload(batch.weights)
 
 
 class _Worker:
@@ -446,11 +533,12 @@ def train_pool(
 ) -> np.ndarray:
     """Train one run per seed (batched; identical to running them singly).
 
-    Each run starts from uniform [0, 1] weights drawn from its own seeded
-    generator and takes a fixed budget of full-batch Adam steps.  The seeds
-    are split into one contiguous block per usable core, trained side by side
-    (see the module docstring).  Returns a (2, runs, P) array in seed order:
-    each run's initial weights, then its trained relaxed weights.
+    Each run starts from the uniform [0, 1] weights its own seeded generator
+    draws, ``np.random.default_rng(seed)``, and takes a fixed budget of
+    full-batch Adam steps.  The seeds, in [0, 2**64), are split into one
+    contiguous block per usable core, trained side by side (see the module
+    docstring).  Returns a (2, runs, P) array in seed order: each run's
+    initial weights, then its trained relaxed weights.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -458,22 +546,23 @@ def train_pool(
     if n_steps < 1:
         raise ValueError("need at least one step")
     signs = _signs(dataset.labels)
+    initial = seeded_uniforms(seeds, relaxed.num_parameters)
 
     def train(block):
         return _train_block(relaxed, dataset.features, signs, block, n_steps, learning_rate)
 
     count = min(_usable_cores(), len(seeds)) if hasattr(os, "fork") else 1
     bounds = [len(seeds) * i // count for i in range(count + 1)]
-    blocks = [seeds[start:end] for start, end in zip(bounds, bounds[1:])]
+    blocks = [initial[start:end] for start, end in zip(bounds, bounds[1:])]
     workers = []
     try:
         for block in blocks[1:]:
             workers.append(_Worker(train, block))
         parts = [train(blocks[0])]
         for worker, block in zip(workers, blocks[1:]):
-            parts.append(worker.join((2, len(block), relaxed.num_parameters)))
+            parts.append(worker.join(block.shape))
     except BaseException:
         for worker in workers:
             worker.kill()
         raise
-    return np.concatenate(parts, axis=1)
+    return np.stack([initial, np.concatenate(parts)])

@@ -64,9 +64,16 @@ def decode_all(grid: Grid, total_qubits: int) -> np.ndarray:
     return grid.low + grid.step * j.astype(np.float64)
 
 
+#: a raw bit of 1 is a projector eigenvalue of 0, and a raw 0 one of 1
+_PROJECTOR_DIGITS = str.maketrans("01", "10")
+
+
 def report_bitstring(index: int, num_qubits: int) -> str:
     """Projector-eigenvalue bitstring of a basis state, qubit 0 first."""
-    return "".join("0" if (index >> q) & 1 else "1" for q in range(num_qubits))
+    if num_qubits == 0:
+        return ""
+    bits = format(index & ((1 << num_qubits) - 1), f"0{num_qubits}b")
+    return bits[::-1].translate(_PROJECTOR_DIGITS)
 
 
 def index_of_report_bitstring(bits: str) -> int:

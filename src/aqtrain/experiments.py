@@ -258,7 +258,9 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   On 2 cores, two blocks of half the pool step in 0.12-0.15 us a pool run
 #   at 16 000 runs, but at the memory cap no faster than one block (0.51-0.65
 #   us a pool run).  Forking and joining the children costs about 5 ms a
-#   call; each run also costs 13-20 us and 2.0 kB once.  The budget prices
+#   call; each run also costs 1.0-1.4 us and 1.7 kB once (slope over 1000 to
+#   16 000 runs of twice a one-step pool less a two-step one; traced peak),
+#   0.6 us of it the parent's one draw of every run's weights.  The budget prices
 #   one block at 1.5 us a run-step, above all of these: (runs +
 #   CLASSICAL_STEP_OVERHEAD) * steps within it keeps training near 60 s on
 #   one core, and the memory cap keeps one block near 230 MB max RSS (the
@@ -550,6 +552,16 @@ def _construction_errors(effective: dict) -> list:
             f"k_lowest {effective['k_lowest']} exceeds the {2 ** effective['num_qubits']} "
             f"eigenvalues of a {effective['num_qubits']}-qubit register"
         )
+    if effective["kind"] in ("anneal-paulispin", "spectrum"):
+        try:
+            _paulispin_objective(effective)
+        except ValueError as exc:
+            errors.append(str(exc))
+    if effective["kind"] in ("classical-pool", "accuracy-curves"):
+        runs = "n_runs" if effective["kind"] == "classical-pool" else "pool"
+        last = effective["first_seed"] + effective[runs] - 1
+        if last >= 2**64:
+            errors.append(f"first_seed + {runs} - 1 = {last} exceeds the largest seed 2**64 - 1")
     return errors
 
 
@@ -779,12 +791,23 @@ def _objective_polynomial(effective: dict) -> VarPolynomial:
 
 def _paulispin_objective(effective: dict):
     """The objective's variable, that variable's value on each basis state of
-    the fractional register, and the objective's value there."""
+    the fractional register, and the objective's value there.
+
+    Raises ``ValueError`` if a value is not finite; ``validate`` calls it too.
+    """
     poly = _objective_polynomial(effective)
     variable = sorted(poly.variables)[0]
     bits = effective["num_qubits"]
     columns = EncodingTable([(variable, Grid(bits, 0, 0, 2**-bits))]).decode_columns()
-    return variable, columns[variable], poly.evaluate(columns)
+    # a coefficient that overflows to inf gives inf * 0 = NaN at w = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = poly.evaluate(columns)
+    if not np.isfinite(objective).all():
+        raise ValueError(
+            f"potential {effective['potential']!r} times scale {effective['scale']:g} "
+            f"is not finite on the {2**bits}-point grid of {bits} qubits"
+        )
+    return variable, columns[variable], objective
 
 
 @dataclass(frozen=True)
@@ -1134,15 +1157,10 @@ def _run_accuracy_curves(effective, out: _Output):
 def _run_enumerate(effective, out: _Output):
     net = _network(effective)
     weightspace, n = net.weightspace, net.table.total_qubits
+    columns = weightspace.losses, weightspace.train_accuracy, weightspace.test_accuracy
     rows = [
-        (
-            index,
-            report_bitstring(index, n),
-            weightspace.losses[index],
-            weightspace.train_accuracy[index],
-            weightspace.test_accuracy[index],
-        )
-        for index in range(2**n)
+        (index, report_bitstring(index, n), *values)
+        for index, values in enumerate(zip(*(column.tolist() for column in columns)))
     ]
     out.csv(
         "weightspace.csv",

@@ -405,6 +405,36 @@ class TestTrainRun:
         with pytest.raises(ValueError):
             train_pool(relaxed, train, [0], n_steps=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seeds_outside_uint64(self, seed, monkeypatch):
+        _, relaxed, train, _ = _setup()
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 3)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            train_pool(relaxed, train, [0, seed, 1], n_steps=2)
+        assert forks == []
+
+
+class TestSeededUniforms:
+    """The vectorized draw against numpy's own seeded generators."""
+
+    @staticmethod
+    def _oracle(seeds, count):
+        return np.stack([np.random.default_rng(s).uniform(0.0, 1.0, count) for s in seeds])
+
+    @pytest.mark.parametrize("count", [1, 10, 17])
+    def test_bit_equal_to_seeded_generators(self, count):
+        # every 32-bit word boundary of the seed: one word, two, and the top bit
+        seeds = list(range(4096)) + [2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        drawn = classical.seeded_uniforms(seeds, count)
+        assert drawn.shape == (len(seeds), count)
+        assert np.array_equal(drawn, self._oracle(seeds, count))
+
+    def test_seeds_out_of_order_and_repeated(self):
+        seeds = [2**64 - 1, 7, 3, 7, 2**32, 0, 3, 2**64 - 1]
+        drawn = classical.seeded_uniforms(np.array(seeds, dtype=np.uint64), 10)
+        assert np.array_equal(drawn, self._oracle(seeds, 10))
+
 
 def _count_forks(monkeypatch) -> list:
     forks = []

@@ -123,6 +123,17 @@ class TestReportBitstrings:
         for index in range(16):
             assert index_of_report_bitstring(report_bitstring(index, 4)) == index
 
+    def test_matches_bit_by_bit_oracle(self):
+        # the reference, qubit by qubit; an index past the register keeps only
+        # its low num_qubits bits
+        def oracle(index, num_qubits):
+            return "".join("0" if (index >> q) & 1 else "1" for q in range(num_qubits))
+
+        for num_qubits in range(13):
+            for index in range(2 ** (num_qubits + 1)):
+                assert report_bitstring(index, num_qubits) == oracle(index, num_qubits)
+        assert report_bitstring(0, 0) == ""
+
 
 class TestEncodingTable:
     def test_uniform_builders(self):

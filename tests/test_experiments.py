@@ -598,6 +598,72 @@ class TestValidation:
         assert validate_config(tunnel).ok
         run_experiment(tunnel, tmp_path / "tunnel")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {
+                "kind": "anneal-paulispin",
+                "num_qubits": 3,
+                "potential": "1e308*w^2",
+                "n_steps": 4,
+                "t_final": 1.0,
+            },
+            {"kind": "spectrum", "num_qubits": 3, "potential": "w^2 - 1e308*w", "s_points": 3},
+        ],
+        ids=["paulispin-inf-coefficient", "spectrum-inf-times-zero"],
+    )
+    def test_non_finite_objective_rejected(self, config, tmp_path):
+        # 1e308 * scale overflows to inf, and inf * 0 is NaN at w = 0
+        errors = validate_config(config).errors
+        assert len(errors) == 1
+        assert errors[0].startswith(f"potential {config['potential']!r} ")
+        assert "not finite" in errors[0]
+        with pytest.raises(ValueError, match="not finite"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["anneal-paulispin", "spectrum"])
+    def test_finite_objective_check_is_inclusive(self, kind, tmp_path):
+        # 1e300 * 50 is finite, and so is the objective on every grid point
+        config = {"kind": kind, "num_qubits": 3, "potential": "1e300*w^2"}
+        config.update({"n_steps": 4, "t_final": 1.0} if kind != "spectrum" else {"s_points": 3})
+        assert validate_config(config).ok
+        headline = run_experiment(config, tmp_path).summary["headline"]
+        assert all(np.isfinite(v) for v in headline.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize(
+        "base, runs",
+        [(SMALL["classical-pool"], "n_runs"), (SMALL["accuracy-curves"], "pool")],
+        ids=["classical-pool", "accuracy-curves"],
+    )
+    def test_seeds_past_uint64_rejected(self, base, runs, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("a pool of unseedable runs must not start training")
+
+        monkeypatch.setattr(experiments, "train_pool", never)
+        config = dict(base, first_seed=2**64 - base[runs] + 1)
+        errors = validate_config(config).errors
+        assert errors == [f"first_seed + {runs} - 1 = {2**64} exceeds the largest seed 2**64 - 1"]
+        with pytest.raises(ValueError, match="first_seed"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_runs(self, monkeypatch, tmp_path):
+        pools, original = [], experiments.train_pool
+
+        def recording(*args, **kwargs):
+            pools.append(original(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(experiments, "train_pool", recording)
+        config = dict(SMALL["classical-pool"], first_seed=2**64 - SMALL["classical-pool"]["n_runs"])
+        assert validate_config(config).ok
+        run_experiment(config, tmp_path)
+        initial = pools[0][0]
+        assert np.array_equal(initial[-1], np.random.default_rng(2**64 - 1).uniform(0, 1, 10))
+        _, _, rows = read_csv(tmp_path / "pool.csv")
+        assert int(rows[-1][0]) == 2**64 - 1
+
     def test_polynomial_objectives_parsed(self):
         assert validate_config({"kind": "anneal-paulispin", "potential": "3*w^2 - w"}).ok
         two_vars = validate_config({"kind": "anneal-paulispin", "potential": "w + v"})

@@ -17,21 +17,21 @@ the kernel runs with overflow ignored.  The first layer reads the
 (samples, fan_in) feature matrix every run shares, with a column of ones
 appended, so its forward pass is one ``matmul`` call, a 2-D GEMM per unit
 with the runs as columns against -k W over a constant row k n/2; its
-weight gradient is another.  Deeper layers, the deltas and the per-sample
-sums of the weight gradient are broadcast multiply-accumulates over
-(samples, runs) planes, and the upstream deltas reuse the scaled weights.
-The gradient, the penalty term and the Adam moments live in buffers
-allocated once per batch, and :class:`Adam` updates them in place, so the
-training loop allocates nothing per step.  :func:`relaxed_loss` and
-:func:`gradient` run the same kernel, transposing their flat (..., P)
-weights at the boundary, and check each result for non-finite entries;
-a training block checks its weights once, after the last step, since a
-non-finite gradient leaves its weight NaN for good.
+weight gradient is another.  Each deeper layer's forward product, weight
+gradient and upstream deltas (which reuse the scaled weights) are one
+``np.einsum`` call each, the runs innermost.  The gradient, the penalty
+term and the Adam moments live in buffers allocated once per batch, and
+:class:`Adam` updates them in place, so the training loop allocates
+nothing per step.  :func:`relaxed_loss` and :func:`gradient` run the same
+kernel, transposing their flat (..., P) weights at the boundary, and check
+each result for non-finite entries; a training block checks its weights
+once, after the last step, since a non-finite gradient leaves its weight
+NaN for good.
 
-Each run's slice is bit-equal to training that run alone: every
-multiply-accumulate is elementwise in the runs, and the tests check the
-GEMM on pools small enough and large enough (257 runs) to cross its column
-blocking.
+Each run's slice is bit-equal to training that run alone: each einsum
+(numpy's own loop at its default ``optimize=False``, not BLAS) is
+elementwise in the runs and sums in index order, and the tests check the
+GEMM on pools small enough and large enough (257 runs) to cross its blocking.
 
 Every run's initial weights are those its own ``np.random.default_rng(seed)``
 draws.  :func:`seeded_uniforms` draws them bit-equal for all seeds at once,
@@ -132,8 +132,8 @@ class _Batch:
     Weights and gradient are (P, columns) arrays, activations and deltas
     (units, samples, columns); all of them are allocated here, once.  A lone
     run fills two identical columns, so that it takes the GEMM and the
-    row-by-row sample sums of any pool, not BLAS's matrix-vector kernel and
-    numpy's pairwise sum, whose rounding differs.
+    in-order contractions of any pool, not BLAS's matrix-vector kernel and
+    einsum's unrolled inner sums, whose rounding differs.
 
     Each forward pass refreshes every layer's -k W from ``weights`` (the
     first layer's in the GEMM operand above its constant row k n/2).  The
@@ -165,10 +165,6 @@ class _Batch:
         self.scaled += [np.empty((layer.fan_out, layer.fan_in, columns)) for layer in layers[1:]]
         self.activations = [np.empty((layer.fan_out, samples, columns)) for layer in layers]
         self.deltas = [np.empty_like(z) for z in self.activations]
-        # a stack of (samples, columns) planes for each deeper layer's products
-        self.scratch = [
-            np.empty((max(layer.fan_out, layer.fan_in), samples, columns)) for layer in layers[1:]
-        ]
         self.signs = signs
         # d loss / d output is the sign of each sample; times -k, see above
         self.output_scale = np.repeat((-steepness * signs)[:, None], columns, axis=1)
@@ -198,11 +194,7 @@ class _Batch:
             else:
                 # z[o] = sum over i of scaled[o, i] * below[i], accumulated in i
                 below = self.activations[position - 1]
-                products = self.scratch[position - 1][: len(z)]
-                np.multiply(scaled[:, 0, None, :], below[0], out=z)
-                for i in range(1, len(below)):
-                    np.multiply(scaled[:, i, None, :], below[i], out=products)
-                    z += products
+                np.einsum("oic,isc->osc", scaled, below, out=z)
                 z += 0.5 * steepness * len(below)
             np.exp(z, out=z)
             z += 1.0
@@ -247,18 +239,11 @@ class _Batch:
                 # (fan_in, samples) @ (samples, columns) for each unit
                 np.matmul(self.features.T, delta, out=grad)
                 break
-            # grad[o, i] = sum over samples of delta[o] * below[i]
+            # grad[o, i] = sum over samples of delta[o] * below[i], accumulated in order
             below = self.activations[position - 1]
-            products = self.scratch[position - 1][: len(below)]
-            for unit_delta, unit_grad in zip(delta, grad):
-                np.multiply(unit_delta, below, out=products)
-                np.add.reduce(products, axis=1, out=unit_grad)
+            np.einsum("osc,isc->oic", delta, below, out=grad)
             # the layer below's -k upstream: sum over o of scaled[o, i] * delta[o]
-            scaled, upstream = self.scaled[position], self.deltas[position - 1]
-            np.multiply(scaled[0, :, None, :], delta[0], out=upstream)
-            for o in range(1, len(delta)):
-                np.multiply(scaled[o, :, None, :], delta[o], out=products)
-                upstream += products
+            np.einsum("oic,osc->isc", self.scaled[position], delta, out=self.deltas[position - 1])
 
     def _add_penalty(self):
         # d/dw of penalty * w^2 (w - 1)^2 is penalty * 4 w (w - 1/2) (w - 1)

@@ -220,7 +220,7 @@ _REGISTER_CAPS = {
 SNAPSHOT_OVERHEAD_BYTES = 256
 
 #: the fixed cost of one classical training step, whatever the pool size, in
-#: run-steps: 90 us at the 1.5 us a run-step is priced at, above the 36-43 us
+#: run-steps: 90 us at the 1.5 us a run-step is priced at, above the 30-32 us
 #: measured (see below)
 CLASSICAL_STEP_OVERHEAD = 60
 
@@ -253,23 +253,23 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 # Why each limit has its size, from costs measured on 2 cores with OpenBLAS:
 # - classical pool: train_pool splits the seeds into one block per usable
 #   core, trained side by side by this process and forked children.  A
-#   block's step costs 36-43 us whatever its size, plus per run 0.21-0.27 us
-#   at 1000 runs, 0.33-0.35 us at 16 000 and 0.57-0.59 us at the memory cap.
-#   On 2 cores, two blocks of half the pool step in 0.12-0.15 us a pool run
-#   at 16 000 runs, but at the memory cap no faster than one block (0.51-0.65
+#   block's step costs 30-32 us whatever its size, plus per run 0.21 us at
+#   1000 runs, 0.27-0.29 us at 16 000 and 0.44-0.50 us at the memory cap.
+#   On 2 cores, two blocks of half the pool step in 0.14-0.17 us a pool run
+#   at 16 000 runs, but at the memory cap no faster than one block (0.44-0.87
 #   us a pool run).  Forking and joining the children costs about 5 ms a
 #   call; each run also costs 1.0-1.4 us and 1.7 kB once (slope over 1000 to
 #   16 000 runs of twice a one-step pool less a two-step one; traced peak),
 #   0.6 us of it the parent's one draw of every run's weights.  The budget prices
 #   one block at 1.5 us a run-step, above all of these: (runs +
 #   CLASSICAL_STEP_OVERHEAD) * steps within it keeps training near 60 s on
-#   one core, and the memory cap keeps one block near 230 MB max RSS (the
-#   parent of two blocks: 136 MB, its child 126 MB).
+#   one core, and the memory cap keeps one block near 180 MB max RSS (the
+#   parent of two blocks: 114 MB, its child 103 MB).
 # - curves: one (repetitions, n) block of pool draws at a time, 16 B and
 #   15-25 ns a draw, drawn for both pools: near 160 MB and 50 s.
-# - toy data: about 2.0 kB and 5 us per forwarded row (dataset or nn-toy grid
-#   probe), measured on nn-toy at 10 000 and 40 000 rows (54 and 115 MB max
-#   RSS, 0.054 and 0.20 s a run, medians of 9): 115 MB and 0.2 s at the cap.
+# - toy data: about 1.4 kB and 4 us per forwarded row (dataset or nn-toy grid
+#   probe), measured on nn-toy at 10 000 and 40 000 rows (55 and 97 MB max
+#   RSS, 0.050 and 0.16 s a run, medians of 15): 97 MB and 0.16 s at the cap.
 # - dense step budget: a step is one product with its interpolated
 #   propagator; a chunk of those comes from one GEMM against the 13-node
 #   block, one per anneal and reused by every panel (218 MB at 10 qubits; the
@@ -554,9 +554,16 @@ def _construction_errors(effective: dict) -> list:
         )
     if effective["kind"] in ("anneal-paulispin", "spectrum"):
         try:
-            _paulispin_objective(effective)
+            _, _, objective = _paulispin_objective(effective)
         except ValueError as exc:
             errors.append(str(exc))
+        else:  # a split step's phases are s * dt times the objective, s <= 1
+            dt = effective["t_final"] / effective["n_steps"] if "t_final" in effective else 0.0
+            if not math.isfinite(float(np.abs(objective).max()) * dt):
+                errors.append(
+                    f"potential {effective['potential']!r} times scale {effective['scale']:g} times "
+                    f"t_final / n_steps = {effective['t_final']:g} / {effective['n_steps']} overflows"
+                )
     if effective["kind"] in ("classical-pool", "accuracy-curves"):
         runs = "n_runs" if effective["kind"] == "classical-pool" else "pool"
         last = effective["first_seed"] + effective[runs] - 1

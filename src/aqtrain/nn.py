@@ -333,12 +333,16 @@ def forward_configs(
 
     ``columns[name][c]`` is the value of a variable in configuration c; the
     result has shape (configs, samples) for a single-output model, and
-    (configs, samples, outputs) otherwise.  Each layer holds its
-    pre-activations as one contiguous (configs, samples) plane per unit and
-    activates them in place; the first layer reads each input feature as a
-    contiguous (samples,) column shared by every configuration.  Every
-    weight-times-input product goes through one reused scratch plane, and a
-    unit's plane sums 0 + w_0 x_0 + w_1 x_1 + ... + bias in that order.
+    (configs, samples, outputs) otherwise.  Each layer fills a fresh
+    (fan_out, configs, samples) array, one contiguous plane per unit, by one
+    ``np.einsum`` call per unit: its (fan_in, configs) weights, a constant as
+    a filled row, against the (fan_in, samples) features every configuration
+    shares or the layer below's planes.  One call per layer gives the same
+    bits but took 2-2.5x as long at fan_out > 1 (numpy 2.4, 2-core x86-64).
+    The summed index is never einsum's innermost loop, so a unit sums
+    0 + w_0 x_0 + w_1 x_1 + ... + bias in that order; a lone configuration
+    goes through as two, since on one sample the sum would be that loop,
+    whose unrolled accumulation rounds differently.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[1] != model.input_dim:
@@ -347,26 +351,28 @@ def forward_configs(
     for name in model.variable_names:
         if name not in columns:
             raise KeyError(f"no column for weight {name!r}")
-        per_config[name] = np.asarray(columns[name], dtype=float)[:, None]
+        per_config[name] = np.asarray(columns[name], dtype=float)
     n_configs = max((column.shape[0] for column in per_config.values()), default=1)
+    width = max(n_configs, 2)
 
-    def value(entry):
-        """A (configs, 1) column for a variable, the constant otherwise."""
-        return per_config[entry] if isinstance(entry, str) else float(entry)
+    def stack(entries):
+        """A (len(entries), configs) array: each variable's column or constant."""
+        stacked = np.empty((len(entries), width))
+        for row, entry in zip(stacked, entries):
+            row[...] = per_config[entry] if isinstance(entry, str) else entry
+        return stacked
 
-    # values[j]: input j, a (samples,) column, then a (configs, samples) plane
     values = np.ascontiguousarray(features.T)
-    scratch = np.empty((n_configs, features.shape[0]))
     for layer in model.layers:
-        # filled, not np.zeros: a sum into calloc'd pages faults twice a page,
-        # once to read the shared zero page and once to copy it on write
-        pre = np.full((layer.fan_out,) + scratch.shape, 0.0)
-        for plane, row, bias in zip(pre, layer.weights, layer.biases):
-            for entry, inputs in zip(row, values):
-                plane += np.multiply(value(entry), inputs, out=scratch)
-            plane += value(bias)
+        pre = np.empty((layer.fan_out, width, features.shape[0]))
+        subscripts = "ic,ir->cr" if values.ndim == 2 else "ic,icr->cr"
+        for row, bias, plane in zip(layer.weights, layer.biases, pre):
+            np.einsum(subscripts, stack(row), values, out=plane)
+            if isinstance(bias, str) or bias != 0.0:  # a sum from +0.0 is never -0.0,
+                plane += stack([bias]).T  # so adding 0.0 would change no bit
         layer.activation.apply_numeric(pre, layer.fan_in)
         values = pre
+    values = values[:, :n_configs]
     return values[0] if model.output_dim == 1 else np.moveaxis(values, 0, -1).copy()
 
 

@@ -43,17 +43,26 @@ def _empty_dataset():
     return Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
-def _three_layer_model():
-    """4 pixels -> 3 majority units -> 2 majority units -> majority output."""
-
-    def layer(name, fan_out, fan_in):
+def _majority_stack(*widths):
+    """Majority layers through ``widths``, the input's first; layers named a, b, c, ..."""
+    layers = []
+    for name, fan_in, fan_out in zip("abcdefgh", widths, widths[1:]):
         weights = tuple(
             tuple(f"{name}_{i}{j}" for j in range(1, fan_in + 1))
             for i in range(1, fan_out + 1)
         )
-        return LayerSpec(weights=weights, biases=(0.0,) * fan_out, activation=StepMajority())
+        layers.append(LayerSpec(weights=weights, biases=(0.0,) * fan_out, activation=StepMajority()))
+    return ModelSpec(input_dim=widths[0], layers=tuple(layers))
 
-    return ModelSpec(input_dim=4, layers=(layer("a", 3, 4), layer("b", 2, 3), layer("c", 1, 2)))
+
+def _three_layer_model():
+    """4 pixels -> 3 majority units -> 2 majority units -> majority output."""
+    return _majority_stack(4, 3, 2, 1)
+
+
+def _wide_model():
+    """4 pixels -> 6 majority units -> 5 majority units -> majority output."""
+    return _majority_stack(4, 6, 5, 1)
 
 
 def _reference_gradient(relaxed, dataset, flat):
@@ -169,7 +178,7 @@ class TestGradient:
             assert abs(grad[i] - fd) / scale <= 1e-4
 
     @pytest.mark.parametrize("penalty", [0.0, 50.0])
-    @pytest.mark.parametrize("build", [binary_pixel_model, _three_layer_model])
+    @pytest.mark.parametrize("build", [binary_pixel_model, _three_layer_model, _wide_model])
     def test_batch_matches_per_run_reference(self, build, penalty):
         # five runs through the shared-input GEMM and the stacked products
         # against each run's sample-by-sample backpropagation; the three-layer
@@ -330,6 +339,19 @@ class TestTrainRun:
         _, relaxed, train, _ = _setup()
         pool = train_pool(relaxed, train, range(257), n_steps=30)
         for seed in (0, 128, 256):
+            single = train_pool(relaxed, train, [seed], n_steps=30)
+            assert np.array_equal(single[:, 0], pool[:, seed])
+
+    @pytest.mark.parametrize("runs", [1, 2, 257])
+    def test_wide_model_pool_slices_equal_single_runs(self, runs, monkeypatch):
+        # the deeper layers' contractions sum over 6 and 5 units, and over the
+        # samples, in the same order for every pool size; one worker, so that
+        # the whole pool is one block
+        monkeypatch.setattr(classical, "_usable_cores", lambda: 1)
+        relaxed = RelaxedModel(_wide_model())
+        train, _ = balanced_pixel_split(seed=0)
+        pool = train_pool(relaxed, train, range(runs), n_steps=30)
+        for seed in sorted({0, runs // 2, runs - 1}):
             single = train_pool(relaxed, train, [seed], n_steps=30)
             assert np.array_equal(single[:, 0], pool[:, seed])
 

@@ -622,6 +622,36 @@ class TestValidation:
             run_experiment(config, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_objective_times_step_overflow_rejected(self, tmp_path):
+        # 1.7e306 * 50 is finite on the grid, but 25 times that is not
+        config = {
+            "kind": "anneal-paulispin",
+            "num_qubits": 3,
+            "potential": "1.7e306*w^2",
+            "n_steps": 4,
+            "t_final": 100.0,
+        }
+        errors = validate_config(config).errors
+        assert errors == [
+            "potential '1.7e306*w^2' times scale 50 times t_final / n_steps = 100 / 4 overflows"
+        ]
+        with pytest.raises(ValueError, match="t_final / n_steps = 100 / 4 overflows"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_objective_times_step_check_is_inclusive(self, tmp_path):
+        # 2.5 times the grid's largest value, 7.4e307, stays finite
+        config = {
+            "kind": "anneal-paulispin",
+            "num_qubits": 3,
+            "potential": "1.7e306*w^2",
+            "n_steps": 4,
+            "t_final": 10.0,
+        }
+        assert validate_config(config).ok
+        headline = run_experiment(config, tmp_path).summary["headline"]
+        assert all(np.isfinite(v) for v in headline.values() if isinstance(v, float))
+
     @pytest.mark.parametrize("kind", ["anneal-paulispin", "spectrum"])
     def test_finite_objective_check_is_inclusive(self, kind, tmp_path):
         # 1e300 * 50 is finite, and so is the objective on every grid point

@@ -372,6 +372,18 @@ def _loop_forward(model, columns, features):
     return result[:, :, 0] if model.output_dim == 1 else result
 
 
+def _continuous_model():
+    """8 inputs -> 8 squared units -> identity output, every weight a variable;
+    the hidden biases alternate a variable and zero, the output's is zero."""
+    hidden = LayerSpec(
+        weights=tuple(tuple(f"h{o}_{i}" for i in range(8)) for o in range(8)),
+        biases=tuple(f"hb{o}" if o % 2 else 0.0 for o in range(8)),
+        activation=Square(),
+    )
+    output = LayerSpec(weights=(tuple(f"o_{i}" for i in range(8)),), biases=(0.0,), activation=Identity())
+    return ModelSpec(input_dim=8, layers=(hidden, output))
+
+
 def _assert_bit_equal(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
@@ -413,9 +425,34 @@ class TestForwardConfigs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the first layer's two planes, the scratch plane and the output plane
-        # take 4; a (configs, rows, fan_out) tensor beside its activated copy takes 6
-        assert peak < 4.5 * plane
+        # the first layer's two planes and the output plane take 3, with no
+        # scratch plane; a (configs, rows, fan_out) tensor beside its
+        # activated copy takes 6
+        assert peak < 3.5 * plane
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 1000])
+    @pytest.mark.parametrize("n_configs", [1, 2, 64])
+    def test_continuous_weights_keep_the_summation_order(self, n_configs, n_rows):
+        # real weights make every product and partial sum round, so only the
+        # order 0 + w_0 x_0 + w_1 x_1 + ... + bias reproduces the loop bit for
+        # bit; a fan-in of 8 is long enough for an unrolled sum to differ
+        model = _continuous_model()
+        rng = np.random.default_rng(100 * n_configs + n_rows)
+        columns = {name: rng.normal(size=n_configs) for name in model.variable_names}
+        features = rng.normal(size=(n_rows, model.input_dim))
+        outputs = forward_configs(model, columns, features)
+        assert outputs.shape == (n_configs, n_rows)
+        _assert_bit_equal(outputs, _loop_forward(model, columns, features))
+
+    def test_zero_weights_on_negative_inputs_give_positive_zero(self):
+        # each unit's sum starts from +0.0, and 0 + (-0.0) is +0.0
+        layer = LayerSpec(weights=(("a", "b"),), biases=(0.0,), activation=Identity())
+        model = ModelSpec(input_dim=2, layers=(layer,))
+        columns = {"a": [0.0, -0.0], "b": [-0.0, 0.0]}
+        features = np.array([[-1.0, -2.0], [-3.0, 0.0]])
+        outputs = forward_configs(model, columns, features)
+        assert np.all(outputs == 0.0) and not np.any(np.signbit(outputs))
+        _assert_bit_equal(outputs, _loop_forward(model, columns, features))
 
 
 class TestEnumerateWeightspace:

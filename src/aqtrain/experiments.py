@@ -360,29 +360,27 @@ LIMITS = {
     "grid point cap": (2**20, " points"),
 }
 
-_POSITIVE_FLOATS = {
-    "mass",
-    "scale",
-    "packet_width",
-    "t_total",
-    "dt",
-    "t_final",
-    "steepness",
-    "learning_rate",
+#: the least value of each numeric parameter, and whether that value itself is
+#: allowed; a list parameter's bound holds for each of its entries.  tilt, the
+#: one numeric parameter missing, need only be finite
+LOWER_BOUNDS = {
+    **dict.fromkeys(
+        ("mass", "masses", "scale", "packet_width", "t_total", "dt", "t_final", "steepness",
+         "learning_rate"),
+        (0.0, False),
+    ),
+    "penalty": (0.0, True),
+    "packet_center": (0.0, True),
+    **dict.fromkeys(
+        ("n_steps", "n_values", "n_points", "n_runs", "pool", "repetitions", "grid_probe_side",
+         "s_points", "train_steps", "num_qubits"),
+        (1, True),
+    ),
+    **dict.fromkeys(("seed", "split_seed", "first_seed", "snapshot_stride", "max_classes"), (0, True)),
+    "grid_points": (2, True),
+    # a spectrum's headline is the gap between its two lowest levels
+    "k_lowest": (2, True),
 }
-_POSITIVE_INTS = {
-    "n_steps",
-    "n_points",
-    "n_runs",
-    "pool",
-    "repetitions",
-    "grid_probe_side",
-    "s_points",
-    "k_lowest",
-    "train_steps",
-    "num_qubits",
-}
-_NONNEG_INTS = {"seed", "split_seed", "first_seed", "snapshot_stride", "max_classes"}
 
 
 @dataclass(frozen=True)
@@ -398,57 +396,34 @@ class ValidationReport:
         return not self.errors
 
 
-def _coerce(name: str, value, errors: list):
-    """Canonicalize one parameter value, appending any complaint to errors."""
-    if name in _POSITIVE_FLOATS or name in ("tilt", "penalty", "packet_center"):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{name} must be a number, got {value!r}")
+def _coerce(name: str, value, default, errors: list):
+    """Canonicalize one parameter value to the type of its schema default (an
+    integral float converts to an integer, an integer to a float, and a list's
+    entries follow its first entry's rule), appending any complaint to errors.
+    A number must be finite and clear its ``LOWER_BOUNDS`` entry."""
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            errors.append(f"{name} must be a non-empty list, got {value!r}")
             return value
-        value = float(value)
-        if not math.isfinite(value):
-            errors.append(f"{name} must be finite, got {value}")
-        elif name in _POSITIVE_FLOATS and value <= 0:
-            errors.append(f"{name} must be positive, got {value}")
-        if name == "penalty" and value < 0:
-            errors.append(f"{name} must be non-negative, got {value}")
-        if name == "packet_center" and not 0.0 <= value < 1.0:
-            errors.append(f"{name} must lie in [0, 1), got {value}")
+        return [_coerce(name, entry, default[0], errors) for entry in value]
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            errors.append(f"{name} must be a string, got {value!r}")
         return value
-    if name in _POSITIVE_INTS or name in _NONNEG_INTS or name == "grid_points":
-        ok_int = isinstance(value, int) and not isinstance(value, bool)
-        if isinstance(value, float) and value.is_integer():
-            ok_int, value = True, int(value)
-        if not ok_int:
-            errors.append(f"{name} must be an integer, got {value!r}")
-            return value
-        value = int(value)
-        if name in _POSITIVE_INTS and value < 1:
-            errors.append(f"{name} must be at least 1, got {value}")
-        if name in _NONNEG_INTS and value < 0:
-            errors.append(f"{name} must be non-negative, got {value}")
-        if name == "grid_points" and value < 2:
-            errors.append(f"grid_points must be at least 2, got {value}")
+    integer = isinstance(default, int)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or integer and isinstance(value, float) and not value.is_integer():
+        errors.append(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
         return value
-    if name == "masses":
-        if (
-            not isinstance(value, (list, tuple))
-            or len(value) < 2
-            or not all(isinstance(v, (int, float)) and v > 0 for v in value)
-        ):
-            errors.append("masses must list at least two positive numbers")
-            return value
-        return [float(v) for v in value]
-    if name == "n_values":
-        if (
-            not isinstance(value, (list, tuple))
-            or not value
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in value)
-        ):
-            errors.append("n_values must list positive integers")
-            return value
-        return [int(v) for v in value]
-    if not isinstance(value, str):
-        errors.append(f"{name} must be a string, got {value!r}")
+    value = int(value) if integer else float(value)
+    least, allowed = LOWER_BOUNDS.get(name, (-math.inf, True))
+    if not integer and not math.isfinite(value):
+        errors.append(f"{name} must be finite, got {value}")
+    elif value < least or value == least and not allowed:
+        phrase = f"at least {least}" if least else "non-negative" if allowed else "positive"
+        errors.append(f"{name} must be {phrase}, got {value}")
+    elif name == "packet_center" and value >= 1.0:
+        errors.append(f"{name} must lie in [0, 1), got {value}")
     return value
 
 
@@ -509,7 +484,7 @@ def validate_config(config) -> ValidationReport:
             value = default
             notes.append(f"{name} defaulted to {default!r}")
         # a value left out is still checked, so a typo shows before the model or dataset changes
-        value = _coerce(name, value, errors)
+        value = _coerce(name, value, default, errors)
         choices = CHOICES.get((kind, name))
         if choices and value not in choices:
             errors.append(f"{name} must be one of {choices}, got {value!r}")
@@ -518,14 +493,6 @@ def validate_config(config) -> ValidationReport:
         else:
             effective[name] = value
 
-    if kind in ("anneal-paulispin", "spectrum") and isinstance(effective["potential"], str):
-        if effective["potential"] != "quartic":
-            try:
-                poly = parse_polynomial(effective["potential"])
-                if len(poly.variables) != 1:
-                    errors.append("objective polynomial must use exactly one variable")
-            except ValueError as exc:
-                errors.append(f"cannot parse objective polynomial: {exc}")
     if not errors:
         for expression, value, name in _sizes(effective):
             limit, unit = LIMITS[name]
@@ -564,6 +531,8 @@ def _construction_errors(effective: dict) -> list:
                     f"potential {effective['potential']!r} times scale {effective['scale']:g} times "
                     f"t_final / n_steps = {effective['t_final']:g} / {effective['n_steps']} overflows"
                 )
+    if effective["kind"] == "mass-scan" and len(effective["masses"]) < 2:
+        errors.append(f"masses must list at least two to fit an exponent, got {effective['masses']}")
     if effective["kind"] in ("classical-pool", "accuracy-curves"):
         runs = "n_runs" if effective["kind"] == "classical-pool" else "pool"
         last = effective["first_seed"] + effective[runs] - 1
@@ -680,14 +649,13 @@ def config_hash(effective: dict) -> str:
 # -- deterministic file emission -------------------------------------------------------
 
 @contextmanager
-def _atomic_open(path):
-    """A text handle on a temporary sibling, renamed onto ``path`` on success
-    and removed on failure."""
+def _replacing(path):
+    """A temporary sibling of ``path``, renamed onto it on success and removed
+    on failure."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="ascii") as handle:
-            yield handle
+        yield tmp
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -696,8 +664,8 @@ def _atomic_open(path):
 
 def atomic_write_text(path, text: str):
     """Write via a temporary sibling and rename, so readers never see partials."""
-    with _atomic_open(path) as handle:
-        handle.write(text)
+    with _replacing(path) as tmp:
+        tmp.write_text(text, encoding="ascii")
 
 
 def _conversion(value) -> str:
@@ -725,7 +693,7 @@ def write_csv(path, experiment: str, cfg_hash: str, columns, rows, extra_header=
     header.append(",".join(columns))
     rows = iter(rows)
     first = next(rows, None)
-    with _atomic_open(path) as handle:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="ascii") as handle:
         handle.write("\n".join(header) + "\n")
         if first is None:
             return
@@ -772,10 +740,8 @@ class _Output:
         write_json(self._target(name), self._stamp(payload))
 
     def dataset(self, name: str, dataset, header: dict):
-        target = self._target(name)
-        tmp = target.with_name(name + ".tmp")
-        write_dataset_csv(tmp, dataset, self._stamp(header))
-        os.replace(tmp, target)
+        with _replacing(self._target(name)) as tmp:
+            write_dataset_csv(tmp, dataset, self._stamp(header))
 
 
 # -- shared construction ----------------------------------------------------------------
@@ -800,20 +766,25 @@ def _paulispin_objective(effective: dict):
     """The objective's variable, that variable's value on each basis state of
     the fractional register, and the objective's value there.
 
-    Raises ``ValueError`` if a value is not finite; ``validate`` calls it too.
+    Raises ``ValueError``, naming ``potential``, if the objective does not
+    parse, does not have exactly one variable, or is not finite on the grid;
+    ``validate`` calls it too.
     """
-    poly = _objective_polynomial(effective)
-    variable = sorted(poly.variables)[0]
+    scaled = f"potential {effective['potential']!r} times scale {effective['scale']:g}"
+    try:
+        poly = _objective_polynomial(effective)
+    except ValueError as exc:
+        raise ValueError(f"potential {effective['potential']!r} does not parse: {exc}") from None
+    if len(poly.variables) != 1:
+        raise ValueError(f"{scaled} must use exactly one variable")
+    (variable,) = poly.variables
     bits = effective["num_qubits"]
     columns = EncodingTable([(variable, Grid(bits, 0, 0, 2**-bits))]).decode_columns()
     # a coefficient that overflows to inf gives inf * 0 = NaN at w = 0
     with np.errstate(over="ignore", invalid="ignore"):
         objective = poly.evaluate(columns)
     if not np.isfinite(objective).all():
-        raise ValueError(
-            f"potential {effective['potential']!r} times scale {effective['scale']:g} "
-            f"is not finite on the {2**bits}-point grid of {bits} qubits"
-        )
+        raise ValueError(f"{scaled} is not finite on the {2**bits}-point grid of {bits} qubits")
     return variable, columns[variable], objective
 
 
@@ -1081,7 +1052,7 @@ def _run_spectrum(effective, out: _Output):
     curves = instantaneous_spectrum(driver, objective, s_values, effective["k_lowest"])
     columns = ("s",) + tuple(f"e{k}" for k in range(curves.shape[1]))
     out.csv("spectrum.csv", columns, ((s, *row) for s, row in zip(s_values, curves)))
-    gaps = curves[:, 1] - curves[:, 0] if curves.shape[1] > 1 else np.zeros(len(s_values))
+    gaps = curves[:, 1] - curves[:, 0]
     tightest = int(np.argmin(gaps))
     return {
         "min_gap": float(gaps[tightest]),

@@ -6,6 +6,7 @@ contract.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,9 @@ from aqtrain.experiments import (
     LIMITS,
     DENSE_STEP_OVERHEAD,
     LOSS_RANGE_BOUND,
+    LOWER_BOUNDS,
+    MODEL_PARAMETERS,
+    POTENTIAL_PARAMETERS,
     SCHEMAS,
     SNAPSHOT_OVERHEAD_BYTES,
     SPECTRUM_POINT_OVERHEAD,
@@ -108,6 +112,42 @@ SMALL = {
 
 #: rerun configs beyond SMALL: an anneal that writes density_snapshots.csv
 RERUN = {"anneal-matrix-snapshots": dict(SMALL["anneal-matrix"], n_steps=40, snapshot_stride=3)}
+
+
+#: (kind, name) of every parameter whose default is a number or a list of numbers
+NUMERIC = [
+    (kind, name)
+    for kind, schema in SCHEMAS.items()
+    for name, default in schema.items()
+    if not isinstance(default, str)
+]
+
+#: the config hash of each shipped config; a change that moves one on purpose
+#: updates this table and lists each old -> new hash
+SHIPPED_HASHES = {
+    "accuracy_curves": "1e050fb8f198377f",
+    "anneal_matrix_cosine": "6d9c744832af1744",
+    "anneal_matrix_tilted": "b0cbc15552a121ad",
+    "anneal_paulispin_quartic": "416cc1ed8d5d57d2",
+    "classical_pool": "ef19f06788752f91",
+    "enumerate_binary": "9ae37cb8df01dc99",
+    "mass_scan": "d0a0c0cff16eb731",
+    "nn_binary": "b575e97ccd8a1dd5",
+    "nn_toy_band": "3d6cfc3c6ee3b04d",
+    "nn_toy_circle": "49f85b5ebb462317",
+    "spectrum_quartic": "c9d10d2dd2766f7f",
+    "tunnel_cosine": "853e0011fb82f552",
+}
+
+
+def reading(kind: str, name: str) -> dict:
+    """The default config of ``kind`` whose effective config lists ``name``."""
+    config = {"kind": kind}
+    if kind in ("tunnel", "anneal-matrix") and name in POTENTIAL_PARAMETERS:
+        config["potential"] = POTENTIAL_PARAMETERS[name]
+    if kind == "enumerate" and name in MODEL_PARAMETERS:
+        config["model"] = MODEL_PARAMETERS[name]
+    return config
 
 
 def read_csv(path):
@@ -543,6 +583,13 @@ class TestValidation:
     def test_shipped_configs_within_limits(self, path):
         assert validate_config(json.loads(path.read_text())).ok
 
+    def test_shipped_config_hashes_are_pinned(self):
+        hashes = {
+            path.stem: config_hash(validate_config(json.loads(path.read_text())).effective)
+            for path in sorted(CONFIG_DIR.glob("*.json"))
+        }
+        assert hashes == SHIPPED_HASHES
+
     def test_every_choice_offers_two_values(self):
         # a key with one allowed value selects nothing
         for (kind, name), values in experiments.CHOICES.items():
@@ -557,17 +604,49 @@ class TestValidation:
         assert not validate_config({"kind": "nn-toy", "dataset": "spiral"}).ok
         assert validate_config({"kind": "nn-toy", "band_rule": "max"}).ok
 
-    def test_numeric_coercion(self):
-        report = validate_config({"kind": "nn-toy", "t_final": 10, "n_steps": 2.0})
-        assert report.ok
-        assert report.effective["t_final"] == 10.0
-        assert report.effective["n_steps"] == 2
-        assert not validate_config({"kind": "nn-toy", "n_steps": 2.5}).ok
-        assert not validate_config({"kind": "nn-toy", "t_final": -1.0}).ok
-        assert not validate_config({"kind": "nn-toy", "seed": "zero"}).ok
+    @pytest.mark.parametrize("kind, name", NUMERIC, ids=[f"{kind}-{name}" for kind, name in NUMERIC])
+    def test_numeric_parameter_rule(self, kind, name):
+        default = SCHEMAS[kind][name]
+        listed = isinstance(default, list)
+        scalar = default[0] if listed else default
+
+        def check(value):
+            """The report of the config that sets ``name`` (a list's first entry) to ``value``."""
+            return validate_config({**reading(kind, name), name: [value, *default[1:]] if listed else value})
+
+        integer = isinstance(scalar, int)
         # JSON admits NaN and Infinity, which no size can be computed from
-        for value in (float("nan"), float("inf")):
-            assert "must be finite" in validate_config({"kind": "tunnel", "t_total": value}).errors[0]
+        finite = "an integer" if integer else "finite"
+        cases = [(math.inf, finite), (math.nan, finite), (True, "an integer" if integer else "a number")]
+        if name in LOWER_BOUNDS:
+            least, allowed = LOWER_BOUNDS[name]
+            # the first value past the bound: the bound itself, or the next value below it
+            past = least - 1 if integer else math.nextafter(least, -1)
+            cases.append((past if allowed else least, ""))
+            if allowed:
+                # another parameter may still rule the config out (spectrum k_lowest at 1 qubit)
+                assert not [error for error in check(least).errors if error.startswith(f"{name} ")]
+        for value, words in cases:
+            errors = check(value).errors
+            assert len(errors) == 1 and errors[0].startswith(f"{name} must be {words}"), (value, errors)
+        # an integral float is an integer; an integer is a float
+        other = float(scalar) if integer else int(scalar) if scalar.is_integer() else scalar
+        report = check(other)
+        assert report.ok and report.effective[name] == default
+        assert type(report.effective[name][0] if listed else report.effective[name]) is type(scalar)
+
+    def test_every_numeric_parameter_is_bounded(self):
+        # so a new numeric key cannot go unbounded unnoticed; tilt may be negative
+        assert {name for _, name in NUMERIC} - {"tilt"} == set(LOWER_BOUNDS)
+        # "at least N" reads right only for a bound that admits N
+        assert all(allowed or least == 0 for least, allowed in LOWER_BOUNDS.values())
+
+    def test_numeric_coercion(self):
+        assert not validate_config({"kind": "nn-toy", "n_steps": 2.5}).ok
+        assert not validate_config({"kind": "nn-toy", "seed": "zero"}).ok
+        # the one upper bound outside the lower-bounds table
+        errors = validate_config({"kind": "tunnel", "packet_center": 1.0}).errors
+        assert errors == ["packet_center must lie in [0, 1), got 1.0"]
         # a step count past the float range fails the step budget rather than raising
         overflow = validate_config({"kind": "tunnel", "t_total": 1e308, "dt": 1e-10})
         assert "real-time step budget" in overflow.errors[0]
@@ -696,9 +775,24 @@ class TestValidation:
 
     def test_polynomial_objectives_parsed(self):
         assert validate_config({"kind": "anneal-paulispin", "potential": "3*w^2 - w"}).ok
-        two_vars = validate_config({"kind": "anneal-paulispin", "potential": "w + v"})
-        assert not two_vars.ok
-        assert not validate_config({"kind": "spectrum", "potential": "+"}).ok
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kind": "anneal-paulispin", "potential": "w + v"}, "times scale 50 must use exactly one"),
+            ({"kind": "spectrum", "potential": "+"}, "does not parse: dangling sign"),
+            # the quartic's coefficients times 1e-300 vanish, leaving no variable
+            ({"kind": "spectrum", "scale": 1e-300}, "times scale 1e-300 must use exactly one"),
+        ],
+        ids=["two-variables", "dangling-sign", "vanishing-scale"],
+    )
+    def test_objective_not_in_one_variable_rejected(self, config, message, tmp_path):
+        errors = validate_config(config).errors
+        potential = config.get("potential", "quartic")
+        assert len(errors) == 1 and errors[0].startswith(f"potential {potential!r} {message}")
+        with pytest.raises(ValueError, match="potential"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_effective_config_lists_only_parameters_the_potential_reads(self):
         cosine = validate_config({"kind": "anneal-matrix", "potential": "cosine"})
@@ -760,11 +854,25 @@ class TestValidation:
         assert (band.effective["band_rule"], band_max.effective["band_rule"]) == ("min", "max")
         assert config_hash(band.effective) != config_hash(band_max.effective)
 
-    def test_list_parameters_checked(self):
-        assert not validate_config({"kind": "mass-scan", "masses": [25.0]}).ok
-        assert not validate_config({"kind": "mass-scan", "masses": [25.0, -1.0]}).ok
-        assert not validate_config({"kind": "accuracy-curves", "n_values": []}).ok
-        assert not validate_config({"kind": "accuracy-curves", "n_values": [1, 0]}).ok
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kind": "mass-scan", "masses": [25.0]}, "masses must list at least two"),
+            ({"kind": "mass-scan", "masses": []}, "masses must be a non-empty list"),
+            ({"kind": "mass-scan", "masses": 25.0}, "masses must be a non-empty list"),
+            ({"kind": "mass-scan", "masses": [25.0, math.inf]}, "masses must be finite"),
+            ({"kind": "mass-scan", "masses": [True, 100.0]}, "masses must be a number"),
+            ({"kind": "accuracy-curves", "n_values": []}, "n_values must be a non-empty list"),
+            ({"kind": "accuracy-curves", "n_values": [1, 2.5]}, "n_values must be an integer"),
+        ],
+        ids=["one-mass", "no-mass", "bare-mass", "inf-mass", "true-mass", "no-n", "fractional-n"],
+    )
+    def test_list_parameters_checked(self, config, message, tmp_path):
+        errors = validate_config(config).errors
+        assert len(errors) == 1 and errors[0].startswith(message)
+        with pytest.raises(ValueError, match=f"invalid config: {message}"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_hash_independent_of_default_spelling(self):
         implicit = validate_config({"kind": "mass-scan"}).effective
@@ -828,6 +936,18 @@ class TestRunners:
     def test_no_leftover_temp_files(self, tmp_path):
         run_experiment(SMALL["enumerate"], tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_dataset_write_leaves_no_temp_file(self, monkeypatch, tmp_path):
+        original = experiments.write_dataset_csv
+
+        def failing(path, dataset, header=None):
+            original(path, dataset, header)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiments, "write_dataset_csv", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(SMALL["nn-toy"], tmp_path)
+        assert not list(tmp_path.glob("dataset.csv*"))
 
     def test_tunnel_masses_partition_density(self, tmp_path):
         run_experiment(SMALL["tunnel"], tmp_path)

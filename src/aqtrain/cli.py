@@ -65,6 +65,8 @@ def _load_config(path: str):
         return None, f"cannot read config: {exc}"
     except json.JSONDecodeError as exc:
         return None, f"config is not valid JSON: {exc}"
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        return None, f"cannot read config: {exc}"
 
 
 def _print_effective(effective: dict):

@@ -17,10 +17,15 @@ its propagator from the shapes of its inputs and ``substeps_per_step``:
   splitting: each step applies ``exp(-i H dt)`` as a Chebyshev series
   (:func:`_chebyshev_step`) in a matrix-free ``H``: the target and identity
   diagonals, plus one dense field block per driver factor, each applied by
-  one matrix product.  The spectral bounds are exact (Weyl's inequality on
-  the two parts), the degree follows from them and dt before the step runs
-  (:func:`chebyshev_degree`), and the step keeps no basis and decomposes
-  nothing.  No register-sized matrix is formed.
+  one matrix product.  On a register of one factor (at most six qubits)
+  the diagonals are folded into the block, so a series term is one matrix
+  product and one subtraction.  The terms are summed a table of
+  ``CHEBYSHEV_TABLE_TERMS`` at a time, by one matrix-vector product for
+  the even terms and one for the odd.  The spectral bounds are exact
+  (Weyl's inequality on the two parts), the degree follows from them and
+  dt before the step runs (:func:`chebyshev_degree`), and the step keeps
+  no basis and decomposes nothing.  No register-sized matrix is formed
+  past six qubits.
 - A pair of dense Hermitian matrices evolves by piecewise Chebyshev
   interpolation of the step propagator ``U(s) = exp(-i H(s) dt)`` in the
   ramp value s (:func:`_evolve_dense`).  H(s) is linear in s, so U is
@@ -310,6 +315,14 @@ def self_adjoint(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 #: the norm of the state it propagates
 CHEBYSHEV_TOL = 1e-14
 
+#: terms of the exact step's series held before they are added into its sums
+#: (:func:`_chebyshev_step`): every shipped step keeps 18-25 terms, so each is
+#: added in one table, and 32 terms at 10 qubits are ``CHUNK_BYTES``.  A
+#: table carries two terms into the next, so the length must be even: then a
+#: row's parity is its term's.  Part of the algorithm, not a tunable: another
+#: length adds the terms in another order
+CHEBYSHEV_TABLE_TERMS = 32
+
 
 def chebyshev_degree(reach: float, tol: float = CHEBYSHEV_TOL) -> int:
     """Degree ``K`` of the Chebyshev series of ``exp(-i reach y)`` on
@@ -403,14 +416,21 @@ def _chebyshev_step(
     exp(-i c dt) sum_k a_k T_k(Y)``, ``a_k = (2 - delta_k0) (-i)**k J_k(r
     dt)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), truncated at
     :func:`chebyshev_degree`.  The terms follow ``T_{k+1}(Y) v = 2 Y T_k(Y) v
-    - T_{k-1}(Y) v``, with the shift ``c`` and the factor ``2 / r`` folded
-    into ``local`` and the blocks.  ``Y`` is real, so the real and imaginary
-    parts of ``amps`` recur as the two rows of one real pair, and a term is
-    one matrix product per factor and five passes over the pair (one more
-    per factor past the first).  ``a_k`` is real at even k and imaginary at
-    odd k, so the even and odd terms are summed apart and joined at the end.
-    The step holds three recurrence pairs, a work pair and two sums,
-    keeps no basis, and its cost is known before it runs.
+    - T_{k-1}(Y) v``.  ``Y`` is real, so the real and imaginary parts of
+    ``amps`` recur as the two rows of one real pair.
+
+    A register of one factor is spanned by its one block, so the shifted,
+    scaled diagonal is folded into it once a step, ``2 Y = (2 / r) (D_0 +
+    diag(local - c))``, and a term is one matrix product and one
+    subtraction.  On more factors ``2 Y`` is applied as one matrix product
+    per factor and the diagonal's multiply, summed through a work pair.
+    The terms are written into a table of ``CHEBYSHEV_TABLE_TERMS`` pairs.
+    ``a_k`` is real at even k and imaginary at odd k, so the table's even
+    and odd rows are added into two sums by one matrix-vector product each,
+    and the sums are joined at the end.  A longer series adds each full
+    table in and carries its last two terms into the next.  So the step
+    holds the table, the two sums and a work pair at any degree, keeps no
+    basis, and its cost is known before it runs.
     """
     center, radius = (upper + lower) / 2.0, (upper - lower) / 2.0
     reach = radius * dt
@@ -419,33 +439,65 @@ def _chebyshev_step(
     phase = np.exp(-1j * center * dt)
     if degree == 0:
         return (phase * weights[0]) * amps
-    blocks = [(2.0 / radius) * block for block in blocks]
-    local = np.tile((2.0 / radius) * (local - center), (2, 1))
-    pairs = [np.stack([amps.real, amps.imag])] + [np.empty((2, amps.size)) for _ in range(3)]
-    views = [_factor_views(pair, [block.shape[0] for block in blocks]) for pair in pairs]
+    size, scale = amps.size, 2.0 / radius
+    table = np.empty((min(degree + 1, CHEBYSHEV_TABLE_TERMS), 2, size))
+    pairs, rows = list(table), table.reshape(len(table), -1)
+    sums = np.empty((2, 2 * size))
+    # the work pair is the result's memory until the sums are joined into it
+    result = np.empty(size, dtype=complex)
+    work = result.view(float).reshape(2, size)
+    if len(blocks) == 1:
+        twice = scale * blocks[0]
+        twice.reshape(-1)[:: size + 1] += scale * (local - center)
 
-    def twice_y(v, out, work):
-        """``pairs[out] = 2 Y pairs[v]``, through ``pairs[work]``."""
-        for j, block in enumerate(blocks):
-            _factor_product(block, views[v][j], views[work if j else out][j])
-            if j:
-                pairs[out] += pairs[work]
-        np.multiply(local, pairs[v], out=pairs[work])
-        pairs[out] += pairs[work]
+        def twice_y(v, out):
+            """``pairs[out] = 2 Y pairs[v]``."""
+            np.matmul(pairs[v], twice, out=pairs[out])
 
-    previous, current, following, work = range(4)
-    twice_y(previous, current, work)
-    pairs[current] *= 0.5
-    sums = [weights[0] * pairs[previous], weights[1] * pairs[current]]
-    for k in range(2, degree + 1):
-        twice_y(current, following, work)
-        pairs[following] -= pairs[previous]
-        np.multiply(pairs[following], weights[k], out=pairs[work])
-        sums[k % 2] += pairs[work]
-        previous, current, following = current, following, previous
-    (even_re, even_im), (odd_re, odd_im) = sums
+    else:
+        blocks = [scale * block for block in blocks]
+        diagonal = np.tile(local - center, (2, 1))
+        diagonal *= scale
+        sizes = [block.shape[0] for block in blocks]
+        views = [_factor_views(pair, sizes) for pair in pairs + [work]]
+
+        def twice_y(v, out):
+            """``pairs[out] = 2 Y pairs[v]``, through the work pair."""
+            for j, block in enumerate(blocks):
+                _factor_product(block, views[v][j], views[-1 if j else out][j])
+                if j:
+                    pairs[out] += work
+            np.multiply(diagonal, pairs[v], out=work)
+            pairs[out] += work
+
+    pairs[0][0], pairs[0][1] = amps.real, amps.imag
+    twice_y(0, 1)
+    pairs[1] *= 0.5
+    # row j of the table holds term base + j; the rows below fresh are carried
+    base, fresh = 0, 0
+    while True:
+        stop = min(len(pairs), degree + 1 - base)
+        for j in range(2, stop):
+            twice_y(j - 1, j)
+            pairs[j] -= pairs[j - 2]
+        # base is even, so a row's parity is its term's
+        for parity, total in enumerate(sums):
+            first = fresh + parity
+            terms = weights[base + first : base + stop : 2], rows[first:stop:2]
+            if fresh:
+                total += np.matmul(*terms, out=work.reshape(-1))
+            else:
+                np.matmul(*terms, out=total)
+        if base + stop > degree:
+            break
+        table[:2] = table[stop - 2 : stop]
+        base, fresh = base + stop - 2, 2
+    (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, size)
     # even - i * odd, each the complex vector of its pair
-    return phase * ((even_re + odd_im) + 1j * (even_im - odd_re))
+    np.add(even_re, odd_im, out=result.real)
+    np.subtract(even_im, odd_re, out=result.imag)
+    result *= phase
+    return result
 
 
 #: bytes of step-indexed operators (interpolated propagators, split-step

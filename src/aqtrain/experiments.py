@@ -312,15 +312,20 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   half-width times dt.  validate prices it at an a-priori half-width: by
 #   Weyl, (1 - s) driver + s loss has at most (1 - s) n / 2 + s L / 2, so at
 #   most max(n, L) / 2, with L from LOSS_RANGE_BOUND (60.5 on the toy model,
-#   5 on the binary one; the shipped runs reach 5.8-6.1 and 5).  A term is one
-#   product per driver factor (one at 6 qubits, two at 10) and five passes
-#   over the state's real pair: 8.5-15 us at 6 qubits and 16-29 us at 10,
-#   9-17 ns per unit of 2**n + CHEBYSHEV_TERM_OVERHEAD (min of 7 anneals of 15
-#   steps, random targets in [-2.5, 2.5], on a host in a slow phase).  A step
-#   at dt = 1 keeps 19-22 terms and takes 0.22-0.28 ms at 6 qubits and
-#   0.45-0.64 ms at 10, and at dt = 10 keeps 62-77 terms and takes 0.53-0.68
-#   and 1.2-1.7 ms.  The budget is near 20-35 s of priced terms; the toy
-#   model's loose loss bound prices its runs 2-4x over their cost.
+#   5 on the binary one; the shipped runs reach 5.8-6.1 and 5).  The price
+#   is that of a term when each was one product per driver factor (one at 6
+#   qubits, two at 10) and five passes over the state's real pair: 8.5-15 us
+#   at 6 qubits and 16-29 us at 10, 9-17 ns per unit of 2**n +
+#   CHEBYSHEV_TERM_OVERHEAD (min of 7 anneals of 15 steps, random targets in
+#   [-2.5, 2.5], on a host in a slow phase).  A step at dt = 1 kept 19-22
+#   terms and took 0.22-0.28 ms at 6 qubits and 0.45-0.64 ms at 10, and at
+#   dt = 10 kept 62-77 terms and took 0.53-0.68 and 1.2-1.7 ms.  The budget
+#   is near 20-35 s of terms at that price; the toy model's loose loss bound
+#   prices its runs 2-4x over their cost.  A term at 6 qubits is now one
+#   product with the diagonal folded in and one subtraction, and the terms
+#   are summed a table at a time: measured the same way, 3.8-5.8 us a term
+#   at 6 qubits and 16-21 us at 10, and 0.11 and 0.43-0.46 ms a step at
+#   dt = 1.
 # - snapshot memory cap: ten thousand states at the dense evolution cap
 #   (166 MB), 216 000 at 5 qubits.  Kept states are rows of one array
 #   allocated before the first step; beyond the amplitudes, tracemalloc
@@ -415,7 +420,11 @@ def _coerce(name: str, value, default, errors: list):
     if not number or integer and isinstance(value, float) and not value.is_integer():
         errors.append(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
         return value
-    value = int(value) if integer else float(value)
+    try:
+        value = int(value) if integer else float(value)
+    except OverflowError:  # JSON allows an integer past the float range
+        errors.append(f"{name} must be finite, got an integer of {value.bit_length()} bits")
+        return value
     least, allowed = LOWER_BOUNDS.get(name, (-math.inf, True))
     if not integer and not math.isfinite(value):
         errors.append(f"{name} must be finite, got {value}")
@@ -514,6 +523,27 @@ def _construction_errors(effective: dict) -> list:
             check_packet_width(effective["packet_width"])
         except ValueError as exc:
             errors.append(f"packet_width {effective['packet_width']}: {exc}")
+    if effective["kind"] in ("anneal-matrix", "tunnel"):
+        # a run's phases are its energies times a time, and |E| is at most the
+        # largest kinetic energy plus the potential's bound; a phase past the
+        # float range makes the propagator, and so the headlines, NaN.  Python
+        # floats, so an overflow is inf rather than a warning
+        top = 2.0 * math.pi * 2 ** (effective["num_qubits"] - 1)
+        kinetic, potential = top * top / (2.0 * effective["mass"]), _potential_bound(effective)
+        if effective["kind"] == "anneal-matrix":
+            # H(s) = K + s V is taken at the steps' s = k / n_steps < 1, or, in a
+            # panel of more steps than nodes, at interpolation nodes below 1; a
+            # potential that is not finite still fails
+            steps = effective["n_steps"]
+            potential *= (steps - 1) / steps if steps <= DENSE_PANEL_NODES else 1.0
+            time = effective["t_final"] / steps
+            what = f"t_final / n_steps = {effective['t_final']:g} / {steps}"
+        else:  # the engine keeps the last state at its step count times dt
+            t_total, dt = effective["t_total"], effective["dt"]
+            time = max(1, round(t_total / dt)) * dt
+            what = f"t_total {t_total:g} at dt {dt:g} ends at {time:g}, which"
+        if not math.isfinite(time * (kinetic + potential)):
+            errors.append(f"{what} times the bound {kinetic:.4g} + {potential:.4g} on |H| overflows")
     if effective["kind"] == "spectrum" and effective["k_lowest"] > 2 ** effective["num_qubits"]:
         errors.append(
             f"k_lowest {effective['k_lowest']} exceeds the {2 ** effective['num_qubits']} "
@@ -539,6 +569,26 @@ def _construction_errors(effective: dict) -> list:
         if last >= 2**64:
             errors.append(f"first_seed + {runs} - 1 = {last} exceeds the largest seed 2**64 - 1")
     return errors
+
+
+def _potential_bound(effective: dict) -> float:
+    """``|V(0)| + 2 sum_{k>0} |V(k)|`` over the register's modes: a bound on
+    the norm of the potential's Toeplitz matrix."""
+    potential = _matrix_potential(effective)
+    return abs(potential.fourier_coefficient(0)) + 2 * sum(
+        abs(potential.fourier_coefficient(k)) for k in range(1, 2 ** effective["num_qubits"])
+    )
+
+
+def _per_step(total: float, n_steps: int) -> float:
+    """``total / n_steps`` for a step count of any size: JSON allows an
+    integer past the float range, which a float division cannot convert.
+    The quotient of the exact ratio is correctly rounded, as a float
+    division's is."""
+    if not math.isfinite(total):
+        return total
+    numerator, denominator = total.as_integer_ratio()
+    return numerator / (denominator * n_steps)
 
 
 def _sizes(effective: dict):
@@ -573,7 +623,7 @@ def _sizes(effective: dict):
         qubits = len(network.variable_names)
         half_width = max(qubits, LOSS_RANGE_BOUND[model]) / 2.0
         # a reach past 1e300 is over the budget at any step count and register
-        reach = min(half_width * effective["t_final"] / effective["n_steps"], 1e300)
+        reach = min(_per_step(half_width * effective["t_final"], effective["n_steps"]), 1e300)
         yield (
             f"n_steps * (chebyshev_degree({half_width:g} * t_final / n_steps) + 1) "
             f"* (2**{qubits} + {CHEBYSHEV_TERM_OVERHEAD})",
@@ -605,12 +655,11 @@ def _sizes(effective: dict):
             steps * (dim**2 + DENSE_STEP_OVERHEAD),
             "dense step budget",
         )
-        potential = _matrix_potential(effective)
-        bound = abs(potential.fourier_coefficient(0)) + 2 * sum(
-            abs(potential.fourier_coefficient(k)) for k in range(1, dim)
-        )
-        # past n_steps panels every step decomposes; the min keeps ceil finite
-        reach = min(effective["t_final"] / steps * bound, steps)
+        bound = _potential_bound(effective)
+        # past n_steps panels every step decomposes, and so it does at a NaN reach
+        # (a potential that overflows); the cap keeps ceil finite
+        reach = _per_step(effective["t_final"], steps) * bound
+        reach = reach if reach < steps else steps
         decompositions = min(steps, DENSE_PANEL_NODES * max(1, math.ceil(reach)))
         yield (
             f"min(n_steps, {DENSE_PANEL_NODES} * ceil(t_final / n_steps * {bound:.4g})) "
@@ -910,7 +959,7 @@ def _run_tunnel(effective, out: _Output):
     rows = [(t, left, right) for t, (left, right) in zip(result.times.tolist(), masses.tolist())]
     out.csv("timeseries.csv", ("time", "mass_left", "mass_right"), rows)
     w, density = momentum_to_position(result.states[-1], effective["grid_points"])
-    out.csv("density_final.csv", ("w", "density"), zip(w, density))
+    out.csv("density_final.csv", ("w", "density"), zip(w.tolist(), density.tolist()))
 
     started_left = effective["packet_center"] < 0.5
     other = [row[2] if started_left else row[1] for row in rows]
@@ -940,14 +989,17 @@ def _run_anneal_matrix(effective, out: _Output):
 
     grid = effective["grid_points"]
     w, density = momentum_to_position(final, grid)
-    out.csv("density_final.csv", ("w", "density"), zip(w, density))
+    # Python floats format faster than numpy scalars, to the same text; a
+    # snapshot converts one row at a time, as a chunk of them is 4x its array
+    w_cells = w.tolist()
+    out.csv("density_final.csv", ("w", "density"), zip(w_cells, density.tolist()))
     if effective["snapshot_stride"]:
         def rows():
             chunk = max(1, CHUNK_BYTES // (16 * grid))
             for first in range(0, len(result.times), chunk):
                 _, densities = momentum_to_position(result.states[first : first + chunk], grid)
                 for t, snap_density in zip(result.times[first : first + chunk].tolist(), densities):
-                    yield from zip([t] * grid, w, snap_density)
+                    yield from zip([t] * grid, w_cells, snap_density.tolist())
 
         out.csv("density_snapshots.csv", ("time", "w", "density"), rows())
 
@@ -1051,7 +1103,7 @@ def _run_spectrum(effective, out: _Output):
     driver = transverse_driver(effective["num_qubits"])
     curves = instantaneous_spectrum(driver, objective, s_values, effective["k_lowest"])
     columns = ("s",) + tuple(f"e{k}" for k in range(curves.shape[1]))
-    out.csv("spectrum.csv", columns, ((s, *row) for s, row in zip(s_values, curves)))
+    out.csv("spectrum.csv", columns, ((s, *row) for s, row in zip(s_values.tolist(), curves.tolist())))
     gaps = curves[:, 1] - curves[:, 0]
     tightest = int(np.argmin(gaps))
     return {

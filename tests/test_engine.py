@@ -18,6 +18,7 @@ import pytest
 from aqtrain import engine
 from aqtrain.encodings import EncodingTable, Grid
 from aqtrain.engine import (
+    CHEBYSHEV_TABLE_TERMS,
     AnnealSpec,
     DENSE_EVOLUTION_CAP,
     DENSE_PANEL_NODES,
@@ -532,35 +533,85 @@ def degree_bound(reach, k):
     return (reach / 2.0) ** k / math.factorial(k)
 
 
-REACHES = [0.1, 1.0, 10.0, 60.0]
+#: step reaches and the series degrees they keep: 1, 7, 13, and 31, 32, 33
+#: around the edge of the step's term table, and 107, three tables
+REACHES = [1e-7, 0.1, 1.0, 9.0, 9.5, 10.0, 60.0]
 
 #: reaches for the quadrature oracle, whose cost grows with the reach
 QUADRATURE_REACHES = [0.1, 1.0, 10.0]
 
 
+def exact_step(num_qubits, reach, seed):
+    """A random operator of the step's form ``diag(local) + sum_f D_f`` with
+    unequal fields, its Weyl bounds and a dt at which its half-width times
+    dt is ``reach``, with a random state and its image under ``exp(-i H dt)``
+    from the dense eigendecomposition."""
+    dim = 2**num_qubits
+    local = np.random.default_rng(seed).normal(size=dim)
+    driver = driver_with_fields(num_qubits, 0.0, seed=seed - 1 + num_qubits)
+    fields = driver[1]
+    blocks = [_field_block(part) for part in _driver_factors(fields)]
+    spread = np.abs(fields).sum()
+    lower, upper = local.min() - spread, local.max() + spread
+    dt = reach / ((upper - lower) / 2.0)
+    energies, vectors = np.linalg.eigh(np.diag(local) + driver_matrix(driver))
+    assert lower <= energies[0] and energies[-1] <= upper
+    v = random_state(num_qubits, seed=seed + 1)
+    expected = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ v))
+    return (v, local, blocks, lower, upper, dt), expected
+
+
 class TestChebyshevStep:
+    def test_reaches_cross_the_table_edge(self):
+        edge = CHEBYSHEV_TABLE_TERMS
+        assert [chebyshev_degree(reach) for reach in REACHES] == [1, 7, 13, edge - 1, edge, edge + 1, 107]
+
     @pytest.mark.parametrize("reach", REACHES)
     def test_matches_eigendecomposition(self, reach):
-        # a random operator of the step's form diag(local) + sum_f D_f, on one
-        # factor at 6 qubits and two at 7, at the step's Weyl bounds, whose
-        # half-width times dt is reach
+        # one factor at 6 qubits (the diagonal folded into its block) and two
+        # at 7, at the step's Weyl bounds
         for num_qubits in (6, 7):
-            dim = 2**num_qubits
-            local = np.random.default_rng(21).normal(size=dim)
-            driver = driver_with_fields(num_qubits, 0.0, seed=20 + num_qubits)
-            fields = driver[1]
-            blocks = [_field_block(part) for part in _driver_factors(fields)]
-            assert len(blocks) == num_qubits - 5
-            h = np.diag(local) + driver_matrix(driver)
-            spread = np.abs(fields).sum()
-            lower, upper = local.min() - spread, local.max() + spread
-            dt = reach / ((upper - lower) / 2.0)
-            energies, vectors = np.linalg.eigh(h)
-            assert lower <= energies[0] and energies[-1] <= upper
-            v = random_state(num_qubits, seed=22)
-            expected = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ v))
-            result = _chebyshev_step(v, local, blocks, lower, upper, dt)
+            args, expected = exact_step(num_qubits, reach, seed=21)
+            assert len(args[2]) == num_qubits - 5
+            result = _chebyshev_step(*args)
             assert np.max(np.abs(result - expected)) < 1e-12
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("reach", [1.0, 10.0])
+    def test_small_one_factor_registers_match_eigendecomposition(self, num_qubits, reach):
+        args, expected = exact_step(num_qubits, reach, seed=60 + num_qubits)
+        assert len(args[2]) == 1 and np.unique(np.abs(args[2][0])).size == num_qubits + 1
+        assert np.max(np.abs(_chebyshev_step(*args) - expected)) < 1e-12
+
+    def test_memory_does_not_grow_with_the_degree(self):
+        # two factors at 10 qubits, one step of one full table and one of
+        # more than 40 tables: past its weights, the long step holds no more
+        num_qubits = 10
+        dim = 2**num_qubits
+        local = np.random.default_rng(70).normal(size=dim)
+        fields = driver_with_fields(num_qubits, 0.0, seed=71)[1]
+        blocks = [_field_block(part) for part in _driver_factors(fields)]
+        assert len(blocks) == 2
+        spread = np.abs(fields).sum()
+        lower, upper = local.min() - spread, local.max() + spread
+        v = random_state(num_qubits, seed=72)
+        peaks = []
+        for reach in (10.0, 800.0):
+            tracemalloc.start()
+            try:
+                result = _chebyshev_step(v, local, blocks, lower, upper, reach / ((upper - lower) / 2.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert abs(np.linalg.norm(result) - 1.0) < 1e-10
+        degrees = [chebyshev_degree(10.0), chebyshev_degree(800.0)]
+        assert degrees[0] > CHEBYSHEV_TABLE_TERMS and degrees[1] >= 1000
+        assert peaks[1] - peaks[0] <= 8 * (degrees[1] - degrees[0]) + 1024
+        # the table, two sums, the work and diagonal pairs, the scaled field
+        # blocks (one pair at 10 qubits), and a pair for the weights and the
+        # views of the table's rows
+        pair = 16 * dim
+        assert peaks[1] <= (CHEBYSHEV_TABLE_TERMS + 7) * pair
 
     @pytest.mark.parametrize("reach", QUADRATURE_REACHES)
     def test_degree_rule_bounds_the_dropped_bessel_terms(self, reach):

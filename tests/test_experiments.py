@@ -652,6 +652,84 @@ class TestValidation:
         assert "real-time step budget" in overflow.errors[0]
 
     @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kind": "tunnel", "mass": 10**400}, "mass must be finite, got an integer of 1329 bits"),
+            (
+                {"kind": "nn-toy", "n_steps": 10**400},
+                "n_steps * (chebyshev_degree(60.5 * t_final / n_steps) + 1) * (2**6 + "
+                f"{CHEBYSHEV_TERM_OVERHEAD}) = {10**400 * (2**6 + CHEBYSHEV_TERM_OVERHEAD)} "
+                f"exceeds the Krylov step budget of {limit('Krylov step budget')}",
+            ),
+            (
+                {"kind": "anneal-matrix", "n_steps": 10**400},
+                f"n_steps * 4**num_qubits + {DENSE_STEP_OVERHEAD} * n_steps = "
+                f"{10**400 * (4**5 + DENSE_STEP_OVERHEAD)} exceeds the dense step budget "
+                f"of {limit('dense step budget')}",
+            ),
+        ],
+        ids=["tunnel-mass", "nn-toy-n_steps", "anneal-matrix-n_steps"],
+    )
+    def test_integer_past_the_float_range_rejected(self, config, message, tmp_path, capsys):
+        # JSON reads 10**400 as an int, which no float division can convert
+        assert validate_config(config).errors == [message]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"kind": "anneal-matrix", "t_final": 1e307, "n_steps": 1},
+                "t_final / n_steps = 1e+307 / 1 times the bound 50.53 + 0 on |H| overflows",
+            ),
+            (
+                {"kind": "tunnel", "t_total": 1e307, "dt": 1e307},
+                "t_total 1e+307 at dt 1e+307 ends at 1e+307, which times the bound 505.3 + 2 "
+                "on |H| overflows",
+            ),
+            (
+                {"kind": "tunnel", "t_total": 1.0, "dt": 1e307},
+                "t_total 1 at dt 1e+307 ends at 1e+307, which times the bound 505.3 + 2 "
+                "on |H| overflows",
+            ),
+            (
+                {"kind": "tunnel", "mass": 1e-306},
+                "t_total 12 at dt 0.01 ends at 12, which times the bound inf + 2 on |H| overflows",
+            ),
+            (
+                {"kind": "anneal-matrix", "potential": "quartic", "scale": 1e308},
+                "t_final / n_steps = 50 / 500 times the bound 50.53 + nan on |H| overflows",
+            ),
+        ],
+        ids=["anneal-one-step", "tunnel-one-step", "tunnel-step-past-t_total", "tunnel-light-mass",
+             "anneal-nan-potential"],
+    )
+    def test_dense_phase_overflow_rejected(self, config, message, tmp_path):
+        # each ran to NaN headlines or a failed eigensolver before validate rejected it
+        assert validate_config(config).errors == [message]
+        with pytest.raises(ValueError, match="on \\|H\\| overflows"):
+            run_experiment(config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "anneal-matrix", "t_final": 3e306, "n_steps": 1},
+            # s = 1/2 at most: 7e307 * (0.79 + 2 / 2) is finite, 7e307 * 2.79 is not
+            {"kind": "anneal-matrix", "num_qubits": 2, "t_final": 1.4e308, "n_steps": 2, "grid_points": 16},
+            {"kind": "tunnel", "t_total": 3e305, "dt": 1e305},
+        ],
+        ids=["anneal-one-step", "anneal-two-steps", "tunnel"],
+    )
+    def test_dense_phase_check_is_inclusive(self, config, tmp_path):
+        assert validate_config(config).ok
+        headline = run_experiment(config, tmp_path).summary["headline"]
+        assert all(np.isfinite(v) for v in headline.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize(
         "config, name",
         [
             ({"kind": "spectrum", "num_qubits": 2, "k_lowest": 50, "s_points": 3}, "k_lowest"),
@@ -1132,6 +1210,13 @@ class TestCli:
         path.write_text("{not json")
         assert cli.main(["validate", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().out
+
+    def test_validate_rejects_an_integer_too_long_to_read(self, tmp_path, capsys):
+        # JSON has no limit on an integer's digits; the interpreter reads 4300
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "tunnel", "mass": 1' + "0" * 5000 + "}")
+        assert cli.main(["validate", str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().out
 
     def test_run_writes_summary(self, tmp_path, capsys):
         path = self.write_config(tmp_path, SMALL["mass-scan"])

@@ -15,16 +15,19 @@ its propagator from the shapes of its inputs and ``substeps_per_step``:
   ``substeps_per_step`` refines the split.
 - The same pair with ``substeps_per_step=None`` evolves exactly, without
   splitting: each step applies ``exp(-i H dt)`` as a Chebyshev series
-  (:func:`_chebyshev_step`) in a matrix-free ``H``: the target and identity
-  diagonals, plus one dense field block per driver factor, each applied by
-  one matrix product.  On a register of one factor (at most six qubits)
-  the diagonals are folded into the block, so a series term is one matrix
-  product and one subtraction.  The terms are summed a table of
+  (:meth:`_ChebyshevWorkspace.step`) in a matrix-free ``H``: the target and
+  identity diagonals, plus one dense field block per driver factor, each
+  applied by one matrix product.  On a register of one factor (at most six
+  qubits) the diagonals are folded into the block, so a series term is one
+  matrix product and one subtraction.  The terms are summed a table of
   ``CHEBYSHEV_TABLE_TERMS`` at a time, by one matrix-vector product for
   the even terms and one for the odd.  The spectral bounds are exact
-  (Weyl's inequality on the two parts), the degree follows from them and
-  dt before the step runs (:func:`chebyshev_degree`), and the step keeps
-  no basis and decomposes nothing.  No register-sized matrix is formed
+  (Weyl's inequality on the two parts), and every step's degree follows
+  from them and dt before the first step runs (:func:`chebyshev_degree`).
+  The anneal builds the step's buffers and each term's calls on them once
+  (:class:`_ChebyshevWorkspace`), so a step scales its blocks in place and
+  a term is bare matrix products and in-place ufunc calls.  The step keeps
+  no basis and decomposes nothing, and no register-sized matrix is formed
   past six qubits.
 - A pair of dense Hermitian matrices evolves by piecewise Chebyshev
   interpolation of the step propagator ``U(s) = exp(-i H(s) dt)`` in the
@@ -165,7 +168,7 @@ class AnnealSpec:
       qubit, a Kronecker sum over the register's factors) and the target's
       real diagonal of ``2**n`` values: the split step, ``substeps_per_step``
       times per step, or, with ``substeps_per_step=None``, the exact
-      matrix-free Chebyshev step of :func:`_chebyshev_step`;
+      matrix-free Chebyshev step of :meth:`_ChebyshevWorkspace.step`;
     - two dense Hermitian matrices: the step propagator interpolated in s
       from eigendecompositions at Chebyshev nodes (:func:`_evolve_dense`),
       exact to roundoff, so ``substeps_per_step`` must be 1 or ``None``.
@@ -316,11 +319,11 @@ def self_adjoint(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 CHEBYSHEV_TOL = 1e-14
 
 #: terms of the exact step's series held before they are added into its sums
-#: (:func:`_chebyshev_step`): every shipped step keeps 18-25 terms, so each is
-#: added in one table, and 32 terms at 10 qubits are ``CHUNK_BYTES``.  A
-#: table carries two terms into the next, so the length must be even: then a
-#: row's parity is its term's.  Part of the algorithm, not a tunable: another
-#: length adds the terms in another order
+#: (:meth:`_ChebyshevWorkspace.step`): every shipped step keeps 18-25 terms,
+#: so each is added in one table, and 32 terms at 10 qubits are
+#: ``CHUNK_BYTES``.  A table carries two terms into the next, so the length
+#: must be even: then a row's parity is its term's.  Part of the algorithm,
+#: not a tunable: another length adds the terms in another order
 CHEBYSHEV_TABLE_TERMS = 32
 
 
@@ -338,7 +341,8 @@ def chebyshev_degree(reach: float, tol: float = CHEBYSHEV_TOL) -> int:
     """
     if not math.isfinite(reach) or reach < 0:
         raise ValueError(f"reach must be finite and non-negative, got {reach}")
-    half = reach / 2.0
+    # a Python float: numpy scalars make the rule's loops twice as slow, for the same bits
+    half = float(reach) / 2.0
     if half == 0.0:
         return 0
     log_half, bound = math.log(half), tol / 2.0
@@ -377,6 +381,8 @@ def _series_weights(reach: float, degree: int) -> np.ndarray:
     It costs O(degree) scalar steps; a cosine sum would cost O(degree**2).
     Degree 0 means ``reach <= tol``, where ``J_0 = 1 - reach**2 / 4`` is 1.
     """
+    # a Python float: numpy scalars make the recurrence twice as slow, for the same bits
+    reach = float(reach)
     bessel = np.zeros(degree + 1)
     if degree == 0:
         bessel[0] = 1.0
@@ -399,105 +405,131 @@ def _series_weights(reach: float, degree: int) -> np.ndarray:
     return bessel
 
 
-def _chebyshev_step(
-    amps: np.ndarray,
-    local: np.ndarray,
-    blocks: list,
-    lower: float,
-    upper: float,
-    dt: float,
-) -> np.ndarray:
-    """``exp(-i H dt) amps`` for ``H = diag(local) + sum_f D_f``, whose
-    spectrum lies in ``[lower, upper]``, by its Chebyshev series.
+class _ChebyshevWorkspace:
+    """The exact step's buffers on one register and each series term's calls
+    on them, built once per anneal and reused by every step (:meth:`step`).
 
-    ``D_f`` is the symmetric matrix ``blocks[f]`` acting on factor f of the
-    register (:func:`_driver_factors`), so the sum is a Kronecker sum.  With
-    ``H = c + r Y``, ``Y`` has its spectrum in [-1, 1] and ``exp(-i H dt) =
-    exp(-i c dt) sum_k a_k T_k(Y)``, ``a_k = (2 - delta_k0) (-i)**k J_k(r
-    dt)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), truncated at
-    :func:`chebyshev_degree`.  The terms follow ``T_{k+1}(Y) v = 2 Y T_k(Y) v
-    - T_{k-1}(Y) v``.  ``Y`` is real, so the real and imaginary parts of
-    ``amps`` recur as the two rows of one real pair.
-
-    A register of one factor is spanned by its one block, so the shifted,
-    scaled diagonal is folded into it once a step, ``2 Y = (2 / r) (D_0 +
-    diag(local - c))``, and a term is one matrix product and one
-    subtraction.  On more factors ``2 Y`` is applied as one matrix product
-    per factor and the diagonal's multiply, summed through a work pair.
-    The terms are written into a table of ``CHEBYSHEV_TABLE_TERMS`` pairs.
-    ``a_k`` is real at even k and imaginary at odd k, so the table's even
-    and odd rows are added into two sums by one matrix-vector product each,
-    and the sums are joined at the end.  A longer series adds each full
-    table in and carries its last two terms into the next.  So the step
-    holds the table, the two sums and a work pair at any degree, keeps no
-    basis, and its cost is known before it runs.
+    ``blocks`` are the driver's field blocks ``D_f``, one per factor of the
+    register (:func:`_driver_factors`); ``terms`` is the table's length,
+    ``CHEBYSHEV_TABLE_TERMS`` or the longest step's degree + 1 if shorter.
+    Term ``j`` is written from row ``j - 1`` of the table into row ``j`` by
+    ``heads[j]``, the first factor's product, then by ``tails[j]``, one
+    ``(ufunc, a, b, out)`` call into the work pair per further factor and
+    one for the diagonal, each added in; a register of one factor folds the
+    diagonal into its one block, so its terms have no tail.
     """
-    center, radius = (upper + lower) / 2.0, (upper - lower) / 2.0
-    reach = radius * dt
-    degree = chebyshev_degree(reach)
-    weights = _series_weights(reach, degree)
-    phase = np.exp(-1j * center * dt)
-    if degree == 0:
-        return (phase * weights[0]) * amps
-    size, scale = amps.size, 2.0 / radius
-    table = np.empty((min(degree + 1, CHEBYSHEV_TABLE_TERMS), 2, size))
-    pairs, rows = list(table), table.reshape(len(table), -1)
-    sums = np.empty((2, 2 * size))
-    # the work pair is the result's memory until the sums are joined into it
-    result = np.empty(size, dtype=complex)
-    work = result.view(float).reshape(2, size)
-    if len(blocks) == 1:
-        twice = scale * blocks[0]
-        twice.reshape(-1)[:: size + 1] += scale * (local - center)
 
-        def twice_y(v, out):
-            """``pairs[out] = 2 Y pairs[v]``."""
-            np.matmul(pairs[v], twice, out=pairs[out])
-
-    else:
-        blocks = [scale * block for block in blocks]
-        diagonal = np.tile(local - center, (2, 1))
-        diagonal *= scale
+    def __init__(self, blocks: list, terms: int):
         sizes = [block.shape[0] for block in blocks]
-        views = [_factor_views(pair, sizes) for pair in pairs + [work]]
+        size = math.prod(sizes)
+        self.blocks = blocks
+        self.scaled = [np.empty_like(block) for block in blocks]
+        self.table = np.empty((terms, 2, size))
+        self.pairs, self.rows = list(self.table), self.table.reshape(terms, -1)
+        self.sums = np.empty((2, 2 * size))
+        # the work pair is the result's memory until the sums are joined into it
+        self.result = np.empty(size, dtype=complex)
+        self.work = self.result.view(float).reshape(2, size)
+        self.diagonal = np.empty((2, size))
+        # a register of one factor is spanned by its block, which takes the diagonal
+        self.fold = self.scaled[0].reshape(-1)[:: size + 1] if len(blocks) == 1 else None
+        views = [_factor_views(pair, sizes) for pair in self.pairs]
+        spare = _factor_views(self.work, sizes)
+        # row 0 holds the state, which no term writes
+        self.heads, self.tails = [None], [None]
+        for source, target, pair in zip(views, views[1:], self.pairs):
+            # the operands in the order of _factor_product
+            operands = [
+                (block, view) if view.ndim == 3 else (view, block)
+                for block, view in zip(self.scaled, source)
+            ]
+            self.heads.append((*operands[0], target[0]))
+            tail = [(np.matmul, a, b, out) for (a, b), out in zip(operands[1:], spare[1:])]
+            if self.fold is None:
+                tail.append((np.multiply, self.diagonal, pair, self.work))
+            self.tails.append(tail)
 
-        def twice_y(v, out):
-            """``pairs[out] = 2 Y pairs[v]``, through the work pair."""
-            for j, block in enumerate(blocks):
-                _factor_product(block, views[v][j], views[-1 if j else out][j])
-                if j:
-                    pairs[out] += work
-            np.multiply(diagonal, pairs[v], out=work)
-            pairs[out] += work
+    def step(self, amps, local, weight, center, radius, dt, degree) -> np.ndarray:
+        """``exp(-i H dt) amps`` for ``H = diag(local) + weight sum_f D_f``,
+        whose spectrum lies in ``center -+ radius``, by its Chebyshev series
+        of ``degree`` (:func:`chebyshev_degree` of ``radius * dt``).
 
-    pairs[0][0], pairs[0][1] = amps.real, amps.imag
-    twice_y(0, 1)
-    pairs[1] *= 0.5
-    # row j of the table holds term base + j; the rows below fresh are carried
-    base, fresh = 0, 0
-    while True:
-        stop = min(len(pairs), degree + 1 - base)
-        for j in range(2, stop):
-            twice_y(j - 1, j)
-            pairs[j] -= pairs[j - 2]
-        # base is even, so a row's parity is its term's
-        for parity, total in enumerate(sums):
-            first = fresh + parity
-            terms = weights[base + first : base + stop : 2], rows[first:stop:2]
-            if fresh:
-                total += np.matmul(*terms, out=work.reshape(-1))
-            else:
-                np.matmul(*terms, out=total)
-        if base + stop > degree:
-            break
-        table[:2] = table[stop - 2 : stop]
-        base, fresh = base + stop - 2, 2
-    (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, size)
-    # even - i * odd, each the complex vector of its pair
-    np.add(even_re, odd_im, out=result.real)
-    np.subtract(even_im, odd_re, out=result.imag)
-    result *= phase
-    return result
+        ``D_f`` is ``blocks[f]`` acting on factor f of the register, so the
+        sum is a Kronecker sum.  With ``H = c + r Y``, ``Y`` has its
+        spectrum in [-1, 1] and ``exp(-i H dt) = exp(-i c dt) sum_k a_k
+        T_k(Y)``, ``a_k = (2 - delta_k0) (-i)**k J_k(r dt)`` (Tal-Ezer &
+        Kosloff, J. Chem. Phys. 81, 3967, 1984).  The terms follow ``T_{k+1}(Y)
+        v = 2 Y T_k(Y) v - T_{k-1}(Y) v``.  ``Y`` is real, so the real and
+        imaginary parts of ``amps`` recur as the two rows of one real pair.
+
+        The step first scales its blocks, ``(2 / r) (weight D_f)``, and the
+        shifted diagonal, ``(2 / r) (local - c)``, in place; on a register of
+        one factor the diagonal is folded into the block, so a term is one
+        matrix product and one subtraction.  On more factors a term is one
+        matrix product per factor and the diagonal's multiply, summed
+        through the work pair.  The terms are written into the table.
+        ``a_k`` is real at even k and imaginary at odd k, so the table's even
+        and odd rows are added into two sums by one matrix-vector product
+        each, and the sums are joined at the end.  A longer series adds each
+        full table in and carries its last two terms into the next.  So a
+        step past degree 0 allocates nothing of the register's size, keeps
+        no basis, and its cost is known before it runs.  The result is the workspace's
+        memory, valid until the next step; ``amps`` may be the previous
+        step's result.
+        """
+        weights = _series_weights(radius * dt, degree)
+        phase = np.exp(-1j * center * dt)
+        if degree == 0:
+            return (phase * weights[0]) * amps
+        scale = 2.0 / radius
+        for block, scaled in zip(self.blocks, self.scaled):
+            np.multiply(block, weight, out=scaled)
+            scaled *= scale
+        shift = self.diagonal[0]
+        np.subtract(local, center, out=shift)
+        shift *= scale
+        if self.fold is None:
+            self.diagonal[1] = shift
+        else:
+            self.fold += shift
+        table, pairs, rows, sums, work = self.table, self.pairs, self.rows, self.sums, self.work
+        heads, tails = self.heads, self.tails
+        pairs[0][0], pairs[0][1] = amps.real, amps.imag
+        # row j of the table holds term base + j; the rows below fresh are carried
+        base, fresh = 0, 0
+        while True:
+            stop = min(len(pairs), degree + 1 - base)
+            for j in range(max(fresh, 1), stop):
+                # pairs[j] = 2 Y pairs[j - 1], then the recurrence
+                pair = pairs[j]
+                a, b, out = heads[j]
+                np.matmul(a, b, out=out)
+                for ufunc, a, b, out in tails[j]:
+                    ufunc(a, b, out=out)
+                    pair += work
+                if j > 1:
+                    pair -= pairs[j - 2]
+                else:
+                    pair *= 0.5
+            # base is even, so a row's parity is its term's
+            for parity, total in enumerate(sums):
+                first = fresh + parity
+                terms = weights[base + first : base + stop : 2], rows[first:stop:2]
+                if fresh:
+                    total += np.matmul(*terms, out=work.reshape(-1))
+                else:
+                    np.matmul(*terms, out=total)
+            if base + stop > degree:
+                break
+            table[:2] = table[stop - 2 : stop]
+            base, fresh = base + stop - 2, 2
+        (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, -1)
+        # even - i * odd, each the complex vector of its pair
+        result = self.result
+        np.add(even_re, odd_im, out=result.real)
+        np.subtract(even_im, odd_re, out=result.imag)
+        result *= phase
+        return result
 
 
 #: bytes of step-indexed operators (interpolated propagators, split-step
@@ -636,10 +668,15 @@ def evolve_adiabatic(spec: AnnealSpec, initial) -> EvolutionResult:
         spread = np.abs(fields).sum()
         lower = (1.0 - fractions) * (constant - spread) + fractions * diagonal.min()
         upper = (1.0 - fractions) * (constant + spread) + fractions * diagonal.max()
+        centers, radii = (upper + lower) / 2.0, (upper - lower) / 2.0
+        degrees = [chebyshev_degree(reach) for reach in radii * dt]
+        workspace = _ChebyshevWorkspace(blocks, min(max(degrees) + 1, CHEBYSHEV_TABLE_TERMS))
+        local = np.empty_like(diagonal)
         for k, s in enumerate(fractions):
-            local = (1.0 - s) * constant + s * diagonal
-            driven = [(1.0 - s) * block for block in blocks]
-            amps = _chebyshev_step(amps, local, driven, lower[k], upper[k], dt)
+            # (1 - s) constant + s diagonal, in place
+            np.multiply(diagonal, s, out=local)
+            local += (1.0 - s) * constant
+            amps = workspace.step(amps, local, 1.0 - s, centers[k], radii[k], dt, degrees[k])
             _keep(states, spec, k + 1, amps)
         return result
 

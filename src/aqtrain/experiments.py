@@ -322,10 +322,12 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   dt = 10 kept 62-77 terms and took 0.53-0.68 and 1.2-1.7 ms.  The budget
 #   is near 20-35 s of terms at that price; the toy model's loose loss bound
 #   prices its runs 2-4x over their cost.  A term at 6 qubits is now one
-#   product with the diagonal folded in and one subtraction, and the terms
-#   are summed a table at a time: measured the same way, 3.8-5.8 us a term
-#   at 6 qubits and 16-21 us at 10, and 0.11 and 0.43-0.46 ms a step at
-#   dt = 1.
+#   product with the diagonal folded in and one subtraction, the terms are
+#   summed a table at a time, and an anneal builds the step's buffers and
+#   each term's calls on them once: measured the same way, 3.3-5.0 us a
+#   term at 6 qubits and 14.0-15.8 us at 10, and 0.09 and 0.33 ms a step at
+#   dt = 1 (3.9-5.9 us, 15.9-19.6 us, 0.11 and 0.41 ms in the same runs with
+#   the buffers built every step).
 # - snapshot memory cap: ten thousand states at the dense evolution cap
 #   (166 MB), 216 000 at 5 qubits.  Kept states are rows of one array
 #   allocated before the first step; beyond the amplitudes, tracemalloc

@@ -22,7 +22,7 @@ from aqtrain.engine import (
     AnnealSpec,
     DENSE_EVOLUTION_CAP,
     DENSE_PANEL_NODES,
-    _chebyshev_step,
+    _ChebyshevWorkspace,
     _driver_factors,
     _field_block,
     _rotation_blocks,
@@ -541,6 +541,16 @@ REACHES = [1e-7, 0.1, 1.0, 9.0, 9.5, 10.0, 60.0]
 QUADRATURE_REACHES = [0.1, 1.0, 10.0]
 
 
+def chebyshev_step(amps, local, blocks, lower, upper, dt):
+    """``exp(-i H dt) amps`` for ``H = diag(local) + sum_f D_f`` with its
+    spectrum in ``[lower, upper]``: one exact step in a workspace of its
+    own, with the anneal's arithmetic at driver weight 1."""
+    center, radius = (upper + lower) / 2.0, (upper - lower) / 2.0
+    degree = chebyshev_degree(radius * dt)
+    workspace = _ChebyshevWorkspace(blocks, min(degree + 1, CHEBYSHEV_TABLE_TERMS))
+    return workspace.step(amps, local, 1.0, center, radius, dt, degree)
+
+
 def exact_step(num_qubits, reach, seed):
     """A random operator of the step's form ``diag(local) + sum_f D_f`` with
     unequal fields, its Weyl bounds and a dt at which its half-width times
@@ -573,7 +583,7 @@ class TestChebyshevStep:
         for num_qubits in (6, 7):
             args, expected = exact_step(num_qubits, reach, seed=21)
             assert len(args[2]) == num_qubits - 5
-            result = _chebyshev_step(*args)
+            result = chebyshev_step(*args)
             assert np.max(np.abs(result - expected)) < 1e-12
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
@@ -581,7 +591,7 @@ class TestChebyshevStep:
     def test_small_one_factor_registers_match_eigendecomposition(self, num_qubits, reach):
         args, expected = exact_step(num_qubits, reach, seed=60 + num_qubits)
         assert len(args[2]) == 1 and np.unique(np.abs(args[2][0])).size == num_qubits + 1
-        assert np.max(np.abs(_chebyshev_step(*args) - expected)) < 1e-12
+        assert np.max(np.abs(chebyshev_step(*args) - expected)) < 1e-12
 
     def test_memory_does_not_grow_with_the_degree(self):
         # two factors at 10 qubits, one step of one full table and one of
@@ -599,7 +609,7 @@ class TestChebyshevStep:
         for reach in (10.0, 800.0):
             tracemalloc.start()
             try:
-                result = _chebyshev_step(v, local, blocks, lower, upper, reach / ((upper - lower) / 2.0))
+                result = chebyshev_step(v, local, blocks, lower, upper, reach / ((upper - lower) / 2.0))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -612,6 +622,82 @@ class TestChebyshevStep:
         # views of the table's rows
         pair = 16 * dim
         assert peaks[1] <= (CHEBYSHEV_TABLE_TERMS + 7) * pair
+
+    @pytest.mark.parametrize("ramp", ["rising", "falling"])
+    @pytest.mark.parametrize("num_qubits", [6, 7, 13])
+    def test_anneal_equals_each_step_in_a_fresh_workspace(self, num_qubits, ramp):
+        # one, two and three factors; the anneal's one workspace holds a table
+        # of the longest step's length, and the steps' degrees fall on both
+        # sides of its edge, rising (a wide target) or falling (a narrow one)
+        half_width, dt = (20.0, 9.0) if ramp == "rising" else (0.5, 24.0)
+        rng = np.random.default_rng(80 + num_qubits)
+        target = rng.uniform(-half_width, half_width, size=2**num_qubits)
+        spec = AnnealSpec(
+            transverse_driver(num_qubits),
+            target,
+            6 * dt / num_qubits,
+            n_steps=6,
+            substeps_per_step=None,
+        )
+        initial = random_state(num_qubits, seed=81)
+        states = evolve_adiabatic(spec, initial).states
+        constant, fields = spec.driver
+        blocks = [_field_block(part) for part in _driver_factors(fields)]
+        assert len(blocks) == -(-num_qubits // 6)
+        fractions = spec.step_fractions()
+        spread = np.abs(fields).sum()
+        lower = (1.0 - fractions) * (constant - spread) + fractions * target.min()
+        upper = (1.0 - fractions) * (constant + spread) + fractions * target.max()
+        degrees = [chebyshev_degree(reach) for reach in (upper - lower) / 2.0 * spec.dt]
+        assert degrees == sorted(degrees, reverse=ramp == "falling")
+        assert min(degrees) + 1 < CHEBYSHEV_TABLE_TERMS <= max(degrees)
+        amps = initial
+        for k, s in enumerate(fractions):
+            local = (1.0 - s) * constant + s * target
+            driven = [(1.0 - s) * block for block in blocks]
+            amps = chebyshev_step(amps, local, driven, lower[k], upper[k], spec.dt)
+            assert np.array_equal(states[k + 1], amps)
+
+    def test_anneal_peaks_no_higher_than_its_longest_step_alone(self):
+        # two factors at 10 qubits, on a falling ramp whose first step keeps
+        # more than 1000 terms: past what it holds for its caller, an anneal
+        # peaks where that step alone does, whatever its step count
+        num_qubits, dt = 10, 160.0
+        dim = 2**num_qubits
+        constant, fields = transverse_driver(num_qubits)
+        spread = np.abs(fields).sum()
+        assert chebyshev_degree(spread * dt) >= 1000
+        blocks = [_field_block(part) for part in _driver_factors(fields)]
+        target = np.random.default_rng(73).uniform(-1.0, 1.0, size=dim)
+        initial, local = uniform_state(num_qubits), np.full(dim, constant)
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        step = traced_peak(
+            lambda: chebyshev_step(initial, local, blocks, constant - spread, constant + spread, dt)
+        )
+        peaks = []
+        for n_steps in (1, 3):
+            spec = AnnealSpec(
+                (constant, fields),
+                target,
+                n_steps * dt,
+                n_steps=n_steps,
+                substeps_per_step=None,
+                snapshot_stride=n_steps,
+            )
+            peaks.append(traced_peak(lambda: evolve_adiabatic(spec, initial)))
+        # the anneal also holds its two kept states, its field blocks, its
+        # mixed diagonal and a few small arrays; a step adds a few floats
+        held = 2 * 16 * dim + sum(block.nbytes for block in blocks) + 8 * dim
+        assert peaks[0] <= step + held + 4096
+        assert peaks[1] <= peaks[0] + 1024
 
     @pytest.mark.parametrize("reach", QUADRATURE_REACHES)
     def test_degree_rule_bounds_the_dropped_bessel_terms(self, reach):
@@ -652,7 +738,7 @@ class TestChebyshevStep:
         # radius 0: no term past the first, and no division by the radius
         assert chebyshev_degree(0.0) == 0
         v = random_state(3, seed=24)
-        result = _chebyshev_step(v, np.full(8, 0.7), [np.zeros((8, 8))], 0.7, 0.7, 2.5)
+        result = chebyshev_step(v, np.full(8, 0.7), [np.zeros((8, 8))], 0.7, 0.7, 2.5)
         assert np.max(np.abs(result - np.exp(-1.75j) * v)) <= 1e-15
         spec = AnnealSpec(
             (0.7, np.zeros(3)),

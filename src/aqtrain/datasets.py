@@ -8,6 +8,7 @@ comments instead of timestamps.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +110,10 @@ def balanced_pixel_split(seed: int) -> tuple[Dataset, Dataset]:
 def write_dataset_csv(path, dataset: Dataset, header: dict | None = None):
     """Write samples as CSV with ``# key = value`` comment headers.
 
-    Every row is formatted with one ``%`` template: ``%d`` cells when all
-    features are integral, else ``%.17g`` (repr-exact, so identical datasets
-    serialize byte-identically), then ``%d`` for the label.
+    All rows share one ``%`` template: ``%d`` cells when all features are
+    integral, else ``%.17g`` (repr-exact, so identical datasets serialize
+    byte-identically), then ``%d`` for the label.  The table is formatted by
+    one ``%`` of the template repeated once a row.
     """
     features = dataset.features
     width = features.shape[1]
@@ -122,8 +124,9 @@ def write_dataset_csv(path, dataset: Dataset, header: dict | None = None):
         names = ["p00", "p01", "p10", "p11"]
     lines = [f"# {key} = {value}\n" for key, value in (header or {}).items()]
     lines.append(",".join(names + ["label"]) + "\n")
-    lines.extend(
-        template % (*row, label) for row, label in zip(features.tolist(), dataset.labels.tolist())
-    )
+    table = features.tolist()
+    for row, label in zip(table, dataset.labels.tolist()):
+        row.append(label)
+    lines.append(template * len(table) % tuple(itertools.chain.from_iterable(table)))
     with open(path, "w", encoding="ascii") as handle:
         handle.write("".join(lines))

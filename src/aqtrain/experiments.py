@@ -6,10 +6,18 @@ plus a machine-readable ``summary.json``.  Data files are byte-identical
 across reruns of the same effective config: headers carry the config hash,
 never timestamps.  The summary's ``wall_time_s`` field is the one value
 exempt from byte identity.
+
+The matrix-method runners use the potential's mode-parity blocks
+(:meth:`~aqtrain.matrix_method.SchrodingerProblem.sectors`): an
+anneal-matrix run evolves mode 0's block alone and embeds the states it
+reads in the full mode vector, and anneal-matrix and mass-scan solve their
+ground states block by block.  A tunnel run keeps the full matrix, since
+its packet fills both parities.
 """
 
 import json
 import hashlib
+import itertools
 import math
 import os
 import time
@@ -298,6 +306,9 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   s point, mass-scan one per mass, anneal-matrix one per Chebyshev node,
 #   13 per panel of reach |T - D| dt <= 1 and at most one per step; T - D is
 #   the Toeplitz potential matrix, of norm at most |V(0)| + 2 sum |V(k>0)|.
+#   The budget still prices the full register, although a cosine run solves
+#   its even and odd blocks apart (two half-size eigh calls cost a quarter of
+#   one full one), so it holds for every potential alike.
 #   A spectrum s point also pays SPECTRUM_POINT_OVERHEAD, which bounds a
 #   1-qubit scan near 1.1 million points and 30 s.
 # - split step budget: a step is one rotation-block product per driver factor
@@ -333,17 +344,24 @@ SPECTRUM_POINT_OVERHEAD = 30_000
 #   allocated before the first step; beyond the amplitudes, tracemalloc
 #   measured 8 B a state on anneal-matrix and tunnel at 10 qubits and on
 #   anneal-matrix at 5, and 245 B on tunnel at 5, mostly its timeseries row.
-# - snapshot row cap: about 6 us a density_snapshots.csv row (a default
-#   anneal keeping all 501 states, 513 525 rows, took 2.9-3.3 s): near 5 s.
-#   Rows stream into the file, so they hold no memory: 683 000 rows peaked
-#   2 MB above a run without them.  The cap also bounds the snapshot
-#   densities, one inverse FFT a snapshot over stacks of CHUNK_BYTES: 34-45
-#   us a snapshot at 5 qubits and 1025 points, against 6 ms for its rows.
+#   A cosine anneal keeps half-size states (mode 0's block); the cap still
+#   prices the full register.
+# - snapshot row cap: about 1.3 us a density_snapshots.csv row (a default
+#   anneal keeping all 501 states, 513 525 rows, took 0.63-0.71 s): near
+#   1.1 s.  Rows stream into the file CSV_CHUNK_ROWS at a time, so they hold
+#   one chunk, whatever their count: 682 650 rows (665 steps at 5 qubits,
+#   all kept) peaked 1.5-1.6 MB max RSS above the same run without them;
+#   that run took 0.92-1.10 s.  The cap also bounds the snapshot densities,
+#   one inverse FFT a snapshot over stacks of CHUNK_BYTES: 34-45 us a
+#   snapshot at 5 qubits and 1025 points, against 1.3 ms for its rows.
 #   Tunnel snapshots read no density; their well masses are O(dim**2).
 # - grid point cap: one read-out (the inverse FFT, the density and its
 #   trapezoid, and density_final.csv where the kind writes one) peaked 60-100
 #   MB above import at 2**20 points on tunnel, anneal-matrix and mass-scan,
 #   and took 0.4-3.0 s, nearly all of it the CSV at about 2.7 us a row.
+#   With rows formatted a chunk at a time, anneal-matrix at 2**20 points
+#   took 1.24-1.40 s against 1.98-2.15 s before, 110 MB above import either
+#   way.
 #   When grid_points - 1 is prime the FFT takes Bluestein's path: 160-200 MB
 #   and up to 4 s there.
 #: every size limit validate enforces, by the name its messages use:
@@ -729,15 +747,24 @@ def _conversion(value) -> str:
     return "%s"
 
 
+#: CSV rows formatted by one ``%`` of the row template repeated: one call and
+#: one type pass a chunk instead of a row (a 1025-row density file took
+#: 0.87-0.93 instead of 1.25-1.34 ms, and 256 to 4096 rows read alike), while
+#: the writer holds one chunk's rows, cells and text, about 230 kB traced at
+#: three float cells a row, however many rows the file has
+CSV_CHUNK_ROWS = 1024
+
+
 def write_csv(path, experiment: str, cfg_hash: str, columns, rows, extra_header=None):
     """CSV with ``# key = value`` headers; floats at repr-exact precision.
 
     Every row is formatted with one ``%`` template taken from the first
     row's cell types.  A later row whose cell types change, say a float
     where the template has ``%d``, raises ``TypeError`` rather than being
-    written under the wrong conversion.  Lines are streamed into the file
-    one row at a time, so ``rows`` may be a generator and the text is never
-    held whole.
+    written under the wrong conversion.  Rows are streamed into the file
+    ``CSV_CHUNK_ROWS`` at a time, each chunk by one ``%`` of the template
+    repeated, so ``rows`` may be a generator and the text is never held
+    whole.
     """
     header = [f"# experiment = {experiment}", f"# config_hash = {cfg_hash}"]
     header += [f"# {key} = {value}" for key, value in (extra_header or {}).items()]
@@ -751,16 +778,18 @@ def write_csv(path, experiment: str, cfg_hash: str, columns, rows, extra_header=
         conversions = tuple(map(_conversion, first))
         template = ",".join(conversions) + "\n"
         types = tuple(map(type, first))
-
-        def lines():
-            yield template % tuple(first)
-            for row in rows:
-                row = tuple(row)
-                if tuple(map(type, row)) != types and tuple(map(_conversion, row)) != conversions:
-                    raise TypeError(f"CSV row {row!r} does not match the template {template!r}")
-                yield template % row
-
-        handle.writelines(lines())
+        chunk = [first, *itertools.islice(rows, CSV_CHUNK_ROWS - 1)]
+        while chunk:
+            cells = tuple(itertools.chain.from_iterable(chunk))
+            # a chunk with a row of another width (a short row next to a long
+            # one can line the cells up) or cells not all of the first row's
+            # types is checked row by row
+            if set(map(len, chunk)) != {len(types)} or tuple(map(type, cells)) != types * len(chunk):
+                for row in map(tuple, chunk):
+                    if tuple(map(type, row)) != types and tuple(map(_conversion, row)) != conversions:
+                        raise TypeError(f"CSV row {row!r} does not match the template {template!r}")
+            handle.write(template * len(chunk) % cells)
+            chunk = list(itertools.islice(rows, CSV_CHUNK_ROWS))
 
 
 def write_json(path, payload: dict):
@@ -974,20 +1003,35 @@ def _run_tunnel(effective, out: _Output):
     }
 
 
+def _embedded(states: np.ndarray, block: np.ndarray, dim: int) -> np.ndarray:
+    """A state (or a stack of them) over the modes of ``block``, with zeros
+    in every other mode of the full register of ``dim`` modes."""
+    full = np.zeros(states.shape[:-1] + (dim,), dtype=complex)
+    full[..., block] = states
+    return full
+
+
 def _run_anneal_matrix(effective, out: _Output):
     truncation = MomentumTruncation(effective["num_qubits"])
     problem = SchrodingerProblem(_matrix_potential(effective), effective["mass"], truncation)
     target = problem.hamiltonian()
+    sectors = problem.sectors()
+    # the anneal starts in mode 0, and neither Hamiltonian couples mode 0's
+    # block to another, so it evolves in that block alone
+    block = sectors[0]
+    pick = np.ix_(block, block)
     stride = effective["snapshot_stride"] or effective["n_steps"]
     spec = AnnealSpec(
-        driver=problem.kinetic_matrix(),
-        target=target,
+        driver=problem.kinetic_matrix()[pick],
+        target=target[pick],
         t_final=effective["t_final"],
         n_steps=effective["n_steps"],
         snapshot_stride=stride,
     )
-    result = evolve_adiabatic(spec, basis_state(effective["num_qubits"], truncation.index_of(0)))
-    final = result.states[-1]
+    # mode 0's place in the block, whose indices ascend
+    start = int(np.searchsorted(block, truncation.index_of(0)))
+    result = evolve_adiabatic(spec, basis_state(spec.num_qubits, start))
+    final = _embedded(result.states[-1], block, truncation.dim)
 
     grid = effective["grid_points"]
     w, density = momentum_to_position(final, grid)
@@ -997,9 +1041,11 @@ def _run_anneal_matrix(effective, out: _Output):
     out.csv("density_final.csv", ("w", "density"), zip(w_cells, density.tolist()))
     if effective["snapshot_stride"]:
         def rows():
-            chunk = max(1, CHUNK_BYTES // (16 * grid))
+            # a chunk of snapshots is embedded in the full register at a time
+            chunk = max(1, CHUNK_BYTES // (16 * max(grid, truncation.dim)))
             for first in range(0, len(result.times), chunk):
-                _, densities = momentum_to_position(result.states[first : first + chunk], grid)
+                states = _embedded(result.states[first : first + chunk], block, truncation.dim)
+                _, densities = momentum_to_position(states, grid)
                 for t, snap_density in zip(result.times[first : first + chunk].tolist(), densities):
                     yield from zip([t] * grid, w_cells, snap_density.tolist())
 
@@ -1008,7 +1054,7 @@ def _run_anneal_matrix(effective, out: _Output):
     left = density * (w < 0.5)
     right = density * (w >= 0.5)
     peak_left, peak_right = int(np.argmax(left)), int(np.argmax(right))
-    energy0, ground = ground_state(target)
+    energy0, ground = ground_state(target, sectors)
     true_minimum = (
         matrix_method.QUARTIC_TRUE_MINIMUM if effective["potential"] == "quartic" else 0.25
     )
@@ -1121,12 +1167,13 @@ def _run_mass_scan(effective, out: _Output):
     problems = [SchrodingerProblem(cosine, mass, truncation) for mass in effective["masses"]]
     # the potential matrix does not depend on the mass; each mass adds its kinetic diagonal
     potential = problems[0].potential_matrix()
+    sectors = problems[0].sectors()
     rows = []
     peaks = []
     for problem in problems:
         hamiltonian = potential.copy()
         hamiltonian.reshape(-1)[:: truncation.dim + 1] += problem.kinetic_energies()
-        _, vector = ground_state(hamiltonian)
+        _, vector = ground_state(hamiltonian, sectors)
         w, density = momentum_to_position(vector, effective["grid_points"])
         peak = int(np.argmax(density))
         rows.append((problem.mass, float(w[peak]), float(density[peak])))

@@ -18,6 +18,12 @@ cos(4*pi*w)`` with ``p`` a polynomial in one variable: the cosine well is
 quartic double well ``p = quartic_polynomial(strength), a = 0``.  The
 cosine well's two minima, at w = 1/4 and 3/4, are degenerate; the tilt
 breaks the degeneracy.
+
+When ``p`` is constant, ``V`` has period 1/2: ``Vhat(k)`` vanishes at every
+odd ``k``, so ``H`` couples each mode only to modes of its own parity
+(translation by 1/2 commutes with ``H``; Bloch, Z. Phys. 52, 555, 1929).
+:meth:`SchrodingerProblem.sectors` names the two blocks, and
+:func:`ground_state` then solves two half-size matrices instead of one.
 """
 
 from __future__ import annotations
@@ -187,6 +193,18 @@ class SchrodingerProblem:
     def hamiltonian(self) -> np.ndarray:
         return self.kinetic_matrix() + self.potential_matrix()
 
+    def sectors(self) -> tuple:
+        """Index arrays of the blocks of modes that H does not couple, mode 0's first.
+
+        With a constant polynomial part every odd Fourier coefficient is
+        zero, so the even modes and the odd modes are two blocks; any other
+        potential gives one block of every mode.
+        """
+        modes = self.truncation.modes
+        if self.potential.poly.degree:
+            return (np.arange(modes.size),)
+        return np.flatnonzero(modes % 2 == 0), np.flatnonzero(modes % 2)
+
 
 def _position_amplitudes(amplitudes: np.ndarray, grid_points: int) -> np.ndarray:
     """``sum_n a_n exp(2 pi i n w_j)`` on ``w_j = j / (grid_points - 1)``.
@@ -348,14 +366,24 @@ def mass_scaling_exponent(masses, peaks) -> float:
     return float(np.dot(log_m, log_p) / np.dot(log_m, log_m))
 
 
-def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+def ground_state(matrix: np.ndarray, sectors=None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a Hermitian matrix.
 
-    The eigenvector phase is fixed so its largest-magnitude component is
-    real and positive.
+    ``sectors`` (of :meth:`SchrodingerProblem.sectors`) partitions the
+    indices into blocks the matrix does not couple; each block is solved on
+    its own, and the lowest pair, ties to the first block, is embedded in
+    the full vector.  The eigenvector phase is fixed so its
+    largest-magnitude component is real and positive.
     """
-    energies, vectors = np.linalg.eigh(self_adjoint(matrix))
-    vec = vectors[:, 0].astype(complex)
+    matrix = self_adjoint(matrix)
+    vec = np.zeros(matrix.shape[0], dtype=complex)
+    best = None
+    for index in (np.arange(vec.size),) if sectors is None else sectors:
+        energies, vectors = np.linalg.eigh(matrix[np.ix_(index, index)])
+        if best is None or energies[0] < best[0]:
+            best = energies[0], vectors[:, 0], index
+    energy, lowest, index = best
+    vec[index] = lowest
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
-    return float(energies[0]), vec / phase
+    return float(energy), vec / phase

@@ -14,7 +14,7 @@ import pytest
 
 from aqtrain import cli, experiments, nn
 from aqtrain.encodings import index_of_report_bitstring
-from aqtrain.engine import chebyshev_degree
+from aqtrain.engine import AnnealSpec, basis_state, chebyshev_degree, evolve_adiabatic
 from aqtrain.experiments import (
     CHEBYSHEV_TERM_OVERHEAD,
     EXPERIMENT_KINDS,
@@ -28,12 +28,14 @@ from aqtrain.experiments import (
     SNAPSHOT_OVERHEAD_BYTES,
     SPECTRUM_POINT_OVERHEAD,
     SPLIT_STEP_OVERHEAD,
+    CSV_CHUNK_ROWS,
     atomic_write_text,
     config_hash,
     run_experiment,
     validate_config,
     write_csv,
 )
+from aqtrain.matrix_method import MomentumTruncation, Potential, SchrodingerProblem, ground_state
 from aqtrain.pauli import PauliPolynomial
 from aqtrain.varpoly import VarPolynomial
 
@@ -1090,14 +1092,38 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize(
         "rows",
-        [[(1, 0.5), (2.5, 0.5)], [(1, 0.5), (2, 3)], [(1, "a"), (2, 0.5)], [(1, 0.5), (2,)]],
-        ids=["float-under-int", "int-under-float", "float-under-str", "short-row"],
+        [
+            [(1, 0.5), (2.5, 0.5)],
+            [(1, 0.5), (2, 3)],
+            [(1, "a"), (2, 0.5)],
+            [(1, 0.5), (2,)],
+            # their cells line up with the template's twice
+            [(1, 0.5), (2,), (0.5, 3, 0.5)],
+        ],
+        ids=["float-under-int", "int-under-float", "float-under-str", "short-row", "short-then-long-row"],
     )
     def test_row_off_the_template_raises(self, rows, tmp_path):
         target = tmp_path / "t.csv"
         with pytest.raises(TypeError):
             write_csv(target, "test", "0", ("a", "b"), rows)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [(2.5, 0.5), (2, 3), (2,)], ids=["float-under-int", "int-under-float", "short-row"])
+    @pytest.mark.parametrize("chunk", [1, 2], ids=["last-of-first-chunk", "in-second-chunk"])
+    def test_row_off_the_template_raises_in_every_chunk(self, bad, chunk, tmp_path):
+        rows = [(k, 0.5) for k in range(chunk * CSV_CHUNK_ROWS + 5)]
+        rows[chunk * CSV_CHUNK_ROWS - 1] = bad
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "t.csv", "test", "0", ("a", "b"), iter(rows))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_chunks_write_what_one_row_at_a_time_writes(self, tmp_path):
+        # a float and an np.float64 share the %.17g column across chunk edges
+        count = 2 * CSV_CHUNK_ROWS + 3
+        rows = [(k, np.float64(k / 7) if k % 3 else k / 7) for k in range(count)]
+        write_csv(tmp_path / "t.csv", "test", "0", ("a", "b"), (row for row in rows))
+        expected = "".join("%d,%.17g\n" % row for row in rows)
+        assert (tmp_path / "t.csv").read_text().split("a,b\n", 1)[1] == expected
 
     def test_no_rows_writes_the_header(self, tmp_path):
         write_csv(tmp_path / "t.csv", "test", "0", ("a",), iter(()))
@@ -1160,6 +1186,76 @@ def test_runs_build_no_pauli_polynomial(monkeypatch, tmp_path):
     monkeypatch.setattr(PauliPolynomial, "__init__", refuse)
     for kind in ("nn-binary", "nn-toy", "accuracy-curves", "anneal-paulispin", "spectrum"):
         assert run_experiment(SMALL[kind], tmp_path / kind).summary["headline"]
+
+
+def test_period_half_runs_decompose_half_registers(monkeypatch, tmp_path):
+    # the cosine runs solve their even and odd blocks apart; the tilted well
+    # couples every mode, so it still decomposes its whole register
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    for name, half in (("anneal_matrix_cosine", True), ("mass_scan", True), ("anneal_matrix_tilted", False)):
+        config = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        sizes.clear()
+        run_experiment(config, tmp_path / name)
+        assert max(sizes) == 2 ** (config["num_qubits"] - half), name
+
+
+class TestParityBlockAnneal:
+    """The cosine anneal runs in mode 0's block; the full-pair anneal is its oracle."""
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_states_match_the_full_pair_anneal(self, num_qubits, monkeypatch, tmp_path):
+        config = {
+            "kind": "anneal-matrix", "num_qubits": num_qubits, "mass": 100.0, "t_final": 5.0,
+            "n_steps": 40, "snapshot_stride": 3, "grid_points": 65,
+        }
+        read = []
+        original = experiments.momentum_to_position
+
+        def recording(amplitudes, grid_points):
+            read.append(np.array(amplitudes))
+            return original(amplitudes, grid_points)
+
+        monkeypatch.setattr(experiments, "momentum_to_position", recording)
+        headline = run_experiment(config, tmp_path).summary["headline"]
+
+        truncation = MomentumTruncation(num_qubits)
+        problem = SchrodingerProblem(Potential(VarPolynomial.constant(1.0), 1.0), 100.0, truncation)
+        spec = AnnealSpec(problem.kinetic_matrix(), problem.hamiltonian(), 5.0, 40, snapshot_stride=3)
+        oracle = evolve_adiabatic(spec, basis_state(num_qubits, truncation.index_of(0)))
+        # the final state is read first, then the snapshots a chunk at a time
+        final, snapshots = read[0], np.concatenate(read[1:])
+        assert np.max(np.abs(final - oracle.states[-1])) <= 1e-12
+        assert snapshots.shape == oracle.states.shape
+        assert np.max(np.abs(snapshots - oracle.states)) <= 1e-12
+        odd = problem.sectors()[1]
+        assert not final[odd].any() and not snapshots[:, odd].any()
+        _, ground = ground_state(problem.hamiltonian())
+        overlap = abs(np.vdot(ground, oracle.states[-1])) ** 2
+        assert headline["ground_overlap"] == pytest.approx(overlap, abs=1e-12)
+
+    def test_snapshots_are_embedded_a_chunk_at_a_time(self, monkeypatch, tmp_path):
+        # a stack of snapshots is never embedded in the full register at once
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", 16 * 65 * 4)
+        embedded = []
+        original = experiments._embedded
+
+        def recording(states, block, dim):
+            embedded.append(np.shape(states)[0] if np.ndim(states) == 2 else 1)
+            return original(states, block, dim)
+
+        monkeypatch.setattr(experiments, "_embedded", recording)
+        config = {
+            "kind": "anneal-matrix", "num_qubits": 3, "t_final": 1.0, "n_steps": 10,
+            "snapshot_stride": 1, "grid_points": 65,
+        }
+        run_experiment(config, tmp_path)
+        assert embedded == [1, 4, 4, 3]
 
 
 def test_perfbench_tracer_wraps_a_run(monkeypatch, tmp_path):

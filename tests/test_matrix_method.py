@@ -323,6 +323,84 @@ class TestGroundState:
             mass_scaling_exponent([100.0], [3.0])
 
 
+class TestParityBlocks:
+    """A potential of period 1/2 splits H into its even and odd modes; the
+    full-matrix paths are the oracles of the block ones."""
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "potential",
+        [cosine(), tilted(0.0), Potential(VarPolynomial.constant(0.3), -2.0), quartic(0.0)],
+        ids=["cosine", "tilt-0", "scaled-cosine", "zero"],
+    )
+    def test_constant_polynomial_couples_no_two_parities(self, potential, num_qubits):
+        problem = SchrodingerProblem(potential, 50.0, MomentumTruncation(num_qubits))
+        modes = problem.truncation.modes
+        even, odd = problem.sectors()
+        assert np.all(modes[even] % 2 == 0) and np.all(modes[odd] % 2 == 1)
+        assert sorted(np.concatenate([even, odd])) == list(range(modes.size))
+        assert problem.truncation.index_of(0) in even
+        matrix = problem.potential_matrix()
+        assert not matrix[np.ix_(even, odd)].any()
+        assert not matrix[np.ix_(odd, even)].any()
+
+    @pytest.mark.parametrize("potential", [tilted(0.02), quartic(50.0)], ids=["tilted", "quartic"])
+    def test_other_potentials_keep_one_block(self, potential):
+        problem = SchrodingerProblem(potential, 50.0, MomentumTruncation(4))
+        (block,) = problem.sectors()
+        assert block.tolist() == list(range(16))
+        # their potential matrices do couple the two parities
+        modes = problem.truncation.modes
+        assert problem.potential_matrix()[np.ix_(modes % 2 == 0, modes % 2 == 1)].any()
+
+    @pytest.mark.parametrize("num_qubits", [3, 5, 7])
+    @pytest.mark.parametrize("mass", [25.0, 100.0, 400.0])
+    def test_block_ground_state_matches_full_eigh(self, num_qubits, mass):
+        problem = SchrodingerProblem(cosine(), mass, MomentumTruncation(num_qubits))
+        h = problem.hamiltonian()
+        sectors = problem.sectors()
+        energy, vec = ground_state(h, sectors)
+        energies, vectors = np.linalg.eigh(h)
+        assert abs(energy - energies[0]) <= 1e-12 * abs(energies[0])
+        assert abs(np.vdot(vectors[:, 0], vec)) >= 1.0 - 1e-12
+        # the vector lives in one block, with the full solve's phase rule
+        assert sum(bool(vec[index].any()) for index in sectors) == 1
+        pivot = np.argmax(np.abs(vec))
+        assert vec[pivot].imag == 0.0 and vec[pivot].real > 0
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_the_odd_level_is_close_above_at_mass_400(self):
+        # the near-tie the block solve must resolve as the full one does
+        problem = SchrodingerProblem(cosine(), 400.0, MomentumTruncation(7))
+        h = problem.hamiltonian()
+        even, odd = problem.sectors()
+        lowest = [np.linalg.eigvalsh(h[np.ix_(index, index)])[0] for index in (even, odd)]
+        assert 0.0 < lowest[1] - lowest[0] < 1e-4
+        _, vec = ground_state(h, (even, odd))
+        assert not vec[odd].any()
+
+    def test_ties_go_to_the_first_block(self):
+        h = np.diag([0.0, 0.0, 1.0, 2.0])
+        for first, second in ([1, 3], [0, 2]), ([0, 2], [1, 3]):
+            energy, vec = ground_state(h, (np.array(first), np.array(second)))
+            assert energy == 0.0
+            assert np.flatnonzero(vec).tolist() == [first[0]]
+
+    def test_one_block_gives_the_full_solve_bit_for_bit(self):
+        problem = SchrodingerProblem(tilted(0.02), 100.0, MomentumTruncation(5))
+        h = problem.hamiltonian()
+        energy, vec = ground_state(h, problem.sectors())
+        full_energy, full_vec = ground_state(h)
+        assert energy == full_energy
+        assert np.array_equal(vec, full_vec)
+
+    def test_blocks_keep_the_hermitian_check(self):
+        h = np.diag([0.0, 1.0, 2.0, 3.0])
+        h[0, 1] = 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            ground_state(h, (np.array([0, 2]), np.array([1, 3])))
+
+
 class TestGaussianPacket:
     def test_unit_norm_and_location(self):
         trunc = MomentumTruncation(5)

@@ -31,9 +31,6 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
-    def __len__(self) -> int:
-        return int(self.labels.size)
-
 
 def zero_one_labels(labels) -> bool:
     """Whether every label is 0 or 1 (an empty set of labels is)."""
@@ -128,5 +125,5 @@ def write_dataset_csv(path, dataset: Dataset, header: dict | None = None):
     for row, label in zip(table, dataset.labels.tolist()):
         row.append(label)
     lines.append(template * len(table) % tuple(itertools.chain.from_iterable(table)))
-    with open(path, "w", encoding="ascii") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("".join(lines))

@@ -566,8 +566,8 @@ def _construction_errors(effective: dict) -> list:
             errors.append(f"{what} times the bound {kinetic:.4g} + {potential:.4g} on |H| overflows")
     if effective["kind"] == "spectrum" and effective["k_lowest"] > 2 ** effective["num_qubits"]:
         errors.append(
-            f"k_lowest {effective['k_lowest']} exceeds the {2 ** effective['num_qubits']} "
-            f"eigenvalues of a {effective['num_qubits']}-qubit register"
+            f"k_lowest {effective['k_lowest']} exceeds the 2**num_qubits = "
+            f"{2 ** effective['num_qubits']} eigenvalues of the register"
         )
     if effective["kind"] in ("anneal-paulispin", "spectrum"):
         try:
@@ -689,24 +689,26 @@ def _sizes(effective: dict):
         )
         # at stride 0 the engine keeps the initial and final states
         snapshots = snapshot_count(steps, stride or steps)
+        kept = "(1 + ceil(n_steps / snapshot_stride))" if stride else "2"
     elif kind == "tunnel":
         # the engine's step count; a tunnel run keeps every step at stride 0
-        ratio = effective["t_total"] / effective["dt"]
+        ratio, stride = effective["t_total"] / effective["dt"], effective["snapshot_stride"]
         if math.isfinite(ratio):
-            snapshots = snapshot_count(max(1, round(ratio)), max(1, effective["snapshot_stride"]))
+            snapshots = snapshot_count(max(1, round(ratio)), max(1, stride))
         else:
             snapshots = ratio  # an overflowing step count stays inf and fails the budget
+        kept = "(1 + ceil(round(t_total / dt) / snapshot_stride))" if stride else "(1 + round(t_total / dt))"
         # each kept state is evaluated in closed form, one dim**2 product; no step loop runs
-        yield "snapshots * 4**num_qubits", snapshots * dim**2, "real-time step budget"
+        yield f"{kept} * 4**num_qubits", snapshots * dim**2, "real-time step budget"
     else:
         return
     yield (
-        f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES})",
+        f"{kept} * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES})",
         snapshots * (16 * dim + SNAPSHOT_OVERHEAD_BYTES),
         "snapshot memory cap",
     )
     if kind == "anneal-matrix" and stride:
-        yield "snapshots * grid_points", snapshots * grid, "snapshot row cap"
+        yield f"{kept} * grid_points", snapshots * grid, "snapshot row cap"
 
 
 def config_hash(effective: dict) -> str:
@@ -734,7 +736,7 @@ def _replacing(path):
 def atomic_write_text(path, text: str):
     """Write via a temporary sibling and rename, so readers never see partials."""
     with _replacing(path) as tmp:
-        tmp.write_text(text, encoding="ascii")
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _conversion(value) -> str:
@@ -771,7 +773,7 @@ def write_csv(path, experiment: str, cfg_hash: str, columns, rows, extra_header=
     header.append(",".join(columns))
     rows = iter(rows)
     first = next(rows, None)
-    with _replacing(path) as tmp, open(tmp, "w", encoding="ascii") as handle:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         handle.write("\n".join(header) + "\n")
         if first is None:
             return
@@ -922,6 +924,16 @@ def _nn_anneal(losses: np.ndarray, effective: dict) -> np.ndarray:
     return np.abs(final) ** 2
 
 
+#: a loss this close to the enumerated minimum counts as optimal
+OPTIMUM_TOL = 1e-9
+
+
+def _optimum_probability(losses: np.ndarray, probabilities: np.ndarray) -> float:
+    """P(opt): the final probability summed over every basis state whose loss
+    is within ``OPTIMUM_TOL`` of the minimum."""
+    return float(probabilities[losses <= losses.min() + OPTIMUM_TOL].sum())
+
+
 def _network_headline(effective: dict, out: _Output, net: _Network, probe, **grouping):
     """Anneal into the network's loss, write its degeneracy classes on
     ``probe`` to classes.json, and return the headline entries both network
@@ -942,9 +954,13 @@ def _network_headline(effective: dict, out: _Output, net: _Network, probe, **gro
         for cls in classes[: effective["max_classes"] or None]
     ]
     out.json("classes.json", {"classes": rows})
+    optimum = float(losses[net.weightspace.optimum_index()])
     headline = {
         "top_class_probability": classes[0].probability,
-        "optimum_loss": float(losses[net.weightspace.optimum_index()]),
+        "top_class_energy": classes[0].energy,
+        "top_matches_optimum": bool(abs(classes[0].energy - optimum) <= OPTIMUM_TOL),
+        "optimum_loss": optimum,
+        "optimum_probability": _optimum_probability(losses, probabilities),
         "network_term_count": stats.network_term_count,
         "hamiltonian_term_count": stats.hamiltonian_term_count,
         "term_bounds_ok": bool(stats.within_bounds),
@@ -1124,9 +1140,7 @@ def _run_nn_toy(effective, out: _Output):
     return headline | {
         "top_class_bitstring": top.bitstring,
         "top_class_degeneracy": top.degeneracy,
-        "top_class_energy": top.energy,
         "top_class_train_accuracy": float(net.weightspace.train_accuracy[top.representative_index]),
-        "top_matches_optimum": bool(abs(top.energy - headline["optimum_loss"]) <= 1e-9),
     }
 
 
@@ -1224,6 +1238,7 @@ def _run_accuracy_curves(effective, out: _Output):
     )
     by_n = {int(n): float(row[1]) for n, row in zip(n_values, quantum)}
     return {
+        "optimum_probability": _optimum_probability(net.weightspace.losses, probabilities),
         "quantum_pool_train_mean": float(np.mean(q_train)),
         "classical_pool_train_mean": float(np.mean(c_train)),
         "quantum_train_mean_n8": by_n.get(8),

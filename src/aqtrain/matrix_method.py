@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -47,44 +46,6 @@ QUARTIC_FALSE_MINIMUM = 0.1848
 
 #: location of its global minimum
 QUARTIC_TRUE_MINIMUM = 0.8
-
-
-def adaptive_simpson(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 30,
-    min_depth: int = 0,
-) -> complex:
-    """Adaptive Simpson quadrature for a complex-valued integrand.
-
-    An oscillatory integrand can hit the same phase at every coarse sample
-    point and look converged when it is not (e.g. ``exp(-2j*pi*k*w)`` with
-    ``k`` a multiple of four evaluates to 1 at all five starting points on
-    [0, 1]).  ``min_depth`` forces that many halvings before the error test
-    is allowed to stop the recursion.
-    """
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        left_mid = f(0.5 * (x0 + x1))
-        right_mid = f(0.5 * (x1 + x2))
-        left = simpson(x0, x1, f0, left_mid, f1)
-        right = simpson(x1, x2, f1, right_mid, f2)
-        converged = abs(left + right - whole) <= 15.0 * eps
-        if depth >= max_depth or (depth >= min_depth and converged):
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, left_mid, f1, left, eps / 2.0, depth + 1) + recurse(
-            x1, x2, f1, right_mid, f2, right, eps / 2.0, depth + 1
-        )
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
 
 
 def _monomial_fourier(power: int, k: int) -> complex:
@@ -121,10 +82,6 @@ class Potential:
         for key, coeff in poly.items():
             coeffs[key[0][1] if key else 0] += float(coeff)
         self._coeffs = tuple(coeffs)
-
-    def value(self, w):
-        w = np.asarray(w, dtype=float)
-        return np.polynomial.polynomial.polyval(w, self._coeffs) + self.cosine * np.cos(4.0 * math.pi * w)
 
     def fourier_coefficient(self, k: int) -> complex:
         value = sum(c * _monomial_fourier(p, k) for p, c in enumerate(self._coeffs) if c)

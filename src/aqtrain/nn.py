@@ -306,7 +306,7 @@ def build_loss(model: ModelSpec, dataset: Dataset, kind: str) -> VarPolynomial:
         else:
             total = total + output * (-1.0 if label == 1 else 1.0)
     if kind == "mse":
-        total = total * (1.0 / len(dataset))
+        total = total * (1.0 / dataset.labels.size)
     return total
 
 
@@ -374,12 +374,6 @@ def forward_configs(
         values = pre
     values = values[:, :n_configs]
     return values[0] if model.output_dim == 1 else np.moveaxis(values, 0, -1).copy()
-
-
-def predict(model: ModelSpec, weights: Mapping[str, float], x) -> float:
-    """Scalar network output for one input: :func:`forward_configs` on one-row columns."""
-    columns = {name: [value] for name, value in weights.items()}
-    return float(forward_configs(model, columns, np.asarray(x, dtype=float)[None, :])[0, 0])
 
 
 def _accuracy_matrix(outputs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -200,23 +200,6 @@ class VarPolynomial:
             out = out + term
         return out
 
-    # -- text form ----------------------------------------------------------------
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        out = []
-        for position, (key, coeff) in enumerate(self.items()):
-            if position == 0:
-                head = f"{coeff:.12g}"
-            else:
-                head = f"{'-' if coeff < 0 else '+'} {abs(coeff):.12g}"
-            factors = [head]
-            for name, exponent in key:
-                factors.append(name if exponent == 1 else f"{name}^{exponent}")
-            out.append(" * ".join(factors))
-        return " ".join(out)
-
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")
 

@@ -26,6 +26,7 @@ from aqtrain.matrix_method import (
     momentum_to_position,
 )
 from aqtrain.varpoly import VarPolynomial
+from quadrature_reference import potential_value
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -102,8 +103,13 @@ def test_circle_run_recovers_boundary_with_expected_probability(circle_run, emit
     emit(
         "circle-toy",
         ok,
-        "top class p=%.4f (0.93±0.05), boundary accuracy %.3f, %.1fs"
-        % (head["top_class_probability"], head["top_class_train_accuracy"], seconds),
+        "top class p=%.4f (0.93±0.05), boundary accuracy %.3f, P(opt)=%.4f, %.1fs"
+        % (
+            head["top_class_probability"],
+            head["top_class_train_accuracy"],
+            head["optimum_probability"],
+            seconds,
+        ),
     )
     assert len(head["top_class_bitstring"]) == 6
     assert effective["n_steps"] == 10 and effective["t_final"] == 10.0
@@ -123,8 +129,13 @@ def test_band_run_matches_enumeration_optimum(band_run, emit):
     emit(
         "band-toy",
         ok,
-        "top class p=%.4f (0.89±0.05), matches optimum=%s, %.1fs"
-        % (head["top_class_probability"], head["top_matches_optimum"], seconds),
+        "top class p=%.4f (0.89±0.05), matches optimum=%s, P(opt)=%.4f, %.1fs"
+        % (
+            head["top_class_probability"],
+            head["top_matches_optimum"],
+            head["optimum_probability"],
+            seconds,
+        ),
     )
     assert head["top_matches_optimum"]
     assert head["top_class_probability"] == pytest.approx(0.89, abs=0.05)
@@ -145,12 +156,13 @@ def test_binary_run_top_state_is_perfect_and_rare(binary_run, emit):
         "binary-pixel",
         ok,
         "top state p=%.4f (0.18±0.05), train/test %.2f/%.2f, "
-        "perfect fraction %.6f, %.1fs"
+        "perfect fraction %.6f, P(opt)=%.4f, %.1fs"
         % (
             head["top_state_probability"],
             head["top_state_train_accuracy"],
             head["top_state_test_accuracy"],
             head["perfect_fraction"],
+            head["optimum_probability"],
             seconds,
         ),
     )
@@ -292,7 +304,7 @@ def test_cosine_anneal_symmetry_and_tilted_well_selection(tmp_path_factory, emit
 
     # selection regime: the bias beats tunnelling, so the deeper well wins
     potential = tilted_cosine(config["tilt"])
-    bias = float(potential.value(0.75) - potential.value(0.25))
+    bias = float(potential_value(potential, 0.75) - potential_value(potential, 0.25))
     bias_ratio = bias / tunnelling_splitting(SELECTION_MASS, config["num_qubits"])
     selected_window = selecting.summary["headline"]["mass_near_true_minimum"]
 

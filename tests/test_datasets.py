@@ -76,7 +76,7 @@ class TestBandDataset:
 class TestPixelImages:
     def test_all_sixteen_images(self):
         data = pixel_images()
-        assert len(data) == 16
+        assert data.labels.size == 16
         assert len({tuple(row) for row in data.features.astype(int)}) == 16
 
     def test_exactly_seven_signal_images(self):
@@ -91,7 +91,7 @@ class TestPixelImages:
 
     def test_split_is_balanced_and_disjoint(self):
         train, test = balanced_pixel_split(seed=4)
-        assert len(train) == 10 and len(test) == 4
+        assert train.labels.size == 10 and test.labels.size == 4
         assert int(np.sum(train.labels == 1)) == 5
         assert int(np.sum(train.labels == 0)) == 5
         assert int(np.sum(test.labels == 1)) == 2

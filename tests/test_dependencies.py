@@ -20,6 +20,11 @@ which its seeded split draws from.  A lazy import such as
 ``numpy.polynomial`` (about 4 ms) would otherwise land inside its timed run.
 The shipped Pauli-spin runs (``anneal_paulispin_quartic`` and
 ``spectrum_quartic``) are held to the same rule, without ``numpy.random``.
+Every shipped config, run one after another in one interpreter, is held to
+it with ``numpy.random`` (the seeded datasets, split and pool draws) and
+``numpy.fft`` (the position read-outs), and must not load ``encodings.ascii``
+either: data files are written as UTF-8, whose codec is loaded at start-up,
+and the test checks that every byte they hold is still ASCII.
 """
 
 import json
@@ -134,3 +139,21 @@ def test_pauli_spin_run_loads_no_numpy_submodule_beyond_the_import(tmp_path, nam
     # inside the run; neither draws random numbers
     extra = numpy_loaded_inside(name, tmp_path)
     assert not extra, f"numpy submodules loaded inside the run: {extra}"
+
+
+def test_shipped_runs_load_only_random_and_fft_beyond_the_import(tmp_path):
+    configs = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
+    imported = loaded_modules("import aqtrain, aqtrain.cli, aqtrain.experiments")
+    ran = loaded_modules(
+        "from aqtrain.experiments import run_experiment\n"
+        f"for name, config in {configs!r}.items():\n"
+        f"    run_experiment(config, {str(tmp_path)!r} + f'/{{name}}')"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(configs)
+    new = ran - imported
+    extra = sorted(name for name in new if name.startswith("numpy.") and name.split(".")[1] not in ("random", "fft"))
+    assert not extra, f"numpy submodules loaded inside the shipped runs: {extra}"
+    assert "encodings.ascii" not in new
+    written = sorted(tmp_path.glob("*/*"))
+    assert len(written) == 18 + len(configs)  # the data files and each run's summary.json
+    assert all(path.read_bytes().isascii() for path in written)

@@ -42,7 +42,6 @@ from aqtrain.matrix_method import (
     MomentumTruncation,
     Potential,
     SchrodingerProblem,
-    adaptive_simpson,
     gaussian_packet,
     ground_state,
     momentum_to_position,
@@ -50,6 +49,7 @@ from aqtrain.matrix_method import (
 from aqtrain.pauli import PauliPolynomial, _factor_product, _factor_views, pauli_z
 from aqtrain.varpoly import VarPolynomial, parse_polynomial
 from kron_reference import dense_reference
+from quadrature_reference import gauss_legendre
 
 QUARTIC_TEXT = "18*w^4 - 35*w^3 + 22*w^2 - 5*w + 0.372573"
 
@@ -522,10 +522,7 @@ class TestDriverByFactors:
 
 def bessel_j(k, x):
     """``J_k(x)`` from Bessel's integral ``(1/pi) int_0^pi cos(k t - x sin t) dt``."""
-    integral = adaptive_simpson(
-        lambda t: math.cos(k * t - x * math.sin(t)), 0.0, math.pi, tol=1e-12, min_depth=5
-    )
-    return integral.real / math.pi
+    return gauss_legendre(lambda t: np.cos(k * t - x * np.sin(t)), 0.0, math.pi, nodes=256) / math.pi
 
 
 def degree_bound(reach, k):

@@ -7,6 +7,7 @@ contract.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -353,25 +354,27 @@ class TestValidation:
             (
                 # 10**12 steps at the default stride of 10 keep 10**11 + 1 states
                 {"kind": "tunnel", "t_total": 1e9, "dt": 1e-3},
-                f"snapshots * 4**num_qubits = {(10**11 + 1) * 4**5} exceeds the real-time "
-                f"step budget of {limit('real-time step budget')}",
+                "(1 + ceil(round(t_total / dt) / snapshot_stride)) * 4**num_qubits = "
+                f"{(10**11 + 1) * 4**5} exceeds the real-time step budget of "
+                f"{limit('real-time step budget')}",
             ),
             (
                 {"kind": "tunnel", "t_total": 3000.0, "snapshot_stride": 1},
-                f"snapshots * (16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = "
+                "(1 + ceil(round(t_total / dt) / snapshot_stride)) * "
+                f"(16 * 2**num_qubits + {SNAPSHOT_OVERHEAD_BYTES}) = "
                 f"{300_001 * (16 * 2**5 + SNAPSHOT_OVERHEAD_BYTES)} exceeds the snapshot memory "
                 f"cap of {limit('snapshot memory cap')} B",
             ),
             (
                 # a grid well within its cap still writes a row per point and snapshot
                 {"kind": "anneal-matrix", "n_steps": 40, "snapshot_stride": 1, "grid_points": 2**17},
-                f"snapshots * grid_points = {41 * 2**17} exceeds the snapshot row cap "
-                f"of {limit('snapshot row cap')} rows",
+                f"(1 + ceil(n_steps / snapshot_stride)) * grid_points = {41 * 2**17} exceeds the "
+                f"snapshot row cap of {limit('snapshot row cap')} rows",
             ),
             (
                 {"kind": "anneal-matrix", "n_steps": 1000, "snapshot_stride": 1},
-                f"snapshots * grid_points = {1001 * 1025} exceeds the snapshot row cap "
-                f"of {limit('snapshot row cap')} rows",
+                f"(1 + ceil(n_steps / snapshot_stride)) * grid_points = {1001 * 1025} exceeds the "
+                f"snapshot row cap of {limit('snapshot row cap')} rows",
             ),
         ]
         + [
@@ -419,7 +422,8 @@ class TestValidation:
                     "t_total": limit("real-time step budget") // 4**10 * 0.01,
                     "snapshot_stride": 1,
                 },
-                f"snapshots * 4**num_qubits = {(limit('real-time step budget') // 4**10 + 1) * 4**10} "
+                "(1 + ceil(round(t_total / dt) / snapshot_stride)) * 4**num_qubits = "
+                f"{(limit('real-time step budget') // 4**10 + 1) * 4**10} "
                 f"exceeds the real-time step budget of {limit('real-time step budget')}",
             ),
             (
@@ -605,6 +609,25 @@ class TestValidation:
         assert not validate_config({"kind": "enumerate", "model": "binary", "n_points": 0}).ok
         assert not validate_config({"kind": "nn-toy", "dataset": "spiral"}).ok
         assert validate_config({"kind": "nn-toy", "band_rule": "max"}).ok
+
+    #: values each parameter takes in the sweep below, fixed before it ran
+    SWEEP_VALUES = [
+        0, 1, -1, 2, 0.5, 1.5, 1e-300, 1e-9, 1e9, 1e300, -1e300, 10**400, 2**63, 2**64,
+        True, "x", None, [], [1e300],
+    ]
+
+    def test_every_rejection_names_the_swept_parameter(self):
+        # one parameter of one kind at a time off its default; validate must
+        # not raise, and a rejected config must name the parameter it moved
+        unnamed = []
+        for kind, schema in SCHEMAS.items():
+            for name in schema:
+                named = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
+                for value in self.SWEEP_VALUES:
+                    errors = validate_config({**reading(kind, name), name: value}).errors
+                    if errors and not any(named.search(error) for error in errors):
+                        unnamed.append((kind, name, value, errors))
+        assert not unnamed
 
     @pytest.mark.parametrize("kind, name", NUMERIC, ids=[f"{kind}-{name}" for kind, name in NUMERIC])
     def test_numeric_parameter_rule(self, kind, name):
@@ -1163,6 +1186,36 @@ def test_dense_anneal_with_huge_reach_runs(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "evolve_adiabatic", keep)
     run_experiment(config, tmp_path)
     assert abs(np.linalg.norm(finals[0]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("split_seed", [0, 2])
+def test_binary_optimum_probability_sums_the_enumerated_optimal_set(split_seed, tmp_path):
+    config = dict(json.loads((CONFIG_DIR / "nn_binary.json").read_text()), split_seed=split_seed)
+    headline = run_experiment(config, tmp_path).summary["headline"]
+    effective = validate_config(config).effective
+    losses = experiments._network(effective).weightspace.losses
+    probabilities = experiments._nn_anneal(losses, effective)
+    optimum = float(losses.min())
+    direct = sum(p for loss, p in zip(losses.tolist(), probabilities.tolist()) if loss <= optimum + 1e-9)
+    assert headline["optimum_loss"] == optimum
+    assert headline["optimum_probability"] == pytest.approx(direct, abs=1e-12)
+    if split_seed == 0:
+        # the shipped split's top class is its optimal set
+        assert headline["optimum_probability"] == pytest.approx(headline["top_class_probability"], abs=1e-12)
+        assert headline["top_matches_optimum"] and headline["top_class_energy"] == optimum
+    else:
+        # here the most probable class sits one unit above the optimum
+        assert headline["optimum_probability"] == pytest.approx(0.13657, abs=1e-5)
+        assert headline["top_class_probability"] == pytest.approx(0.74171, abs=1e-5)
+        assert not headline["top_matches_optimum"] and headline["top_class_energy"] == optimum + 1
+
+
+def test_every_network_headline_reports_optimum_probability(tmp_path):
+    kinds = ("nn-toy", "nn-binary", "accuracy-curves")
+    heads = {kind: run_experiment(SMALL[kind], tmp_path / kind).summary["headline"] for kind in kinds}
+    assert all(0.0 < head["optimum_probability"] <= 1.0 for head in heads.values())
+    # the small curves config anneals nn-binary's loss on nn-binary's schedule
+    assert heads["accuracy-curves"]["optimum_probability"] == heads["nn-binary"]["optimum_probability"]
 
 
 def test_runs_compile_from_enumerated_losses(monkeypatch, tmp_path):

@@ -1,7 +1,8 @@
 """Tests for the momentum-basis treatment of potentials on [0, 1].
 
-Closed-form Fourier coefficients are cross-checked against adaptive
-quadrature; spectra against explicitly assembled reference matrices.
+Closed-form Fourier coefficients are cross-checked against Gauss-Legendre
+quadrature (``quadrature_reference``); spectra against explicitly assembled
+reference matrices.
 """
 
 import math
@@ -17,7 +18,6 @@ from aqtrain.matrix_method import (
     MomentumTruncation,
     Potential,
     SchrodingerProblem,
-    adaptive_simpson,
     check_packet_width,
     gaussian_packet,
     ground_state,
@@ -27,6 +27,8 @@ from aqtrain.matrix_method import (
     window_masses,
 )
 from aqtrain.varpoly import VarPolynomial, parse_polynomial
+from quadrature_reference import fourier_coefficient as quadrature_fourier
+from quadrature_reference import gauss_legendre, potential_value
 
 
 def cosine():
@@ -42,15 +44,6 @@ def tilted(tilt):
 def quartic(strength):
     """The quartic double well of the given strength."""
     return Potential(quartic_polynomial(strength))
-
-
-def quadrature_fourier(potential, k):
-    return adaptive_simpson(
-        lambda w: potential.value(w) * np.exp(-2j * math.pi * k * w),
-        0.0,
-        1.0,
-        min_depth=max(4, int(abs(k)).bit_length() + 1),
-    )
 
 
 class TestFourierCoefficients:
@@ -150,26 +143,28 @@ class TestFourierCoefficients:
 class TestQuarticShape:
     def test_false_minimum_value_is_tuned_to_zero(self):
         v = quartic(1.0)
-        assert abs(v.value(QUARTIC_FALSE_MINIMUM)) < 1e-4
+        assert abs(potential_value(v, QUARTIC_FALSE_MINIMUM)) < 1e-4
 
     def test_false_minimum_is_stationary(self):
         v = quartic(1.0)
         h = 1e-6
-        derivative = (v.value(QUARTIC_FALSE_MINIMUM + h) - v.value(QUARTIC_FALSE_MINIMUM - h)) / (2 * h)
+        derivative = (
+            potential_value(v, QUARTIC_FALSE_MINIMUM + h) - potential_value(v, QUARTIC_FALSE_MINIMUM - h)
+        ) / (2 * h)
         assert abs(derivative) < 1e-2
 
     def test_global_minimum_is_deeper_and_near_08(self):
         v = quartic(1.0)
         grid = np.linspace(0.0, 1.0, 100001)
-        values = v.value(grid)
+        values = potential_value(v, grid)
         w_star = grid[int(np.argmin(values))]
         assert abs(w_star - 0.809) < 1e-2
-        assert v.value(w_star) < v.value(QUARTIC_FALSE_MINIMUM) - 0.05
+        assert potential_value(v, w_star) < potential_value(v, QUARTIC_FALSE_MINIMUM) - 0.05
 
     def test_strength_scales_linearly(self):
         weak, strong = quartic(1.0), quartic(4.0)
         w = np.array([0.1, 0.5, 0.9])
-        assert np.allclose(strong.value(w), 4.0 * weak.value(w))
+        assert np.allclose(potential_value(strong, w), 4.0 * potential_value(weak, w))
 
 
 class TestHamiltonianAssembly:
@@ -419,16 +414,11 @@ class TestGaussianPacket:
         amps = gaussian_packet(center, width, trunc)
 
         def packet(w):
-            return math.exp(-width * (w - center) ** 2)
+            return np.exp(-width * (w - center) ** 2)
 
         oracle = np.array(
             [
-                adaptive_simpson(
-                    lambda w: packet(w) * np.exp(-2j * math.pi * n * w),
-                    0.0,
-                    1.0,
-                    min_depth=8,
-                )
+                gauss_legendre(lambda w: packet(w) * np.exp(-2j * math.pi * n * w), 0.0, 1.0)
                 for n in trunc.modes
             ]
         )
@@ -558,17 +548,16 @@ class TestWindowMasses:
         assert left + right == pytest.approx(1.0, abs=1e-14)
 
 
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(lambda x: x**2, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-    assert adaptive_simpson(lambda x: math.cos(x), 0.0, math.pi) == pytest.approx(
-        0.0, abs=1e-10
-    )
-    value = adaptive_simpson(lambda x: np.exp(2j * math.pi * x), 0.0, 1.0, min_depth=4)
-    assert abs(value) < 1e-10
+def test_gauss_legendre_known_integrals():
+    assert gauss_legendre(lambda x: x**2, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+    assert gauss_legendre(np.cos, 0.0, math.pi) == pytest.approx(0.0, abs=1e-10)
+    assert abs(gauss_legendre(lambda x: np.exp(2j * math.pi * x), 0.0, 1.0)) < 1e-10
+    # exp(-8j pi w) equals 1 at w = 0, 1/4, 1/2, 3/4 and 1: a rule that
+    # samples only there reads 1, not 0
+    assert abs(gauss_legendre(lambda w: np.exp(-8j * math.pi * w), 0.0, 1.0)) < 1e-10
 
 
-def test_adaptive_simpson_min_depth_defeats_aliasing():
-    # exp(-8j pi w) equals 1 at all five starting sample points on [0, 1],
-    # so without forced subdivision the recursion stops immediately
-    integrand = lambda w: np.exp(-8j * math.pi * w)
-    assert abs(adaptive_simpson(integrand, 0.0, 1.0, min_depth=6)) < 1e-10
+def test_gauss_legendre_fails_unless_converged():
+    # 64 nodes cannot resolve 200 periods, so they disagree with 128
+    with pytest.raises(AssertionError, match="not converged"):
+        gauss_legendre(lambda w: np.exp(-400j * math.pi * w), 0.0, 1.0)

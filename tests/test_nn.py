@@ -28,7 +28,6 @@ from aqtrain.nn import (
     group_degenerate,
     model_encoding_table,
     per_sample_terms,
-    predict,
     sample_pool,
     symbolic_forward,
     term_stats,
@@ -177,7 +176,8 @@ class TestSymbolicForward:
         weights = {name: rng.choice([-1.0, 1.0]) for name in model.variable_names}
         x = rng.uniform(-1, 1, size=2)
         symbolic = symbolic_forward(model, x)[0].evaluate(weights)
-        assert symbolic == pytest.approx(predict(model, weights, x), abs=1e-12)
+        numeric = forward_configs(model, {name: [value] for name, value in weights.items()}, x[None, :])
+        assert symbolic == pytest.approx(numeric[0, 0], abs=1e-12)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_matches_numeric_forward_binary(self, trial):
@@ -186,7 +186,8 @@ class TestSymbolicForward:
         weights = {name: float(rng.integers(0, 2)) for name in model.variable_names}
         x = rng.integers(0, 2, size=4).astype(float)
         symbolic = symbolic_forward(model, x)[0].evaluate(weights)
-        assert symbolic == pytest.approx(predict(model, weights, x), abs=1e-12)
+        numeric = forward_configs(model, {name: [value] for name, value in weights.items()}, x[None, :])
+        assert symbolic == pytest.approx(numeric[0, 0], abs=1e-12)
 
     def test_input_length_validated(self):
         with pytest.raises(ValueError):
@@ -310,10 +311,10 @@ class TestPredictAccuracy:
 
     def test_toy_predictions_at_reference_points(self):
         model, table, _ = _toy_setup(n=1)
-        assert predict(model, self.CIRCLE_WEIGHTS, (0.0, 0.0)) == pytest.approx(-1.0)
-        assert predict(model, self.CIRCLE_WEIGHTS, (1.0, 0.0)) == pytest.approx(1.0)
-        # signed labels are scored through the sign of the output
         points = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([-1, 1]))
+        columns = {name: [value] for name, value in self.CIRCLE_WEIGHTS.items()}
+        assert forward_configs(model, columns, points.features)[0] == pytest.approx([-1.0, 1.0])
+        # signed labels are scored through the sign of the output
         result = enumerate_weightspace(model, table, points, points, "mse")
         assert result.train_accuracy[self._config_index(table, self.CIRCLE_WEIGHTS)] == 1.0
 
@@ -332,7 +333,7 @@ class TestPredictAccuracy:
     def test_missing_weight_raises(self):
         model = toy_two_layer_model()
         with pytest.raises(KeyError):
-            predict(model, {"w1_11": 1.0}, (0.0, 0.0))
+            forward_configs(model, {"w1_11": [1.0]}, [(0.0, 0.0)])
 
     def test_forward_batch_shape(self):
         model = toy_two_layer_model()

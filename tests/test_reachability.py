@@ -44,7 +44,6 @@ UNREACHED = {
     "classical:_Worker._serve": "child process",
     "classical:_Worker.kill": "error path",
     # the symbolic compiler and the encoding operators it substitutes
-    "datasets:Dataset.__len__": "oracle",
     "encodings:EncodingTable.__contains__": "oracle",
     "encodings:EncodingTable.__getitem__": "oracle",
     "encodings:encode_variable": "oracle",
@@ -58,10 +57,6 @@ UNREACHED = {
     "varpoly:VarPolynomial.allclose": "oracle",
     "varpoly:VarPolynomial.coefficient": "oracle",
     "varpoly:VarPolynomial.substitute_encodings": "oracle",
-    # the inverse of parse_polynomial, which its round-trip test checks
-    "varpoly:VarPolynomial.__str__": "oracle",
-    # the numeric forward pass of the per-sample symbolic_forward tests
-    "nn:predict": "oracle",
     # the Z-string algebra behind the compiler, and the dense and Walsh oracles
     "pauli:PauliPolynomial.__init__": "oracle",
     "pauli:PauliPolynomial.__add__": "oracle",
@@ -85,11 +80,6 @@ UNREACHED = {
     "pauli:PauliPolynomial.to_matrix": "perfbench",
     # perfbench/checks.py reads report bitstrings back with it
     "encodings:index_of_report_bitstring": "perfbench",
-    # the quadrature oracle of the closed-form Fourier coefficients
-    "matrix_method:adaptive_simpson": "oracle",
-    "matrix_method:adaptive_simpson.recurse": "oracle",
-    "matrix_method:adaptive_simpson.simpson": "oracle",
-    "matrix_method:Potential.value": "oracle",
 }
 
 #: configs for the CHOICES values and potentials that no shipped config uses,

